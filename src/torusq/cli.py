@@ -17,17 +17,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import NoReturn
 
 from . import __version__, criteria, grassmannian as gr, quiver as qv, smt, verify
 from .rootdata import root_system
 from .weyl import word_to_perm
 
 
+def _usage_error(message) -> NoReturn:
+    """Exit 2 with a single line on stderr."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _ints(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(part) for part in text.replace(",", " ").split())
+    try:
+        return tuple(int(part) for part in text.replace(",", " ").split())
+    except ValueError:
+        _usage_error(f"{text!r} is not a list of integers")
 
 
 def _emit(args, payload: dict) -> None:
@@ -60,12 +67,13 @@ def _plain(value):
 def cmd_gr_analyze(args) -> int:
     w = _ints(args.w)
     try:
+        gr.check_box(args.r, args.n)
         gr.check_indexset(w, args.r, args.n)
     except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+        _usage_error(exc)
     lam = gr.indexset_to_partition(w, args.r, args.n)
     ss = criteria.e_ss_gr(w, args.r, args.n)
-    report = criteria.semistable_meets_singular_gr(w, args.r, args.n)
+    report = criteria.semistable_meets_singular_gr(w, args.r, args.n, ss)
     quotient = gr.quotient_smoothness_report(w, args.r, args.n)
     warnings = list(report["warnings"])
     if report["semistable_nonempty"]:
@@ -113,7 +121,7 @@ def _resolve_node(model, args):
     if args.element_format == "indexset":
         return model.poset.node_of_indexset(values)
     if not model.poset.word_descends(values):
-        raise SystemExit(f"error: {values} is not a reduced word in this orbit")
+        _usage_error(f"{values} is not a reduced word in this orbit")
     return model.poset.node_from_word(values)
 
 
@@ -124,12 +132,12 @@ def cmd_quiver_build(args) -> int:
     elif args.family == "E7":
         rank = 7
     elif rank is None:
-        raise SystemExit("error: --rank is required for families A and D")
+        _usage_error("--rank is required for families A and D")
     try:
         model = criteria.minuscule_model(args.family, rank, args.weight)
         node = _resolve_node(model, args)
     except (ValueError, KeyError) as exc:
-        raise SystemExit(f"error: {exc}")
+        _usage_error(exc)
     marked = model.quiver_of(node)
     holes = qv.classify_holes(marked)
     components = model.singular_components(node)
@@ -172,7 +180,7 @@ def _smt_element(args):
     if args.element_format == "word":
         return word_to_perm(values, args.n)
     if sorted(values) != list(range(1, args.n + 1)):
-        raise SystemExit(f"error: {values} is not a permutation of 1..{args.n}")
+        _usage_error(f"{values} is not a permutation of 1..{args.n}")
     return values
 
 
@@ -224,7 +232,7 @@ def cmd_verify(args) -> int:
     try:
         results = verify.run_suite(args.suite, **kwargs)
     except KeyError:
-        raise SystemExit(f"error: unknown suite {args.suite!r}")
+        _usage_error(f"unknown suite {args.suite!r}")
     if args.json:
         print(json.dumps(results, indent=2, sort_keys=True, default=list))
     else:

@@ -36,9 +36,9 @@ def e_ss_gr(w, r, n, sweep=None):
 
     ``minimal`` is the ceiling form (the true minimum), ``formula`` the
     two-branch variant kept for comparison; a warning records any
-    disagreement.  ``sweep`` additionally re-derives the minimum by
-    exhaustive invariant search (default: only when gcd(r, n) > 1, where
-    the search degree stays small).
+    disagreement.  ``sweep`` additionally re-derives the minimum from the
+    invariant-chain certificate of every column set of the box (default:
+    only when gcd(r, n) > 1).
     """
     w = gr.check_indexset(w, r, n)
     v = gr.minimal_semistable(r, n)
@@ -75,15 +75,17 @@ def e_ss_gr(w, r, n, sweep=None):
     }
 
 
-def semistable_meets_singular_gr(w, r, n):
+def semistable_meets_singular_gr(w, r, n, ss=None):
     """The comparison verdict as a report dict.
 
     ``separated`` is True when no singular top dominates a semistable
-    bottom, i.e. semistable points avoid the singular locus.
+    bottom, i.e. semistable points avoid the singular locus.  ``ss`` is
+    the :func:`e_ss_gr` report for w when the caller already has it.
     """
     w = gr.check_indexset(w, r, n)
     sing = e_sing_gr(w, r, n)
-    ss = e_ss_gr(w, r, n)
+    if ss is None:
+        ss = e_ss_gr(w, r, n)
     bad_pairs = [
         (a, b)
         for a in sing

@@ -149,7 +149,8 @@ def minimal_semistable(r: int, n: int) -> tuple[int, ...]:
     at least i entries <= w_i, and values <= w_i supply only w_i * mr/n
     slots, so w_i >= in/r.  The balanced chain that rotates values
     cyclically attains the bound, making this the unique minimum (the
-    verification suites re-derive it per (r, n) by exhaustive search).
+    verification suites re-derive it per (r, n) from the invariant-chain
+    certificate of every column set).
     """
     check_box(r, n)
     return tuple(-((-i * n) // r) for i in range(1, r + 1))

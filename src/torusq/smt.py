@@ -17,6 +17,13 @@ the missing values must agree as multisets, and standardness forces the
 single boxes to be listed weakly decreasing and the missing values weakly
 increasing.  Counting invariant sections therefore means counting
 multisets whose canonical tableau is standard.
+
+On a Grassmannian Gr(r, n) the invariant standard monomials of degree m
+are weakly decreasing chains of m column sets below w that use every
+value m*r/n times.  Read backwards and transposed, such a chain is an
+r x m semistandard tableau whose row i stays below w_i, so existence is
+decided in O(n*r) by filling it value by value, top rows first, with no
+search (see :func:`_chain_fits`).
 """
 
 from __future__ import annotations
@@ -360,7 +367,62 @@ def parabolic_lifts(n: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # Grassmannian side: invariant chains of column sets
 
-_chain_memos: dict = {}
+
+def _chain_fits(bound, need, r: int) -> bool:
+    """Is there a weakly decreasing chain of r-element column sets, the
+    first one below ``bound``, that uses each value v exactly
+    ``need[v-1]`` times?
+
+    Reverse such a chain and write its column sets as the columns of an
+    r x M array (M = sum(need) / r): the result is a semistandard tableau
+    of rectangular shape with content ``need`` whose row i has entries
+    <= bound[i] (a flagged tableau), and every such tableau reads back as
+    a chain.  Build it value by value: the copies of v form a horizontal
+    strip on the shape lambda of the smaller values, so row 1 takes at
+    most M - lambda_1 of them and row i at most lambda_{i-1} - lambda_i.
+    Put them in the top rows first.  The filling fails when some copy
+    fits nowhere, or when row i is not full once value bound[i] is in.
+
+    Why top rows first loses nothing (exchange argument): write P_i for
+    the number of cells in rows 1..i.  Adding k cells top-first turns P_i
+    into min(P_i + k, P_{i-1} + M).  Any horizontal strip of k cells gives
+    at most that, since it adds k cells in all and its row j is no longer
+    than the old row j-1.  Both bounds grow with P_i and P_{i-1}, so if
+    lambda dominates mu (P_i(lambda) >= P_i(mu) for every i), the
+    top-first successor of lambda dominates every successor of mu.  By
+    induction from the empty shape, the top-first shape dominates the
+    shape of every valid partial filling; it never puts a value into a
+    row whose flag it has passed, because such rows are already full.
+    Dominance is all both failure tests look at: the room for the next
+    strip is M - lambda_r, largest for the dominant shape (its last row is
+    the shortest), and rows 1..i are full exactly when P_i = i*M, which
+    holds for the dominant shape whenever it holds for any.  So the
+    top-first filling fails only if every filling does.
+    This is the counting behind the lower bound w_i >= i*n/r in
+    :func:`torusq.grassmannian.minimal_semistable`: values <= w_i must
+    fill rows 1..i.  Runs in O(n*r).
+    """
+    total = sum(need)
+    if total % r:
+        return False
+    width = total // r
+    shape = [0] * r
+    for v, copies in enumerate(need, start=1):
+        above = width
+        for i in range(r):
+            take = min(copies, above - shape[i])
+            above = shape[i]
+            shape[i] += take
+            copies -= take
+        if copies or any(shape[i] < width for i in range(r) if bound[i] <= v):
+            return False
+    return True
+
+
+def _uniform_need(r: int, n: int, m: int):
+    """Each of 1..n used m*r/n times, or None when that is no integer."""
+    target, rem = divmod(m * r, n)
+    return None if rem else (target,) * n
 
 
 def invariant_chain_gr(w, r: int, n: int, m: int):
@@ -368,63 +430,64 @@ def invariant_chain_gr(w, r: int, n: int, m: int):
     1..n exactly m*r/n times, or None.
 
     This is the Grassmannian semistability certificate: such a chain is
-    exactly a torus-invariant standard monomial of degree m on X_w.
+    exactly a torus-invariant standard monomial of degree m on X_w.  The
+    chain returned is the lexicographically first one, column sets taken
+    in decreasing order: at each step the first candidate below the last
+    set whose remaining content still fits (:func:`_chain_fits`).
     """
     w = tuple(w)
-    target, rem = divmod(m * r, n)
-    if rem:
+    need = _uniform_need(r, n, m)
+    if need is None or not _chain_fits(w, need, r):
         return None
-    memo = _chain_memos.setdefault((r, n), {})
     rows = sorted(combinations(range(1, n + 1), r), reverse=True)
 
-    def search(bound, need):
-        total = sum(need)
-        if total == 0:
-            return ()
-        key = (bound, need)
-        if key in memo:
-            return memo[key]
-        result = None
-        rows_left = total // r
-        if all(x <= rows_left for x in need) and all(
-            need[v - 1] == 0 or v <= bound[-1] for v in range(1, n + 1)
-        ):
-            for cand in rows:
-                if any(c > b for c, b in zip(cand, bound)):
-                    continue
-                if any(need[v - 1] == 0 for v in cand):
-                    continue
-                nxt = list(need)
-                for v in cand:
-                    nxt[v - 1] -= 1
-                sub = search(cand, tuple(nxt))
-                if sub is not None:
-                    result = (cand,) + sub
-                    break
-        memo[key] = result
-        return result
+    def rest(cand):
+        left = list(need)
+        for v in cand:
+            left[v - 1] -= 1
+        return left
 
-    return search(w, (target,) * n)
+    chain = []
+    bound = w
+    for _ in range(m):
+        bound = next(
+            cand
+            for cand in rows
+            if all(c <= b and need[c - 1] for c, b in zip(cand, bound))
+            and _chain_fits(cand, rest(cand), r)
+        )
+        need = rest(bound)
+        chain.append(bound)
+    return tuple(chain)
+
+
+def _certificate_degrees(r: int, n: int) -> tuple[int, int]:
+    """m0 = n / gcd(r, n), the least degree where m*r/n is whole, and 2*m0."""
+    m0 = n // gcd(r, n)
+    return m0, 2 * m0
 
 
 def semistable_nonempty_gr(w, r: int, n: int) -> dict:
     """Search for an invariant chain on X_w in the two smallest plausible
     degrees, m0 and 2*m0 where m0 = n / gcd(r, n); a negative answer is
     therefore relative to the reported bound."""
-    m0 = n // gcd(r, n)
-    for m in (m0, 2 * m0):
+    degrees = _certificate_degrees(r, n)
+    for m in degrees:
         chain = invariant_chain_gr(w, r, n, m)
         if chain is not None:
-            return {"found": True, "degree": m, "bound": 2 * m0, "witness": chain}
-    return {"found": False, "degree": None, "bound": 2 * m0, "witness": None}
+            return {"found": True, "degree": m, "bound": degrees[1], "witness": chain}
+    return {"found": False, "degree": None, "bound": degrees[1], "witness": None}
 
 
 def minimal_semistable_oracle_gr(r: int, n: int) -> list[tuple[int, ...]]:
-    """Minimal column sets with a semistable certificate, by full sweep."""
+    """Minimal column sets with a semistable certificate in degree m0 or
+    2*m0, by a sweep over every column set (existence only, no chain is
+    built)."""
+    needs = [_uniform_need(r, n, m) for m in _certificate_degrees(r, n)]
     hits = [
         w
         for w in combinations(range(1, n + 1), r)
-        if semistable_nonempty_gr(w, r, n)["found"]
+        if any(_chain_fits(w, need, r) for need in needs)
     ]
     return [
         w

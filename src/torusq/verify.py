@@ -240,7 +240,8 @@ def minima_sweep(max_n=7) -> dict:
     Type A: for every w above the minimal semistable element, the diagram
     test, component containment, pair comparison, the gap inequality and
     the quiver hole criterion coincide; the minimal element itself is
-    re-derived by exhaustive invariant search per (r, n).  The other
+    re-derived per (r, n) from the invariant-chain certificate of every
+    column set.  The other
     minuscule families compare the hole criterion against the pair
     comparison directly.  Gr(4, 9) is added on top of the sweep because it
     is the smallest case where the criterion can actually fail."""

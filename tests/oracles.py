@@ -2,7 +2,9 @@
 
 Nothing here shares an algorithm with the package: Bruhat order is walked
 through covers instead of prefix dominance, standardness is decided by
-exhaustive chain search instead of the greedy maximum, and section counts
+exhaustive chain search instead of the greedy maximum, Grassmannian
+invariant chains by depth-first search instead of the flagged-tableau
+filling, and section counts
 come from linear algebra (ranks of evaluation matrices at random points
 of the open cell) instead of tableau combinatorics.  Agreement between
 the two sides is what the tests assert.
@@ -10,7 +12,7 @@ the two sides is what the tests assert.
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +128,54 @@ def is_standard_exhaustive(tableau, w):
             return False
         bounds = nxt
     return True
+
+
+# ---------------------------------------------------------------------------
+# Grassmannian invariant chains by depth-first search
+
+
+def invariant_chain_exhaustive(w, r, n, m):
+    """The first weakly decreasing chain of m column sets below w that
+    covers each of 1..n exactly m*r/n times, or None.
+
+    Depth-first over candidate sets in decreasing lexicographic order,
+    memoised on (bound, remaining content); exponential when no chain
+    exists.
+    """
+    target, rem = divmod(m * r, n)
+    if rem:
+        return None
+    memo = {}
+    rows = sorted(combinations(range(1, n + 1), r), reverse=True)
+
+    def search(bound, need):
+        total = sum(need)
+        if total == 0:
+            return ()
+        key = (bound, need)
+        if key in memo:
+            return memo[key]
+        result = None
+        rows_left = total // r
+        if all(x <= rows_left for x in need) and all(
+            need[v - 1] == 0 or v <= bound[-1] for v in range(1, n + 1)
+        ):
+            for cand in rows:
+                if any(c > b for c, b in zip(cand, bound)):
+                    continue
+                if any(need[v - 1] == 0 for v in cand):
+                    continue
+                nxt = list(need)
+                for v in cand:
+                    nxt[v - 1] -= 1
+                sub = search(cand, tuple(nxt))
+                if sub is not None:
+                    result = (cand,) + sub
+                    break
+        memo[key] = result
+        return result
+
+    return search(tuple(w), (target,) * n)
 
 
 # ---------------------------------------------------------------------------

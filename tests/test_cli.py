@@ -1,9 +1,11 @@
 """End-to-end runs of the command line entry point, in process."""
 
 import json
+from collections import Counter
 
 import pytest
 
+from torusq import grassmannian as gr
 from torusq.cli import main
 
 
@@ -64,6 +66,54 @@ def test_analyze_text_mode(capsys):
 def test_analyze_rejects_bad_column_set(capsys):
     with pytest.raises(SystemExit):
         main(["gr", "analyze", "--n", "5", "--r", "2", "--w", "9,9"])
+
+
+# Boxes where the old depth-first chain search ran from 16 s to minutes.
+CLIFF_BOXES = [
+    (4, 12, (3, 6, 9, 12)),
+    (4, 10, (3, 5, 8, 10)),
+    (5, 11, (1, 4, 6, 9, 11)),
+    (5, 13, (2, 5, 8, 10, 13)),
+]
+
+
+@pytest.mark.parametrize("r, n, w", CLIFF_BOXES)
+def test_analyze_cliff_boxes(capsys, r, n, w):
+    code, payload, _ = run_json(
+        capsys,
+        ["gr", "analyze", "--n", str(n), "--r", str(r), "--w", ",".join(map(str, w))],
+    )
+    assert code == 0
+    nonempty = gr.indexset_leq(gr.minimal_semistable(r, n), w)
+    assert payload["result"]["semistable_nonempty"] is nonempty
+    for witness in payload["witnesses"]:
+        m, chain = witness["degree"], [tuple(c) for c in witness["chain"]]
+        assert len(chain) == m and (m * r) % n == 0
+        bound = w
+        for cols in chain:
+            assert len(cols) == r and list(cols) == sorted(set(cols))
+            assert all(c <= b for c, b in zip(cols, bound))
+            bound = cols
+        uses = Counter(v for cols in chain for v in cols)
+        assert [uses[v] for v in range(1, n + 1)] == [m * r // n] * n
+    assert bool(payload["witnesses"]) is nonempty
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "5", "--r", "2", "--w", "a,b"],
+    ["--n", "5", "--r", "2", "--w", "3,3"],
+    ["--n", "5", "--r", "7", "--w", "1,2,3,4,5,6,7"],
+    ["--n", "5", "--r", "5", "--w", "1,2,3,4,5"],
+    ["--n", "5", "--r", "0", "--w", ""],
+])
+def test_analyze_usage_errors_exit_2_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["gr", "analyze", *argv, "--json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_usage_error_is_exit_2(capsys):

@@ -7,13 +7,18 @@ monomial evaluation matrix at random points of the open cell
 chain machinery being tested.
 """
 
-from itertools import permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
-from oracles import invariant_dim_geometric, is_standard_exhaustive
-from torusq import smt
+from oracles import (
+    invariant_chain_exhaustive,
+    invariant_dim_geometric,
+    is_standard_exhaustive,
+)
+from torusq import grassmannian as gr, smt
 
 
 V7 = (5, 1, 2, 3, 6, 7, 4)  # the running SL(7) seed element
@@ -291,3 +296,87 @@ def test_semistable_probe_reports_bound():
 
 def test_minimal_sweep_gr24():
     assert smt.minimal_semistable_oracle_gr(2, 4) == [(2, 4)]
+
+
+def column_sets(r, n):
+    return combinations(range(1, n + 1), r)
+
+
+def certificate_degrees(r, n):
+    m0 = n // gcd(r, n)
+    return (m0, 2 * m0)
+
+
+def test_chain_equals_exhaustive_search():
+    cases = 0
+    for n in range(2, 8):
+        for r in range(1, n):
+            for w in column_sets(r, n):
+                for m in certificate_degrees(r, n):
+                    assert smt.invariant_chain_gr(w, r, n, m) == (
+                        invariant_chain_exhaustive(w, r, n, m)
+                    ), (w, r, n, m)
+                    cases += 1
+    assert cases == 480
+
+
+def test_certificate_exists_iff_above_the_minimal_element():
+    for n in range(2, 12):
+        for r in range(1, n):
+            v = gr.minimal_semistable(r, n)
+            needs = [(m * r // n,) * n for m in certificate_degrees(r, n)]
+            for w in column_sets(r, n):
+                found = any(smt._chain_fits(w, need, r) for need in needs)
+                assert found == gr.indexset_leq(v, w), (w, r, n)
+
+
+def test_chain_fits_hand_cases():
+    # 2 x 2 tableaux, rows bounded by the flags
+    assert smt._chain_fits((2, 4), (1, 1, 1, 1), 2)  # rows 12 / 34
+    assert smt._chain_fits((2, 4), (0, 2, 0, 2), 2)  # rows 22 / 44
+    assert smt._chain_fits((1, 3), (2, 0, 2, 0), 2)  # rows 11 / 33
+    assert not smt._chain_fits((1, 2), (2, 0, 2, 0), 2)  # 3 above its flag 2
+    assert not smt._chain_fits((1, 4), (1, 1, 1, 1), 2)  # row 1 needs two 1s
+    # the 2 must go on top (rows 12 / 44); below the 1 it would push a 4
+    # into row 1, past its flag
+    assert smt._chain_fits((2, 4), (1, 1, 0, 2), 2)
+    # three copies of one value in two columns cannot be strict
+    assert not smt._chain_fits((3, 4), (3, 1, 0, 0), 2)
+    # cell count not a multiple of the number of rows
+    assert not smt._chain_fits((3, 4), (1, 1, 1, 0), 2)
+    # the empty tableau
+    assert smt._chain_fits((1, 2), (0, 0, 0), 2)
+    # 3 x 2: rows 12 / 23 / 45
+    assert smt._chain_fits((2, 3, 5), (1, 2, 1, 1, 1), 3)
+    assert not smt._chain_fits((2, 3, 4), (1, 2, 1, 1, 1), 3)
+
+
+def test_chain_fits_against_every_small_chain():
+    """All contents and bounds for n <= 6 and chains of up to 3 sets,
+    against the chains themselves."""
+    for n in range(2, 7):
+        for r in range(1, n):
+            sets = sorted(column_sets(r, n), reverse=True)
+            for width in range(1, 4):
+                tops = {}
+                for chain in combinations_with_replacement(sets, width):
+                    if any(
+                        any(b > a for a, b in zip(hi, lo))
+                        for hi, lo in zip(chain, chain[1:])
+                    ):
+                        continue
+                    content = tuple(
+                        sum(v in c for c in chain) for v in range(1, n + 1)
+                    )
+                    tops.setdefault(content, []).append(chain[0])
+                for need in product(range(width + 1), repeat=n):
+                    if sum(need) != width * r:
+                        continue
+                    for bound in sets:
+                        expected = any(
+                            all(t <= b for t, b in zip(top, bound))
+                            for top in tops.get(need, ())
+                        )
+                        assert smt._chain_fits(bound, need, r) == expected, (
+                            bound, need, r
+                        )
