@@ -175,10 +175,19 @@ def cmd_quiver_build(args) -> int:
     return 0
 
 
+def _smt_size(n: int) -> None:
+    if n < 2:
+        _usage_error(f"--n {n}: the weight omega_1 + omega_(n-1) needs n >= 2")
+
+
 def _smt_element(args):
+    _smt_size(args.n)
     values = _ints(args.w)
     if args.element_format == "word":
-        return word_to_perm(values, args.n)
+        try:
+            return word_to_perm(values, args.n)
+        except ValueError as exc:
+            _usage_error(exc)
     if sorted(values) != list(range(1, args.n + 1)):
         _usage_error(f"{values} is not a permutation of 1..{args.n}")
     return values
@@ -186,6 +195,8 @@ def _smt_element(args):
 
 def cmd_smt_dim(args) -> int:
     w = _smt_element(args)
+    if args.m < 0:
+        _usage_error(f"--m {args.m}: the degree must be non-negative")
     witnesses = smt.invariant_witnesses(w, args.m)
     payload = {
         "input": {"n": args.n, "w": w, "m": args.m},
@@ -200,6 +211,7 @@ def cmd_smt_dim(args) -> int:
 
 
 def cmd_smt_minimal(args) -> int:
+    _smt_size(args.n)
     elements = smt.minimal_borel_semistable(args.n)
     payload = {
         "input": {"n": args.n},
@@ -213,6 +225,8 @@ def cmd_smt_minimal(args) -> int:
 
 def cmd_smt_pn_check(args) -> int:
     w = _smt_element(args)
+    if args.max_m < 2:
+        _usage_error(f"--max-m {args.max_m}: the check compares degrees 2..max-m")
     degrees = tuple(range(2, args.max_m + 1))
     report = smt.projective_normality_check(w, degrees)
     payload = {

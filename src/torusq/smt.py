@@ -5,12 +5,12 @@ A tableau of this shape has m single-box rows (their values, listed top
 row of the chain first) and m rows of length n-1 (each determined by its
 missing value).  The monomial it names is standard on X(w) when a Bruhat
 chain w >= phi_1 >= ... >= phi_2m exists whose i-th member projects onto
-the i-th listed row.  Chains are found greedily: the set of permutations
-with a prescribed first or last value is a parabolic coset, and inside a
-coset the elements below a given bound have a unique maximum, so taking
-that maximum row by row never paints the search into a corner.  (The
-uniqueness is classical; the exhaustive cross-check lives in the test
-suite.)
+the i-th listed row.  Each row pins one end of its chain member (a
+single box its first value, a long row its last), so a chain only sees
+the pair of end values, and the Bruhat order on those pairs is two
+integer comparisons; standardness is decided by walking the largest
+admissible pair down the rows (see :func:`is_standard_on`).  The greedy
+walk through S_n is kept as an oracle in the test suite.
 
 Torus invariance pins the tableau completely: the single-box values and
 the missing values must agree as multisets, and standardness forces the
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
 
-from .weyl import bruhat_leq, pi_projection, right_multiply, word_to_perm
+from .weyl import pi_projection, right_multiply, word_to_perm
 
 
 # ---------------------------------------------------------------------------
@@ -107,61 +107,39 @@ def is_young_on(t: Tableau, w) -> bool:
     return True
 
 
-def max_coset_member_below(bound, first=None, last=None):
-    """Largest permutation x <= bound with x(1) = first and/or x(n) = last.
-
-    Greedy by position, largest value first.  A partial assignment can
-    still reach something below the bound iff its cheapest completion can,
-    and the cheapest completion just fills the free slots with the unused
-    values in increasing order.  Returns None when the coset has nothing
-    below the bound.
-    """
-    n = len(bound)
-    line: list[int | None] = [None] * n
-    if first is not None:
-        line[0] = first
-    if last is not None:
-        if line[n - 1] is not None and line[n - 1] != last:
-            raise ValueError("conflicting pins")
-        line[n - 1] = last
-    pinned = {v for v in line if v is not None}
-    if len(pinned) != sum(1 for v in line if v is not None):
-        return None  # same value pinned twice
-
-    def cheapest(partial):
-        free = sorted(set(range(1, n + 1)) - {v for v in partial if v is not None})
-        it = iter(free)
-        return tuple(v if v is not None else next(it) for v in partial)
-
-    if not bruhat_leq(cheapest(line), bound):
-        return None
-    for p in range(n):
-        if line[p] is not None:
-            continue
-        used = {v for v in line if v is not None}
-        for v in sorted(set(range(1, n + 1)) - used, reverse=True):
-            line[p] = v
-            if bruhat_leq(cheapest(line), bound):
-                break
-            line[p] = None
-        if line[p] is None:  # pragma: no cover - the initial check rules this out
-            return None
-    return tuple(line)
-
-
 def is_standard_on(t: Tableau, w) -> bool:
-    """Greedy chain test for standardness of the tableau on X(w)."""
+    """Is the tableau standard on X(w)?  Decided on (w(1), w(n)) in O(m).
+
+    A single box v pins phi(1) = v and a long row missing d pins phi(n) = d,
+    so a chain only sees cosets of W_P, P generated by s_2, ..., s_{n-2}:
+    the ordered pairs (a, z) = (phi(1), phi(n)), a != z.  On these, Bruhat
+    order is the tableau criterion at prefix lengths 1 and n-1 alone, so
+    (a, z) <= (a', z') iff a <= a' and z >= z'.  [e, w] projects onto the
+    pairs below (w(1), w(n)), and a chain of pairs lifts to a chain of
+    permutations through minimal coset representatives, so the tableau is
+    standard on X(w) iff a chain of pairs exists below (w(1), w(n)).
+
+    Among the pairs below (a, z) that meet a row's pin there is a largest,
+    and a larger bound never loses a later row, so taking it row by row is
+    exact.  A single box v needs v <= a and gives (v, z), or (v, z + 1) if
+    z = v; a long row d needs d >= z and gives (a, d), or (a - 1, d) if
+    a = d.  The walk fails once z passes n or a reaches 0.  Needs n >= 2:
+    SL(1) has no omega_{n-1}.
+    """
     if t.n != len(w):
         raise ValueError("size mismatch")
-    bound = tuple(w)
-    for kind, val in t.rows():
-        if kind == "short":
-            bound = max_coset_member_below(bound, first=val)
-        else:
-            bound = max_coset_member_below(bound, last=val)
-        if bound is None:
+    if t.n < 2:
+        raise ValueError("standardness needs n >= 2")
+    a, z = w[0], w[-1]
+    for v in t.shorts:
+        if v > a:
             return False
-    return True
+        a, z = v, z + (z == v)
+    for d in t.missings:
+        if d < z:
+            return False
+        a, z = a - (a == d), d
+    return 1 <= a and z <= t.n
 
 
 # ---------------------------------------------------------------------------

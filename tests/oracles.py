@@ -2,7 +2,9 @@
 
 Nothing here shares an algorithm with the package: Bruhat order is walked
 through covers instead of prefix dominance, standardness is decided by
-exhaustive chain search instead of the greedy maximum, Grassmannian
+exhaustive chain search, or by the greedy maximum through S_n (on the
+package's prefix-dominance Bruhat test, itself checked against the cover
+walk), instead of the walk on end-value pairs, Grassmannian
 invariant chains by depth-first search instead of the flagged-tableau
 filling, and section counts
 come from linear algebra (ranks of evaluation matrices at random points
@@ -13,6 +15,8 @@ the two sides is what the tests assert.
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
+
+from torusq.weyl import bruhat_leq
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +131,66 @@ def is_standard_exhaustive(tableau, w):
         if not nxt:
             return False
         bounds = nxt
+    return True
+
+
+# ---------------------------------------------------------------------------
+# greedy standardness through S_n
+
+
+def max_coset_member_below(bound, first=None, last=None):
+    """Largest permutation x <= bound with x(1) = first and/or x(n) = last.
+
+    Greedy by position, largest value first.  A partial assignment can
+    still reach something below the bound iff its cheapest completion can,
+    and the cheapest completion just fills the free slots with the unused
+    values in increasing order.  Returns None when the coset has nothing
+    below the bound.
+    """
+    n = len(bound)
+    line = [None] * n
+    if first is not None:
+        line[0] = first
+    if last is not None:
+        if line[n - 1] is not None and line[n - 1] != last:
+            raise ValueError("conflicting pins")
+        line[n - 1] = last
+    pinned = {v for v in line if v is not None}
+    if len(pinned) != sum(1 for v in line if v is not None):
+        return None  # same value pinned twice
+
+    def cheapest(partial):
+        free = sorted(set(range(1, n + 1)) - {v for v in partial if v is not None})
+        it = iter(free)
+        return tuple(v if v is not None else next(it) for v in partial)
+
+    if not bruhat_leq(cheapest(line), bound):
+        return None
+    for p in range(n):
+        if line[p] is not None:
+            continue
+        used = {v for v in line if v is not None}
+        for v in sorted(set(range(1, n + 1)) - used, reverse=True):
+            line[p] = v
+            if bruhat_leq(cheapest(line), bound):
+                break
+            line[p] = None
+        if line[p] is None:  # the initial check rules this out
+            return None
+    return tuple(line)
+
+
+def is_standard_greedy(tableau, w):
+    """Standardness by the greedy chain through S_n: each row replaces
+    the bound by the largest permutation below it with the row's pin."""
+    bound = tuple(w)
+    for kind, val in tableau.rows():
+        if kind == "short":
+            bound = max_coset_member_below(bound, first=val)
+        else:
+            bound = max_coset_member_below(bound, last=val)
+        if bound is None:
+            return False
     return True
 
 

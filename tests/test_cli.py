@@ -220,6 +220,25 @@ def test_smt_pn_check(capsys):
     assert result["all_match"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["dim", "--n", "4", "--w", "4,3,2,1", "--m", "-1"],
+    ["dim", "--n", "4", "--w", "9", "--as", "word", "--m", "1"],
+    ["dim", "--n", "1", "--w", "1", "--m", "1"],
+    ["minimal", "--n", "-3"],
+    ["minimal", "--n", "1"],
+    ["pn-check", "--n", "4", "--w", "4,3,2,1", "--max-m", "-2"],
+    ["pn-check", "--n", "1", "--w", "1"],
+])
+def test_smt_usage_errors_exit_2_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["smt", *argv, "--json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_verify_single_suite(capsys):
     assert main(["verify", "golden-sl7"]) == 0
     out = capsys.readouterr().out

@@ -17,6 +17,8 @@ from oracles import (
     invariant_chain_exhaustive,
     invariant_dim_geometric,
     is_standard_exhaustive,
+    is_standard_greedy,
+    max_coset_member_below,
 )
 from torusq import grassmannian as gr, smt
 
@@ -71,13 +73,23 @@ def test_standard_examples():
     assert smt.is_standard_on(smt.Tableau(7, (), ()), V7)  # empty shape
 
 
+def test_standardness_needs_n_at_least_2():
+    with pytest.raises(ValueError):
+        smt.is_standard_on(smt.Tableau(1, (1,), (1,)), (1,))
+    with pytest.raises(ValueError):
+        smt.invariant_dimension((1,), 1)
+
+
+# the S_n oracle: greedy maximum below a bound inside a pinned coset
+
+
 def test_max_coset_member_below():
-    got = smt.max_coset_member_below((5, 2, 3, 6, 7, 4, 1), last=4)
+    got = max_coset_member_below((5, 2, 3, 6, 7, 4, 1), last=4)
     assert got == (5, 2, 3, 6, 7, 1, 4)
-    assert smt.max_coset_member_below((2, 1, 3, 4), first=4) is None
-    assert smt.max_coset_member_below((4, 3, 2, 1), first=2, last=3) == (2, 4, 1, 3)
+    assert max_coset_member_below((2, 1, 3, 4), first=4) is None
+    assert max_coset_member_below((4, 3, 2, 1), first=2, last=3) == (2, 4, 1, 3)
     # pinning one value into both end slots leaves an empty coset
-    assert smt.max_coset_member_below((3, 2, 1), first=2, last=2) is None
+    assert max_coset_member_below((3, 2, 1), first=2, last=2) is None
 
 
 def test_max_coset_member_is_the_unique_maximum():
@@ -89,7 +101,7 @@ def test_max_coset_member_is_the_unique_maximum():
         for val in range(1, 5):
             for pin in ("first", "last"):
                 kw = {pin: val}
-                got = smt.max_coset_member_below(bound, **kw)
+                got = max_coset_member_below(bound, **kw)
                 pos = 0 if pin == "first" else 3
                 others = [
                     c
@@ -101,6 +113,50 @@ def test_max_coset_member_is_the_unique_maximum():
                 else:
                     assert got in others
                     assert all(bruhat_leq_bruteforce(c, got) for c in others)
+
+
+def test_pair_order_is_bruhat_order_on_lifts():
+    # (a, z) <= (a', z') iff a <= a' and z >= z', on the maximal
+    # representatives of the cosets with fixed end values
+    from torusq.weyl import bruhat_leq
+
+    for n in range(2, 9):
+        lifts = smt.parabolic_lifts(n)
+        for u in lifts:
+            for w in lifts:
+                pair = u[0] <= w[0] and u[-1] >= w[-1]
+                assert pair == bruhat_leq(u, w), (u, w)
+
+
+def test_pair_standardness_matches_sn_greedy():
+    cases = 0
+    for n in range(2, 6):
+        tableaux = [
+            smt.canonical_invariant_tableau(n, values)
+            for m in (1, 2, 3)
+            for values in combinations_with_replacement(range(1, n + 1), m)
+        ]
+        for w in permutations(range(1, n + 1)):
+            for t in tableaux:
+                assert smt.is_standard_on(t, w) == is_standard_greedy(t, w), (w, t)
+                cases += 1
+    assert cases == 7548
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([7, 8]).flatmap(
+        lambda n: st.tuples(
+            st.permutations(list(range(1, n + 1))),
+            st.lists(st.integers(1, n), min_size=1, max_size=3),
+            st.lists(st.integers(1, n), min_size=3, max_size=3),
+        )
+    )
+)
+def test_pair_standardness_spot_n7_n8(case):
+    w, shorts, missings = case
+    t = smt.Tableau(len(w), tuple(shorts), tuple(missings[: len(shorts)]))
+    assert smt.is_standard_on(t, tuple(w)) == is_standard_greedy(t, tuple(w))
 
 
 def test_greedy_standardness_matches_exhaustive_search():
@@ -166,12 +222,12 @@ def test_dimension_matches_geometric_rank_golden_rows():
 def test_dimension_depends_only_on_the_two_ends():
     # the B-orbit of the base point projects to a pair of coordinate
     # flags, so the ends of the one-line form decide every count
-    for w in permutations(range(1, 5)):
-        lift = next(
-            l for l in smt.parabolic_lifts(4) if l[0] == w[0] and l[-1] == w[-1]
-        )
-        for m in (1, 2):
-            assert smt.invariant_dimension(w, m) == smt.invariant_dimension(lift, m)
+    for n in range(2, 7):
+        lifts = {(l[0], l[-1]): l for l in smt.parabolic_lifts(n)}
+        for w in permutations(range(1, n + 1)):
+            lift = lifts[w[0], w[-1]]
+            for m in (1, 2, 3):
+                assert smt.invariant_dimension(w, m) == smt.invariant_dimension(lift, m)
 
 
 def test_minimal_borel_closed_form():
