@@ -6,9 +6,15 @@
 dim --json`` for m = 1, 2, 3 and ``torusq smt pn-check --max-m 3 --json``
 for every permutation in S_3 and S_4 and every two-ended coset
 representative (:func:`torusq.smt.parabolic_lifts`) for n = 5..7 (488
-calls).  Each record is a ``$ torusq ...`` line followed by the output.
-Any change to an answer, a witness, a warning or the formatting shows up
-here.
+calls).  ``golden/quiver_build.txt`` holds ``torusq quiver build --json``
+for type A with n <= 7 (``minimal`` where defined, ``full``, and every
+column set with ``--as indexset``) and for D4..D6 (every minuscule
+weight), E6 (omega_1, omega_6) and E7 (omega_7): ``minimal`` plus every
+orbit node given by its canonical word (535 calls).  ``golden/verify.txt``
+holds ``torusq verify all --json``.  Each record is a ``$ torusq ...``
+line (arguments quoted as a shell would need them) followed by the
+output.  Any change to an answer, a witness, a warning or the formatting
+shows up here.
 
 Rewrite the corpora (only when a change of output is intended) with::
 
@@ -17,10 +23,13 @@ Rewrite the corpora (only when a change of output is intended) with::
 
 import contextlib
 import io
+import shlex
 from itertools import combinations, permutations
 from pathlib import Path
 
 from torusq.cli import main
+from torusq.criteria import minuscule_model
+from torusq.rootdata import minuscule_weights
 from torusq.smt import parabolic_lifts
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -45,9 +54,40 @@ def smt_argvs():
         yield ["smt", "pn-check", *head, "--max-m", "3", "--json"]
 
 
+def quiver_build_argvs():
+    for n in range(2, 8):
+        for r in range(1, n):
+            head = ["quiver", "build", "--family", "A", "--rank", str(n - 1),
+                    "--weight", str(r)]
+            elements = ["full"] if r in (1, n - 1) else ["minimal", "full"]
+            for element in elements:
+                yield [*head, "--w", element, "--json"]
+            for w in combinations(range(1, n + 1), r):
+                yield [*head, "--w", ",".join(map(str, w)), "--as", "indexset",
+                       "--json"]
+    cases = [("D", rank) for rank in (4, 5, 6)] + [("E6", 6), ("E7", 7)]
+    for family, rank in cases:
+        for weight in sorted(minuscule_weights(family, rank)):
+            head = ["quiver", "build", "--family", family]
+            if family == "D":
+                head += ["--rank", str(rank)]
+            head += ["--weight", str(weight)]
+            yield [*head, "--w", "minimal", "--json"]
+            poset = minuscule_model(family, rank, weight).poset
+            for node in poset.nodes:
+                word = ",".join(map(str, poset.canonical_word(node)))
+                yield [*head, "--w", word, "--json"]
+
+
+def verify_argvs():
+    yield ["verify", "all", "--json"]
+
+
 CORPORA = {
     "gr_analyze.txt": (gr_analyze_argvs, 240),
     "smt.txt": (smt_argvs, 488),
+    "quiver_build.txt": (quiver_build_argvs, 535),
+    "verify.txt": (verify_argvs, 1),
 }
 
 
@@ -78,11 +118,11 @@ def check_corpus(name):
     records = read_corpus(name)
     argvs = list(argvs_of())
     assert len(argvs) == count
-    assert sorted(records) == sorted(" ".join(a) for a in argvs)
+    assert sorted(records) == sorted(shlex.join(a) for a in argvs)
     for argv in argvs:
         code, out = run(argv)
         assert code == 0, argv
-        assert out == records[" ".join(argv)], argv
+        assert out == records[shlex.join(argv)], argv
 
 
 def test_gr_analyze_json_is_byte_identical():
@@ -93,10 +133,18 @@ def test_smt_json_is_byte_identical():
     check_corpus("smt.txt")
 
 
+def test_quiver_build_json_is_byte_identical():
+    check_corpus("quiver_build.txt")
+
+
+def test_verify_json_is_byte_identical():
+    check_corpus("verify.txt")
+
+
 if __name__ == "__main__":
     for name, (argvs_of, _count) in CORPORA.items():
         with (GOLDEN / name).open("w", newline="") as handle:
             for argv in argvs_of():
                 code, out = run(argv)
                 assert code == 0, argv
-                handle.write(PROMPT + " ".join(argv) + "\n" + out)
+                handle.write(PROMPT + shlex.join(argv) + "\n" + out)
