@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import gcd
 from typing import NoReturn
 
 from . import __version__, criteria, grassmannian as gr, quiver as qv, smt, verify
@@ -72,9 +73,7 @@ def cmd_gr_analyze(args) -> int:
     except ValueError as exc:
         _usage_error(exc)
     lam = gr.indexset_to_partition(w, args.r, args.n)
-    ss = criteria.e_ss_gr(w, args.r, args.n)
-    report = criteria.semistable_meets_singular_gr(w, args.r, args.n, ss)
-    quotient = gr.quotient_smoothness_report(w, args.r, args.n)
+    report = criteria.semistable_meets_singular_gr(w, args.r, args.n)
     warnings = list(report["warnings"])
     if report["semistable_nonempty"]:
         separated = report["separated"]
@@ -92,18 +91,20 @@ def cmd_gr_analyze(args) -> int:
         "result": {
             "partition": lam,
             "corners": gr.corners(lam, args.r, args.n),
-            "singular_components": gr.singular_components(lam, args.r, args.n),
-            "smooth": gr.is_smooth(lam, args.r, args.n),
+            "singular_components": report["singular_components"],
+            "smooth": not report["singular_components"],
             "minimal_v": {
-                "value": ss["minimal"],
-                "formula": ss["formula"],
-                "oracle": ss["oracle"],
-                "agrees": ss["formula"] == ss["minimal"]
-                and (ss["oracle"] is None or sorted(ss["oracle"]) == [ss["minimal"]]),
+                "value": report["minimal"],
+                "formula": report["formula"],
+                "oracle": report["oracle"],
+                "agrees": report["formula"] == report["minimal"]
+                and (report["oracle"] is None
+                     or sorted(report["oracle"]) == [report["minimal"]]),
             },
             "semistable_nonempty": report["semistable_nonempty"],
             "ss_in_smooth": separated,
-            "quotient_smooth": quotient["quotient_smooth"],
+            # with gcd 1 every semistable point is stable
+            "quotient_smooth": gcd(args.r, args.n) == 1 and separated is True,
         },
         "witnesses": witnesses,
         "warnings": warnings,
@@ -121,7 +122,10 @@ def _resolve_node(model, args):
     if args.element_format == "indexset":
         return model.poset.node_of_indexset(values)
     if not model.poset.word_descends(values):
-        _usage_error(f"{values} is not a reduced word in this orbit")
+        _usage_error(
+            f"{values} is not a reduced word of letters 1..{model.system.rank} "
+            "in this orbit"
+        )
     return model.poset.node_from_word(values)
 
 
@@ -140,7 +144,7 @@ def cmd_quiver_build(args) -> int:
         _usage_error(exc)
     marked = model.quiver_of(node)
     holes = qv.classify_holes(marked)
-    components = model.singular_components(node)
+    components = model.components_from_holes(marked, holes)
     payload = {
         "input": {
             "family": args.family,
@@ -158,7 +162,7 @@ def cmd_quiver_build(args) -> int:
                 "virtual": holes.virtual,
                 "essential": holes.essential,
             },
-            "smooth": qv.is_smooth_quiver(marked),
+            "smooth": not holes.real,
             "singular_components": [
                 model.poset.canonical_word(c) for c in components
             ],
@@ -167,8 +171,11 @@ def cmd_quiver_build(args) -> int:
         "warnings": [],
     }
     if args.dot:
-        with open(args.dot, "w", newline="") as handle:
-            handle.write(qv.quiver_to_dot(marked))
+        try:
+            with open(args.dot, "w", newline="") as handle:
+                handle.write(qv.quiver_to_dot(marked))
+        except OSError as exc:
+            _usage_error(f"cannot write {args.dot}: {exc.strerror}")
         if not args.json:
             print(f"wrote {args.dot}")
     _emit(args, payload)
@@ -240,13 +247,7 @@ def cmd_smt_pn_check(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kwargs = {}
-    if args.suite == "minima-sweep" and args.max_n:
-        kwargs["max_n"] = args.max_n
-    try:
-        results = verify.run_suite(args.suite, **kwargs)
-    except KeyError:
-        _usage_error(f"unknown suite {args.suite!r}")
+    results = verify.run_suite(args.suite)
     if args.json:
         print(json.dumps(results, indent=2, sort_keys=True, default=list))
     else:
@@ -321,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_v = sub.add_parser("verify", help="run a built-in verification suite")
     p_v.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
-    p_v.add_argument("--max-n", type=int, help="cap for the minima sweep")
     p_v.add_argument("--json", action="store_true")
     p_v.set_defaults(func=cmd_verify)
     return parser

@@ -8,10 +8,12 @@ semistable bottom.  If none does, the semistable locus stays inside the
 smooth locus and, when the torus acts with trivial generic stabilizer,
 the quotient is smooth.
 
-Three independent computations of the same verdict are wired up here for
-Grassmannians: the diagram criterion, the direct component comparison,
-and the quiver criterion; in the other minuscule types only the last two
-exist.
+A query gets one report per column set
+(:func:`semistable_meets_singular_gr`), each quantity computed once.
+Independent computations of the same verdict are wired up here for the
+verification suites: for Grassmannians the diagram criterion, the direct
+component comparison and the quiver criterion; in the other minuscule
+types only the last two exist.
 """
 
 from math import gcd
@@ -22,23 +24,14 @@ from . import smt
 from .rootdata import root_system
 
 
-def e_sing_gr(w, r, n):
-    """Maximal singular fixed indices of X_w: the singular component tops."""
-    lam = gr.indexset_to_partition(w, r, n)
-    return [
-        gr.partition_to_indexset(mu, r, n)
-        for mu in gr.singular_components(lam, r, n)
-    ]
-
-
-def e_ss_gr(w, r, n, sweep=None):
+def e_ss_gr(w, r, n):
     """Minimal semistable indices below w, with both closed forms attached.
 
     ``minimal`` is the ceiling form (the true minimum), ``formula`` the
     two-branch variant kept for comparison; a warning records any
-    disagreement.  ``sweep`` additionally re-derives the minimum from the
-    invariant-chain certificate of every column set of the box (default:
-    only when gcd(r, n) > 1).
+    disagreement.  When gcd(r, n) > 1 the minimum is also re-derived from
+    the invariant-chain certificate of every column set of the box
+    (``oracle``; None otherwise).
     """
     w = gr.check_indexset(w, r, n)
     v = gr.minimal_semistable(r, n)
@@ -49,10 +42,8 @@ def e_ss_gr(w, r, n, sweep=None):
             f"two-branch closed form {formula_v} overshoots the minimal "
             f"semistable element {v}"
         )
-    if sweep is None:
-        sweep = gcd(r, n) > 1
     oracle_heads = None
-    if sweep:
+    if gcd(r, n) > 1:
         oracle_heads = smt.minimal_semistable_oracle_gr(r, n)
         if sorted(oracle_heads) != [v]:
             warnings.append(
@@ -75,17 +66,20 @@ def e_ss_gr(w, r, n, sweep=None):
     }
 
 
-def semistable_meets_singular_gr(w, r, n, ss=None):
-    """The comparison verdict as a report dict.
+def semistable_meets_singular_gr(w, r, n):
+    """The Grassmannian report for one column set w.
 
-    ``separated`` is True when no singular top dominates a semistable
-    bottom, i.e. semistable points avoid the singular locus.  ``ss`` is
-    the :func:`e_ss_gr` report for w when the caller already has it.
+    ``singular_components`` are the partitions of the singular-locus
+    components of X_w and ``e_sing`` their column sets, the maximal
+    singular fixed indices; ``e_ss`` are the minimal semistable indices
+    below w, reported with ``minimal``, ``formula`` and ``oracle`` as in
+    :func:`e_ss_gr`.  ``separated`` is True when no singular top dominates
+    a semistable bottom, i.e. semistable points avoid the singular locus.
     """
     w = gr.check_indexset(w, r, n)
-    sing = e_sing_gr(w, r, n)
-    if ss is None:
-        ss = e_ss_gr(w, r, n)
+    components = gr.singular_components(gr.indexset_to_partition(w, r, n), r, n)
+    sing = [gr.partition_to_indexset(mu, r, n) for mu in components]
+    ss = e_ss_gr(w, r, n)
     bad_pairs = [
         (a, b)
         for a in sing
@@ -93,8 +87,12 @@ def semistable_meets_singular_gr(w, r, n, ss=None):
         if gr.indexset_leq(b, a)
     ]
     return {
+        "singular_components": components,
         "e_sing": sing,
         "e_ss": ss["elements"],
+        "minimal": ss["minimal"],
+        "formula": ss["formula"],
+        "oracle": ss["oracle"],
         "pairs": bad_pairs,
         "separated": not bad_pairs,
         "semistable_nonempty": bool(ss["elements"]),
@@ -113,14 +111,12 @@ def gr_cross_verdicts(w, r, n):
     if not report["semistable_nonempty"]:
         raise ValueError(f"X_{w} has no semistable points")
     v = gr.minimal_semistable(r, n)
-    lam_w = gr.indexset_to_partition(w, r, n)
     lam_v = gr.indexset_to_partition(v, r, n)
     out = {
         "pair-comparison": report["separated"],
         "diagram": gr.semistable_in_smooth(w, r, n),
         "component-containment": not any(
-            gr.diagram_leq(mu, lam_v)
-            for mu in gr.singular_components(lam_w, r, n)
+            gr.diagram_leq(mu, lam_v) for mu in report["singular_components"]
         ),
         "gap-inequality": all(
             w[i - 1] < v[i]
@@ -154,23 +150,3 @@ def minuscule_minimal_v_node(model: qv.MinusculeModel):
     if not model.poset.word_descends(word):
         raise AssertionError("minimal element word is not reduced")
     return model.poset.node_from_word(word)
-
-
-def minuscule_report(family, rank, weight, w_node) -> dict:
-    """Quiver-side verdict for any minuscule pair (works beyond type A)."""
-    model = minuscule_model(family, rank, weight)
-    v_node = minuscule_minimal_v_node(model)
-    holes = model.holes(w_node)
-    components = model.singular_components(w_node)
-    if not model.leq_nodes(v_node, w_node):
-        verdict = None
-    else:
-        verdict = model.semistable_in_smooth(w_node, v_node)
-    return {
-        "smooth": model.is_smooth(w_node),
-        "holes": holes,
-        "singular_components": components,
-        "minimal_v": v_node,
-        "semistable_nonempty": model.leq_nodes(v_node, w_node),
-        "separated": verdict,
-    }

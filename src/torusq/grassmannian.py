@@ -15,8 +15,6 @@ complement of mu in the box, rotated a half turn, is again a rectangle.
 
 from __future__ import annotations
 
-from math import gcd
-
 
 def check_box(r: int, n: int) -> None:
     if not (1 <= r <= n - 1):
@@ -59,15 +57,6 @@ def partition_to_indexset(parts, r: int, n: int) -> tuple[int, ...]:
     return tuple(n - r + j - p for j, p in enumerate(parts, start=1))
 
 
-def codimension(parts, r: int, n: int) -> int:
-    return sum(check_partition(parts, r, n))
-
-
-def dimension_of_indexset(entries, r: int, n: int) -> int:
-    entries = check_indexset(entries, r, n)
-    return sum(i - j for j, i in enumerate(entries, start=1))
-
-
 def diagram_leq(mu, lam) -> bool:
     """Containment of diagrams: mu fits inside lam."""
     if len(mu) != len(lam):
@@ -80,14 +69,6 @@ def indexset_leq(a, b) -> bool:
     if len(a) != len(b):
         raise ValueError("size mismatch")
     return all(x <= y for x, y in zip(sorted(a), sorted(b)))
-
-
-def grassmannian_permutation(entries, r: int, n: int) -> tuple[int, ...]:
-    """The minimal coset representative as a permutation: the column set
-    in increasing order, then its complement in increasing order."""
-    entries = check_indexset(entries, r, n)
-    rest = [v for v in range(1, n + 1) if v not in set(entries)]
-    return tuple(entries) + tuple(rest)
 
 
 def corners(mu, r: int, n: int) -> list[tuple[int, int]]:
@@ -198,24 +179,3 @@ def semistable_in_smooth(w, r: int, n: int) -> bool:
         if diagram_leq(grown, lam_v):
             return False
     return True
-
-
-def quotient_smoothness_report(w, r: int, n: int) -> dict:
-    """Bundle the smooth-quotient test for one Schubert variety.
-
-    The quotient statement needs gcd(r, n) = 1 (so that every semistable
-    point is stable and the quotient inherits smoothness); quotient_smooth
-    is asserted only when the gcd condition, nonemptiness, and the
-    criterion all hold.
-    """
-    check_box(r, n)
-    w = check_indexset(w, r, n)
-    v = minimal_semistable(r, n)
-    nonempty = indexset_leq(v, w)
-    criterion = semistable_in_smooth(w, r, n) if nonempty else None
-    return {
-        "gcd": gcd(r, n),
-        "semistable_nonempty": nonempty,
-        "criterion_holds": criterion,
-        "quotient_smooth": bool(gcd(r, n) == 1 and nonempty and criterion),
-    }

@@ -76,10 +76,6 @@ class Quiver:
         """a <= b in the quiver order (an oriented path runs b -> a)."""
         return a in self._reach[b]
 
-    def above(self, i: int) -> frozenset[int]:
-        """All j with j >= i, including i itself."""
-        return frozenset(j for j in range(self.n_vertices) if self.leq(i, j))
-
     def is_ideal(self, subset) -> bool:
         subset = frozenset(subset)
         return all(self._reach[v] <= subset for v in subset)
@@ -182,10 +178,6 @@ def classify_holes(q: Quiver) -> HoleReport:
     return HoleReport(tuple(real), tuple(virtual), tuple(essential))
 
 
-def is_smooth_quiver(q: Quiver) -> bool:
-    return not classify_holes(q).real
-
-
 class MinusculeModel:
     """One minuscule pair (system, weight): poset, full quiver, dictionary.
 
@@ -228,12 +220,19 @@ class MinusculeModel:
         return classify_holes(self.quiver_of(node))
 
     def is_smooth(self, node) -> bool:
-        return is_smooth_quiver(self.quiver_of(node))
+        """Smooth exactly when the marked quiver has no real holes."""
+        return not self.holes(node).real
 
     def singular_components(self, node) -> list[tuple[int, ...]]:
         """Nodes indexing the components of the singular locus."""
         q = self.quiver_of(node)
-        report = classify_holes(q)
+        return self.components_from_holes(q, classify_holes(q))
+
+    def components_from_holes(
+        self, q: Quiver, report: HoleReport
+    ) -> list[tuple[int, ...]]:
+        """The component nodes carved out by the essential holes of
+        ``report``, the hole report of the marked quiver ``q``."""
         out = []
         for h in report.essential:
             rest = frozenset(i for i in q.members if not q.leq(h, i))

@@ -88,11 +88,6 @@ def root_system(family: str, rank: int) -> RootSystem:
     return RootSystem(family, rank, cartan)
 
 
-def cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
-    """Cartan matrix as a tuple of rows."""
-    return root_system(family, rank).cartan
-
-
 def minuscule_weights(family: str, rank: int) -> frozenset[int]:
     """Indices of the minuscule fundamental weights of the system.
 

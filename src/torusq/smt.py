@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
 
-from .weyl import pi_projection, right_multiply, word_to_perm
+from .weyl import right_multiply, word_to_perm
 
 
 # ---------------------------------------------------------------------------
@@ -62,24 +62,6 @@ class Tableau:
             ("long", d) for d in self.missings
         ]
 
-    def long_row(self, d: int) -> tuple[int, ...]:
-        return tuple(v for v in range(1, self.n + 1) if v != d)
-
-    def content_counts(self) -> tuple[int, ...]:
-        counts = [0] * self.n
-        for v in self.shorts:
-            counts[v - 1] += 1
-        for d in self.missings:
-            for v in range(1, self.n + 1):
-                if v != d:
-                    counts[v - 1] += 1
-        return tuple(counts)
-
-    def is_invariant(self) -> bool:
-        """Weight zero: every value appears equally often, i.e. the
-        single-box values match the missing values as multisets."""
-        return sorted(self.shorts) == sorted(self.missings)
-
 
 def canonical_invariant_tableau(n: int, values) -> Tableau:
     """The only possibly-standard invariant tableau with given content."""
@@ -90,21 +72,7 @@ def canonical_invariant_tableau(n: int, values) -> Tableau:
 
 
 # ---------------------------------------------------------------------------
-# Young and standard tests
-
-
-def is_young_on(t: Tableau, w) -> bool:
-    """Each row must sit below the matching sorted prefix of w."""
-    if t.n != len(w):
-        raise ValueError("size mismatch")
-    for kind, val in t.rows():
-        if kind == "short":
-            row, proj = (val,), pi_projection(w, 1)
-        else:
-            row, proj = t.long_row(val), pi_projection(w, t.n - 1)
-        if any(p < r for p, r in zip(proj, row)):
-            return False
-    return True
+# the standard test
 
 
 def is_standard_on(t: Tableau, w) -> bool:
@@ -160,19 +128,6 @@ def invariant_witnesses(w, m: int) -> list[Tableau]:
 def invariant_dimension(w, m: int) -> int:
     """Dimension of the degree-m invariant sections on X(w)."""
     return len(invariant_witnesses(w, m))
-
-
-def alpha0_semistable_nonempty(w) -> dict:
-    """Does X(w) in the full flag variety carry semistable points?
-
-    Invariants can first appear in degree 1 here, so degrees 1 and 2 are
-    searched (twice the minimal candidate degree, recorded as the bound).
-    """
-    for m in (1, 2):
-        wits = invariant_witnesses(w, m)
-        if wits:
-            return {"found": True, "degree": m, "bound": 2, "witness": wits[0]}
-    return {"found": False, "degree": None, "bound": 2, "witness": None}
 
 
 def projective_normality_check(w, degrees=(2, 3)) -> dict:

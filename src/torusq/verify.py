@@ -306,10 +306,8 @@ SUITES = {
 }
 
 
-def run_suite(name: str, **kwargs) -> list[dict]:
+def run_suite(name: str) -> list[dict]:
     """Run one suite (or ``all``) and return the result dicts."""
     if name == "all":
         return [fn() for fn in SUITES.values()]
-    if name not in SUITES:
-        raise KeyError(name)
-    return [SUITES[name](**kwargs)]
+    return [SUITES[name]()]

@@ -15,8 +15,6 @@ in fundamental coordinates; every coordinate of an orbit weight is -1, 0 or
 1, which is what makes the canonical-word and length bookkeeping trivial.
 """
 
-from itertools import permutations
-
 from .rootdata import fundamental_weight, minuscule_weights, reflect
 
 
@@ -49,26 +47,6 @@ def word_to_perm(word, n):
     for i in word:
         w = right_multiply(w, i)
     return w
-
-
-def perm_mult(u, v):
-    """Composition u * v (v applied first): (u*v)(i) = u(v(i))."""
-    if len(u) != len(v):
-        raise ValueError("size mismatch")
-    return tuple(u[x - 1] for x in v)
-
-
-def perm_inverse(w):
-    inv = [0] * len(w)
-    for pos, val in enumerate(w, start=1):
-        inv[val - 1] = pos
-    return tuple(inv)
-
-
-def perm_length(w):
-    """Number of inversions = Coxeter length."""
-    n = len(w)
-    return sum(1 for a in range(n) for b in range(a + 1, n) if w[a] > w[b])
 
 
 def descents(w):
@@ -119,77 +97,6 @@ def bruhat_leq(u, w):
             if a > b:
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# parabolic subgroups of S_n, given by a set I of simple-reflection indices
-
-
-def parabolic_blocks(I, n):
-    """Position blocks [a..b] glued by the reflections in I.
-
-    Each maximal run of consecutive indices i in I ties together positions
-    i, i+1, ...; positions untouched by I sit in singleton blocks.
-    """
-    I = set(I)
-    for i in I:
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"simple reflection index {i} out of range")
-    blocks = []
-    p = 1
-    while p <= n:
-        q = p
-        while q <= n - 1 and q in I:
-            q += 1
-        blocks.append((p, q))
-        p = q + 1
-    return blocks
-
-
-def min_coset_rep(w, I):
-    """Minimal-length representative of the coset w W_I.
-
-    Sorting the values of w inside every block ascending kills all the
-    inversions that live inside W_I and no others.
-    """
-    check_perm(w)
-    line = list(w)
-    for a, b in parabolic_blocks(I, len(w)):
-        line[a - 1 : b] = sorted(line[a - 1 : b])
-    return tuple(line)
-
-
-def max_parabolic_element(I, n):
-    """Longest element of the parabolic subgroup W_I (block reversal)."""
-    line = list(range(1, n + 1))
-    for a, b in parabolic_blocks(I, n):
-        line[a - 1 : b] = reversed(line[a - 1 : b])
-    return tuple(line)
-
-
-def maximal_lift(w, I):
-    """Maximal-length representative w^I * w_{0,I} of the coset w W_I."""
-    check_perm(w)
-    line = list(w)
-    for a, b in parabolic_blocks(I, len(w)):
-        line[a - 1 : b] = sorted(line[a - 1 : b], reverse=True)
-    return tuple(line)
-
-
-def coset_elements(w, I):
-    """All elements of w W_I (cartesian product of block rearrangements)."""
-    check_perm(w)
-    blocks = parabolic_blocks(I, len(w))
-    reps = [tuple(w)]
-    for a, b in blocks:
-        new = []
-        for line in reps:
-            for arrangement in permutations(line[a - 1 : b]):
-                cand = list(line)
-                cand[a - 1 : b] = arrangement
-                new.append(tuple(cand))
-        reps = list(dict.fromkeys(new))
-    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +183,13 @@ class MinusculePoset:
     def word_descends(self, word):
         """True if the word is reduced as a coset representative.
 
-        Each letter, applied nearest-first, must strictly lower the weight
-        (coordinate +1 at its index); then len(word) == depth of the result.
+        Each letter, applied nearest-first, must be a simple-root index that
+        strictly lowers the weight (coordinate +1 at that index); then
+        len(word) == depth of the result.
         """
         cur = self.top
         for i in reversed(tuple(word)):
-            if cur[i - 1] != 1:
+            if not 1 <= i <= self.system.rank or cur[i - 1] != 1:
                 return False
             cur = reflect(self.system, cur, i)
         return True
@@ -300,9 +208,21 @@ class MinusculePoset:
         return pi_projection(self.permutation(mu), self.weight_index)
 
     def node_of_indexset(self, entries):
-        """Inverse of :meth:`indexset` (type A only; linear scan)."""
+        """Inverse of :meth:`indexset` (type A only), in closed form.
+
+        The node of a column set S is the weight of the basis vector e_S of
+        the r-th exterior power: coordinate [j in S] - [j+1 in S] at
+        j = 1..n-1.  Entries may come in any order.
+        """
+        if self.system.family != "A":
+            raise ValueError("index sets only make sense in type A")
+        n = self.system.rank + 1
         entries = tuple(sorted(entries))
-        for mu in self.nodes:
-            if self.indexset(mu) == entries:
-                return mu
-        raise ValueError(f"{entries} is not a node of this orbit")
+        columns = set(entries)
+        if (
+            len(columns) != len(entries)
+            or len(entries) != self.weight_index
+            or not columns <= set(range(1, n + 1))
+        ):
+            raise ValueError(f"{entries} is not a node of this orbit")
+        return tuple((j in columns) - (j + 1 in columns) for j in range(1, n))

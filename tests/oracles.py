@@ -134,6 +134,20 @@ def is_standard_exhaustive(tableau, w):
     return True
 
 
+def is_young_on(tableau, w):
+    """The Young condition, necessary for standardness: each row lies
+    entrywise below the sorted prefix of w of the same length."""
+    n = tableau.n
+    for kind, val in tableau.rows():
+        if kind == "short":
+            row, prefix = (val,), sorted(w[:1])
+        else:
+            row, prefix = [v for v in range(1, n + 1) if v != val], sorted(w[:-1])
+        if any(p < x for p, x in zip(prefix, row)):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # greedy standardness through S_n
 

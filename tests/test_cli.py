@@ -177,6 +177,38 @@ def test_quiver_build_rejects_non_reduced_word(capsys):
               "--w", "2,2"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["--weight", "3", "--w", "-1"],
+    ["--weight", "4", "--w", "0"],
+    ["--weight", "2", "--w", "9,9"],
+    ["--weight", "2", "--w", "5"],
+    ["--weight", "2", "--w", "2,6", "--as", "indexset"],
+    ["--weight", "2", "--w", "0,3", "--as", "indexset"],
+    ["--weight", "2", "--w", "3,3", "--as", "indexset"],
+])
+def test_quiver_build_rejects_elements_outside_the_orbit(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["quiver", "build", "--family", "A", "--rank", "4", *argv, "--json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_quiver_build_unwritable_dot_is_a_usage_error(tmp_path, capsys):
+    dot = tmp_path / "missing" / "q.dot"
+    with pytest.raises(SystemExit) as exc:
+        main(["quiver", "build", "--family", "D", "--rank", "4", "--weight", "1",
+              "--dot", str(dot), "--json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {dot}")
+    assert not dot.exists()
+
+
 def test_quiver_rank_is_forced_for_e6(capsys):
     code, payload, _ = run_json(
         capsys, ["quiver", "build", "--family", "E6", "--weight", "1", "--w", "full"]
@@ -257,3 +289,10 @@ def test_verify_json_lists_every_suite(capsys):
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "no-such-suite"])
+
+
+def test_verify_has_no_max_n(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "minima-sweep", "--max-n", "3"])
+    assert exc.value.code == 2
+    assert "--max-n" in capsys.readouterr().err

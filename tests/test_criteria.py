@@ -5,19 +5,24 @@ verdicts must coincide; these tests pin a few of them to hand-checked
 values and sweep the coincidence on small boxes.
 """
 
+import json
 from itertools import combinations
 from math import gcd
 
 import pytest
 
 from torusq import criteria, grassmannian as gr
+from torusq.cli import main
 from torusq.quiver import minimal_v_word
 
 
 def test_singular_tops_gr25():
-    assert criteria.e_sing_gr((3, 5), 2, 5) == [(2, 3)]
-    assert criteria.e_sing_gr((4, 5), 2, 5) == []  # smooth variety
-    assert criteria.e_sing_gr((2, 4), 2, 5) == [(1, 2)]
+    def tops(w):
+        return criteria.semistable_meets_singular_gr(w, 2, 5)["e_sing"]
+
+    assert tops((3, 5)) == [(2, 3)]
+    assert tops((4, 5)) == []  # smooth variety
+    assert tops((2, 4)) == [(1, 2)]
 
 
 def test_semistable_bottoms_report():
@@ -35,11 +40,17 @@ def test_semistable_bottoms_report():
     assert rep["oracle"] == [(2, 4)]
     assert len(rep["warnings"]) == 1 and "overshoots" in rep["warnings"][0]
 
-    rep = criteria.e_ss_gr((3, 4, 5), 3, 5, sweep=True)
+    rep = criteria.e_ss_gr((3, 4, 5), 3, 5)
     assert rep["minimal"] == (2, 4, 5)
     assert rep["formula"] == (3, 4, 5)
-    assert rep["oracle"] == [(2, 4, 5)]
+    assert rep["oracle"] is None
     assert rep["elements"] == [(2, 4, 5)]
+
+    rep = criteria.e_ss_gr((3, 5, 6), 3, 6)  # gcd 3: the sweep runs
+    assert rep["minimal"] == (2, 4, 6)
+    assert rep["formula"] == (3, 5, 6)
+    assert rep["oracle"] == [(2, 4, 6)]
+    assert rep["elements"] == [(2, 4, 6)]
 
 
 def test_formula_agrees_exactly_when_n_is_1_mod_r():
@@ -52,8 +63,12 @@ def test_formula_agrees_exactly_when_n_is_1_mod_r():
 def test_meets_report_gr25():
     rep = criteria.semistable_meets_singular_gr((3, 5), 2, 5)
     assert rep == {
+        "singular_components": [(2, 2)],
         "e_sing": [(2, 3)],
         "e_ss": [(3, 5)],
+        "minimal": (3, 5),
+        "formula": (3, 5),
+        "oracle": None,
         "pairs": [],
         "separated": True,
         "semistable_nonempty": True,
@@ -116,39 +131,51 @@ def test_minimal_v_node_depth_matches_word_length():
 def test_minuscule_report_quadric():
     model = criteria.minuscule_model("D", 4, 1)
     v_node = criteria.minuscule_minimal_v_node(model)
-    rep = criteria.minuscule_report("D", 4, 1, v_node)
-    assert not rep["smooth"]
-    assert rep["holes"].real == rep["holes"].essential
-    assert len(rep["singular_components"]) == 1
-    assert rep["semistable_nonempty"]
-    assert rep["separated"] is True  # the hole sits inside the ideal of v
+    assert not model.is_smooth(v_node)
+    holes = model.holes(v_node)
+    assert holes.real == holes.essential
+    assert len(model.singular_components(v_node)) == 1
+    assert model.leq_nodes(v_node, v_node)
+    # the hole sits inside the ideal of v
+    assert model.semistable_in_smooth(v_node, v_node) is True
 
-    bottom = criteria.minuscule_report("D", 4, 1, model.poset.bottom)
-    assert bottom["smooth"] and bottom["separated"] is True
+    bottom = model.poset.bottom
+    assert model.is_smooth(bottom)
+    assert model.semistable_in_smooth(bottom, v_node) is True
 
-    top = criteria.minuscule_report("D", 4, 1, model.poset.top)
-    assert top["smooth"]
-    assert top["semistable_nonempty"] is False
-    assert top["separated"] is None
+    top = model.poset.top
+    assert model.is_smooth(top)
+    assert not model.leq_nodes(v_node, top)  # no semistable points
+    with pytest.raises(ValueError):
+        model.semistable_in_smooth(top, v_node)
 
 
 def test_quiver_verdict_matches_grassmannian_route():
     model = criteria.minuscule_model("A", 4, 2)
+    v_node = criteria.minuscule_minimal_v_node(model)
     for w in combinations(range(1, 6), 2):
         if not gr.indexset_leq((3, 5), w):
             continue
         node = model.poset.node_of_indexset(w)
-        rep = criteria.minuscule_report("A", 4, 2, node)
-        assert rep["separated"] == gr.semistable_in_smooth(w, 2, 5)
-        assert rep["smooth"] == gr.is_smooth(gr.indexset_to_partition(w, 2, 5), 2, 5)
-
-
-def test_quotient_report_consistency():
-    # the quotient verdict folds gcd, nonemptiness and separation together
-    for r, n in [(2, 4), (2, 5), (3, 5)]:
-        top = tuple(range(n - r + 1, n + 1))
-        rep = gr.quotient_smoothness_report(top, r, n)
-        expected = (
-            gcd(r, n) == 1 and rep["semistable_nonempty"] and rep["criterion_holds"]
+        assert model.semistable_in_smooth(node, v_node) == gr.semistable_in_smooth(
+            w, 2, 5
         )
-        assert rep["quotient_smooth"] == expected
+        lam = gr.indexset_to_partition(w, 2, 5)
+        assert model.is_smooth(node) == gr.is_smooth(lam, 2, 5)
+
+
+def test_quotient_report_consistency(capsys):
+    # the quotient verdict folds gcd, nonemptiness and separation together
+    for r, n in [(2, 4), (2, 5), (3, 5), (2, 6), (3, 7)]:
+        v = gr.minimal_semistable(r, n)
+        for w in combinations(range(1, n + 1), r):
+            assert main(["gr", "analyze", "--n", str(n), "--r", str(r),
+                         "--w", ",".join(map(str, w)), "--json"]) == 0
+            result = json.loads(capsys.readouterr().out)["result"]
+            nonempty = gr.indexset_leq(v, w)
+            expected = (
+                gcd(r, n) == 1 and nonempty and gr.semistable_in_smooth(w, r, n)
+            )
+            assert result["quotient_smooth"] is expected
+            lam = gr.indexset_to_partition(w, r, n)
+            assert result["smooth"] is gr.is_smooth(lam, r, n)

@@ -1,8 +1,13 @@
+import contextlib
+import io
+import json
+
 from hypothesis import given, strategies as st
 import pytest
 
 from torusq import grassmannian as gr
 from torusq import smt
+from torusq.cli import main
 
 
 boxes = st.tuples(
@@ -46,8 +51,6 @@ def test_dictionary_reverses_order(a, b):
 def test_extremes():
     assert gr.indexset_to_partition((3, 4), 2, 4) == (0, 0)
     assert gr.indexset_to_partition((1, 2), 2, 4) == (2, 2)
-    assert gr.dimension_of_indexset((3, 4), 2, 4) == 4
-    assert gr.codimension((2, 2), 2, 4) == 4
 
 
 def test_corner_detection():
@@ -109,21 +112,27 @@ def test_semistable_in_smooth():
         gr.semistable_in_smooth((2, 5), 2, 5)
 
 
+def analyze(w, r, n):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["gr", "analyze", "--n", str(n), "--r", str(r),
+                     "--w", ",".join(map(str, w)), "--json"]) == 0
+    return json.loads(out.getvalue())["result"]
+
+
 def test_quotient_report():
-    report = gr.quotient_smoothness_report((3, 5), 2, 5)
-    assert report == {
-        "gcd": 1,
-        "semistable_nonempty": True,
-        "criterion_holds": True,
-        "quotient_smooth": True,
-    }
-    report = gr.quotient_smoothness_report((2, 4), 2, 4)
-    assert report["gcd"] == 2
-    assert report["criterion_holds"] is True
+    # the quotient is smooth when gcd(r, n) = 1, X_w has semistable
+    # points, and they avoid the singular locus
+    report = analyze((3, 5), 2, 5)
+    assert report["semistable_nonempty"] is True
+    assert report["ss_in_smooth"] is True
+    assert report["quotient_smooth"] is True
+    report = analyze((2, 4), 2, 4)  # gcd 2
+    assert report["ss_in_smooth"] is True
     assert report["quotient_smooth"] is False
-    report = gr.quotient_smoothness_report((1, 2), 2, 5)
+    report = analyze((1, 2), 2, 5)
     assert report["semistable_nonempty"] is False
-    assert report["criterion_holds"] is None
+    assert report["ss_in_smooth"] is None
     assert report["quotient_smooth"] is False
 
 
@@ -138,7 +147,3 @@ def test_validation_errors():
         gr.check_partition((3, 0), 2, 4)
     with pytest.raises(ValueError):
         gr.check_box(4, 4)
-
-
-def test_grassmannian_permutation():
-    assert gr.grassmannian_permutation((2, 4), 2, 5) == (2, 4, 1, 3, 5)

@@ -25,7 +25,7 @@ def test_order_direction():
     # arrows point toward later positions, which sit lower
     assert q.leq(3, 0)
     assert not q.leq(0, 3)
-    assert q.above(3) == {0, 1, 2, 3}
+    assert {j for j in range(q.n_vertices) if q.leq(3, j)} == {0, 1, 2, 3}
 
 
 def test_ideal_checks():

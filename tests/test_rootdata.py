@@ -2,7 +2,6 @@ from hypothesis import given, strategies as st
 import pytest
 
 from torusq.rootdata import (
-    cartan_matrix,
     fundamental_weight,
     minuscule_weights,
     reflect,
@@ -11,7 +10,7 @@ from torusq.rootdata import (
 
 
 def test_type_a_cartan():
-    assert cartan_matrix("A", 3) == (
+    assert root_system("A", 3).cartan == (
         (2, -1, 0),
         (-1, 2, -1),
         (0, -1, 2),
@@ -20,18 +19,18 @@ def test_type_a_cartan():
 
 def test_d4_cartan_fork():
     # nodes 3 and 4 both hang off node 2 and ignore each other
-    m = cartan_matrix("D", 4)
+    m = root_system("D", 4).cartan
     assert m[2][3] == 0 and m[3][2] == 0
     assert m[1][2] == -1 and m[1][3] == -1
     assert m[0][1] == -1 and m[0][2] == 0
 
 
 def test_e6_e7_shapes():
-    m6 = cartan_matrix("E6", 6)
+    m6 = root_system("E6", 6).cartan
     assert len(m6) == 6
     # node 2 attaches to node 4 only
     assert [j + 1 for j in range(6) if m6[1][j] == -1] == [4]
-    m7 = cartan_matrix("E7", 7)
+    m7 = root_system("E7", 7).cartan
     assert [j + 1 for j in range(7) if m7[1][j] == -1] == [4]
     assert [j + 1 for j in range(7) if m7[5][j] == -1] == [5, 7]
 

@@ -18,6 +18,7 @@ from oracles import (
     invariant_dim_geometric,
     is_standard_exhaustive,
     is_standard_greedy,
+    is_young_on,
     max_coset_member_below,
 )
 from torusq import grassmannian as gr, smt
@@ -30,7 +31,6 @@ W7 = (5, 2, 3, 6, 7, 4, 1)
 def test_tableau_shape_and_validation():
     t = smt.Tableau(7, (5,), (5,))
     assert t.m == 1
-    assert t.long_row(5) == (1, 2, 3, 4, 6, 7)
     assert t.rows() == [("short", 5), ("long", 5)]
     with pytest.raises(ValueError):
         smt.Tableau(7, (5, 4), (5,))
@@ -38,32 +38,57 @@ def test_tableau_shape_and_validation():
         smt.Tableau(7, (8,), (1,))
 
 
+def content_counts(t):
+    """How often each value 1..n appears in the tableau."""
+    counts = [0] * t.n
+    for v in t.shorts:
+        counts[v - 1] += 1
+    for d in t.missings:
+        for v in range(1, t.n + 1):
+            if v != d:
+                counts[v - 1] += 1
+    return counts
+
+
+def is_invariant(t):
+    """Weight zero: the single-box values match the missing values as
+    multisets, which is how the invariant witnesses are enumerated."""
+    return sorted(t.shorts) == sorted(t.missings)
+
+
 def test_invariance_is_multiset_equality():
-    assert smt.Tableau(7, (5,), (5,)).is_invariant()
-    assert not smt.Tableau(7, (1,), (7,)).is_invariant()
-    assert smt.Tableau(7, (2, 3), (3, 2)).is_invariant()
+    assert is_invariant(smt.Tableau(7, (5,), (5,)))
+    assert not is_invariant(smt.Tableau(7, (1,), (7,)))
+    assert is_invariant(smt.Tableau(7, (2, 3), (3, 2)))
     # the multiset test must agree with equal-content-counts
     for shorts in product(range(1, 5), repeat=2):
         for missings in product(range(1, 5), repeat=2):
             t = smt.Tableau(4, shorts, missings)
-            counts = t.content_counts()
-            assert t.is_invariant() == (len(set(counts)) == 1)
+            assert is_invariant(t) == (len(set(content_counts(t))) == 1)
+    # every counted witness has weight zero
+    for t in smt.invariant_witnesses((7, 6, 5, 4, 3, 2, 1), 2):
+        assert len(set(content_counts(t))) == 1
 
 
 def test_canonical_invariant_tableau():
     t = smt.canonical_invariant_tableau(7, (3, 5, 3))
     assert t.shorts == (5, 3, 3)
     assert t.missings == (3, 3, 5)
-    assert t.is_invariant()
+    assert is_invariant(t)
 
 
 def test_young_on_the_seed():
-    assert smt.is_young_on(smt.Tableau(7, (5,), (5,)), V7)
+    assert is_young_on(smt.Tableau(7, (5,), (5,)), V7)
     # a single box holding 6 exceeds pi_1(v) = (5)
-    assert not smt.is_young_on(smt.Tableau(7, (6,), (6,)), V7)
+    assert not is_young_on(smt.Tableau(7, (6,), (6,)), V7)
     w0 = (7, 6, 5, 4, 3, 2, 1)
     for val in range(1, 8):
-        assert smt.is_young_on(smt.Tableau(7, (val,), (val,)), w0)
+        assert is_young_on(smt.Tableau(7, (val,), (val,)), w0)
+    # the Young condition is necessary for standardness
+    for w in permutations(range(1, 5)):
+        for m in (1, 2):
+            for t in smt.invariant_witnesses(w, m):
+                assert is_young_on(t, w)
 
 
 def test_standard_examples():
@@ -304,13 +329,6 @@ def test_projective_normality_reports():
     report = smt.projective_normality_check(V7, (2, 3))
     assert report["t"] == 1
     assert all(r["computed"] == 1 for r in report["degrees"])
-
-
-def test_alpha0_semistable_probe():
-    hit = smt.alpha0_semistable_nonempty((4, 1, 2, 3))
-    assert hit["found"] and hit["degree"] == 1
-    miss = smt.alpha0_semistable_nonempty((1, 2, 3, 4))
-    assert not miss["found"] and miss["bound"] == 2
 
 
 # ---------------------------------------------------------------------------

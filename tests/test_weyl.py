@@ -1,4 +1,4 @@
-"""Permutations, reduced words, parabolic cosets, minuscule posets.
+"""Permutations, reduced words, minuscule posets.
 
 The Bruhat comparisons are checked against the cover-walk oracle, which
 never looks at sorted prefixes.
@@ -14,14 +14,7 @@ from torusq.rootdata import root_system
 from torusq.weyl import (
     MinusculePoset,
     bruhat_leq,
-    coset_elements,
     descents,
-    max_parabolic_element,
-    maximal_lift,
-    min_coset_rep,
-    perm_inverse,
-    perm_length,
-    perm_mult,
     pi_projection,
     reduced_word,
     right_multiply,
@@ -50,19 +43,13 @@ perms5 = st.integers(min_value=2, max_value=5).flatmap(
 def test_reduced_word_roundtrip(line):
     w = tuple(line)
     word = reduced_word(w)
-    assert len(word) == perm_length(w) == inversions(w)
+    assert len(word) == inversions(w)
     assert word_to_perm(word, len(w)) == w
-
-
-@given(perms5)
-def test_inverse_and_composition(line):
-    w = tuple(line)
-    assert perm_mult(w, perm_inverse(w)) == tuple(range(1, len(w) + 1))
 
 
 def test_descents_and_length():
     assert descents((3, 1, 4, 2)) == [1, 3]
-    assert perm_length((4, 3, 2, 1)) == 6
+    assert len(reduced_word((4, 3, 2, 1))) == 6
 
 
 def test_bruhat_against_cover_walk_s4():
@@ -86,37 +73,6 @@ def test_bruhat_size_mismatch():
 
 def test_pi_projection_sorts_prefix():
     assert pi_projection((5, 2, 3, 6, 7, 4, 1), 3) == (2, 3, 5)
-
-
-def test_min_coset_rep_sorts_blocks():
-    # mod the parabolic generated by s_2: positions 2,3 form one block
-    assert min_coset_rep((4, 3, 2, 1), [2]) == (4, 2, 3, 1)
-    assert min_coset_rep((2, 4, 3, 1), [1, 2]) == (2, 3, 4, 1)
-
-
-def test_maximal_lift_reverses_blocks():
-    assert maximal_lift((2, 3, 4, 1), [2]) == (2, 4, 3, 1)
-    assert max_parabolic_element([1, 2], 4) == (3, 2, 1, 4)
-
-
-def test_coset_elements_count():
-    reps = coset_elements((1, 2, 3, 4), [1, 2])
-    assert len(set(reps)) == 6  # S_3 inside S_4
-
-
-@given(st.data())
-def test_min_coset_rep_is_minimum(data):
-    n = data.draw(st.integers(min_value=2, max_value=4))
-    w = tuple(data.draw(st.permutations(list(range(1, n + 1)))))
-    generators = data.draw(
-        st.lists(
-            st.integers(min_value=1, max_value=n - 1), unique=True, max_size=n - 1
-        )
-    )
-    rep = min_coset_rep(w, generators)
-    others = coset_elements(rep, generators)
-    assert w in others
-    assert all(bruhat_leq(rep, other) for other in others)
 
 
 # ---------------------------------------------------------------------------
@@ -181,3 +137,35 @@ def test_index_sets_exhaust_combinations():
     poset = orbit("A", 4, 3)
     found = {poset.indexset(node) for node in poset.nodes}
     assert found == set(combinations(range(1, 6), 3))
+
+
+def test_node_of_indexset_is_the_canonical_word_inverse():
+    # the closed form against the canonical-word route, every type-A node
+    # with n <= 9, entries given in any order
+    for n in range(2, 10):
+        for r in range(1, n):
+            poset = orbit("A", n - 1, r)
+            for node in poset.nodes:
+                entries = poset.indexset(node)
+                assert poset.node_of_indexset(entries) == node
+                assert poset.node_of_indexset(entries[::-1]) == node
+
+
+@pytest.mark.parametrize("entries", [
+    (2,), (1, 2, 3), (2, 2), (0, 3), (3, 6), (),
+])
+def test_node_of_indexset_rejects_non_nodes(entries):
+    poset = orbit("A", 4, 2)  # Gr(2, 5)
+    with pytest.raises(ValueError):
+        poset.node_of_indexset(entries)
+
+
+def test_node_of_indexset_is_type_a_only():
+    with pytest.raises(ValueError):
+        orbit("D", 4, 1).node_of_indexset((1,))
+
+
+def test_word_descends_rejects_letters_outside_the_rank():
+    poset = orbit("A", 4, 3)
+    for word in [(-1,), (0,), (5,), (9, 9), (3, -2)]:
+        assert not poset.word_descends(word)
