@@ -10,7 +10,11 @@ calls).  ``golden/quiver_build.txt`` holds ``torusq quiver build --json``
 for type A with n <= 7 (``minimal`` where defined, ``full``, and every
 column set with ``--as indexset``) and for D4..D6 (every minuscule
 weight), E6 (omega_1, omega_6) and E7 (omega_7): ``minimal`` plus every
-orbit node given by its canonical word (535 calls).  ``golden/verify.txt``
+orbit node given by its canonical word (535 calls).
+``golden/quiver_build_large.txt`` holds ``torusq quiver build --json``
+with ``minimal`` and ``full`` at the sizes where the ideal/node
+dictionary is costly: A8..A12 with every weight 2..n-2 and D7, D8 with
+every minuscule weight (92 calls).  ``golden/verify.txt``
 holds ``torusq verify all --json``.  Each record is a ``$ torusq ...``
 line (arguments quoted as a shell would need them) followed by the
 output.  Any change to an answer, a witness, a warning or the formatting
@@ -79,6 +83,16 @@ def quiver_build_argvs():
                 yield [*head, "--w", word, "--json"]
 
 
+def quiver_build_large_argvs():
+    cases = [("A", rank, range(2, rank)) for rank in range(8, 13)]
+    cases += [("D", rank, sorted(minuscule_weights("D", rank))) for rank in (7, 8)]
+    for family, rank, weights in cases:
+        for weight in weights:
+            for element in ("minimal", "full"):
+                yield ["quiver", "build", "--family", family, "--rank", str(rank),
+                       "--weight", str(weight), "--w", element, "--json"]
+
+
 def verify_argvs():
     yield ["verify", "all", "--json"]
 
@@ -87,6 +101,7 @@ CORPORA = {
     "gr_analyze.txt": (gr_analyze_argvs, 240),
     "smt.txt": (smt_argvs, 488),
     "quiver_build.txt": (quiver_build_argvs, 535),
+    "quiver_build_large.txt": (quiver_build_large_argvs, 92),
     "verify.txt": (verify_argvs, 1),
 }
 
@@ -135,6 +150,10 @@ def test_smt_json_is_byte_identical():
 
 def test_quiver_build_json_is_byte_identical():
     check_corpus("quiver_build.txt")
+
+
+def test_quiver_build_large_json_is_byte_identical():
+    check_corpus("quiver_build_large.txt")
 
 
 def test_verify_json_is_byte_identical():
