@@ -21,8 +21,14 @@ from math import gcd
 from typing import NoReturn
 
 from . import __version__, criteria, grassmannian as gr, quiver as qv, smt, verify
-from .rootdata import root_system
+from .rootdata import minuscule_orbit_size, root_system
 from .weyl import word_to_perm
+
+
+# Largest model ``quiver build`` makes: the orbit poset, the ideal/node
+# dictionary and the full quiver's reach sets all grow with these.
+QUIVER_MAX_RANK = 100
+QUIVER_MAX_NODES = 20_000
 
 
 def _usage_error(message) -> NoReturn:
@@ -137,6 +143,17 @@ def cmd_quiver_build(args) -> int:
         rank = 7
     elif rank is None:
         _usage_error("--rank is required for families A and D")
+    if rank > QUIVER_MAX_RANK:
+        _usage_error(f"--rank {rank}: quiver build stops at rank {QUIVER_MAX_RANK}")
+    try:
+        size = minuscule_orbit_size(args.family, rank, args.weight)
+    except ValueError as exc:
+        _usage_error(exc)
+    if size > QUIVER_MAX_NODES:
+        _usage_error(
+            f"the orbit of omega_{args.weight} in {root_system(args.family, rank)} "
+            f"has {size} nodes; quiver build stops at {QUIVER_MAX_NODES}"
+        )
     try:
         model = criteria.minuscule_model(args.family, rank, args.weight)
         node = _resolve_node(model, args)
@@ -173,7 +190,7 @@ def cmd_quiver_build(args) -> int:
     if args.dot:
         try:
             with open(args.dot, "w", newline="") as handle:
-                handle.write(qv.quiver_to_dot(marked))
+                handle.write(qv.quiver_to_dot(marked, holes))
         except OSError as exc:
             _usage_error(f"cannot write {args.dot}: {exc.strerror}")
         if not args.json:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rootdata import RootSystem, minuscule_weights, root_system
+from .rootdata import RootSystem, minuscule_weights, reflect, root_system
 from .weyl import MinusculePoset
 
 
@@ -88,27 +88,25 @@ class Quiver:
             raise ValueError(f"{sorted(members)} is not an order ideal")
         return Quiver(self.system, self.word, self.arrows, members, self._reach)
 
-    def subword(self, members=None) -> tuple[int, ...]:
-        members = self.members if members is None else members
-        return tuple(self.word[i] for i in sorted(members))
+    def ideals(self) -> list[tuple[frozenset[int], int | None]]:
+        """Every order ideal once, graded by size, as ``(ideal, v)`` pairs.
 
-    def ideals(self) -> list[frozenset[int]]:
-        """All order ideals, smallest first (graded by size)."""
-        found = {frozenset()}
-        frontier = [frozenset()]
-        while frontier:
-            nxt = []
-            for ideal in frontier:
-                for v in range(self.n_vertices):
-                    if v in ideal:
-                        continue
-                    if self._reach[v] - {v} <= ideal:
-                        grown = ideal | {v}
-                        if grown not in found:
-                            found.add(grown)
-                            nxt.append(grown)
-            frontier = nxt
-        return sorted(found, key=lambda s: (len(s), sorted(s)))
+        ``v`` is the vertex whose addition to an ideal listed earlier gave
+        ``ideal``, so it is maximal in ``ideal``; it is ``None`` for the
+        empty ideal, which comes first.
+        """
+        below = [reach - {v} for v, reach in enumerate(self._reach)]
+        found = [(frozenset(), None)]
+        seen = {frozenset()}
+        # breadth first: ``found`` is the queue, read while it grows
+        for ideal, _ in found:
+            for v in range(self.n_vertices):
+                if v not in ideal and below[v] <= ideal:
+                    grown = ideal | {v}
+                    if grown not in seen:
+                        seen.add(grown)
+                        found.append((grown, v))
+        return found
 
 
 def quiver_from_word(word, system: RootSystem, members=None) -> Quiver:
@@ -184,6 +182,12 @@ class MinusculeModel:
     Bundles the weight-orbit poset with the quiver of the longest coset
     representative and the two-way map between order ideals and orbit
     nodes, which is what every geometric question gets translated into.
+
+    The dictionary costs one reflection per ideal.  When vertex v joins an
+    ideal I, everything below v is already in I, so v is maximal in
+    I + {v} and its letter b_v can lead a reduced word of I + {v}; hence
+    node(I + {v}) = s_{b_v}(node(I)), and ``Quiver.ideals`` lists I before
+    I + {v}.
     """
 
     def __init__(self, system: RootSystem, weight_index: int):
@@ -193,19 +197,27 @@ class MinusculeModel:
         self.full = quiver_from_word(
             self.poset.canonical_word(self.poset.bottom), system
         )
-        ideals = self.full.ideals()
-        if len(ideals) != len(self.poset):
-            raise AssertionError(
-                f"{len(ideals)} ideals for {len(self.poset)} coset elements"
-            )
         self.ideal_of_node: dict[tuple[int, ...], frozenset[int]] = {}
         self.node_of_ideal: dict[frozenset[int], tuple[int, ...]] = {}
-        for ideal in ideals:
-            node = self.poset.node_from_word(self.full.subword(ideal))
+        for ideal, v in self.full.ideals():
+            if v is None:
+                node = self.poset.top
+            else:
+                parent = self.node_of_ideal[ideal - {v}]
+                b = self.full.label(v)
+                if parent[b - 1] != 1:
+                    raise AssertionError(f"letter {b} does not lower {parent}")
+                node = reflect(system, parent, b)
+            if node not in self.poset:
+                raise AssertionError("left the orbit, which cannot happen")
             if node in self.ideal_of_node or len(ideal) != self.poset.depth(node):
                 raise AssertionError("ideal/coset dictionary is not a bijection")
             self.ideal_of_node[node] = ideal
             self.node_of_ideal[ideal] = node
+        if len(self.node_of_ideal) != len(self.poset):
+            raise AssertionError(
+                f"{len(self.node_of_ideal)} ideals for {len(self.poset)} coset elements"
+            )
 
     def quiver_of(self, node) -> Quiver:
         """The quiver of one Schubert variety: the full quiver with the
@@ -305,15 +317,15 @@ def minimal_v_word(family: str, rank: int, weight_index: int) -> tuple[int, ...]
     return (5, 2, 4, 3, 7, 6, 5, 4, 1, 2, 3, 4, 5, 6, 7)
 
 
-def quiver_to_dot(q: Quiver, graph_name: str = "quiver") -> str:
+def quiver_to_dot(q: Quiver, report: HoleReport, graph_name: str = "quiver") -> str:
     """Deterministic Graphviz rendering of a marked quiver.
 
+    ``report`` is the hole report of ``q`` (:func:`classify_holes`).
     Vertices carry their simple-root index as label; unmarked vertices are
     dotted, real holes get a second periphery.  Byte-identical output for
     identical input is part of the contract, so everything is emitted in
     sorted position order.
     """
-    report = classify_holes(q) if q.n_vertices else HoleReport((), (), ())
     real = set(report.real)
     lines = [f"digraph {graph_name} {{", "  rankdir=TB;"]
     for i in range(q.n_vertices):

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
+from operator import add, sub
 
 Weight = tuple[int, ...]
 
@@ -105,6 +107,24 @@ def minuscule_weights(family: str, rank: int) -> frozenset[int]:
     return frozenset({7})
 
 
+def minuscule_orbit_size(family: str, rank: int, weight_index: int) -> int:
+    """Number of weights in the W-orbit of the minuscule ``omega_i``.
+
+    In closed form, so callers can size a model before building it:
+    C(rank+1, i) in type A, 2*rank for the natural weight of type D,
+    2^(rank-1) for its spin weights, 27 for E6 and 56 for E7.
+    """
+    if weight_index not in minuscule_weights(family, rank):
+        raise ValueError(
+            f"omega_{weight_index} is not minuscule for {root_system(family, rank)}"
+        )
+    if family == "A":
+        return comb(rank + 1, weight_index)
+    if family == "D":
+        return 2 * rank if weight_index == 1 else 2 ** (rank - 1)
+    return 27 if family == "E6" else 56
+
+
 def fundamental_weight(system: RootSystem, i: int) -> Weight:
     """``omega_i`` in fundamental-weight coordinates (a unit vector)."""
     if not 1 <= i <= system.rank:
@@ -116,7 +136,8 @@ def reflect(system: RootSystem, mu: Weight, i: int) -> Weight:
     """Apply the simple reflection ``s_i`` to a weight.
 
     ``s_i(mu) = mu - <mu, alpha_i^vee> * alpha_i``; in fundamental-weight
-    coordinates the pairing is just ``mu[i-1]``.
+    coordinates the pairing is just ``mu[i-1]``.  In a minuscule orbit that
+    pairing is always -1, 0 or 1, so those take a short path.
     """
     if len(mu) != system.rank:
         raise ValueError(f"weight has length {len(mu)}, expected {system.rank}")
@@ -124,4 +145,8 @@ def reflect(system: RootSystem, mu: Weight, i: int) -> Weight:
     if c == 0:
         return tuple(mu)
     alpha = system.simple_root(i)
+    if c == 1:
+        return tuple(map(sub, mu, alpha))
+    if c == -1:
+        return tuple(map(add, mu, alpha))
     return tuple(m - c * a for m, a in zip(mu, alpha))

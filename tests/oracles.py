@@ -6,9 +6,11 @@ exhaustive chain search, or by the greedy maximum through S_n (on the
 package's prefix-dominance Bruhat test, itself checked against the cover
 walk), instead of the walk on end-value pairs, Grassmannian
 invariant chains by depth-first search instead of the flagged-tableau
-filling, and section counts
+filling, section counts
 come from linear algebra (ranks of evaluation matrices at random points
-of the open cell) instead of tableau combinatorics.  Agreement between
+of the open cell) instead of tableau combinatorics, and the minuscule
+ideal/node dictionary replays each ideal's whole word from the top weight
+instead of reflecting its parent ideal's node once.  Agreement between
 the two sides is what the tests assert.
 """
 
@@ -333,3 +335,36 @@ def invariant_dim_geometric(w, m, seed=0):
             row.append(value)
         matrix.append(row)
     return matrix_rank(matrix)
+
+
+# ---------------------------------------------------------------------------
+# minuscule ideal/node dictionary by word replay
+
+
+def ideal_node_dictionary_by_words(poset, q):
+    """Map every order ideal of the full quiver ``q`` to its orbit node.
+
+    Ideals are grown one addable vertex at a time (a vertex is addable when
+    everything strictly below it is in), listed by size and then by their
+    sorted entries, and each ideal's letters read in increasing position
+    order are applied to the top weight as a reduced word.
+    """
+    n = q.n_vertices
+    below = [
+        frozenset(u for u in range(n) if u != v and q.leq(u, v)) for v in range(n)
+    ]
+    found = {frozenset()}
+    frontier = [frozenset()]
+    while frontier:
+        grown = {
+            ideal | {v}
+            for ideal in frontier
+            for v in range(n)
+            if v not in ideal and below[v] <= ideal
+        }
+        frontier = list(grown - found)
+        found |= grown
+    return {
+        ideal: poset.node_from_word(tuple(q.word[i] for i in sorted(ideal)))
+        for ideal in sorted(found, key=lambda s: (len(s), sorted(s)))
+    }

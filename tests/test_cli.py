@@ -5,8 +5,28 @@ from collections import Counter
 
 import pytest
 
-from torusq import grassmannian as gr
+from torusq import grassmannian as gr, quiver as qv
 from torusq.cli import main
+
+# README's D4 quadric example: the quiver of the minimal semistable element
+QUADRIC_DOT = """\
+digraph quiver {
+  rankdir=TB;
+  v0 [label="1", shape=circle, style=dotted];
+  v1 [label="2", shape=circle, style=dotted];
+  v2 [label="3", shape=circle];
+  v3 [label="4", shape=circle];
+  v4 [label="2", shape=circle, peripheries=2];
+  v5 [label="1", shape=circle];
+  v0 -> v1 [style=dotted];
+  v0 -> v4 [style=dotted];
+  v1 -> v2 [style=dotted];
+  v1 -> v3 [style=dotted];
+  v2 -> v4;
+  v3 -> v4;
+  v4 -> v5;
+}
+"""
 
 
 def run_json(capsys, argv):
@@ -142,15 +162,62 @@ def test_quiver_build_minimal_with_dot(tmp_path, capsys):
     assert result["smooth"] is False
     assert len(result["holes"]["real"]) == 1
     assert result["singular_components"] == [[1]]
-    text = dot.read_text()
-    assert text.startswith("digraph")
-    assert "peripheries=2" in text  # the essential hole is highlighted
+    assert dot.read_bytes() == QUADRIC_DOT.encode()
     # same quiver again: identical bytes on disk
     dot2 = tmp_path / "again.dot"
     main(["quiver", "build", "--family", "D", "--rank", "4", "--weight", "1",
           "--w", "minimal", "--dot", str(dot2), "--json"])
     capsys.readouterr()
-    assert dot2.read_text() == text
+    assert dot2.read_bytes() == QUADRIC_DOT.encode()
+
+
+def test_quiver_build_dot_classifies_holes_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    classify = qv.classify_holes
+
+    def counting(q):
+        calls.append(q)
+        return classify(q)
+
+    monkeypatch.setattr(qv, "classify_holes", counting)
+    dot = tmp_path / "quadric.dot"
+    main(["quiver", "build", "--family", "D", "--rank", "4", "--weight", "1",
+          "--w", "minimal", "--dot", str(dot), "--json"])
+    capsys.readouterr()
+    assert len(calls) == 1
+    assert dot.read_bytes() == QUADRIC_DOT.encode()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--family", "A", "--rank", "40", "--weight", "20"], "269128937220 nodes"),
+    (["--family", "D", "--rank", "40", "--weight", "40"], "549755813888 nodes"),
+    (["--family", "A", "--rank", "16", "--weight", "8"], "24310 nodes"),
+    (["--family", "A", "--rank", "1000000000", "--weight", "1"], "rank 100"),
+])
+def test_quiver_build_refuses_large_orbits_before_building(capsys, monkeypatch,
+                                                           argv, message):
+    class Unbuildable:
+        def __init__(self, *args):
+            raise AssertionError("the model was built")
+
+    monkeypatch.setattr(qv, "MinusculePoset", Unbuildable)
+    with pytest.raises(SystemExit) as exc:
+        main(["quiver", "build", *argv, "--w", "full", "--json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
+def test_quiver_build_admits_the_largest_benchmark_case(capsys):
+    code, payload, _ = run_json(
+        capsys,
+        ["quiver", "build", "--family", "A", "--rank", "13", "--weight", "7",
+         "--w", "full"],
+    )
+    assert code == 0
+    assert payload["result"]["length"] == 49
 
 
 def test_quiver_build_word_and_indexset_agree(capsys):

@@ -6,9 +6,16 @@ high, so ideals collect suffixes of the building word.
 
 import pytest
 
+from oracles import ideal_node_dictionary_by_words
 from torusq import quiver as qv
 from torusq.criteria import minuscule_minimal_v_node, minuscule_model
-from torusq.rootdata import root_system
+from torusq.rootdata import minuscule_weights, root_system
+
+MINUSCULE_CASES = (
+    [("A", rank, w) for rank in range(1, 11) for w in range(1, rank + 1)]
+    + [("D", rank, w) for rank in range(4, 9) for w in sorted(minuscule_weights("D", rank))]
+    + [("E6", 6, 1), ("E6", 6, 6), ("E7", 7, 7)]
+)
 
 
 def test_gr24_full_quiver():
@@ -18,6 +25,29 @@ def test_gr24_full_quiver():
     assert q.next_same(0) == 3 and q.prev_same(3) == 0
     assert q.next_same(1) is None
     assert len(list(q.ideals())) == 6  # one per Schubert variety of Gr(2,4)
+
+
+def test_ideals_grow_by_one_maximal_vertex():
+    q = minuscule_model("E6", 6, 1).full
+    listed = q.ideals()
+    assert listed[0] == (frozenset(), None)
+    position = {ideal: k for k, (ideal, _) in enumerate(listed)}
+    assert len(position) == len(listed) == 27
+    sizes = [len(ideal) for ideal, _ in listed]
+    assert sizes == sorted(sizes)
+    for k, (ideal, v) in enumerate(listed[1:], start=1):
+        assert q.is_ideal(ideal)
+        assert position[ideal - {v}] < k
+        assert not any(u != v and q.leq(v, u) for u in ideal)  # v is maximal
+
+
+@pytest.mark.parametrize("family,rank,weight", MINUSCULE_CASES)
+def test_dictionary_matches_word_replay(family, rank, weight):
+    model = minuscule_model(family, rank, weight)
+    oracle = ideal_node_dictionary_by_words(model.poset, model.full)
+    assert len(oracle) == len(model.poset)
+    assert model.node_of_ideal == oracle
+    assert model.ideal_of_node == {node: ideal for ideal, node in oracle.items()}
 
 
 def test_order_direction():
@@ -160,8 +190,8 @@ def test_dot_output_is_stable_and_annotated():
     model = minuscule_model("E6", 6, 1)
     v = minuscule_minimal_v_node(model)
     q = model.quiver_of(v)
-    dot = qv.quiver_to_dot(q)
-    assert dot == qv.quiver_to_dot(q)
+    dot = qv.quiver_to_dot(q, qv.classify_holes(q))
+    assert dot == qv.quiver_to_dot(q, qv.classify_holes(q))
     assert dot.startswith("digraph quiver {")
     assert dot.rstrip().endswith("}")
     assert dot.count("peripheries=2") == 1  # exactly one circled hole
@@ -175,6 +205,7 @@ def test_dot_output_is_stable_and_annotated():
 
 def test_dot_smooth_case_has_no_double_circle():
     model = minuscule_model("A", 3, 2)
-    dot = qv.quiver_to_dot(model.quiver_of(model.poset.bottom))
+    q = model.quiver_of(model.poset.bottom)
+    dot = qv.quiver_to_dot(q, qv.classify_holes(q))
     assert "peripheries" not in dot
     assert "style=dotted" not in dot

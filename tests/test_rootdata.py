@@ -58,6 +58,28 @@ def test_reflect_is_an_involution(rank, data):
     assert reflect(system, reflect(system, mu, i), i) == mu
 
 
+@given(
+    st.sampled_from([("A", 1), ("A", 6), ("D", 4), ("D", 7), ("E6", 6), ("E7", 7)]),
+    st.integers(min_value=-2, max_value=2),
+    st.data(),
+)
+def test_reflect_short_path_matches_the_formula(system_key, c, data):
+    system = root_system(*system_key)
+    i = data.draw(st.integers(min_value=1, max_value=system.rank))
+    mu = data.draw(
+        st.lists(st.integers(min_value=-3, max_value=3),
+                 min_size=system.rank, max_size=system.rank)
+    )
+    mu[i - 1] = c
+    alpha = system.simple_root(i)
+    assert reflect(system, tuple(mu), i) == tuple(m - c * a for m, a in zip(mu, alpha))
+
+
+def test_reflect_rejects_a_wrong_length():
+    with pytest.raises(ValueError):
+        reflect(root_system("A", 3), (1, 0), 1)
+
+
 def test_minuscule_weight_table():
     assert minuscule_weights("A", 4) == frozenset({1, 2, 3, 4})
     assert minuscule_weights("D", 5) == frozenset({1, 4, 5})

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 import pytest
 
 from oracles import bruhat_downset, bruhat_leq_bruteforce, inversions
-from torusq.rootdata import root_system
+from torusq.rootdata import minuscule_orbit_size, minuscule_weights, root_system
 from torusq.weyl import (
     MinusculePoset,
     bruhat_leq,
@@ -89,6 +89,14 @@ def test_orbit_sizes():
     assert len(orbit("D", 5, 5)) == 16  # 2^(n-1)
     assert len(orbit("E6", 6, 1)) == 27
     assert len(orbit("E7", 7, 7)) == 56
+    cases = [("A", rank) for rank in range(1, 11)] + [("D", rank) for rank in range(4, 10)]
+    for family, rank in cases + [("E6", 6), ("E7", 7)]:
+        for w in minuscule_weights(family, rank):
+            assert minuscule_orbit_size(family, rank, w) == len(orbit(family, rank, w))
+    with pytest.raises(ValueError):
+        minuscule_orbit_size("D", 5, 2)
+    with pytest.raises(ValueError):
+        minuscule_orbit_size("A", 0, 1)
 
 
 def test_top_and_bottom():
