@@ -25,8 +25,8 @@ from .rootdata import minuscule_orbit_size, root_system
 from .weyl import word_to_perm
 
 
-# Largest model ``quiver build`` makes: the orbit poset, the ideal/node
-# dictionary and the full quiver's reach sets all grow with these.
+# Largest model ``quiver build`` makes: the ideal/node dictionary, which
+# lists the orbit once, and the full quiver's reach sets grow with these.
 QUIVER_MAX_RANK = 100
 QUIVER_MAX_NODES = 20_000
 
@@ -171,7 +171,7 @@ def cmd_quiver_build(args) -> int:
         },
         "result": {
             "word": model.poset.canonical_word(node),
-            "length": model.poset.depth(node),
+            "length": model.depth(node),
             "vertices": marked.n_vertices,
             "members": sorted(marked.members),
             "holes": {

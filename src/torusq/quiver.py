@@ -35,7 +35,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .rootdata import RootSystem, minuscule_weights, reflect, root_system
+from .rootdata import (
+    RootSystem,
+    minuscule_orbit_size,
+    minuscule_weights,
+    reflect,
+    root_system,
+)
 from .weyl import MinusculePoset
 
 
@@ -109,7 +115,7 @@ class Quiver:
         return found
 
 
-def quiver_from_word(word, system: RootSystem, members=None) -> Quiver:
+def quiver_from_word(word, system: RootSystem) -> Quiver:
     """Build the quiver of a reduced word.
 
     Arrows: i -> j for i < j with nonzero Cartan pairing of the letters,
@@ -138,9 +144,7 @@ def quiver_from_word(word, system: RootSystem, members=None) -> Quiver:
             if a == i:
                 acc |= reach[b]
         reach[i] = frozenset(acc)
-    members = frozenset(range(N)) if members is None else frozenset(members)
-    q = Quiver(system, word, tuple(arrows), frozenset(range(N)), tuple(reach))
-    return q if members == frozenset(range(N)) else q.marked(members)
+    return Quiver(system, word, tuple(arrows), frozenset(range(N)), tuple(reach))
 
 
 @dataclass(frozen=True)
@@ -177,17 +181,23 @@ def classify_holes(q: Quiver) -> HoleReport:
 
 
 class MinusculeModel:
-    """One minuscule pair (system, weight): poset, full quiver, dictionary.
+    """One minuscule pair (system, weight): orbit, full quiver, dictionary.
 
-    Bundles the weight-orbit poset with the quiver of the longest coset
-    representative and the two-way map between order ideals and orbit
-    nodes, which is what every geometric question gets translated into.
+    Bundles the weight-orbit walks of :class:`~torusq.weyl.MinusculePoset`
+    with the quiver of the longest coset representative and the two-way
+    map between order ideals and orbit nodes, which is what every
+    geometric question gets translated into.  The dictionary is the one
+    enumeration of the orbit: ``nodes`` lists its keys in graded order,
+    and the depth of a node is the size of its ideal.
 
     The dictionary costs one reflection per ideal.  When vertex v joins an
     ideal I, everything below v is already in I, so v is maximal in
     I + {v} and its letter b_v can lead a reduced word of I + {v}; hence
     node(I + {v}) = s_{b_v}(node(I)), and ``Quiver.ideals`` lists I before
-    I + {v}.
+    I + {v}.  The build checks, raising ``AssertionError``, that each
+    letter lowers the weight, that every coordinate is -1, 0 or 1, that no
+    node gets two ideals, that there are as many nodes as the closed-form
+    orbit size, and that the full ideal's node is the poset's bottom.
     """
 
     def __init__(self, system: RootSystem, weight_index: int):
@@ -208,16 +218,24 @@ class MinusculeModel:
                 if parent[b - 1] != 1:
                     raise AssertionError(f"letter {b} does not lower {parent}")
                 node = reflect(system, parent, b)
-            if node not in self.poset:
-                raise AssertionError("left the orbit, which cannot happen")
-            if node in self.ideal_of_node or len(ideal) != self.poset.depth(node):
+            if not set(node) <= {-1, 0, 1}:
+                raise AssertionError(f"non-minuscule coordinate in orbit: {node}")
+            if node in self.ideal_of_node:
                 raise AssertionError("ideal/coset dictionary is not a bijection")
             self.ideal_of_node[node] = ideal
             self.node_of_ideal[ideal] = node
-        if len(self.node_of_ideal) != len(self.poset):
+        self.nodes = list(self.ideal_of_node)
+        size = minuscule_orbit_size(system.family, system.rank, weight_index)
+        if len(self.nodes) != size:
             raise AssertionError(
-                f"{len(self.node_of_ideal)} ideals for {len(self.poset)} coset elements"
+                f"{len(self.nodes)} ideals for {size} coset elements"
             )
+        if self.node_of_ideal[self.full.members] != self.poset.bottom:
+            raise AssertionError("the full ideal is not the bottom node")
+
+    def depth(self, node) -> int:
+        """Coxeter length of the node's coset representative."""
+        return len(self.ideal_of_node[tuple(node)])
 
     def quiver_of(self, node) -> Quiver:
         """The quiver of one Schubert variety: the full quiver with the
@@ -317,7 +335,7 @@ def minimal_v_word(family: str, rank: int, weight_index: int) -> tuple[int, ...]
     return (5, 2, 4, 3, 7, 6, 5, 4, 1, 2, 3, 4, 5, 6, 7)
 
 
-def quiver_to_dot(q: Quiver, report: HoleReport, graph_name: str = "quiver") -> str:
+def quiver_to_dot(q: Quiver, report: HoleReport) -> str:
     """Deterministic Graphviz rendering of a marked quiver.
 
     ``report`` is the hole report of ``q`` (:func:`classify_holes`).
@@ -327,7 +345,7 @@ def quiver_to_dot(q: Quiver, report: HoleReport, graph_name: str = "quiver") -> 
     sorted position order.
     """
     real = set(report.real)
-    lines = [f"digraph {graph_name} {{", "  rankdir=TB;"]
+    lines = ["digraph quiver {", "  rankdir=TB;"]
     for i in range(q.n_vertices):
         attrs = [f'label="{q.label(i)}"', "shape=circle"]
         if i in real:

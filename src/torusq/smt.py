@@ -130,7 +130,7 @@ def invariant_dimension(w, m: int) -> int:
     return len(invariant_witnesses(w, m))
 
 
-def projective_normality_check(w, degrees=(2, 3)) -> dict:
+def projective_normality_check(w, degrees) -> dict:
     """Compare section counts against the free polynomial ring prediction.
 
     With t independent degree-1 invariants the degree-m count of a

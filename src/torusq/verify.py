@@ -55,12 +55,12 @@ def golden_sl7() -> dict:
     return _result("golden-sl7", checks, failures)
 
 
-def family_tables(ns=(4, 5, 6, 7)) -> dict:
+def family_tables() -> dict:
     """Degree-one section counts along all three families, every admissible
     (i, k, j), against the closed-form predictions."""
     failures = []
     checks = 0
-    for n in ns:
+    for n in (4, 5, 6, 7):
         plans = [("a2", None)]
         plans += [("a", i) for i in range(1, n - 2)]
         plans += [("b", i) for i in range(1, n)]
@@ -76,27 +76,25 @@ def family_tables(ns=(4, 5, 6, 7)) -> dict:
     return _result("family-tables", checks, failures)
 
 
-def _grassmannian_sweeps(max_n):
-    for n in range(3, max_n + 1):
-        for r in range(1, n):
-            yield r, n
+# Every box Gr(r, n) with 3 <= n <= 7, the range of the Grassmannian sweeps.
+_SWEEP_BOXES = [(r, n) for n in range(3, 8) for r in range(1, n)]
 
 
-def cross_smooth(max_n=7, max_box=4) -> dict:
+def cross_smooth() -> dict:
     """Diagram smoothness (rotated complement a rectangle) against the
     empty-growth test, and against the quiver test across Grassmannians."""
     failures = []
     checks = 0
-    for rows_ in range(1, max_box + 1):
-        for cols in range(1, max_box + 1):
+    for rows_ in range(1, 5):
+        for cols in range(1, 5):
             r, n = rows_, rows_ + cols
             for lam in _partitions_in_box(rows_, cols):
                 checks += 1
                 if gr.is_smooth(lam, r, n) != (not gr.singular_components(lam, r, n)):
                     failures.append(f"box {rows_}x{cols}, {lam}: smooth tests split")
-    for r, n in _grassmannian_sweeps(max_n):
+    for r, n in _SWEEP_BOXES:
         model = criteria.minuscule_model("A", n - 1, r)
-        for node in model.poset.nodes:
+        for node in model.nodes:
             lam = gr.indexset_to_partition(model.poset.indexset(node), r, n)
             checks += 1
             if model.is_smooth(node) != gr.is_smooth(lam, r, n):
@@ -113,14 +111,14 @@ def _partitions_in_box(rows, cols):
             yield (first,) + rest
 
 
-def cross_singular(max_n=7) -> dict:
+def cross_singular() -> dict:
     """Quiver singular components against diagram growth, elementwise,
-    across every Schubert variety of every Gr(r, n) with n <= max_n."""
+    across every Schubert variety of every Gr(r, n) with n <= 7."""
     failures = []
     checks = 0
-    for r, n in _grassmannian_sweeps(max_n):
+    for r, n in _SWEEP_BOXES:
         model = criteria.minuscule_model("A", n - 1, r)
-        for node in model.poset.nodes:
+        for node in model.nodes:
             entries = model.poset.indexset(node)
             lam = gr.indexset_to_partition(entries, r, n)
             expected = set(gr.singular_components(lam, r, n))
@@ -147,7 +145,7 @@ def quiver_words() -> dict:
     for family, rank, weight in plans:
         system = root_system(family, rank)
         model = criteria.minuscule_model(family, rank, weight)
-        for node in model.poset.nodes:
+        for node in model.nodes:
             word = model.poset.canonical_word(node)
             qa = qv.quiver_from_word(word, system)
             for p, other in qv.commutation_moves(word, system):
@@ -160,9 +158,10 @@ def quiver_words() -> dict:
     return _result("quiver-words", checks, failures)
 
 
-def minimal_borel(n=5) -> dict:
-    """Brute force over S_n: the Bruhat-minimal permutations carrying a
+def minimal_borel() -> dict:
+    """Brute force over S_5: the Bruhat-minimal permutations carrying a
     degree-one invariant are exactly the closed-form family."""
+    n = 5
     failures = []
     hits = [
         w for w in permutations(range(1, n + 1)) if smt.invariant_dimension(w, 1) > 0
@@ -180,7 +179,7 @@ def minimal_borel(n=5) -> dict:
     return _result("minimal-borel", len(hits) + 1, failures, {"n": n})
 
 
-def hilbert(ns=(4, 5, 6)) -> dict:
+def hilbert() -> dict:
     """Section counts grow like a free polynomial ring on the degree-one
     invariants, for every lift with at least one invariant.
 
@@ -189,7 +188,7 @@ def hilbert(ns=(4, 5, 6)) -> dict:
     failures = []
     flagged = []
     checks = 0
-    for n in ns:
+    for n in (4, 5, 6):
         family_elements = set()
         plans = [("a2", None)] + [("a", i) for i in range(1, n - 2)]
         plans += [("b", i) for i in range(1, n)]
@@ -234,7 +233,7 @@ def minimal_singular() -> dict:
     return _result("minimal-singular", checks, failures)
 
 
-def minima_sweep(max_n=7) -> dict:
+def minima_sweep() -> dict:
     """All formulations of the separation criterion agree.
 
     Type A: for every w above the minimal semistable element, the diagram
@@ -247,8 +246,7 @@ def minima_sweep(max_n=7) -> dict:
     is the smallest case where the criterion can actually fail."""
     failures = []
     checks = 0
-    pairs = [(r, n) for n in range(3, max_n + 1) for r in range(1, n)]
-    for r, n in pairs:
+    for r, n in _SWEEP_BOXES:
         v = gr.minimal_semistable(r, n)
         oracle = smt.minimal_semistable_oracle_gr(r, n)
         checks += 1
@@ -256,7 +254,7 @@ def minima_sweep(max_n=7) -> dict:
             failures.append(
                 f"Gr({r},{n}): closed form {v} but sweep found {oracle}"
             )
-    for r, n in pairs + [(4, 9)]:
+    for r, n in _SWEEP_BOXES + [(4, 9)]:
         v = gr.minimal_semistable(r, n)
         for w in combinations(range(1, n + 1), r):
             if not gr.indexset_leq(v, w):
@@ -276,7 +274,7 @@ def minima_sweep(max_n=7) -> dict:
     ]:
         model = criteria.minuscule_model(family, rank, weight)
         v_node = criteria.minuscule_minimal_v_node(model)
-        for node in model.poset.nodes:
+        for node in model.nodes:
             if not model.leq_nodes(v_node, node):
                 continue
             quiver_verdict = model.semistable_in_smooth(node, v_node)

@@ -9,11 +9,16 @@ practical terms, reading the word left to right and swapping the two values
 in positions ``i`` and ``i+1`` of the one-line string reproduces exactly
 that product, which is how everything here is computed.
 
-The second half of the module builds the weight-orbit poset of a minuscule
-fundamental weight for any of the simply laced families.  Nodes are weights
-in fundamental coordinates; every coordinate of an orbit weight is -1, 0 or
+The second half of the module works in the weight orbit of a minuscule
+fundamental weight for any of the simply laced families, by walks of
+reflections: the bottom node, canonical words and the node of a word.  It
+never lists the orbit; :class:`torusq.quiver.MinusculeModel` does, once,
+from the order ideals of the quiver.  Nodes are weights in
+fundamental coordinates; every coordinate of an orbit weight is -1, 0 or
 1, which is what makes the canonical-word and length bookkeeping trivial.
 """
+
+from bisect import insort
 
 from .rootdata import fundamental_weight, minuscule_weights, reflect
 
@@ -78,9 +83,8 @@ def pi_projection(w, i):
 def bruhat_leq(u, w):
     """Bruhat order on the symmetric group via sorted-prefix dominance.
 
-    u <= w iff for every i the sorted first-i values of u dominate those of
-    w entry by entry... more precisely, each entry of the sorted i-prefix of
-    u is <= the corresponding entry for w.
+    u <= w iff for every i each entry of the sorted first-i values of u is
+    <= the corresponding entry for w.
     """
     if len(u) != len(w):
         raise ValueError("size mismatch")
@@ -89,8 +93,6 @@ def bruhat_leq(u, w):
     pw = []
     for i in range(n - 1):
         # maintain sorted prefixes incrementally
-        from bisect import insort
-
         insort(pu, u[i])
         insort(pw, w[i])
         for a, b in zip(pu, pw):
@@ -100,17 +102,21 @@ def bruhat_leq(u, w):
 
 
 # ---------------------------------------------------------------------------
-# minuscule weight-orbit posets
+# minuscule weight orbits
 
 
 class MinusculePoset:
-    """The W-orbit of a minuscule fundamental weight, graded by length.
+    """The W-orbit of a minuscule fundamental weight, walked by reflections.
 
     Nodes are weight tuples in fundamental coordinates.  The top node is the
     dominant weight itself (the identity coset); going down one level
-    subtracts a simple root.  The depth of a node equals the Coxeter length
-    of the minimal coset representative it stands for, so the unique deepest
-    node is the longest element of W^P.
+    subtracts a simple root, and the depth of a node is the Coxeter length
+    of the minimal coset representative it stands for.  The class holds no
+    list of the orbit: :class:`torusq.quiver.MinusculeModel` enumerates it,
+    once, with each node's depth.  The bottom node, the longest element of
+    W^P, comes from greedy descent: lower at the first coordinate equal to
+    +1 until none is left, which ends at the orbit's unique antidominant
+    weight.
     """
 
     def __init__(self, system, weight_index):
@@ -121,54 +127,30 @@ class MinusculePoset:
         self.system = system
         self.weight_index = weight_index
         self.top = fundamental_weight(system, weight_index)
-        self._depth = {self.top: 0}
-        self.nodes = [self.top]
-        frontier = [self.top]
-        while frontier:
-            nxt = []
-            for mu in frontier:
-                for i in range(1, system.rank + 1):
-                    if mu[i - 1] == 1:
-                        child = reflect(system, mu, i)
-                        if child not in self._depth:
-                            self._depth[child] = self._depth[mu] + 1
-                            self.nodes.append(child)
-                            nxt.append(child)
-            frontier = nxt
-        for mu in self.nodes:
-            if any(c not in (-1, 0, 1) for c in mu):
-                raise AssertionError(f"non-minuscule coordinate in orbit: {mu}")
-        deepest = max(self._depth.values())
-        bottoms = [mu for mu, d in self._depth.items() if d == deepest]
-        if len(bottoms) != 1:
-            raise AssertionError("orbit has no unique bottom element")
-        self.bottom = bottoms[0]
-
-    def __len__(self):
-        return len(self.nodes)
-
-    def __contains__(self, mu):
-        return tuple(mu) in self._depth
-
-    def depth(self, mu):
-        return self._depth[tuple(mu)]
+        cur = self.top
+        while 1 in cur:
+            cur = reflect(system, cur, cur.index(1) + 1)
+        self.bottom = cur
 
     def canonical_word(self, mu):
         """Canonical reduced word of the coset representative of ``mu``.
 
         Walk up to the top, always raising along the smallest simple root
         whose coordinate is -1; the letters in the order encountered spell
-        the word left to right.
+        the word left to right.  The walk stays in the W-orbit of ``mu``
+        and ends at a weight with no coordinate -1, so it reaches the top
+        exactly when ``mu`` lies in this orbit; otherwise ``ValueError``.
         """
         mu = tuple(mu)
-        if mu not in self._depth:
-            raise ValueError(f"{mu} is not in the orbit")
         word = []
         cur = mu
-        while cur != self.top:
-            i = next(k for k in range(1, self.system.rank + 1) if cur[k - 1] == -1)
-            word.append(i)
-            cur = reflect(self.system, cur, i)
+        if len(cur) == self.system.rank:
+            while -1 in cur:
+                i = cur.index(-1) + 1
+                word.append(i)
+                cur = reflect(self.system, cur, i)
+        if cur != self.top:
+            raise ValueError(f"{mu} is not in the orbit")
         return tuple(word)
 
     def node_from_word(self, word):
@@ -176,8 +158,6 @@ class MinusculePoset:
         cur = self.top
         for i in reversed(tuple(word)):
             cur = reflect(self.system, cur, i)
-        if cur not in self._depth:
-            raise AssertionError("left the orbit, which cannot happen")
         return cur
 
     def word_descends(self, word):

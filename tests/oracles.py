@@ -10,14 +10,17 @@ filling, section counts
 come from linear algebra (ranks of evaluation matrices at random points
 of the open cell) instead of tableau combinatorics, and the minuscule
 ideal/node dictionary replays each ideal's whole word from the top weight
-instead of reflecting its parent ideal's node once.  Agreement between
-the two sides is what the tests assert.
+instead of reflecting its parent ideal's node once, and the minuscule
+orbit is searched breadth first over its cover edges instead of being read
+off the order ideals of the quiver.  Agreement between the two sides is
+what the tests assert.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
+from torusq.rootdata import fundamental_weight, reflect
 from torusq.weyl import bruhat_leq
 
 
@@ -368,3 +371,40 @@ def ideal_node_dictionary_by_words(poset, q):
         ideal: poset.node_from_word(tuple(q.word[i] for i in sorted(ideal)))
         for ideal in sorted(found, key=lambda s: (len(s), sorted(s)))
     }
+
+
+# ---------------------------------------------------------------------------
+# minuscule orbit by breadth-first search
+
+
+def minuscule_orbit_by_bfs(system, weight_index):
+    """The W-orbit of the minuscule ``omega_{weight_index}``, graded by depth.
+
+    Breadth first from the dominant weight, lowering along every simple
+    root whose coordinate is +1 (one reflection per cover edge).  Returns
+    the nodes in graded order, the depth of each node and the unique
+    deepest node.
+    """
+    top = fundamental_weight(system, weight_index)
+    depth = {top: 0}
+    nodes = [top]
+    frontier = [top]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for i in range(1, system.rank + 1):
+                if mu[i - 1] == 1:
+                    child = reflect(system, mu, i)
+                    if child not in depth:
+                        depth[child] = depth[mu] + 1
+                        nodes.append(child)
+                        nxt.append(child)
+        frontier = nxt
+    for mu in nodes:
+        if any(c not in (-1, 0, 1) for c in mu):
+            raise AssertionError(f"non-minuscule coordinate in orbit: {mu}")
+    deepest = max(depth.values())
+    bottoms = [mu for mu, d in depth.items() if d == deepest]
+    if len(bottoms) != 1:
+        raise AssertionError("orbit has no unique bottom element")
+    return nodes, depth, bottoms[0]

@@ -40,7 +40,7 @@ def test_ac2_family_dimension_tables():
 
 
 def test_ac3_minimal_borel_elements():
-    result = verify.minimal_borel(5)
+    result = verify.minimal_borel()
     got = smt.minimal_borel_semistable(5)
     assert len(got) == 4
     _gate("AC3", result, "S_5 brute force (120 permutations) matches the "

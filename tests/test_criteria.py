@@ -125,7 +125,7 @@ def test_minimal_v_node_depth_matches_word_length():
         model = criteria.minuscule_model(family, rank, weight)
         node = criteria.minuscule_minimal_v_node(model)
         word = minimal_v_word(family, rank, weight)
-        assert model.poset.depth(node) == len(word)
+        assert model.depth(node) == len(word)
 
 
 def test_minuscule_report_quadric():

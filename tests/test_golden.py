@@ -77,9 +77,9 @@ def quiver_build_argvs():
                 head += ["--rank", str(rank)]
             head += ["--weight", str(weight)]
             yield [*head, "--w", "minimal", "--json"]
-            poset = minuscule_model(family, rank, weight).poset
-            for node in poset.nodes:
-                word = ",".join(map(str, poset.canonical_word(node)))
+            model = minuscule_model(family, rank, weight)
+            for node in model.nodes:
+                word = ",".join(map(str, model.poset.canonical_word(node)))
                 yield [*head, "--w", word, "--json"]
 
 

@@ -9,7 +9,7 @@ import pytest
 from oracles import ideal_node_dictionary_by_words
 from torusq import quiver as qv
 from torusq.criteria import minuscule_minimal_v_node, minuscule_model
-from torusq.rootdata import minuscule_weights, root_system
+from torusq.rootdata import minuscule_orbit_size, minuscule_weights, root_system
 
 MINUSCULE_CASES = (
     [("A", rank, w) for rank in range(1, 11) for w in range(1, rank + 1)]
@@ -45,7 +45,7 @@ def test_ideals_grow_by_one_maximal_vertex():
 def test_dictionary_matches_word_replay(family, rank, weight):
     model = minuscule_model(family, rank, weight)
     oracle = ideal_node_dictionary_by_words(model.poset, model.full)
-    assert len(oracle) == len(model.poset)
+    assert len(oracle) == len(model.nodes) == minuscule_orbit_size(family, rank, weight)
     assert model.node_of_ideal == oracle
     assert model.ideal_of_node == {node: ideal for ideal, node in oracle.items()}
 
@@ -98,7 +98,7 @@ def test_virtual_holes_show_up():
 def test_d4_natural_weight_minimal_v():
     model = minuscule_model("D", 4, 1)
     v = minuscule_minimal_v_node(model)
-    assert model.poset.depth(v) == 4
+    assert model.depth(v) == 4
     report = model.holes(v)
     assert len(report.real) == 1
     hole = report.real[0]
@@ -130,14 +130,14 @@ def test_d_spin_words_descend_both_weights():
 def test_e6_full_quiver_smooth():
     model = minuscule_model("E6", 6, 1)
     bottom = model.poset.bottom
-    assert model.poset.depth(bottom) == 16
+    assert model.depth(bottom) == 16
     assert model.is_smooth(bottom)
 
 
 def test_e6_minimal_v():
     model = minuscule_model("E6", 6, 1)
     v = minuscule_minimal_v_node(model)
-    assert model.poset.depth(v) == 10
+    assert model.depth(v) == 10
     assert len(model.holes(v).real) == 1
 
 

@@ -9,7 +9,13 @@ from itertools import combinations, permutations
 from hypothesis import given, strategies as st
 import pytest
 
-from oracles import bruhat_downset, bruhat_leq_bruteforce, inversions
+from oracles import (
+    bruhat_downset,
+    bruhat_leq_bruteforce,
+    inversions,
+    minuscule_orbit_by_bfs,
+)
+from torusq.criteria import minuscule_model
 from torusq.rootdata import minuscule_orbit_size, minuscule_weights, root_system
 from torusq.weyl import (
     MinusculePoset,
@@ -84,15 +90,22 @@ def orbit(family, rank, weight):
 
 
 def test_orbit_sizes():
-    assert len(orbit("A", 4, 2)) == 10  # C(5,2)
-    assert len(orbit("D", 4, 1)) == 8  # 2n
-    assert len(orbit("D", 5, 5)) == 16  # 2^(n-1)
-    assert len(orbit("E6", 6, 1)) == 27
-    assert len(orbit("E7", 7, 7)) == 56
+    assert len(minuscule_model("A", 4, 2).nodes) == 10  # C(5,2)
+    assert len(minuscule_model("D", 4, 1).nodes) == 8  # 2n
+    assert len(minuscule_model("D", 5, 5).nodes) == 16  # 2^(n-1)
+    assert len(minuscule_model("E6", 6, 1).nodes) == 27
+    assert len(minuscule_model("E7", 7, 7).nodes) == 56
+    # the ideal dictionary and the greedy bottom against the orbit found by
+    # breadth-first search; the cases include every one of test_quiver's
     cases = [("A", rank) for rank in range(1, 11)] + [("D", rank) for rank in range(4, 10)]
     for family, rank in cases + [("E6", 6), ("E7", 7)]:
         for w in minuscule_weights(family, rank):
-            assert minuscule_orbit_size(family, rank, w) == len(orbit(family, rank, w))
+            model = minuscule_model(family, rank, w)
+            nodes, depth, bottom = minuscule_orbit_by_bfs(model.system, w)
+            assert set(model.nodes) == set(nodes)
+            assert {node: model.depth(node) for node in model.nodes} == depth
+            assert model.poset.bottom == bottom
+            assert len(model.nodes) == minuscule_orbit_size(family, rank, w)
     with pytest.raises(ValueError):
         minuscule_orbit_size("D", 5, 2)
     with pytest.raises(ValueError):
@@ -100,19 +113,33 @@ def test_orbit_sizes():
 
 
 def test_top_and_bottom():
-    poset = orbit("A", 3, 2)
-    assert poset.depth(poset.top) == 0
-    assert poset.depth(poset.bottom) == 4  # r(n-r)
+    model = minuscule_model("A", 3, 2)
+    poset = model.poset
+    assert model.depth(poset.top) == 0
+    assert model.depth(poset.bottom) == 4  # r(n-r)
     assert poset.canonical_word(poset.bottom) == (2, 1, 3, 2)
 
 
 def test_canonical_word_lengths():
-    poset = orbit("D", 4, 3)
-    for node in poset.nodes:
+    model = minuscule_model("D", 4, 3)
+    poset = model.poset
+    for node in model.nodes:
         word = poset.canonical_word(node)
-        assert len(word) == poset.depth(node)
+        assert len(word) == model.depth(node)
         assert poset.node_from_word(word) == node
         assert poset.word_descends(word)
+
+
+@pytest.mark.parametrize("mu", [
+    (0, 0, 0),  # the zero weight
+    (1, 0, 0),  # omega_1, the top of another minuscule orbit of A3
+    (1, 1, 0),
+    (0, 1),  # wrong length
+    (0, 1, 0, 0),
+])
+def test_canonical_word_refuses_weights_outside_the_orbit(mu):
+    with pytest.raises(ValueError):
+        orbit("A", 3, 2).canonical_word(mu)
 
 
 def test_word_descends_rejects_non_reduced():
@@ -123,27 +150,28 @@ def test_word_descends_rejects_non_reduced():
 
 
 def test_type_a_dictionary():
-    poset = orbit("A", 4, 2)
-    for node in poset.nodes:
+    model = minuscule_model("A", 4, 2)
+    poset = model.poset
+    for node in model.nodes:
         entries = poset.indexset(node)
         assert poset.node_of_indexset(entries) == node
         assert poset.permutation(node)[:2] == entries
     # entrywise dominance of index sets refines depth and matches Bruhat
     # order of the Grassmannian permutations
-    for a in poset.nodes:
-        for b in poset.nodes:
+    for a in model.nodes:
+        for b in model.nodes:
             ia, ib = poset.indexset(a), poset.indexset(b)
             dominated = all(x <= y for x, y in zip(ia, ib))
             if dominated:
-                assert poset.depth(a) <= poset.depth(b)
+                assert model.depth(a) <= model.depth(b)
             assert dominated == bruhat_leq(
                 poset.permutation(a), poset.permutation(b)
             )
 
 
 def test_index_sets_exhaust_combinations():
-    poset = orbit("A", 4, 3)
-    found = {poset.indexset(node) for node in poset.nodes}
+    model = minuscule_model("A", 4, 3)
+    found = {model.poset.indexset(node) for node in model.nodes}
     assert found == set(combinations(range(1, 6), 3))
 
 
@@ -152,8 +180,9 @@ def test_node_of_indexset_is_the_canonical_word_inverse():
     # with n <= 9, entries given in any order
     for n in range(2, 10):
         for r in range(1, n):
-            poset = orbit("A", n - 1, r)
-            for node in poset.nodes:
+            model = minuscule_model("A", n - 1, r)
+            poset = model.poset
+            for node in model.nodes:
                 entries = poset.indexset(node)
                 assert poset.node_of_indexset(entries) == node
                 assert poset.node_of_indexset(entries[::-1]) == node
