@@ -21,14 +21,17 @@ from math import gcd
 from typing import NoReturn
 
 from . import __version__, criteria, grassmannian as gr, quiver as qv, smt, verify
-from .rootdata import minuscule_orbit_size, root_system
+from .rootdata import minuscule_dimension, root_system
 from .weyl import word_to_perm
 
 
-# Largest model ``quiver build`` makes: the ideal/node dictionary, which
-# lists the orbit once, and the full quiver's reach sets grow with these.
+# Largest quiver ``quiver build`` makes.  A request never lists the orbit:
+# its cost grows with the vertex count N = dim G/P (the full quiver holds
+# a reach set per vertex, O(N^2) in all) and with the rank (the length of
+# each weight tuple).  At A100/omega_50, N = 2550, a whole call takes
+# 0.6-1.7 s on a 2-vCPU VM.
 QUIVER_MAX_RANK = 100
-QUIVER_MAX_NODES = 20_000
+QUIVER_MAX_VERTICES = 2550
 
 
 def _usage_error(message) -> NoReturn:
@@ -119,20 +122,20 @@ def cmd_gr_analyze(args) -> int:
     return 0
 
 
-def _resolve_node(model, args):
+def _resolve_node(poset, args):
     if args.w == "minimal":
-        return criteria.minuscule_minimal_v_node(model)
+        return criteria.minuscule_minimal_v_node(poset)
     if args.w == "full":
-        return model.poset.bottom
+        return poset.bottom
     values = _ints(args.w)
     if args.element_format == "indexset":
-        return model.poset.node_of_indexset(values)
-    if not model.poset.word_descends(values):
+        return poset.node_of_indexset(values)
+    if not poset.word_descends(values):
         _usage_error(
-            f"{values} is not a reduced word of letters 1..{model.system.rank} "
+            f"{values} is not a reduced word of letters 1..{poset.system.rank} "
             "in this orbit"
         )
-    return model.poset.node_from_word(values)
+    return poset.node_from_word(values)
 
 
 def cmd_quiver_build(args) -> int:
@@ -146,22 +149,23 @@ def cmd_quiver_build(args) -> int:
     if rank > QUIVER_MAX_RANK:
         _usage_error(f"--rank {rank}: quiver build stops at rank {QUIVER_MAX_RANK}")
     try:
-        size = minuscule_orbit_size(args.family, rank, args.weight)
+        size = minuscule_dimension(args.family, rank, args.weight)
     except ValueError as exc:
         _usage_error(exc)
-    if size > QUIVER_MAX_NODES:
+    if size > QUIVER_MAX_VERTICES:
         _usage_error(
-            f"the orbit of omega_{args.weight} in {root_system(args.family, rank)} "
-            f"has {size} nodes; quiver build stops at {QUIVER_MAX_NODES}"
+            f"the quiver of omega_{args.weight} in {root_system(args.family, rank)} "
+            f"has {size} vertices; quiver build stops at {QUIVER_MAX_VERTICES}"
         )
     try:
-        model = criteria.minuscule_model(args.family, rank, args.weight)
-        node = _resolve_node(model, args)
-    except (ValueError, KeyError) as exc:
+        minuscule = qv.MinusculeQuiver(root_system(args.family, rank), args.weight)
+        node = _resolve_node(minuscule.poset, args)
+    except ValueError as exc:
         _usage_error(exc)
-    marked = model.quiver_of(node)
+    word = minuscule.poset.canonical_word(node)
+    marked = minuscule.quiver_of(node)
     holes = qv.classify_holes(marked)
-    components = model.components_from_holes(marked, holes)
+    components = minuscule.components_from_holes(marked, holes)
     payload = {
         "input": {
             "family": args.family,
@@ -170,8 +174,8 @@ def cmd_quiver_build(args) -> int:
             "w": args.w,
         },
         "result": {
-            "word": model.poset.canonical_word(node),
-            "length": model.depth(node),
+            "word": word,
+            "length": len(word),
             "vertices": marked.n_vertices,
             "members": sorted(marked.members),
             "holes": {
@@ -181,7 +185,7 @@ def cmd_quiver_build(args) -> int:
             },
             "smooth": not holes.real,
             "singular_components": [
-                model.poset.canonical_word(c) for c in components
+                minuscule.poset.canonical_word(c) for c in components
             ],
         },
         "witnesses": [],

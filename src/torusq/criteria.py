@@ -22,6 +22,7 @@ from . import grassmannian as gr
 from . import quiver as qv
 from . import smt
 from .rootdata import root_system
+from .weyl import MinusculePoset
 
 
 def e_ss_gr(w, r, n):
@@ -142,11 +143,11 @@ def minuscule_model(family, rank, weight) -> qv.MinusculeModel:
     return _models[key]
 
 
-def minuscule_minimal_v_node(model: qv.MinusculeModel):
+def minuscule_minimal_v_node(poset: MinusculePoset):
     """The minimal semistable element as a poset node."""
     word = qv.minimal_v_word(
-        model.system.family, model.system.rank, model.weight_index
+        poset.system.family, poset.system.rank, poset.weight_index
     )
-    if not model.poset.word_descends(word):
+    if not poset.word_descends(word):
         raise AssertionError("minimal element word is not reduced")
-    return model.poset.node_from_word(word)
+    return poset.node_from_word(word)

@@ -33,7 +33,7 @@ everything weakly above h from the ideal and keep what remains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .rootdata import (
     RootSystem,
@@ -58,6 +58,8 @@ class Quiver:
     arrows: tuple[tuple[int, int], ...]
     members: frozenset[int]
     _reach: tuple[frozenset[int], ...] = field(repr=False)
+    _prev: tuple[int | None, ...] = field(repr=False)
+    _next: tuple[int | None, ...] = field(repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -67,16 +69,10 @@ class Quiver:
         return self.word[i]
 
     def next_same(self, i: int) -> int | None:
-        for j in range(i + 1, len(self.word)):
-            if self.word[j] == self.word[i]:
-                return j
-        return None
+        return self._next[i]
 
     def prev_same(self, i: int) -> int | None:
-        for j in range(i - 1, -1, -1):
-            if self.word[j] == self.word[i]:
-                return j
-        return None
+        return self._prev[i]
 
     def leq(self, a: int, b: int) -> bool:
         """a <= b in the quiver order (an oriented path runs b -> a)."""
@@ -92,7 +88,7 @@ class Quiver:
             raise ValueError("members must be existing vertex positions")
         if not self.is_ideal(members):
             raise ValueError(f"{sorted(members)} is not an order ideal")
-        return Quiver(self.system, self.word, self.arrows, members, self._reach)
+        return replace(self, members=members)
 
     def ideals(self) -> list[tuple[frozenset[int], int | None]]:
         """Every order ideal once, graded by size, as ``(ideal, v)`` pairs.
@@ -126,25 +122,31 @@ def quiver_from_word(word, system: RootSystem) -> Quiver:
         if not 1 <= b <= system.rank:
             raise ValueError(f"letter {b} out of range for {system}")
     N = len(word)
+    prv: list[int | None] = [None] * N
     nxt: list[int | None] = [None] * N
     last_seen: dict[int, int] = {}
-    for i in range(N - 1, -1, -1):
-        nxt[i] = last_seen.get(word[i])
-        last_seen[word[i]] = i
-    arrows = []
+    for i, b in enumerate(word):
+        p = last_seen.get(b)
+        if p is not None:
+            prv[i], nxt[p] = p, i
+        last_seen[b] = i
+    targets: list[list[int]] = [[] for _ in range(N)]
     for i in range(N):
         stop = nxt[i] if nxt[i] is not None else N
         for j in range(i + 1, stop):
             if system.pairing(word[i], word[j]) != 0:
-                arrows.append((i, j))
+                targets[i].append(j)
+    arrows = [(i, j) for i in range(N) for j in targets[i]]
     reach: list[frozenset[int]] = [frozenset()] * N
     for i in range(N - 1, -1, -1):
         acc = {i}
-        for a, b in arrows:
-            if a == i:
-                acc |= reach[b]
+        for j in targets[i]:
+            acc |= reach[j]
         reach[i] = frozenset(acc)
-    return Quiver(system, word, tuple(arrows), frozenset(range(N)), tuple(reach))
+    return Quiver(
+        system, word, tuple(arrows), frozenset(range(N)), tuple(reach),
+        tuple(prv), tuple(nxt),
+    )
 
 
 @dataclass(frozen=True)
@@ -180,71 +182,76 @@ def classify_holes(q: Quiver) -> HoleReport:
     return HoleReport(tuple(real), tuple(virtual), tuple(essential))
 
 
-class MinusculeModel:
-    """One minuscule pair (system, weight): orbit, full quiver, dictionary.
+class MinusculeQuiver:
+    """One minuscule pair (system, weight) on its full quiver.
 
-    Bundles the weight-orbit walks of :class:`~torusq.weyl.MinusculePoset`
-    with the quiver of the longest coset representative and the two-way
-    map between order ideals and orbit nodes, which is what every
-    geometric question gets translated into.  The dictionary is the one
-    enumeration of the orbit: ``nodes`` lists its keys in graded order,
-    and the depth of a node is the size of its ideal.
+    Holds the weight-orbit walks of :class:`~torusq.weyl.MinusculePoset`
+    and the quiver of the longest coset representative, and answers every
+    per-node question from them without listing the orbit, so a question
+    costs time polynomial in the number N of quiver vertices (dim G/P),
+    not in the orbit size.
 
-    The dictionary costs one reflection per ideal.  When vertex v joins an
+    The node/ideal translation rests on one fact: when vertex v joins an
     ideal I, everything below v is already in I, so v is maximal in
-    I + {v} and its letter b_v can lead a reduced word of I + {v}; hence
-    node(I + {v}) = s_{b_v}(node(I)), and ``Quiver.ideals`` lists I before
-    I + {v}.  The build checks, raising ``AssertionError``, that each
-    letter lowers the weight, that every coordinate is -1, 0 or 1, that no
-    node gets two ideals, that there are as many nodes as the closed-form
-    orbit size, and that the full ideal's node is the poset's bottom.
+    I + {v} and node(I + {v}) = s_{b_v}(node(I)).  :meth:`ideal_of` grows
+    an ideal along a reduced word, :meth:`node_of` replays an ideal's
+    letters; both raise ``AssertionError`` when a step breaks that fact.
     """
 
     def __init__(self, system: RootSystem, weight_index: int):
         self.system = system
-        self.weight_index = weight_index
         self.poset = MinusculePoset(system, weight_index)
         self.full = quiver_from_word(
             self.poset.canonical_word(self.poset.bottom), system
         )
-        self.ideal_of_node: dict[tuple[int, ...], frozenset[int]] = {}
-        self.node_of_ideal: dict[frozenset[int], tuple[int, ...]] = {}
-        for ideal, v in self.full.ideals():
-            if v is None:
-                node = self.poset.top
-            else:
-                parent = self.node_of_ideal[ideal - {v}]
-                b = self.full.label(v)
-                if parent[b - 1] != 1:
-                    raise AssertionError(f"letter {b} does not lower {parent}")
-                node = reflect(system, parent, b)
-            if not set(node) <= {-1, 0, 1}:
-                raise AssertionError(f"non-minuscule coordinate in orbit: {node}")
-            if node in self.ideal_of_node:
-                raise AssertionError("ideal/coset dictionary is not a bijection")
-            self.ideal_of_node[node] = ideal
-            self.node_of_ideal[ideal] = node
-        self.nodes = list(self.ideal_of_node)
-        size = minuscule_orbit_size(system.family, system.rank, weight_index)
-        if len(self.nodes) != size:
-            raise AssertionError(
-                f"{len(self.nodes)} ideals for {size} coset elements"
-            )
-        if self.node_of_ideal[self.full.members] != self.poset.bottom:
-            raise AssertionError("the full ideal is not the bottom node")
+        # the vertices of one label form a chain, lowest at the last position
+        self._lowest = {b: i for i, b in enumerate(self.full.word)}
 
-    def depth(self, node) -> int:
-        """Coxeter length of the node's coset representative."""
-        return len(self.ideal_of_node[tuple(node)])
+    def ideal_of(self, node) -> frozenset[int]:
+        """The order ideal of a node, grown from its canonical word.
+
+        Nearest letter first, each letter adds the one addable vertex with
+        its label.  Those of one label outside the ideal form the top of
+        their chain, so only the lowest of them can be addable: one pointer
+        per label, moved up the chain, finds it.
+        """
+        word = self.poset.canonical_word(node)
+        free = dict(self._lowest)
+        ideal: set[int] = set()
+        for b in reversed(word):
+            v = free.get(b)
+            if v is None:
+                raise AssertionError(f"no vertex labelled {b} is left to add")
+            ideal.add(v)
+            if not self.full._reach[v] <= ideal:
+                raise AssertionError(f"vertex {v} is not addable")
+            free[b] = self.full.prev_same(v)
+        if len(ideal) != len(word):
+            raise AssertionError(f"{len(ideal)} vertices for {len(word)} letters")
+        return frozenset(ideal)
+
+    def node_of(self, ideal) -> tuple[int, ...]:
+        """The node of an order ideal: its letters replayed from the top,
+        bottom vertex first (decreasing position, a linear extension)."""
+        node = self.poset.top
+        for v in sorted(ideal, reverse=True):
+            node = self._lower(node, self.full.label(v))
+        return node
+
+    def _lower(self, node, b: int) -> tuple[int, ...]:
+        """s_b(node), which must lie one level below node."""
+        if node[b - 1] != 1:
+            raise AssertionError(f"letter {b} does not lower {node}")
+        return reflect(self.system, node, b)
 
     def quiver_of(self, node) -> Quiver:
         """The quiver of one Schubert variety: the full quiver with the
         node's ideal marked."""
-        return self.full.marked(self.ideal_of_node[tuple(node)])
+        return self.full.marked(self.ideal_of(node))
 
     def leq_nodes(self, a, b) -> bool:
         """Bruhat order via ideal containment."""
-        return self.ideal_of_node[tuple(a)] <= self.ideal_of_node[tuple(b)]
+        return self.ideal_of(a) <= self.ideal_of(b)
 
     def holes(self, node) -> HoleReport:
         return classify_holes(self.quiver_of(node))
@@ -266,7 +273,7 @@ class MinusculeModel:
         out = []
         for h in report.essential:
             rest = frozenset(i for i in q.members if not q.leq(h, i))
-            comp = self.node_of_ideal[rest]
+            comp = self.node_of(rest)
             if comp not in out:
                 out.append(comp)
         return out
@@ -279,9 +286,57 @@ class MinusculeModel:
         """
         if not self.leq_nodes(v_node, w_node):
             raise ValueError("w does not dominate v: no semistable points")
-        v_ideal = self.ideal_of_node[tuple(v_node)]
+        v_ideal = self.ideal_of(v_node)
         report = classify_holes(self.quiver_of(w_node))
         return all(h in v_ideal for h in report.essential)
+
+
+class MinusculeModel(MinusculeQuiver):
+    """The orbit of a minuscule pair, enumerated: the ideal/node dictionary.
+
+    This is the verification side.  The suites walk every node of
+    ``nodes`` (the dictionary keys, in graded order), and the dictionary,
+    built independently of :meth:`MinusculeQuiver.ideal_of` and
+    :meth:`MinusculeQuiver.node_of`, replaces both with lookups and serves
+    the tests as their oracle.
+
+    The dictionary costs one reflection per ideal: ``Quiver.ideals`` lists
+    I before I + {v}, and node(I + {v}) = s_{b_v}(node(I)).  The build
+    checks, raising ``AssertionError``, that each letter lowers the weight,
+    that every coordinate is -1, 0 or 1, that no node gets two ideals,
+    that there are as many nodes as the closed-form orbit size, and that
+    the full ideal's node is the poset's bottom.
+    """
+
+    def __init__(self, system: RootSystem, weight_index: int):
+        super().__init__(system, weight_index)
+        self.ideal_of_node: dict[tuple[int, ...], frozenset[int]] = {}
+        self.node_of_ideal: dict[frozenset[int], tuple[int, ...]] = {}
+        for ideal, v in self.full.ideals():
+            if v is None:
+                node = self.poset.top
+            else:
+                node = self._lower(self.node_of_ideal[ideal - {v}], self.full.label(v))
+            if not set(node) <= {-1, 0, 1}:
+                raise AssertionError(f"non-minuscule coordinate in orbit: {node}")
+            if node in self.ideal_of_node:
+                raise AssertionError("ideal/coset dictionary is not a bijection")
+            self.ideal_of_node[node] = ideal
+            self.node_of_ideal[ideal] = node
+        self.nodes = list(self.ideal_of_node)
+        size = minuscule_orbit_size(system.family, system.rank, weight_index)
+        if len(self.nodes) != size:
+            raise AssertionError(
+                f"{len(self.nodes)} ideals for {size} coset elements"
+            )
+        if self.node_of_ideal[self.full.members] != self.poset.bottom:
+            raise AssertionError("the full ideal is not the bottom node")
+
+    def ideal_of(self, node) -> frozenset[int]:
+        return self.ideal_of_node[tuple(node)]
+
+    def node_of(self, ideal) -> tuple[int, ...]:
+        return self.node_of_ideal[ideal]
 
 
 def minimal_v_word(family: str, rank: int, weight_index: int) -> tuple[int, ...]:

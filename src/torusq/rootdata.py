@@ -107,6 +107,13 @@ def minuscule_weights(family: str, rank: int) -> frozenset[int]:
     return frozenset({7})
 
 
+def _check_minuscule(family: str, rank: int, weight_index: int) -> None:
+    if weight_index not in minuscule_weights(family, rank):
+        raise ValueError(
+            f"omega_{weight_index} is not minuscule for {root_system(family, rank)}"
+        )
+
+
 def minuscule_orbit_size(family: str, rank: int, weight_index: int) -> int:
     """Number of weights in the W-orbit of the minuscule ``omega_i``.
 
@@ -114,15 +121,29 @@ def minuscule_orbit_size(family: str, rank: int, weight_index: int) -> int:
     C(rank+1, i) in type A, 2*rank for the natural weight of type D,
     2^(rank-1) for its spin weights, 27 for E6 and 56 for E7.
     """
-    if weight_index not in minuscule_weights(family, rank):
-        raise ValueError(
-            f"omega_{weight_index} is not minuscule for {root_system(family, rank)}"
-        )
+    _check_minuscule(family, rank, weight_index)
     if family == "A":
         return comb(rank + 1, weight_index)
     if family == "D":
         return 2 * rank if weight_index == 1 else 2 ** (rank - 1)
     return 27 if family == "E6" else 56
+
+
+def minuscule_dimension(family: str, rank: int, weight_index: int) -> int:
+    """dim G/P for the minuscule ``omega_i``: the Coxeter length of the
+    longest element of W^P, which is the vertex count of its quiver.
+
+    In closed form, so callers can size a quiver before building it:
+    r(n-r) for Gr(r, n) in type A (n = rank+1, r = i), 2(rank-1) for the
+    quadric of type D, rank(rank-1)/2 for its spinor varieties, 16 for E6
+    and 27 for E7.
+    """
+    _check_minuscule(family, rank, weight_index)
+    if family == "A":
+        return weight_index * (rank + 1 - weight_index)
+    if family == "D":
+        return 2 * (rank - 1) if weight_index == 1 else rank * (rank - 1) // 2
+    return 16 if family == "E6" else 27
 
 
 def fundamental_weight(system: RootSystem, i: int) -> Weight:

@@ -225,7 +225,7 @@ def minimal_singular() -> dict:
     plans += [("E6", 6, 1), ("E7", 7, 7)]
     for family, rank, weight in plans:
         model = criteria.minuscule_model(family, rank, weight)
-        v_node = criteria.minuscule_minimal_v_node(model)
+        v_node = criteria.minuscule_minimal_v_node(model.poset)
         holes = model.holes(v_node)
         checks += 1
         if not holes.real:
@@ -273,7 +273,7 @@ def minima_sweep() -> dict:
         ("D", 4, 1), ("D", 5, 1), ("D", 4, 3), ("D", 5, 4), ("E6", 6, 1),
     ]:
         model = criteria.minuscule_model(family, rank, weight)
-        v_node = criteria.minuscule_minimal_v_node(model)
+        v_node = criteria.minuscule_minimal_v_node(model.poset)
         for node in model.nodes:
             if not model.leq_nodes(v_node, node):
                 continue

@@ -12,10 +12,13 @@ that product, which is how everything here is computed.
 The second half of the module works in the weight orbit of a minuscule
 fundamental weight for any of the simply laced families, by walks of
 reflections: the bottom node, canonical words and the node of a word.  It
-never lists the orbit; :class:`torusq.quiver.MinusculeModel` does, once,
-from the order ideals of the quiver.  Nodes are weights in
-fundamental coordinates; every coordinate of an orbit weight is -1, 0 or
-1, which is what makes the canonical-word and length bookkeeping trivial.
+never lists the orbit, and neither does a request:
+:class:`torusq.quiver.MinusculeQuiver` answers one node from its word and
+the full quiver.  Only the verification suites enumerate the orbit, with
+:class:`torusq.quiver.MinusculeModel`, from the order ideals of the
+quiver.  Nodes are weights in fundamental coordinates; every coordinate
+of an orbit weight is -1, 0 or 1, which is what makes the canonical-word
+and length bookkeeping trivial.
 """
 
 from bisect import insort
@@ -111,9 +114,10 @@ class MinusculePoset:
     Nodes are weight tuples in fundamental coordinates.  The top node is the
     dominant weight itself (the identity coset); going down one level
     subtracts a simple root, and the depth of a node is the Coxeter length
-    of the minimal coset representative it stands for.  The class holds no
-    list of the orbit: :class:`torusq.quiver.MinusculeModel` enumerates it,
-    once, with each node's depth.  The bottom node, the longest element of
+    of the minimal coset representative it stands for, the size of the
+    node's order ideal in the quiver.  The class holds no list of the
+    orbit; only :class:`torusq.quiver.MinusculeModel` enumerates it, for the
+    verification suites.  The bottom node, the longest element of
     W^P, comes from greedy descent: lower at the first coordinate equal to
     +1 until none is left, which ends at the orbit's unique antidominant
     weight.

@@ -5,8 +5,10 @@ from collections import Counter
 
 import pytest
 
-from torusq import grassmannian as gr, quiver as qv
-from torusq.cli import main
+from torusq import criteria, grassmannian as gr, quiver as qv
+from torusq.cli import QUIVER_MAX_VERTICES, main
+from torusq.rootdata import minuscule_dimension, root_system
+from torusq.weyl import MinusculePoset
 
 # README's D4 quadric example: the quiver of the minimal semistable element
 QUADRIC_DOT = """\
@@ -189,9 +191,9 @@ def test_quiver_build_dot_classifies_holes_once(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["--family", "A", "--rank", "40", "--weight", "20"], "269128937220 nodes"),
-    (["--family", "D", "--rank", "40", "--weight", "40"], "549755813888 nodes"),
-    (["--family", "A", "--rank", "16", "--weight", "8"], "24310 nodes"),
+    (["--family", "D", "--rank", "72", "--weight", "72"], "2556 vertices"),
+    (["--family", "D", "--rank", "100", "--weight", "99"], "4950 vertices"),
+    (["--family", "A", "--rank", "101", "--weight", "50"], "rank 100"),
     (["--family", "A", "--rank", "1000000000", "--weight", "1"], "rank 100"),
 ])
 def test_quiver_build_refuses_large_orbits_before_building(capsys, monkeypatch,
@@ -218,6 +220,56 @@ def test_quiver_build_admits_the_largest_benchmark_case(capsys):
     )
     assert code == 0
     assert payload["result"]["length"] == 49
+
+
+@pytest.mark.parametrize("argv,dot", [
+    (["--family", "A", "--rank", "13", "--weight", "7", "--w", "full"], False),
+    (["--family", "D", "--rank", "5", "--weight", "5", "--w", "minimal"], True),
+])
+def test_quiver_build_never_enumerates_the_orbit(tmp_path, capsys, monkeypatch,
+                                                 argv, dot):
+    def unbuildable(*args):
+        raise AssertionError("the orbit was enumerated")
+
+    monkeypatch.setattr(qv, "MinusculeModel", unbuildable)
+    monkeypatch.setattr(qv.Quiver, "ideals", unbuildable)
+    monkeypatch.setattr(criteria, "_models", {})
+    path = tmp_path / "spinor.dot"
+    if dot:
+        argv = [*argv, "--dot", str(path)]
+    code, payload, _ = run_json(capsys, ["quiver", "build", *argv])
+    assert code == 0
+    assert payload["result"]["length"] == len(payload["result"]["members"])
+    assert criteria._models == {}
+    assert path.exists() == dot
+
+
+@pytest.mark.parametrize("element", ["full", "minimal"])
+@pytest.mark.parametrize("family,rank,weight,vertices", [
+    ("A", 100, 50, QUIVER_MAX_VERTICES),
+    ("D", 71, 71, 2485),
+])
+def test_quiver_build_at_the_vertex_limit(capsys, family, rank, weight, vertices,
+                                          element):
+    # no golden corpus reaches these sizes, so check what must hold instead
+    code, payload, _ = run_json(
+        capsys,
+        ["quiver", "build", "--family", family, "--rank", str(rank),
+         "--weight", str(weight), "--w", element],
+    )
+    assert code == 0
+    result = payload["result"]
+    assert result["vertices"] == vertices == minuscule_dimension(family, rank, weight)
+    assert result["length"] == len(result["word"]) == len(result["members"])
+    poset = MinusculePoset(root_system(family, rank), weight)
+    assert poset.word_descends(result["word"])
+    if element == "full":
+        assert result["members"] == list(range(vertices))
+        assert result["smooth"] is True and result["singular_components"] == []
+    else:
+        assert result["smooth"] is False and result["singular_components"]
+    for word in result["singular_components"]:
+        assert poset.word_descends(word) and len(word) < result["length"]
 
 
 def test_quiver_build_word_and_indexset_agree(capsys):

@@ -123,14 +123,14 @@ def test_model_cache_returns_same_object():
 def test_minimal_v_node_depth_matches_word_length():
     for family, rank, weight in [("A", 4, 2), ("D", 4, 1), ("D", 5, 5), ("E6", 6, 1)]:
         model = criteria.minuscule_model(family, rank, weight)
-        node = criteria.minuscule_minimal_v_node(model)
+        node = criteria.minuscule_minimal_v_node(model.poset)
         word = minimal_v_word(family, rank, weight)
-        assert model.depth(node) == len(word)
+        assert len(model.ideal_of(node)) == len(word)
 
 
 def test_minuscule_report_quadric():
     model = criteria.minuscule_model("D", 4, 1)
-    v_node = criteria.minuscule_minimal_v_node(model)
+    v_node = criteria.minuscule_minimal_v_node(model.poset)
     assert not model.is_smooth(v_node)
     holes = model.holes(v_node)
     assert holes.real == holes.essential
@@ -152,7 +152,7 @@ def test_minuscule_report_quadric():
 
 def test_quiver_verdict_matches_grassmannian_route():
     model = criteria.minuscule_model("A", 4, 2)
-    v_node = criteria.minuscule_minimal_v_node(model)
+    v_node = criteria.minuscule_minimal_v_node(model.poset)
     for w in combinations(range(1, 6), 2):
         if not gr.indexset_leq((3, 5), w):
             continue

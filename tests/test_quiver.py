@@ -48,6 +48,11 @@ def test_dictionary_matches_word_replay(family, rank, weight):
     assert len(oracle) == len(model.nodes) == minuscule_orbit_size(family, rank, weight)
     assert model.node_of_ideal == oracle
     assert model.ideal_of_node == {node: ideal for ideal, node in oracle.items()}
+    # the orbit-free lookups: grown from the canonical word, replayed
+    grown = qv.MinusculeQuiver(model.system, weight)
+    for node, ideal in model.ideal_of_node.items():
+        assert grown.ideal_of(node) == ideal
+        assert grown.node_of(ideal) == node
 
 
 def test_order_direction():
@@ -97,8 +102,8 @@ def test_virtual_holes_show_up():
 
 def test_d4_natural_weight_minimal_v():
     model = minuscule_model("D", 4, 1)
-    v = minuscule_minimal_v_node(model)
-    assert model.depth(v) == 4
+    v = minuscule_minimal_v_node(model.poset)
+    assert len(model.ideal_of(v)) == 4
     report = model.holes(v)
     assert len(report.real) == 1
     hole = report.real[0]
@@ -130,14 +135,14 @@ def test_d_spin_words_descend_both_weights():
 def test_e6_full_quiver_smooth():
     model = minuscule_model("E6", 6, 1)
     bottom = model.poset.bottom
-    assert model.depth(bottom) == 16
+    assert len(model.ideal_of(bottom)) == 16
     assert model.is_smooth(bottom)
 
 
 def test_e6_minimal_v():
     model = minuscule_model("E6", 6, 1)
-    v = minuscule_minimal_v_node(model)
-    assert model.depth(v) == 10
+    v = minuscule_minimal_v_node(model.poset)
+    assert len(model.ideal_of(v)) == 10
     assert len(model.holes(v).real) == 1
 
 
@@ -188,7 +193,7 @@ def test_commutation_isomorphism():
 
 def test_dot_output_is_stable_and_annotated():
     model = minuscule_model("E6", 6, 1)
-    v = minuscule_minimal_v_node(model)
+    v = minuscule_minimal_v_node(model.poset)
     q = model.quiver_of(v)
     dot = qv.quiver_to_dot(q, qv.classify_holes(q))
     assert dot == qv.quiver_to_dot(q, qv.classify_holes(q))

@@ -16,7 +16,12 @@ from oracles import (
     minuscule_orbit_by_bfs,
 )
 from torusq.criteria import minuscule_model
-from torusq.rootdata import minuscule_orbit_size, minuscule_weights, root_system
+from torusq.rootdata import (
+    minuscule_dimension,
+    minuscule_orbit_size,
+    minuscule_weights,
+    root_system,
+)
 from torusq.weyl import (
     MinusculePoset,
     bruhat_leq,
@@ -103,20 +108,24 @@ def test_orbit_sizes():
             model = minuscule_model(family, rank, w)
             nodes, depth, bottom = minuscule_orbit_by_bfs(model.system, w)
             assert set(model.nodes) == set(nodes)
-            assert {node: model.depth(node) for node in model.nodes} == depth
+            assert {node: len(model.ideal_of(node)) for node in model.nodes} == depth
             assert model.poset.bottom == bottom
             assert len(model.nodes) == minuscule_orbit_size(family, rank, w)
-    with pytest.raises(ValueError):
-        minuscule_orbit_size("D", 5, 2)
-    with pytest.raises(ValueError):
-        minuscule_orbit_size("A", 0, 1)
+            # dim G/P in closed form: the length of the longest element
+            length = len(model.poset.canonical_word(bottom))
+            assert minuscule_dimension(family, rank, w) == length
+    for size in (minuscule_orbit_size, minuscule_dimension):
+        with pytest.raises(ValueError):
+            size("D", 5, 2)
+        with pytest.raises(ValueError):
+            size("A", 0, 1)
 
 
 def test_top_and_bottom():
     model = minuscule_model("A", 3, 2)
     poset = model.poset
-    assert model.depth(poset.top) == 0
-    assert model.depth(poset.bottom) == 4  # r(n-r)
+    assert len(model.ideal_of(poset.top)) == 0
+    assert len(model.ideal_of(poset.bottom)) == 4  # r(n-r)
     assert poset.canonical_word(poset.bottom) == (2, 1, 3, 2)
 
 
@@ -125,7 +134,7 @@ def test_canonical_word_lengths():
     poset = model.poset
     for node in model.nodes:
         word = poset.canonical_word(node)
-        assert len(word) == model.depth(node)
+        assert len(word) == len(model.ideal_of(node))
         assert poset.node_from_word(word) == node
         assert poset.word_descends(word)
 
@@ -163,7 +172,7 @@ def test_type_a_dictionary():
             ia, ib = poset.indexset(a), poset.indexset(b)
             dominated = all(x <= y for x, y in zip(ia, ib))
             if dominated:
-                assert model.depth(a) <= model.depth(b)
+                assert len(model.ideal_of(a)) <= len(model.ideal_of(b))
             assert dominated == bruhat_leq(
                 poset.permutation(a), poset.permutation(b)
             )
