@@ -25,13 +25,16 @@ from .rootdata import minuscule_dimension, root_system
 from .weyl import word_to_perm
 
 
-# Largest quiver ``quiver build`` makes.  A request never lists the orbit:
-# its cost grows with the vertex count N = dim G/P (the full quiver holds
-# a reach set per vertex, O(N^2) in all) and with the rank (the length of
-# each weight tuple).  At A100/omega_50, N = 2550, a whole call takes
-# 0.6-1.7 s on a 2-vCPU VM.
+# Largest inputs, refused before anything is computed.  ``quiver build``
+# never lists the orbit: its cost grows with the vertex count N = dim G/P
+# (the full quiver holds a reach set per vertex, O(N^2) in all) and with
+# the rank (the length of each weight tuple); at A100/omega_50, N = 2550,
+# a whole call takes 0.6-1.7 s on a 2-vCPU VM.  ``gr analyze`` lists all
+# C(n, r) column sets for its chain certificate; at the middle r it takes
+# 0.7-0.8 s in process at n = 17 and 3.1-3.9 s at n = 18.
 QUIVER_MAX_RANK = 100
 QUIVER_MAX_VERTICES = 2550
+GR_MAX_N = 17
 
 
 def _usage_error(message) -> NoReturn:
@@ -75,6 +78,8 @@ def _plain(value):
 
 
 def cmd_gr_analyze(args) -> int:
+    if args.n > GR_MAX_N:
+        _usage_error(f"--n {args.n}: gr analyze stops at n = {GR_MAX_N}")
     w = _ints(args.w)
     try:
         gr.check_box(args.r, args.n)

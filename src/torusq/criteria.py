@@ -136,7 +136,7 @@ _models: dict = {}
 
 
 def minuscule_model(family, rank, weight) -> qv.MinusculeModel:
-    """Cached quiver models (they are used by several suites)."""
+    """Cached orbit listings; a node's answers are ``quiver build``'s."""
     key = (family, rank, weight)
     if key not in _models:
         _models[key] = qv.MinusculeModel(root_system(family, rank), weight)

@@ -196,6 +196,7 @@ class MinusculeQuiver:
     I + {v} and node(I + {v}) = s_{b_v}(node(I)).  :meth:`ideal_of` grows
     an ideal along a reduced word, :meth:`node_of` replays an ideal's
     letters; both raise ``AssertionError`` when a step breaks that fact.
+    They are the one node/ideal translation, for requests and ``verify``.
     """
 
     def __init__(self, system: RootSystem, weight_index: int):
@@ -292,15 +293,14 @@ class MinusculeQuiver:
 
 
 class MinusculeModel(MinusculeQuiver):
-    """The orbit of a minuscule pair, enumerated: the ideal/node dictionary.
+    """The orbit of a minuscule pair, listed as ``nodes`` in graded order.
 
-    This is the verification side.  The suites walk every node of
-    ``nodes`` (the dictionary keys, in graded order), and the dictionary,
-    built independently of :meth:`MinusculeQuiver.ideal_of` and
-    :meth:`MinusculeQuiver.node_of`, replaces both with lookups and serves
-    the tests as their oracle.
+    This is the verification side: the suites walk every node of
+    ``nodes`` and ask the :class:`MinusculeQuiver` lookups about each,
+    the same ``ideal_of``/``node_of`` a request runs.  Their independent
+    oracle is ``ideal_node_dictionary_by_words`` in ``tests/oracles.py``.
 
-    The dictionary costs one reflection per ideal: ``Quiver.ideals`` lists
+    The listing costs one reflection per ideal: ``Quiver.ideals`` lists
     I before I + {v}, and node(I + {v}) = s_{b_v}(node(I)).  The build
     checks, raising ``AssertionError``, that each letter lowers the weight,
     that every coordinate is -1, 0 or 1, that no node gets two ideals,
@@ -310,33 +310,25 @@ class MinusculeModel(MinusculeQuiver):
 
     def __init__(self, system: RootSystem, weight_index: int):
         super().__init__(system, weight_index)
-        self.ideal_of_node: dict[tuple[int, ...], frozenset[int]] = {}
-        self.node_of_ideal: dict[frozenset[int], tuple[int, ...]] = {}
+        node_of: dict[frozenset[int], tuple[int, ...]] = {}
         for ideal, v in self.full.ideals():
             if v is None:
                 node = self.poset.top
             else:
-                node = self._lower(self.node_of_ideal[ideal - {v}], self.full.label(v))
+                node = self._lower(node_of[ideal - {v}], self.full.label(v))
             if not set(node) <= {-1, 0, 1}:
                 raise AssertionError(f"non-minuscule coordinate in orbit: {node}")
-            if node in self.ideal_of_node:
-                raise AssertionError("ideal/coset dictionary is not a bijection")
-            self.ideal_of_node[node] = ideal
-            self.node_of_ideal[ideal] = node
-        self.nodes = list(self.ideal_of_node)
+            node_of[ideal] = node
+        self.nodes = list(node_of.values())
+        if len(set(self.nodes)) != len(self.nodes):
+            raise AssertionError("ideal/coset correspondence is not a bijection")
         size = minuscule_orbit_size(system.family, system.rank, weight_index)
         if len(self.nodes) != size:
             raise AssertionError(
                 f"{len(self.nodes)} ideals for {size} coset elements"
             )
-        if self.node_of_ideal[self.full.members] != self.poset.bottom:
+        if node_of[self.full.members] != self.poset.bottom:
             raise AssertionError("the full ideal is not the bottom node")
-
-    def ideal_of(self, node) -> frozenset[int]:
-        return self.ideal_of_node[tuple(node)]
-
-    def node_of(self, ideal) -> tuple[int, ...]:
-        return self.node_of_ideal[ideal]
 
 
 def minimal_v_word(family: str, rank: int, weight_index: int) -> tuple[int, ...]:
@@ -448,7 +440,6 @@ def quivers_isomorphic_under_swap(qa: Quiver, qb: Quiver, p: int) -> bool:
     if {(sigma(a), sigma(b)) for a, b in qa.arrows} != set(qb.arrows):
         return False
     return all(
-        qa.leq(a, b) == qb.leq(sigma(a), sigma(b))
-        for a in range(n)
+        {sigma(a) for a in qa._reach[b]} == qb._reach[sigma(b)]
         for b in range(n)
     )

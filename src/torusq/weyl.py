@@ -16,9 +16,10 @@ never lists the orbit, and neither does a request:
 :class:`torusq.quiver.MinusculeQuiver` answers one node from its word and
 the full quiver.  Only the verification suites enumerate the orbit, with
 :class:`torusq.quiver.MinusculeModel`, from the order ideals of the
-quiver.  Nodes are weights in fundamental coordinates; every coordinate
-of an orbit weight is -1, 0 or 1, which is what makes the canonical-word
-and length bookkeeping trivial.
+quiver, and ask each node the questions a request asks.  Nodes are
+weights in fundamental coordinates; every coordinate of an orbit weight
+is -1, 0 or 1, which is what makes the canonical-word and length
+bookkeeping trivial.
 """
 
 from bisect import insort
@@ -116,11 +117,11 @@ class MinusculePoset:
     subtracts a simple root, and the depth of a node is the Coxeter length
     of the minimal coset representative it stands for, the size of the
     node's order ideal in the quiver.  The class holds no list of the
-    orbit; only :class:`torusq.quiver.MinusculeModel` enumerates it, for the
-    verification suites.  The bottom node, the longest element of
-    W^P, comes from greedy descent: lower at the first coordinate equal to
-    +1 until none is left, which ends at the orbit's unique antidominant
-    weight.
+    orbit; only :class:`torusq.quiver.MinusculeModel` enumerates it, as
+    the list of nodes the verification suites walk.  The bottom node, the
+    longest element of W^P, comes from greedy descent: lower at the first
+    coordinate equal to +1 until none is left, which ends at the orbit's
+    unique antidominant weight.
     """
 
     def __init__(self, system, weight_index):

@@ -8,9 +8,10 @@ walk), instead of the walk on end-value pairs, Grassmannian
 invariant chains by depth-first search instead of the flagged-tableau
 filling, section counts
 come from linear algebra (ranks of evaluation matrices at random points
-of the open cell) instead of tableau combinatorics, and the minuscule
-ideal/node dictionary replays each ideal's whole word from the top weight
-instead of reflecting its parent ideal's node once, and the minuscule
+of the open cell) instead of tableau combinatorics, the minuscule
+ideal/node dictionary finds the ideals by a search of its own and replays
+each one's whole word from the top weight instead of growing a node's
+ideal along its canonical word, and the minuscule
 orbit is searched breadth first over its cover edges instead of being read
 off the order ideals of the quiver.  Agreement between the two sides is
 what the tests assert.

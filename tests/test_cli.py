@@ -127,8 +127,13 @@ def test_analyze_cliff_boxes(capsys, r, n, w):
     ["--n", "5", "--r", "7", "--w", "1,2,3,4,5,6,7"],
     ["--n", "5", "--r", "5", "--w", "1,2,3,4,5"],
     ["--n", "5", "--r", "0", "--w", ""],
+    ["--n", "18", "--r", "9", "--w", "10,11,12,13,14,15,16,17,18"],
 ])
-def test_analyze_usage_errors_exit_2_with_one_line(capsys, argv):
+def test_analyze_usage_errors_exit_2_with_one_line(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("usage errors are refused before any analysis")
+
+    monkeypatch.setattr(criteria, "semistable_meets_singular_gr", refuse)
     with pytest.raises(SystemExit) as exc:
         main(["gr", "analyze", *argv, "--json"])
     assert exc.value.code == 2

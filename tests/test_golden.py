@@ -12,8 +12,8 @@ column set with ``--as indexset``) and for D4..D6 (every minuscule
 weight), E6 (omega_1, omega_6) and E7 (omega_7): ``minimal`` plus every
 orbit node given by its canonical word (535 calls).
 ``golden/quiver_build_large.txt`` holds ``torusq quiver build --json``
-with ``minimal`` and ``full`` at the sizes where the ideal/node
-dictionary is costly: A8..A12 with every weight 2..n-2 and D7, D8 with
+with ``minimal`` and ``full`` at the sizes where listing the orbit is
+costly: A8..A12 with every weight 2..n-2 and D7, D8 with
 every minuscule weight (92 calls).  ``golden/verify.txt``
 holds ``torusq verify all --json``.  Each record is a ``$ torusq ...``
 line (arguments quoted as a shell would need them) followed by the

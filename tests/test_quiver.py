@@ -4,10 +4,12 @@ Positions are 0-based throughout; a quiver's order has early positions
 high, so ideals collect suffixes of the building word.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from oracles import ideal_node_dictionary_by_words
-from torusq import quiver as qv
+from torusq import quiver as qv, verify
 from torusq.criteria import minuscule_minimal_v_node, minuscule_model
 from torusq.rootdata import minuscule_orbit_size, minuscule_weights, root_system
 
@@ -46,13 +48,13 @@ def test_dictionary_matches_word_replay(family, rank, weight):
     model = minuscule_model(family, rank, weight)
     oracle = ideal_node_dictionary_by_words(model.poset, model.full)
     assert len(oracle) == len(model.nodes) == minuscule_orbit_size(family, rank, weight)
-    assert model.node_of_ideal == oracle
-    assert model.ideal_of_node == {node: ideal for ideal, node in oracle.items()}
-    # the orbit-free lookups: grown from the canonical word, replayed
-    grown = qv.MinusculeQuiver(model.system, weight)
-    for node, ideal in model.ideal_of_node.items():
-        assert grown.ideal_of(node) == ideal
-        assert grown.node_of(ideal) == node
+    assert set(model.nodes) == set(oracle.values())
+    # the lookups quiver build runs: grown from the canonical word, replayed
+    for ideal, node in oracle.items():
+        assert model.ideal_of(node) == ideal
+        assert model.node_of(ideal) == node
+    sizes = [len(model.ideal_of(node)) for node in model.nodes]
+    assert sizes == sorted(sizes)  # graded order
 
 
 def test_order_direction():
@@ -189,6 +191,34 @@ def test_commutation_isomorphism():
     for p, other in qv.commutation_moves(word, system):
         qb = qv.quiver_from_word(other, system)
         assert qv.quivers_isomorphic_under_swap(qa, qb, p)
+
+
+def test_swap_isomorphism_compares_the_order():
+    system = root_system("A", 3)
+    qa = qv.quiver_from_word((2, 1, 3, 2), system)
+    qb = qv.quiver_from_word((2, 3, 1, 2), system)
+    assert qv.quivers_isomorphic_under_swap(qa, qb, 1)
+    assert qv.quivers_isomorphic_under_swap(qa, replace(qb, _reach=qb._reach), 1)
+    # same labels and arrows, but vertex 0 no longer reaches vertex 3, or
+    # vertex 3 reaches vertex 1
+    for reach in (
+        (qb._reach[0] - {3},) + qb._reach[1:],
+        qb._reach[:3] + (qb._reach[3] | {1},),
+    ):
+        assert not qv.quivers_isomorphic_under_swap(qa, replace(qb, _reach=reach), 1)
+
+
+def test_verify_reads_the_lookups_quiver_build_runs(monkeypatch):
+    grown = qv.MinusculeQuiver.ideal_of
+
+    def short_by_one(self, node):
+        # the earliest position is maximal, so dropping it leaves an ideal
+        ideal = grown(self, node)
+        return ideal - {min(ideal)} if ideal else ideal
+
+    monkeypatch.setattr(qv.MinusculeQuiver, "ideal_of", short_by_one)
+    assert not verify.cross_smooth()["passed"]
+    assert not verify.cross_singular()["passed"]
 
 
 def test_dot_output_is_stable_and_annotated():

@@ -100,8 +100,9 @@ def test_orbit_sizes():
     assert len(minuscule_model("D", 5, 5).nodes) == 16  # 2^(n-1)
     assert len(minuscule_model("E6", 6, 1).nodes) == 27
     assert len(minuscule_model("E7", 7, 7).nodes) == 56
-    # the ideal dictionary and the greedy bottom against the orbit found by
-    # breadth-first search; the cases include every one of test_quiver's
+    # the orbit listing, the grown ideals' sizes and the greedy bottom
+    # against the orbit found by breadth-first search; the cases include
+    # every one of test_quiver's
     cases = [("A", rank) for rank in range(1, 11)] + [("D", rank) for rank in range(4, 10)]
     for family, rank in cases + [("E6", 6), ("E7", 7)]:
         for w in minuscule_weights(family, rank):
