@@ -32,9 +32,22 @@ from .weyl import word_to_perm
 # a whole call takes 0.6-1.7 s on a 2-vCPU VM.  ``gr analyze`` lists all
 # C(n, r) column sets for its chain certificate; at the middle r it takes
 # 0.7-0.8 s in process at n = 17 and 3.1-3.9 s at n = 18.
+#
+# ``smt dim`` answers from the closed form C(t+m-1, m), t = w(1) - w(n);
+# a degree whose bound C(t+m-1, m) <= (t+m)^min(m, t-1) passes
+# 2^SMT_MAX_DIM_BITS (~3 900 digits; Python prints no integer over 4 300)
+# is refused without computing the count.  ``smt dim --json`` lists every witness: a whole
+# call with 8 855 of them takes 0.33 s and writes 1.4 MB.  ``smt pn-check``
+# walks C(n+max_m, max_m) - 1 multisets through the standardness test,
+# ~5 us each: 91 389 take 0.4-0.6 s.  ``smt minimal`` answers n-1
+# permutations of n, O(n^2) output: 0.26 s and 41 MB at n = 500.
 QUIVER_MAX_RANK = 100
 QUIVER_MAX_VERTICES = 2550
 GR_MAX_N = 17
+SMT_MAX_DIM_BITS = 13_000
+SMT_MAX_WITNESSES = 10_000
+SMT_MAX_WALK = 100_000
+SMT_MINIMAL_MAX_N = 500
 
 
 def _usage_error(message) -> NoReturn:
@@ -228,14 +241,27 @@ def _smt_element(args):
 
 def cmd_smt_dim(args) -> int:
     w = _smt_element(args)
-    if args.m < 0:
-        _usage_error(f"--m {args.m}: the degree must be non-negative")
-    witnesses = smt.invariant_witnesses(w, args.m)
+    m = args.m
+    if m < 0:
+        _usage_error(f"--m {m}: the degree must be non-negative")
+    t = smt.invariant_generators(w)
+    if min(m, t - 1) * (t + m).bit_length() > SMT_MAX_DIM_BITS:
+        _usage_error(
+            f"--m {m}: the count C(t+m-1, m) with t = {t} may reach "
+            f"2^{SMT_MAX_DIM_BITS}; smt dim stops there"
+        )
+    dim = smt.monomial_count(t, m)
+    if args.json and dim > SMT_MAX_WITNESSES:
+        _usage_error(
+            f"--json would list {dim} witnesses; smt dim --json stops at "
+            f"{SMT_MAX_WITNESSES}"
+        )
+    witnesses = smt.invariant_witnesses(w, m) if args.json else []
     payload = {
-        "input": {"n": args.n, "w": w, "m": args.m},
-        "result": {"dim": len(witnesses), "m": args.m},
+        "input": {"n": args.n, "w": w, "m": m},
+        "result": {"dim": dim, "m": m},
         "witnesses": [
-            {"shorts": t.shorts, "missings": t.missings} for t in witnesses
+            {"shorts": tab.shorts, "missings": tab.missings} for tab in witnesses
         ],
         "warnings": [],
     }
@@ -245,6 +271,8 @@ def cmd_smt_dim(args) -> int:
 
 def cmd_smt_minimal(args) -> int:
     _smt_size(args.n)
+    if args.n > SMT_MINIMAL_MAX_N:
+        _usage_error(f"--n {args.n}: smt minimal stops at n = {SMT_MINIMAL_MAX_N}")
     elements = smt.minimal_borel_semistable(args.n)
     payload = {
         "input": {"n": args.n},
@@ -260,6 +288,15 @@ def cmd_smt_pn_check(args) -> int:
     w = _smt_element(args)
     if args.max_m < 2:
         _usage_error(f"--max-m {args.max_m}: the check compares degrees 2..max-m")
+    walked, multisets = 0, 1
+    for m in range(1, args.max_m + 1):
+        multisets = multisets * (args.n + m - 1) // m  # C(n+m-1, m)
+        walked += multisets
+        if walked > SMT_MAX_WALK:
+            _usage_error(
+                f"--max-m {args.max_m}: pn-check at n = {args.n} walks more than "
+                f"{SMT_MAX_WALK} multisets; it stops there"
+            )
     degrees = tuple(range(2, args.max_m + 1))
     report = smt.projective_normality_check(w, degrees)
     payload = {

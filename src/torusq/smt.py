@@ -15,8 +15,13 @@ walk through S_n is kept as an oracle in the test suite.
 Torus invariance pins the tableau completely: the single-box values and
 the missing values must agree as multisets, and standardness forces the
 single boxes to be listed weakly decreasing and the missing values weakly
-increasing.  Counting invariant sections therefore means counting
-multisets whose canonical tableau is standard.
+increasing.  The canonical tableau of a multiset is standard on X(w)
+exactly when every value lies in (w(n), w(1)], so the invariant sections
+form a polynomial ring on t = max(0, w(1) - w(n)) generators and
+dim H^0(X(w), L_m)^T = C(t+m-1, m) (see :func:`invariant_witnesses`).
+The walk over every multiset of 1..n stays as the independent count
+(:func:`invariant_dimension`) that the suites compare the closed form
+against.
 
 On a Grassmannian Gr(r, n) the invariant standard monomials of degree m
 are weakly decreasing chains of m column sets below w that use every
@@ -114,20 +119,55 @@ def is_standard_on(t: Tableau, w) -> bool:
 # invariant section counts
 
 
+def invariant_generators(w) -> int:
+    """t = max(0, w(1) - w(n)): the degree-one invariants on X(w), which
+    generate its ring of invariant sections freely."""
+    return max(0, w[0] - w[-1])
+
+
+def monomial_count(t: int, m: int) -> int:
+    """C(t+m-1, m): the degree-m monomials in t variables (1 at m = 0,
+    where the binomial with t = 0 is undefined)."""
+    return comb(t + m - 1, m) if m else 1
+
+
 def invariant_witnesses(w, m: int) -> list[Tableau]:
-    """All standard invariant tableaux of shape m*(omega_1+omega_{n-1})."""
+    """All standard invariant tableaux of shape m*(omega_1+omega_{n-1}) on
+    X(w): the canonical tableaux of the multisets of (w(n), w(1)], in
+    lexicographic order of their content.
+
+    Why exactly these: the single boxes come weakly decreasing, so the
+    first one is the largest value and must be <= w(1); after them a is
+    the smallest value, and z = w(n) has moved (to w(n) + 1) only if
+    w(n) itself is a value.  The long rows come weakly increasing, so the
+    first one is the smallest value and must be >= z, which rules out any
+    value <= w(n); once every value is in (w(n), w(1)] the walk of
+    :func:`is_standard_on` never leaves 1 <= a, z <= n.  So there are
+    C(t+m-1, m) of them, t = :func:`invariant_generators`, listed in time
+    linear in the output.
+    """
     n = len(w)
-    out = []
-    for values in combinations_with_replacement(range(1, n + 1), m):
-        t = canonical_invariant_tableau(n, values)
-        if is_standard_on(t, w):
-            out.append(t)
-    return out
+    if n < 2:
+        raise ValueError("standardness needs n >= 2")
+    return [
+        canonical_invariant_tableau(n, values)
+        for values in combinations_with_replacement(range(w[-1] + 1, w[0] + 1), m)
+    ]
 
 
 def invariant_dimension(w, m: int) -> int:
-    """Dimension of the degree-m invariant sections on X(w)."""
-    return len(invariant_witnesses(w, m))
+    """Dimension of the degree-m invariant sections on X(w), by walking
+    every multiset of 1..n through :func:`is_standard_on`.
+
+    The closed form C(t+m-1, m) gives the same number; this count stays
+    as the independent side that ``pn-check`` and the verify suites
+    compare against, so the closed form never checks itself.
+    """
+    n = len(w)
+    return sum(
+        is_standard_on(canonical_invariant_tableau(n, values), w)
+        for values in combinations_with_replacement(range(1, n + 1), m)
+    )
 
 
 def projective_normality_check(w, degrees) -> dict:
@@ -140,7 +180,7 @@ def projective_normality_check(w, degrees) -> dict:
     rows = []
     for m in degrees:
         computed = invariant_dimension(w, m)
-        expected = comb(t + m - 1, m)
+        expected = monomial_count(t, m)
         rows.append(
             {"m": m, "computed": computed, "expected": expected,
              "match": computed == expected}
@@ -156,8 +196,10 @@ def minimal_borel_semistable(n: int) -> list[tuple[int, ...]]:
     """The n-1 minimal elements of S_n whose Schubert variety has
     semistable points for the weight omega_1 + omega_{n-1}.
 
-    Two closed-form families describe them; they overlap so heavily that
-    exactly n-1 distinct permutations remain, namely
+    X(w) has semistable points exactly when t = w(1) - w(n) >= 1.  On the
+    end pairs (w(1), w(n)) Bruhat order is a <= a' and z >= z', so the
+    minimal pairs with t >= 1 are (i+1, i); the minimal elements are the
+    Bruhat-minimal w with w(1) = w(n)+1 (t = 1), middle values increasing:
     (i+1, 1, ..., i-1, i+2, ..., n, i) for 1 <= i <= n-1.
     """
     out = []

@@ -4,7 +4,9 @@ Nothing here shares an algorithm with the package: Bruhat order is walked
 through covers instead of prefix dominance, standardness is decided by
 exhaustive chain search, or by the greedy maximum through S_n (on the
 package's prefix-dominance Bruhat test, itself checked against the cover
-walk), instead of the walk on end-value pairs, Grassmannian
+walk), instead of the walk on end-value pairs, the invariant witnesses
+are every multiset's canonical tableau filtered through that walk
+instead of the multisets of (w(n), w(1)] listed directly, Grassmannian
 invariant chains by depth-first search instead of the flagged-tableau
 filling, section counts
 come from linear algebra (ranks of evaluation matrices at random points
@@ -22,6 +24,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 from torusq.rootdata import fundamental_weight, reflect
+from torusq.smt import canonical_invariant_tableau, is_standard_on
 from torusq.weyl import bruhat_leq
 
 
@@ -212,6 +215,18 @@ def is_standard_greedy(tableau, w):
         if bound is None:
             return False
     return True
+
+
+def invariant_witnesses_by_filter(w, m):
+    """The standard invariant tableaux of degree m on X(w), by filtering
+    the canonical tableau of every multiset of 1..n through the package's
+    pair walk, in lexicographic order of content."""
+    n = len(w)
+    tableaux = (
+        canonical_invariant_tableau(n, values)
+        for values in combinations_with_replacement(range(1, n + 1), m)
+    )
+    return [t for t in tableaux if is_standard_on(t, w)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ from collections import Counter
 
 import pytest
 
-from torusq import criteria, grassmannian as gr, quiver as qv
-from torusq.cli import QUIVER_MAX_VERTICES, main
+from oracles import invariant_witnesses_by_filter
+from torusq import criteria, grassmannian as gr, quiver as qv, smt
+from torusq.cli import QUIVER_MAX_VERTICES, SMT_MINIMAL_MAX_N, main
 from torusq.rootdata import minuscule_dimension, root_system
 from torusq.weyl import MinusculePoset
 
@@ -359,6 +360,33 @@ def test_smt_dim(capsys):
     assert payload["result"]["dim"] == 1
 
 
+@pytest.mark.parametrize("w", ["1,2,3,4,5,6,7", "7,6,5,4,3,2,1"])
+def test_smt_dim_degree_zero(capsys, w):
+    code, payload, _ = run_json(capsys, ["smt", "dim", "--n", "7", "--w", w, "--m", "0"])
+    assert code == 0
+    assert payload["result"] == {"dim": 1, "m": 0}
+    assert payload["witnesses"] == [{"shorts": [], "missings": []}]
+
+
+def test_smt_dim_runs_no_walk(capsys, monkeypatch):
+    cases = [(w, m) for w in smt.parabolic_lifts(7) for m in range(4)]
+    expected = {case: invariant_witnesses_by_filter(*case) for case in cases}
+
+    def refuse(*args):
+        raise AssertionError("smt dim walked the multisets")
+
+    monkeypatch.setattr(smt, "is_standard_on", refuse)
+    for (w, m), witnesses in expected.items():
+        argv = ["smt", "dim", "--n", "7", "--w", ",".join(map(str, w)), "--m", str(m)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"dim: {len(witnesses)}\nm: {m}\n"
+        code, payload, _ = run_json(capsys, argv)
+        assert payload["result"]["dim"] == len(witnesses)
+        assert payload["witnesses"] == [
+            {"shorts": list(t.shorts), "missings": list(t.missings)} for t in witnesses
+        ]
+
+
 def test_smt_minimal(capsys):
     code, payload, _ = run_json(capsys, ["smt", "minimal", "--n", "3"])
     assert code == 0
@@ -376,6 +404,9 @@ def test_smt_pn_check(capsys):
     assert result["all_match"] is True
 
 
+W20 = ",".join(map(str, (20, *range(2, 20), 1)))  # t = 19
+
+
 @pytest.mark.parametrize("argv", [
     ["dim", "--n", "4", "--w", "4,3,2,1", "--m", "-1"],
     ["dim", "--n", "4", "--w", "9", "--as", "word", "--m", "1"],
@@ -384,8 +415,18 @@ def test_smt_pn_check(capsys):
     ["minimal", "--n", "1"],
     ["pn-check", "--n", "4", "--w", "4,3,2,1", "--max-m", "-2"],
     ["pn-check", "--n", "1", "--w", "1"],
+    ["dim", "--n", "20", "--w", W20, "--m", "9"],  # 4 686 825 witnesses
+    ["dim", "--n", "20", "--w", W20, "--m", str(10**300)],  # ~5 400 digits
+    ["pn-check", "--n", "20", "--w", W20, "--max-m", "9"],  # C(29, 9) - 1
+    ["pn-check", "--n", "20", "--w", W20, "--max-m", str(10**9)],
+    ["minimal", "--n", str(SMT_MINIMAL_MAX_N + 1)],
 ])
-def test_smt_usage_errors_exit_2_with_one_line(capsys, argv):
+def test_smt_usage_errors_exit_2_with_one_line(capsys, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("usage errors are refused before any walk or listing")
+
+    for name in ("is_standard_on", "invariant_witnesses", "minimal_borel_semistable"):
+        monkeypatch.setattr(smt, name, refuse)
     with pytest.raises(SystemExit) as exc:
         main(["smt", *argv, "--json"])
     assert exc.value.code == 2

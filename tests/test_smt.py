@@ -16,6 +16,7 @@ import pytest
 from oracles import (
     invariant_chain_exhaustive,
     invariant_dim_geometric,
+    invariant_witnesses_by_filter,
     is_standard_exhaustive,
     is_standard_greedy,
     is_young_on,
@@ -103,6 +104,8 @@ def test_standardness_needs_n_at_least_2():
         smt.is_standard_on(smt.Tableau(1, (1,), (1,)), (1,))
     with pytest.raises(ValueError):
         smt.invariant_dimension((1,), 1)
+    with pytest.raises(ValueError):
+        smt.invariant_witnesses((1,), 0)
 
 
 # the S_n oracle: greedy maximum below a bound inside a pinned coset
@@ -228,6 +231,22 @@ def test_invariant_dimension_landmarks():
     assert smt.invariant_dimension((7, 6, 5, 4, 3, 2, 1), 1) == 6
     assert smt.invariant_dimension((1, 2, 3, 4, 5, 6, 7), 1) == 0
     assert smt.invariant_dimension(tuple(range(1, 8)), 2) == 0
+
+
+def test_closed_form_and_direct_witnesses_match_the_walk():
+    # every w in S_n, 2 <= n <= 7, degrees 0..3 (0..2 at n = 7)
+    cases = 0
+    for n in range(2, 8):
+        for w in permutations(range(1, n + 1)):
+            t = smt.invariant_generators(w)
+            for m in range(3 if n == 7 else 4):
+                walked = smt.invariant_dimension(w, m)
+                assert smt.monomial_count(t, m) == walked, (w, m)
+                direct = smt.invariant_witnesses(w, m)
+                assert direct == invariant_witnesses_by_filter(w, m), (w, m)
+                assert len(direct) == walked
+                cases += 1
+    assert cases == 18608
 
 
 def test_dimension_matches_geometric_rank_s4():
