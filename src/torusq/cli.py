@@ -27,9 +27,10 @@ from .weyl import word_to_perm
 
 # Largest inputs, refused before anything is computed.  ``quiver build``
 # never lists the orbit: its cost grows with the vertex count N = dim G/P
-# (the full quiver holds a reach set per vertex, O(N^2) in all) and with
-# the rank (the length of each weight tuple); at A100/omega_50, N = 2550,
-# a whole call takes 0.6-1.7 s on a 2-vCPU VM.  ``gr analyze`` lists all
+# (the full quiver keeps only its arrows, at most two per vertex here) and
+# with the rank (the length of each weight tuple); at A100/omega_50,
+# N = 2550, a whole call takes 0.3 s with --w full and 1.7 s with --w
+# minimal on a 2-vCPU VM, at most 23 MB peak RSS.  ``gr analyze`` lists all
 # C(n, r) column sets for its chain certificate; at the middle r it takes
 # 0.7-0.8 s in process at n = 17 and 3.1-3.9 s at n = 18.
 #
@@ -40,7 +41,8 @@ from .weyl import word_to_perm
 # call with 8 855 of them takes 0.33 s and writes 1.4 MB.  ``smt pn-check``
 # walks C(n+max_m, max_m) - 1 multisets through the standardness test,
 # ~5 us each: 91 389 take 0.4-0.6 s.  ``smt minimal`` answers n-1
-# permutations of n, O(n^2) output: 0.26 s and 41 MB at n = 500.
+# permutations of n, O(n^2) output: 0.26 s and 41 MB at n = 500.  ``--as
+# word`` costs n per letter: 9 999 letters at n = 10 000 take 1.0 s.
 QUIVER_MAX_RANK = 100
 QUIVER_MAX_VERTICES = 2550
 GR_MAX_N = 17
@@ -48,6 +50,7 @@ SMT_MAX_DIM_BITS = 13_000
 SMT_MAX_WITNESSES = 10_000
 SMT_MAX_WALK = 100_000
 SMT_MINIMAL_MAX_N = 500
+SMT_WORD_MAX_N = 10_000
 
 
 def _usage_error(message) -> NoReturn:
@@ -158,12 +161,10 @@ def _resolve_node(poset, args):
 
 def cmd_quiver_build(args) -> int:
     rank = args.rank
-    if args.family == "E6":
-        rank = 6
-    elif args.family == "E7":
-        rank = 7
-    elif rank is None:
-        _usage_error("--rank is required for families A and D")
+    if rank is None:
+        if args.family in ("A", "D"):
+            _usage_error("--rank is required for families A and D")
+        rank = 6 if args.family == "E6" else 7
     if rank > QUIVER_MAX_RANK:
         _usage_error(f"--rank {rank}: quiver build stops at rank {QUIVER_MAX_RANK}")
     try:
@@ -230,11 +231,13 @@ def _smt_element(args):
     _smt_size(args.n)
     values = _ints(args.w)
     if args.element_format == "word":
+        if args.n > SMT_WORD_MAX_N:
+            _usage_error(f"--n {args.n}: --as word stops at n = {SMT_WORD_MAX_N}")
         try:
             return word_to_perm(values, args.n)
         except ValueError as exc:
             _usage_error(exc)
-    if sorted(values) != list(range(1, args.n + 1)):
+    if len(values) != args.n or sorted(values) != list(range(1, args.n + 1)):
         _usage_error(f"{values} is not a permutation of 1..{args.n}")
     return values
 

@@ -50,20 +50,25 @@ class Quiver:
     """A quiver on the positions of a reduced word, with a marked subset.
 
     ``members`` is the marked ideal (all positions for the full quiver).
-    Positions are 0-based internally.
+    Positions are 0-based internally.  The order is kept only as the
+    arrows, each vertex's targets in increasing position order.
     """
 
     system: RootSystem
     word: tuple[int, ...]
-    arrows: tuple[tuple[int, int], ...]
     members: frozenset[int]
-    _reach: tuple[frozenset[int], ...] = field(repr=False)
+    _targets: tuple[tuple[int, ...], ...] = field(repr=False)
     _prev: tuple[int | None, ...] = field(repr=False)
     _next: tuple[int | None, ...] = field(repr=False)
 
     @property
     def n_vertices(self) -> int:
         return len(self.word)
+
+    @property
+    def arrows(self) -> tuple[tuple[int, int], ...]:
+        """Every arrow (i, j), in increasing order of i and then of j."""
+        return tuple((i, j) for i, ts in enumerate(self._targets) for j in ts)
 
     def label(self, i: int) -> int:
         return self.word[i]
@@ -74,13 +79,19 @@ class Quiver:
     def prev_same(self, i: int) -> int | None:
         return self._prev[i]
 
-    def leq(self, a: int, b: int) -> bool:
-        """a <= b in the quiver order (an oriented path runs b -> a)."""
-        return a in self._reach[b]
+    def above(self, i: int) -> frozenset[int]:
+        """Every vertex weakly above i, in one scan down from i - 1: arrows
+        increase the position, so each vertex comes after its targets."""
+        up = {i}
+        for j in range(i - 1, -1, -1):
+            if not up.isdisjoint(self._targets[j]):
+                up.add(j)
+        return frozenset(up)
 
     def is_ideal(self, subset) -> bool:
+        """Down-closed: closed under arrows, hence under paths."""
         subset = frozenset(subset)
-        return all(self._reach[v] <= subset for v in subset)
+        return all(subset.issuperset(self._targets[v]) for v in subset)
 
     def marked(self, members) -> "Quiver":
         members = frozenset(members)
@@ -97,13 +108,12 @@ class Quiver:
         ``ideal``, so it is maximal in ``ideal``; it is ``None`` for the
         empty ideal, which comes first.
         """
-        below = [reach - {v} for v, reach in enumerate(self._reach)]
         found = [(frozenset(), None)]
         seen = {frozenset()}
         # breadth first: ``found`` is the queue, read while it grows
         for ideal, _ in found:
             for v in range(self.n_vertices):
-                if v not in ideal and below[v] <= ideal:
+                if v not in ideal and ideal.issuperset(self._targets[v]):
                     grown = ideal | {v}
                     if grown not in seen:
                         seen.add(grown)
@@ -136,15 +146,8 @@ def quiver_from_word(word, system: RootSystem) -> Quiver:
         for j in range(i + 1, stop):
             if system.pairing(word[i], word[j]) != 0:
                 targets[i].append(j)
-    arrows = [(i, j) for i in range(N) for j in targets[i]]
-    reach: list[frozenset[int]] = [frozenset()] * N
-    for i in range(N - 1, -1, -1):
-        acc = {i}
-        for j in targets[i]:
-            acc |= reach[j]
-        reach[i] = frozenset(acc)
     return Quiver(
-        system, word, tuple(arrows), frozenset(range(N)), tuple(reach),
+        system, word, frozenset(range(N)), tuple(map(tuple, targets)),
         tuple(prv), tuple(nxt),
     )
 
@@ -158,14 +161,15 @@ class HoleReport:
 
 def classify_holes(q: Quiver) -> HoleReport:
     """Real, virtual and essential holes of a marked quiver."""
-    real = []
+    real, above = [], {}
     for i in sorted(q.members):
         p = q.prev_same(i)
         if p is not None and p in q.members:
             continue
+        above[i] = q.above(i)  # the highest marked vertex of its label
         count = 0
-        for j in q.members:
-            if j != i and q.leq(i, j) and q.system.pairing(q.label(j), q.label(i)) != 0:
+        for j in above[i] & q.members:
+            if j != i and q.system.pairing(q.label(j), q.label(i)) != 0:
                 count += 1
         if count == 2:
             real.append(i)
@@ -177,7 +181,7 @@ def classify_holes(q: Quiver) -> HoleReport:
     essential = [
         i
         for i in real
-        if not any(j != i and q.leq(i, j) for j in real)
+        if not any(j != i and j in above[i] for j in real)
     ]
     return HoleReport(tuple(real), tuple(virtual), tuple(essential))
 
@@ -224,7 +228,7 @@ class MinusculeQuiver:
             if v is None:
                 raise AssertionError(f"no vertex labelled {b} is left to add")
             ideal.add(v)
-            if not self.full._reach[v] <= ideal:
+            if not ideal.issuperset(self.full._targets[v]):
                 raise AssertionError(f"vertex {v} is not addable")
             free[b] = self.full.prev_same(v)
         if len(ideal) != len(word):
@@ -273,7 +277,7 @@ class MinusculeQuiver:
         ``report``, the hole report of the marked quiver ``q``."""
         out = []
         for h in report.essential:
-            rest = frozenset(i for i in q.members if not q.leq(h, i))
+            rest = q.members - q.above(h)
             comp = self.node_of(rest)
             if comp not in out:
                 out.append(comp)
@@ -423,23 +427,15 @@ def commutation_moves(word, system: RootSystem) -> list[tuple[int, tuple[int, ..
 
 
 def quivers_isomorphic_under_swap(qa: Quiver, qb: Quiver, p: int) -> bool:
-    """Check the canonical isomorphism for a commutation move at p, p+1."""
+    """Check the canonical isomorphism for a commutation move at p, p+1.
+
+    The order is the closure of the arrows, so matching arrows match it.
+    """
     n = qa.n_vertices
     if qb.n_vertices != n:
         return False
-
-    def sigma(i: int) -> int:
-        if i == p:
-            return p + 1
-        if i == p + 1:
-            return p
-        return i
-
-    if any(qb.label(sigma(i)) != qa.label(i) for i in range(n)):
+    sigma = list(range(n))
+    sigma[p], sigma[p + 1] = p + 1, p
+    if any(qb.label(sigma[i]) != qa.label(i) for i in range(n)):
         return False
-    if {(sigma(a), sigma(b)) for a, b in qa.arrows} != set(qb.arrows):
-        return False
-    return all(
-        {sigma(a) for a in qa._reach[b]} == qb._reach[sigma(b)]
-        for b in range(n)
-    )
+    return {(sigma[a], sigma[b]) for a, b in qa.arrows} == set(qb.arrows)

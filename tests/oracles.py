@@ -11,9 +11,11 @@ invariant chains by depth-first search instead of the flagged-tableau
 filling, section counts
 come from linear algebra (ranks of evaluation matrices at random points
 of the open cell) instead of tableau combinatorics, the minuscule
-ideal/node dictionary finds the ideals by a search of its own and replays
-each one's whole word from the top weight instead of growing a node's
-ideal along its canonical word, and the minuscule
+ideal/node dictionary finds the ideals by a search of its own, on a
+quiver order closed from arrows read off the definition instead of the
+package's per-vertex arrow lists, and replays each one's whole word from
+the top weight instead of growing a node's ideal along its canonical
+word, and the minuscule
 orbit is searched breadth first over its cover edges instead of being read
 off the order ideals of the quiver.  Agreement between the two sides is
 what the tests assert.
@@ -360,17 +362,38 @@ def invariant_dim_geometric(w, m, seed=0):
 # minuscule ideal/node dictionary by word replay
 
 
+def quiver_order_by_closure(system, word):
+    """Everything weakly below each vertex of the quiver of ``word``.
+
+    The arrows come straight from the definition, one test per pair of
+    positions: i -> j when i < j, the letters pair nontrivially and the
+    letter of i does not recur in positions i+1..j.  Each vertex's set is
+    itself plus the sets of its targets, built from the last position
+    back, so the order is the full transitive closure, O(N^2) integers.
+    """
+    n = len(word)
+    below = [frozenset()] * n
+    for i in range(n - 1, -1, -1):
+        acc = {i}
+        for j in range(i + 1, n):
+            if system.pairing(word[i], word[j]) != 0 and word[i] not in word[i + 1:j + 1]:
+                acc |= below[j]
+        below[i] = frozenset(acc)
+    return below
+
+
 def ideal_node_dictionary_by_words(poset, q):
     """Map every order ideal of the full quiver ``q`` to its orbit node.
 
     Ideals are grown one addable vertex at a time (a vertex is addable when
-    everything strictly below it is in), listed by size and then by their
+    everything strictly below it is in, by the closure of
+    :func:`quiver_order_by_closure`), listed by size and then by their
     sorted entries, and each ideal's letters read in increasing position
     order are applied to the top weight as a reduced word.
     """
     n = q.n_vertices
     below = [
-        frozenset(u for u in range(n) if u != v and q.leq(u, v)) for v in range(n)
+        reach - {v} for v, reach in enumerate(quiver_order_by_closure(q.system, q.word))
     ]
     found = {frozenset()}
     frontier = [frozenset()]

@@ -6,8 +6,8 @@ from collections import Counter
 import pytest
 
 from oracles import invariant_witnesses_by_filter
-from torusq import criteria, grassmannian as gr, quiver as qv, smt
-from torusq.cli import QUIVER_MAX_VERTICES, SMT_MINIMAL_MAX_N, main
+from torusq import cli, criteria, grassmannian as gr, quiver as qv, smt
+from torusq.cli import QUIVER_MAX_VERTICES, SMT_MINIMAL_MAX_N, SMT_WORD_MAX_N, main
 from torusq.rootdata import minuscule_dimension, root_system
 from torusq.weyl import MinusculePoset
 
@@ -201,6 +201,8 @@ def test_quiver_build_dot_classifies_holes_once(tmp_path, capsys, monkeypatch):
     (["--family", "D", "--rank", "100", "--weight", "99"], "4950 vertices"),
     (["--family", "A", "--rank", "101", "--weight", "50"], "rank 100"),
     (["--family", "A", "--rank", "1000000000", "--weight", "1"], "rank 100"),
+    (["--family", "E6", "--rank", "9", "--weight", "1"], "E6 has rank 6, got 9"),
+    (["--family", "E7", "--rank", "6", "--weight", "7"], "E7 has rank 7, got 6"),
 ])
 def test_quiver_build_refuses_large_orbits_before_building(capsys, monkeypatch,
                                                            argv, message):
@@ -340,6 +342,11 @@ def test_quiver_rank_is_forced_for_e6(capsys):
     )
     assert code == 0
     assert payload["input"]["rank"] == 6
+    assert run_json(
+        capsys,
+        ["quiver", "build", "--family", "E6", "--rank", "6", "--weight", "1",
+         "--w", "full"],
+    )[1] == payload
     assert payload["result"]["length"] == 16
     assert payload["result"]["smooth"] is True
 
@@ -420,13 +427,24 @@ W20 = ",".join(map(str, (20, *range(2, 20), 1)))  # t = 19
     ["pn-check", "--n", "20", "--w", W20, "--max-m", "9"],  # C(29, 9) - 1
     ["pn-check", "--n", "20", "--w", W20, "--max-m", str(10**9)],
     ["minimal", "--n", str(SMT_MINIMAL_MAX_N + 1)],
+    ["dim", "--n", "3000000", "--w", "1,2", "--m", "1"],
+    ["dim", "--n", str(SMT_WORD_MAX_N + 1), "--w", "1", "--as", "word", "--m", "1"],
+    ["pn-check", "--n", str(10**9), "--w", "1", "--as", "word"],
 ])
 def test_smt_usage_errors_exit_2_with_one_line(capsys, monkeypatch, argv):
     def refuse(*args):
         raise AssertionError("usage errors are refused before any walk or listing")
 
+    word_to_perm = cli.word_to_perm
+
+    def small_only(word, n):  # a permutation of n is built only within the limit
+        if n > SMT_WORD_MAX_N:
+            refuse()
+        return word_to_perm(word, n)
+
     for name in ("is_standard_on", "invariant_witnesses", "minimal_borel_semistable"):
         monkeypatch.setattr(smt, name, refuse)
+    monkeypatch.setattr(cli, "word_to_perm", small_only)
     with pytest.raises(SystemExit) as exc:
         main(["smt", *argv, "--json"])
     assert exc.value.code == 2

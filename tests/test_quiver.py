@@ -4,14 +4,17 @@ Positions are 0-based throughout; a quiver's order has early positions
 high, so ideals collect suffixes of the building word.
 """
 
+import tracemalloc
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
-from oracles import ideal_node_dictionary_by_words
+from oracles import ideal_node_dictionary_by_words, quiver_order_by_closure
 from torusq import quiver as qv, verify
 from torusq.criteria import minuscule_minimal_v_node, minuscule_model
 from torusq.rootdata import minuscule_orbit_size, minuscule_weights, root_system
+from torusq.weyl import MinusculePoset
 
 MINUSCULE_CASES = (
     [("A", rank, w) for rank in range(1, 11) for w in range(1, rank + 1)]
@@ -40,7 +43,7 @@ def test_ideals_grow_by_one_maximal_vertex():
     for k, (ideal, v) in enumerate(listed[1:], start=1):
         assert q.is_ideal(ideal)
         assert position[ideal - {v}] < k
-        assert not any(u != v and q.leq(v, u) for u in ideal)  # v is maximal
+        assert q.above(v) & ideal == {v}  # v is maximal
 
 
 @pytest.mark.parametrize("family,rank,weight", MINUSCULE_CASES)
@@ -60,9 +63,46 @@ def test_dictionary_matches_word_replay(family, rank, weight):
 def test_order_direction():
     q = qv.quiver_from_word((2, 1, 3, 2), root_system("A", 3))
     # arrows point toward later positions, which sit lower
-    assert q.leq(3, 0)
-    assert not q.leq(0, 3)
-    assert {j for j in range(q.n_vertices) if q.leq(3, j)} == {0, 1, 2, 3}
+    assert 0 in q.above(3)
+    assert 3 not in q.above(0)
+    assert q.above(3) == {0, 1, 2, 3}
+    assert q.above(0) == {0}
+
+
+@pytest.mark.parametrize("family,rank,weight", MINUSCULE_CASES)
+def test_above_is_the_closure_of_the_arrows(family, rank, weight):
+    q = minuscule_model(family, rank, weight).full
+    below = quiver_order_by_closure(q.system, q.word)
+    for i in range(q.n_vertices):
+        assert q.above(i) == {j for j in range(q.n_vertices) if i in below[j]}
+
+
+@pytest.mark.parametrize("family,rank,weight", [
+    ("A", 3, 2), ("D", 4, 1), ("A", 5, 3), ("D", 5, 5), ("A", 6, 3),
+])
+def test_is_ideal_is_down_closure(family, rank, weight):
+    q = minuscule_model(family, rank, weight).full
+    assert q.n_vertices <= 12
+    below = quiver_order_by_closure(q.system, q.word)
+    for size in range(q.n_vertices + 1):
+        for subset in combinations(range(q.n_vertices), size):
+            closed = all(below[v] <= set(subset) for v in subset)
+            assert q.is_ideal(subset) == closed
+
+
+def test_full_quiver_at_the_vertex_limit_holds_little_memory():
+    # one set of everything below each vertex would hold ~N^2 / 4 integers
+    system = root_system("A", 100)
+    poset = MinusculePoset(system, 50)
+    word = poset.canonical_word(poset.bottom)
+    tracemalloc.start()
+    try:
+        q = qv.quiver_from_word(word, system)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert q.n_vertices == 2550
+    assert held < 5 * 2**20
 
 
 def test_ideal_checks():
@@ -198,14 +238,12 @@ def test_swap_isomorphism_compares_the_order():
     qa = qv.quiver_from_word((2, 1, 3, 2), system)
     qb = qv.quiver_from_word((2, 3, 1, 2), system)
     assert qv.quivers_isomorphic_under_swap(qa, qb, 1)
-    assert qv.quivers_isomorphic_under_swap(qa, replace(qb, _reach=qb._reach), 1)
-    # same labels and arrows, but vertex 0 no longer reaches vertex 3, or
-    # vertex 3 reaches vertex 1
-    for reach in (
-        (qb._reach[0] - {3},) + qb._reach[1:],
-        qb._reach[:3] + (qb._reach[3] | {1},),
-    ):
-        assert not qv.quivers_isomorphic_under_swap(qa, replace(qb, _reach=reach), 1)
+    assert qv.quivers_isomorphic_under_swap(qa, replace(qb, _targets=qb._targets), 1)
+    # same labels, but the arrow 0 -> 2 is lost, or an arrow 0 -> 3 is gained
+    assert qb._targets[0] == (1, 2)
+    for targets in ((1,), (1, 2, 3)):
+        changed = replace(qb, _targets=(targets,) + qb._targets[1:])
+        assert not qv.quivers_isomorphic_under_swap(qa, changed, 1)
 
 
 def test_verify_reads_the_lookups_quiver_build_runs(monkeypatch):
