@@ -29,8 +29,8 @@ from .weyl import word_to_perm
 # never lists the orbit: its cost grows with the vertex count N = dim G/P
 # (the full quiver keeps only its arrows, at most two per vertex here) and
 # with the rank (the length of each weight tuple); at A100/omega_50,
-# N = 2550, a whole call takes 0.3 s with --w full and 1.7 s with --w
-# minimal on a 2-vCPU VM, at most 23 MB peak RSS.  ``gr analyze`` lists all
+# N = 2550, a whole call takes 0.23 s with --w full and 0.85 s with --w
+# minimal on a 2-vCPU VM, at most 22 MB peak RSS.  ``gr analyze`` lists all
 # C(n, r) column sets for its chain certificate; at the middle r it takes
 # 0.7-0.8 s in process at n = 17 and 3.1-3.9 s at n = 18.
 #
@@ -42,7 +42,7 @@ from .weyl import word_to_perm
 # walks C(n+max_m, max_m) - 1 multisets through the standardness test,
 # ~5 us each: 91 389 take 0.4-0.6 s.  ``smt minimal`` answers n-1
 # permutations of n, O(n^2) output: 0.26 s and 41 MB at n = 500.  ``--as
-# word`` costs n per letter: 9 999 letters at n = 10 000 take 1.0 s.
+# word`` costs n + letters: 9 999 letters at n = 10 000 take 0.09 s.
 QUIVER_MAX_RANK = 100
 QUIVER_MAX_VERTICES = 2550
 GR_MAX_N = 17

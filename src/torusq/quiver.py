@@ -33,7 +33,7 @@ everything weakly above h from the ideal and keep what remains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .rootdata import (
     RootSystem,
@@ -45,21 +45,21 @@ from .rootdata import (
 from .weyl import MinusculePoset
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(NamedTuple):
     """A quiver on the positions of a reduced word, with a marked subset.
 
     ``members`` is the marked ideal (all positions for the full quiver).
     Positions are 0-based internally.  The order is kept only as the
-    arrows, each vertex's targets in increasing position order.
+    arrows, each vertex's targets in increasing position order; ``prev``
+    and ``next`` hold p(i) and s(i), ``None`` where there is none.
     """
 
     system: RootSystem
     word: tuple[int, ...]
     members: frozenset[int]
-    _targets: tuple[tuple[int, ...], ...] = field(repr=False)
-    _prev: tuple[int | None, ...] = field(repr=False)
-    _next: tuple[int | None, ...] = field(repr=False)
+    targets: tuple[tuple[int, ...], ...]
+    prev: tuple[int | None, ...]
+    next: tuple[int | None, ...]
 
     @property
     def n_vertices(self) -> int:
@@ -68,30 +68,30 @@ class Quiver:
     @property
     def arrows(self) -> tuple[tuple[int, int], ...]:
         """Every arrow (i, j), in increasing order of i and then of j."""
-        return tuple((i, j) for i, ts in enumerate(self._targets) for j in ts)
+        return tuple((i, j) for i, ts in enumerate(self.targets) for j in ts)
 
     def label(self, i: int) -> int:
         return self.word[i]
 
     def next_same(self, i: int) -> int | None:
-        return self._next[i]
+        return self.next[i]
 
     def prev_same(self, i: int) -> int | None:
-        return self._prev[i]
+        return self.prev[i]
 
     def above(self, i: int) -> frozenset[int]:
         """Every vertex weakly above i, in one scan down from i - 1: arrows
         increase the position, so each vertex comes after its targets."""
         up = {i}
         for j in range(i - 1, -1, -1):
-            if not up.isdisjoint(self._targets[j]):
+            if not up.isdisjoint(self.targets[j]):
                 up.add(j)
         return frozenset(up)
 
     def is_ideal(self, subset) -> bool:
         """Down-closed: closed under arrows, hence under paths."""
         subset = frozenset(subset)
-        return all(subset.issuperset(self._targets[v]) for v in subset)
+        return all(subset.issuperset(self.targets[v]) for v in subset)
 
     def marked(self, members) -> "Quiver":
         members = frozenset(members)
@@ -99,25 +99,31 @@ class Quiver:
             raise ValueError("members must be existing vertex positions")
         if not self.is_ideal(members):
             raise ValueError(f"{sorted(members)} is not an order ideal")
-        return replace(self, members=members)
+        return self._replace(members=members)
 
     def ideals(self) -> list[tuple[frozenset[int], int | None]]:
         """Every order ideal once, graded by size, as ``(ideal, v)`` pairs.
 
         ``v`` is the vertex whose addition to an ideal listed earlier gave
         ``ideal``, so it is maximal in ``ideal``; it is ``None`` for the
-        empty ideal, which comes first.
+        empty ideal, which comes first.  An ideal's addable vertices come
+        from its parent's: adding v frees only those with an arrow into v.
         """
+        sources: list[list[int]] = [[] for _ in self.targets]
+        for u, v in self.arrows:
+            sources[v].append(u)
         found = [(frozenset(), None)]
+        addable = [[v for v, ts in enumerate(self.targets) if not ts]]
         seen = {frozenset()}
         # breadth first: ``found`` is the queue, read while it grows
-        for ideal, _ in found:
-            for v in range(self.n_vertices):
-                if v not in ideal and ideal.issuperset(self._targets[v]):
-                    grown = ideal | {v}
-                    if grown not in seen:
-                        seen.add(grown)
-                        found.append((grown, v))
+        for (ideal, _), free in zip(found, addable):
+            for v in free:
+                grown = ideal | {v}
+                if grown not in seen:
+                    seen.add(grown)
+                    found.append((grown, v))
+                    freed = [u for u in sources[v] if grown.issuperset(self.targets[u])]
+                    addable.append(sorted([u for u in free if u != v] + freed))
         return found
 
 
@@ -152,8 +158,7 @@ def quiver_from_word(word, system: RootSystem) -> Quiver:
     )
 
 
-@dataclass(frozen=True)
-class HoleReport:
+class HoleReport(NamedTuple):
     real: tuple[int, ...]
     virtual: tuple[int, ...]
     essential: tuple[int, ...]
@@ -228,7 +233,7 @@ class MinusculeQuiver:
             if v is None:
                 raise AssertionError(f"no vertex labelled {b} is left to add")
             ideal.add(v)
-            if not ideal.issuperset(self.full._targets[v]):
+            if not ideal.issuperset(self.full.targets[v]):
                 raise AssertionError(f"vertex {v} is not addable")
             free[b] = self.full.prev_same(v)
         if len(ideal) != len(word):

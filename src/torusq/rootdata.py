@@ -14,18 +14,17 @@ of the path ``1 - 3 - 4 - 5 - 6 (- 7)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import add, sub
+from typing import NamedTuple
 
 Weight = tuple[int, ...]
 
 FAMILIES = ("A", "D", "E6", "E7")
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """A simply laced root system, identified by family and rank."""
 
     family: str

@@ -33,7 +33,7 @@ search (see :func:`_chain_fits`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
 
@@ -44,18 +44,16 @@ from .weyl import right_multiply, word_to_perm
 # tableaux of shape m * (omega_1 + omega_{n-1})
 
 
-@dataclass(frozen=True)
-class Tableau:
-    n: int
-    shorts: tuple[int, ...]
-    missings: tuple[int, ...]
+class Tableau(namedtuple("Tableau", "n shorts missings")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.shorts) != len(self.missings):
+    def __new__(cls, n: int, shorts: tuple[int, ...], missings: tuple[int, ...]):
+        if len(shorts) != len(missings):
             raise ValueError("need as many single boxes as long rows")
-        for v in self.shorts + self.missings:
-            if not 1 <= v <= self.n:
-                raise ValueError(f"entry {v} out of range 1..{self.n}")
+        for v in shorts + missings:
+            if not 1 <= v <= n:
+                raise ValueError(f"entry {v} out of range 1..{n}")
+        return super().__new__(cls, n, shorts, missings)
 
     @property
     def m(self) -> int:
@@ -202,11 +200,7 @@ def minimal_borel_semistable(n: int) -> list[tuple[int, ...]]:
     Bruhat-minimal w with w(1) = w(n)+1 (t = 1), middle values increasing:
     (i+1, 1, ..., i-1, i+2, ..., n, i) for 1 <= i <= n-1.
     """
-    out = []
-    for i in range(1, n):
-        line = [i + 1] + list(range(1, i)) + list(range(i + 2, n + 1)) + [i]
-        out.append(tuple(line))
-    return out
+    return [(i + 1, *range(1, i), *range(i + 2, n + 1), i) for i in range(1, n)]
 
 
 # ---------------------------------------------------------------------------

@@ -51,11 +51,13 @@ def right_multiply(w, i):
 
 
 def word_to_perm(word, n):
-    """Product of simple reflections, rightmost letter applied first."""
-    w = identity_perm(n)
+    """Product of simple reflections, rightmost letter first, in O(n + L)."""
+    line = list(identity_perm(n))
     for i in word:
-        w = right_multiply(w, i)
-    return w
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"reflection index {i} out of range for n={n}")
+        line[i - 1], line[i] = line[i], line[i - 1]
+    return tuple(line)
 
 
 def descents(w):

@@ -5,12 +5,11 @@ high, so ideals collect suffixes of the building word.
 """
 
 import tracemalloc
-from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
-from oracles import ideal_node_dictionary_by_words, quiver_order_by_closure
+from oracles import ideal_node_dictionary_by_words, ideals_by_scan, quiver_order_by_closure
 from torusq import quiver as qv, verify
 from torusq.criteria import minuscule_minimal_v_node, minuscule_model
 from torusq.rootdata import minuscule_orbit_size, minuscule_weights, root_system
@@ -44,6 +43,34 @@ def test_ideals_grow_by_one_maximal_vertex():
         assert q.is_ideal(ideal)
         assert position[ideal - {v}] < k
         assert q.above(v) & ideal == {v}  # v is maximal
+
+
+IDEAL_SCAN_CASES = [
+    case for case in MINUSCULE_CASES if case[0] != "A" or case[1] <= 9
+]
+
+
+@pytest.mark.parametrize("family,rank,weight", IDEAL_SCAN_CASES)
+def test_ideals_match_the_full_scan(family, rank, weight):
+    # same ideals, same order, same added vertex as testing all N vertices
+    q = qv.MinusculeQuiver(root_system(family, rank), weight).full
+    assert q.ideals() == ideals_by_scan(q)
+
+
+def test_quiver_is_an_immutable_value():
+    system = root_system("A", 3)
+    q = qv.quiver_from_word((2, 1, 3, 2), system)
+    again = qv.quiver_from_word((2, 1, 3, 2), system)
+    assert q is not again and q == again and hash(q) == hash(again)
+    with pytest.raises(AttributeError):
+        q.members = frozenset()
+    marked = q.marked({1, 3})
+    assert marked is not q and marked.members == {1, 3}
+    assert q.members == {0, 1, 2, 3} and q == again
+    assert marked != q and marked.targets == q.targets
+    report = qv.classify_holes(marked)
+    with pytest.raises(AttributeError):
+        report.real = ()
 
 
 @pytest.mark.parametrize("family,rank,weight", MINUSCULE_CASES)
@@ -238,11 +265,11 @@ def test_swap_isomorphism_compares_the_order():
     qa = qv.quiver_from_word((2, 1, 3, 2), system)
     qb = qv.quiver_from_word((2, 3, 1, 2), system)
     assert qv.quivers_isomorphic_under_swap(qa, qb, 1)
-    assert qv.quivers_isomorphic_under_swap(qa, replace(qb, _targets=qb._targets), 1)
+    assert qv.quivers_isomorphic_under_swap(qa, qb._replace(targets=qb.targets), 1)
     # same labels, but the arrow 0 -> 2 is lost, or an arrow 0 -> 3 is gained
-    assert qb._targets[0] == (1, 2)
+    assert qb.targets[0] == (1, 2)
     for targets in ((1,), (1, 2, 3)):
-        changed = replace(qb, _targets=(targets,) + qb._targets[1:])
+        changed = qb._replace(targets=(targets,) + qb.targets[1:])
         assert not qv.quivers_isomorphic_under_swap(qa, changed, 1)
 
 

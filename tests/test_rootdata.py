@@ -35,6 +35,14 @@ def test_e6_e7_shapes():
     assert [j + 1 for j in range(7) if m7[5][j] == -1] == [5, 7]
 
 
+def test_root_system_is_an_immutable_value():
+    built, again = root_system.__wrapped__("D", 5), root_system.__wrapped__("D", 5)
+    assert built is not again and built == again and hash(built) == hash(again)
+    assert built == root_system("D", 5)
+    with pytest.raises(AttributeError):
+        built.rank = 6
+
+
 def test_pairing_is_cartan_entry():
     system = root_system("D", 5)
     for i in range(1, 6):

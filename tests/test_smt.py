@@ -39,6 +39,14 @@ def test_tableau_shape_and_validation():
         smt.Tableau(7, (8,), (1,))
 
 
+def test_tableau_is_an_immutable_value():
+    t = smt.Tableau(7, (5, 2), (2, 5))
+    assert t == smt.canonical_invariant_tableau(7, (2, 5))
+    assert hash(t) == hash(smt.Tableau(7, (5, 2), (2, 5)))
+    with pytest.raises(AttributeError):
+        t.n = 8
+
+
 def content_counts(t):
     """How often each value 1..n appears in the tableau."""
     counts = [0] * t.n

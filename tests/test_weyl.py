@@ -5,6 +5,7 @@ never looks at sorted prefixes.
 """
 
 from itertools import combinations, permutations
+import random
 
 from hypothesis import given, strategies as st
 import pytest
@@ -38,6 +39,19 @@ def test_word_reading_order():
     assert word_to_perm((4, 5, 6, 3, 2, 1), 7) == (5, 1, 2, 3, 6, 7, 4)
     assert word_to_perm((2, 1, 3, 2), 4) == (3, 4, 1, 2)
     assert word_to_perm((), 3) == (1, 2, 3)
+
+
+def test_word_to_perm_folds_right_multiply():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        word = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 3 * n))]
+        folded = tuple(range(1, n + 1))
+        for i in word:
+            folded = right_multiply(folded, i)
+        assert word_to_perm(word, n) == folded
+    with pytest.raises(ValueError, match=r"^reflection index 7 out of range for n=7$"):
+        word_to_perm((1, 7, 2), 7)
 
 
 def test_right_multiply_swaps_positions():
