@@ -73,12 +73,6 @@ class Quiver(NamedTuple):
     def label(self, i: int) -> int:
         return self.word[i]
 
-    def next_same(self, i: int) -> int | None:
-        return self.next[i]
-
-    def prev_same(self, i: int) -> int | None:
-        return self.prev[i]
-
     def above(self, i: int) -> frozenset[int]:
         """Every vertex weakly above i, in one scan down from i - 1: arrows
         increase the position, so each vertex comes after its targets."""
@@ -106,24 +100,18 @@ class Quiver(NamedTuple):
 
         ``v`` is the vertex whose addition to an ideal listed earlier gave
         ``ideal``, so it is maximal in ``ideal``; it is ``None`` for the
-        empty ideal, which comes first.  An ideal's addable vertices come
-        from its parent's: adding v frees only those with an arrow into v.
+        empty ideal, which comes first.
         """
-        sources: list[list[int]] = [[] for _ in self.targets]
-        for u, v in self.arrows:
-            sources[v].append(u)
         found = [(frozenset(), None)]
-        addable = [[v for v, ts in enumerate(self.targets) if not ts]]
         seen = {frozenset()}
         # breadth first: ``found`` is the queue, read while it grows
-        for (ideal, _), free in zip(found, addable):
-            for v in free:
-                grown = ideal | {v}
-                if grown not in seen:
-                    seen.add(grown)
-                    found.append((grown, v))
-                    freed = [u for u in sources[v] if grown.issuperset(self.targets[u])]
-                    addable.append(sorted([u for u in free if u != v] + freed))
+        for ideal, _ in found:
+            for v in range(self.n_vertices):
+                if v not in ideal and ideal.issuperset(self.targets[v]):
+                    grown = ideal | {v}
+                    if grown not in seen:
+                        seen.add(grown)
+                        found.append((grown, v))
         return found
 
 
@@ -168,7 +156,7 @@ def classify_holes(q: Quiver) -> HoleReport:
     """Real, virtual and essential holes of a marked quiver."""
     real, above = [], {}
     for i in sorted(q.members):
-        p = q.prev_same(i)
+        p = q.prev[i]
         if p is not None and p in q.members:
             continue
         above[i] = q.above(i)  # the highest marked vertex of its label
@@ -181,7 +169,7 @@ def classify_holes(q: Quiver) -> HoleReport:
     virtual = [
         i
         for i in range(q.n_vertices)
-        if i not in q.members and q.next_same(i) is None
+        if i not in q.members and q.next[i] is None
     ]
     essential = [
         i
@@ -235,7 +223,7 @@ class MinusculeQuiver:
             ideal.add(v)
             if not ideal.issuperset(self.full.targets[v]):
                 raise AssertionError(f"vertex {v} is not addable")
-            free[b] = self.full.prev_same(v)
+            free[b] = self.full.prev[v]
         if len(ideal) != len(word):
             raise AssertionError(f"{len(ideal)} vertices for {len(word)} letters")
         return frozenset(ideal)

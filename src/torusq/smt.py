@@ -55,6 +55,11 @@ class Tableau(namedtuple("Tableau", "n shorts missings")):
                 raise ValueError(f"entry {v} out of range 1..{n}")
         return super().__new__(cls, n, shorts, missings)
 
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``: both must check as well
+        return cls(*iterable)
+
     @property
     def m(self) -> int:
         return len(self.shorts)
@@ -200,7 +205,11 @@ def minimal_borel_semistable(n: int) -> list[tuple[int, ...]]:
     Bruhat-minimal w with w(1) = w(n)+1 (t = 1), middle values increasing:
     (i+1, 1, ..., i-1, i+2, ..., n, i) for 1 <= i <= n-1.
     """
-    return [(i + 1, *range(1, i), *range(i + 2, n + 1), i) for i in range(1, n)]
+    out = []
+    for i in range(1, n):
+        line = [i + 1] + list(range(1, i)) + list(range(i + 2, n + 1)) + [i]
+        out.append(tuple(line))
+    return out
 
 
 # ---------------------------------------------------------------------------

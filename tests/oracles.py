@@ -15,9 +15,7 @@ ideal/node dictionary finds the ideals by a search of its own, on a
 quiver order closed from arrows read off the definition instead of the
 package's per-vertex arrow lists, and replays each one's whole word from
 the top weight instead of growing a node's ideal along its canonical
-word, the order ideals of a quiver are listed by testing every vertex
-of every ideal instead of carrying each ideal's addable vertices from
-its parent, and the minuscule
+word, and the minuscule
 orbit is searched breadth first over its cover edges instead of being read
 off the order ideals of the quiver.  Agreement between the two sides is
 what the tests assert.
@@ -412,21 +410,6 @@ def ideal_node_dictionary_by_words(poset, q):
         ideal: poset.node_from_word(tuple(q.word[i] for i in sorted(ideal)))
         for ideal in sorted(found, key=lambda s: (len(s), sorted(s)))
     }
-
-
-def ideals_by_scan(q):
-    """``Quiver.ideals`` by testing every vertex of every ideal: breadth
-    first, a vertex is addable when it is out and its targets are in."""
-    found = [(frozenset(), None)]
-    seen = {frozenset()}
-    for ideal, _ in found:
-        for v in range(q.n_vertices):
-            if v not in ideal and ideal.issuperset(q.targets[v]):
-                grown = ideal | {v}
-                if grown not in seen:
-                    seen.add(grown)
-                    found.append((grown, v))
-    return found
 
 
 # ---------------------------------------------------------------------------

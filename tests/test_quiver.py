@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from oracles import ideal_node_dictionary_by_words, ideals_by_scan, quiver_order_by_closure
+from oracles import ideal_node_dictionary_by_words, quiver_order_by_closure
 from torusq import quiver as qv, verify
 from torusq.criteria import minuscule_minimal_v_node, minuscule_model
 from torusq.rootdata import minuscule_orbit_size, minuscule_weights, root_system
@@ -26,8 +26,8 @@ def test_gr24_full_quiver():
     q = qv.quiver_from_word((2, 1, 3, 2), root_system("A", 3))
     assert q.n_vertices == 4
     assert sorted(q.arrows) == [(0, 1), (0, 2), (1, 3), (2, 3)]
-    assert q.next_same(0) == 3 and q.prev_same(3) == 0
-    assert q.next_same(1) is None
+    assert q.next[0] == 3 and q.prev[3] == 0
+    assert q.next[1] is None
     assert len(list(q.ideals())) == 6  # one per Schubert variety of Gr(2,4)
 
 
@@ -43,18 +43,6 @@ def test_ideals_grow_by_one_maximal_vertex():
         assert q.is_ideal(ideal)
         assert position[ideal - {v}] < k
         assert q.above(v) & ideal == {v}  # v is maximal
-
-
-IDEAL_SCAN_CASES = [
-    case for case in MINUSCULE_CASES if case[0] != "A" or case[1] <= 9
-]
-
-
-@pytest.mark.parametrize("family,rank,weight", IDEAL_SCAN_CASES)
-def test_ideals_match_the_full_scan(family, rank, weight):
-    # same ideals, same order, same added vertex as testing all N vertices
-    q = qv.MinusculeQuiver(root_system(family, rank), weight).full
-    assert q.ideals() == ideals_by_scan(q)
 
 
 def test_quiver_is_an_immutable_value():

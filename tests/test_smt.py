@@ -45,6 +45,14 @@ def test_tableau_is_an_immutable_value():
     assert hash(t) == hash(smt.Tableau(7, (5, 2), (2, 5)))
     with pytest.raises(AttributeError):
         t.n = 8
+    # the named tuple's own builders check like the constructor
+    assert smt.Tableau._make((7, (5, 2), (2, 5))) == t and t._replace(n=5) == (5, (5, 2), (2, 5))
+    with pytest.raises(ValueError, match=r"entry 8 out of range 1\.\.7"):
+        smt.Tableau._make((7, (8,), (1,)))
+    with pytest.raises(ValueError, match=r"entry 5 out of range 1\.\.4"):
+        t._replace(n=4)
+    with pytest.raises(ValueError, match="need as many single boxes"):
+        t._replace(shorts=(5,))
 
 
 def content_counts(t):
