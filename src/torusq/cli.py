@@ -3,7 +3,9 @@
 Subcommands mirror the library layers: ``gr`` for Young-diagram analysis
 of Grassmannian Schubert varieties, ``quiver`` for building and rendering
 marked quivers, ``smt`` for standard-monomial section counts, and
-``verify`` for the built-in cross-check suites.
+``verify`` for the built-in cross-check suites.  A request builds only
+the parser of the subcommand it names, and help and errors come from the
+same definitions that ``build_parser`` assembles into the whole tree.
 
 Reports are plain text by default and a stable JSON envelope
 ``{"input", "result", "witnesses", "warnings"}`` under ``--json`` (keys
@@ -328,7 +330,83 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _gr_analyze_options(p) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--w", required=True, help="column set, e.g. 2,4")
+
+
+def _quiver_build_options(p) -> None:
+    p.add_argument("--family", choices=["A", "D", "E6", "E7"], required=True)
+    p.add_argument("--rank", type=int)
+    p.add_argument("--weight", type=int, required=True)
+    p.add_argument(
+        "--w",
+        default="minimal",
+        help="'minimal', 'full', a reduced word, or an index set with --as indexset",
+    )
+    p.add_argument("--as", dest="element_format", choices=["word", "indexset"],
+                   default="word")
+    p.add_argument("--dot", help="write a Graphviz file here")
+
+
+def _smt_element_options(p) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--w", required=True)
+    p.add_argument("--as", dest="element_format", choices=["oneline", "word"],
+                   default="oneline")
+
+
+def _smt_dim_options(p) -> None:
+    _smt_element_options(p)
+    p.add_argument("--m", type=int, required=True)
+
+
+def _smt_minimal_options(p) -> None:
+    p.add_argument("--n", type=int, required=True)
+
+
+def _smt_pn_check_options(p) -> None:
+    _smt_element_options(p)
+    p.add_argument("--max-m", type=int, default=3)
+
+
+def _verify_options(p) -> None:
+    p.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
+
+
+# The runnable subcommands, keyed by the words that name them: the help
+# line listed under the parent command, the options, and the handler.
+# Every leaf also takes --json.
+LEAVES = {
+    ("gr", "analyze"): (
+        "full diagram report for one element", _gr_analyze_options, cmd_gr_analyze),
+    ("quiver", "build"): (
+        "build/mark a quiver, optionally as DOT", _quiver_build_options,
+        cmd_quiver_build),
+    ("smt", "dim"): ("invariant section count on X(w)", _smt_dim_options, cmd_smt_dim),
+    ("smt", "minimal"): (
+        "minimal semistable permutations", _smt_minimal_options, cmd_smt_minimal),
+    ("smt", "pn-check"): (
+        "polynomial-ring growth of sections", _smt_pn_check_options, cmd_smt_pn_check),
+    ("verify",): ("run a built-in verification suite", _verify_options, cmd_verify),
+}
+GROUPS = {
+    "gr": "Grassmannian Schubert varieties",
+    "quiver": "minuscule quivers",
+    "smt": "standard-monomial section counts",
+}
+
+
+def _add_leaf(parser: argparse.ArgumentParser, words: tuple[str, ...]) -> None:
+    _, options, func = LEAVES[words]
+    options(parser)
+    parser.add_argument("--json", action="store_true")
+    parser.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree: every group and leaf, for help and errors."""
     parser = argparse.ArgumentParser(
         prog="torusq",
         description="Torus quotients of minuscule Schubert varieties: "
@@ -336,66 +414,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gr = sub.add_parser("gr", help="Grassmannian Schubert varieties")
-    gr_sub = p_gr.add_subparsers(dest="gr_command", required=True)
-    p_an = gr_sub.add_parser("analyze", help="full diagram report for one element")
-    p_an.add_argument("--n", type=int, required=True)
-    p_an.add_argument("--r", type=int, required=True)
-    p_an.add_argument("--w", required=True, help="column set, e.g. 2,4")
-    p_an.add_argument("--json", action="store_true")
-    p_an.set_defaults(func=cmd_gr_analyze)
-
-    p_q = sub.add_parser("quiver", help="minuscule quivers")
-    q_sub = p_q.add_subparsers(dest="quiver_command", required=True)
-    p_qb = q_sub.add_parser("build", help="build/mark a quiver, optionally as DOT")
-    p_qb.add_argument("--family", choices=["A", "D", "E6", "E7"], required=True)
-    p_qb.add_argument("--rank", type=int)
-    p_qb.add_argument("--weight", type=int, required=True)
-    p_qb.add_argument(
-        "--w",
-        default="minimal",
-        help="'minimal', 'full', a reduced word, or an index set with --as indexset",
-    )
-    p_qb.add_argument("--as", dest="element_format", choices=["word", "indexset"],
-                      default="word")
-    p_qb.add_argument("--dot", help="write a Graphviz file here")
-    p_qb.add_argument("--json", action="store_true")
-    p_qb.set_defaults(func=cmd_quiver_build)
-
-    p_s = sub.add_parser("smt", help="standard-monomial section counts")
-    s_sub = p_s.add_subparsers(dest="smt_command", required=True)
-    p_sd = s_sub.add_parser("dim", help="invariant section count on X(w)")
-    p_sd.add_argument("--n", type=int, required=True)
-    p_sd.add_argument("--w", required=True)
-    p_sd.add_argument("--as", dest="element_format", choices=["oneline", "word"],
-                      default="oneline")
-    p_sd.add_argument("--m", type=int, required=True)
-    p_sd.add_argument("--json", action="store_true")
-    p_sd.set_defaults(func=cmd_smt_dim)
-    p_sm = s_sub.add_parser("minimal", help="minimal semistable permutations")
-    p_sm.add_argument("--n", type=int, required=True)
-    p_sm.add_argument("--json", action="store_true")
-    p_sm.set_defaults(func=cmd_smt_minimal)
-    p_sp = s_sub.add_parser("pn-check", help="polynomial-ring growth of sections")
-    p_sp.add_argument("--n", type=int, required=True)
-    p_sp.add_argument("--w", required=True)
-    p_sp.add_argument("--as", dest="element_format", choices=["oneline", "word"],
-                      default="oneline")
-    p_sp.add_argument("--max-m", type=int, default=3)
-    p_sp.add_argument("--json", action="store_true")
-    p_sp.set_defaults(func=cmd_smt_pn_check)
-
-    p_v = sub.add_parser("verify", help="run a built-in verification suite")
-    p_v.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
-    p_v.add_argument("--json", action="store_true")
-    p_v.set_defaults(func=cmd_verify)
+    groups = {}
+    for words, (help_line, _, _) in LEAVES.items():
+        parent = sub
+        if len(words) == 2:
+            group = words[0]
+            if group not in groups:
+                groups[group] = sub.add_parser(group, help=GROUPS[group]).add_subparsers(
+                    dest=f"{group}_command", required=True)
+            parent = groups[group]
+        _add_leaf(parent.add_parser(words[-1], help=help_line), words)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    words = tuple(argv[:2])
+    if words not in LEAVES:
+        words = words[:1]
+    if words in LEAVES:
+        # Build only the parser asked for; anything it leaves over goes to
+        # the whole tree, whose root reports unrecognised arguments.
+        leaf = argparse.ArgumentParser(prog=" ".join(("torusq",) + words))
+        _add_leaf(leaf, words)
+        args, extra = leaf.parse_known_args(argv[len(words):])
+        if not extra:
+            return args.func(args)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 
