@@ -30,9 +30,10 @@ from .weyl import word_to_perm
 # Largest inputs, refused before anything is computed.  ``quiver build``
 # never lists the orbit: its cost grows with the vertex count N = dim G/P
 # (the full quiver keeps only its arrows, at most two per vertex here) and
-# with the rank (the length of each weight tuple); at A100/omega_50,
-# N = 2550, a whole call takes 0.23 s with --w full and 0.85 s with --w
-# minimal on a 2-vCPU VM, at most 22 MB peak RSS.  ``gr analyze`` lists all
+# with the rank (the length of each weight tuple, walked once down to the
+# bottom node); at A100/omega_50, N = 2550, a whole call takes 0.16-0.20 s
+# with --w full and 0.30-0.36 s with --w minimal on a 2-vCPU VM (best of
+# 3), at most 22 MB peak RSS.  ``gr analyze`` lists all
 # C(n, r) column sets for its chain certificate; at the middle r it takes
 # 0.7-0.8 s in process at n = 17 and 3.1-3.9 s at n = 18.
 #
@@ -145,20 +146,18 @@ def cmd_gr_analyze(args) -> int:
     return 0
 
 
-def _resolve_node(poset, args):
-    if args.w == "minimal":
-        return criteria.minuscule_minimal_v_node(poset)
+def _resolve_ideal(minuscule, args) -> frozenset[int]:
+    """The order ideal of the full quiver that ``--w`` names."""
+    system = minuscule.system
     if args.w == "full":
-        return poset.bottom
-    values = _ints(args.w)
-    if args.element_format == "indexset":
-        return poset.node_of_indexset(values)
-    if not poset.word_descends(values):
-        _usage_error(
-            f"{values} is not a reduced word of letters 1..{poset.system.rank} "
-            "in this orbit"
-        )
-    return poset.node_from_word(values)
+        return minuscule.full.members
+    if args.w == "minimal":
+        word = qv.minimal_v_word(system.family, system.rank, minuscule.poset.weight_index)
+    elif args.element_format == "indexset":
+        word = qv.column_set_word(minuscule.poset.check_indexset(_ints(args.w)))
+    else:
+        word = _ints(args.w)
+    return minuscule.grow(word)
 
 
 def cmd_quiver_build(args) -> int:
@@ -180,11 +179,11 @@ def cmd_quiver_build(args) -> int:
         )
     try:
         minuscule = qv.MinusculeQuiver(root_system(args.family, rank), args.weight)
-        node = _resolve_node(minuscule.poset, args)
+        ideal = _resolve_ideal(minuscule, args)
     except ValueError as exc:
         _usage_error(exc)
-    word = minuscule.poset.canonical_word(node)
-    marked = minuscule.quiver_of(node)
+    word = minuscule.word_of(ideal)
+    marked = minuscule.full.marked(ideal)
     holes = qv.classify_holes(marked)
     components = minuscule.components_from_holes(marked, holes)
     payload = {
@@ -205,9 +204,7 @@ def cmd_quiver_build(args) -> int:
                 "essential": holes.essential,
             },
             "smooth": not holes.real,
-            "singular_components": [
-                minuscule.poset.canonical_word(c) for c in components
-            ],
+            "singular_components": [minuscule.word_of(c) for c in components],
         },
         "witnesses": [],
         "warnings": [],

@@ -9,20 +9,15 @@ smooth locus and, when the torus acts with trivial generic stabilizer,
 the quotient is smooth.
 
 A query gets one report per column set
-(:func:`semistable_meets_singular_gr`), each quantity computed once.
-Independent computations of the same verdict are wired up here for the
-verification suites: for Grassmannians the diagram criterion, the direct
-component comparison and the quiver criterion; in the other minuscule
-types only the last two exist.
+(:func:`semistable_meets_singular_gr`), each quantity computed once.  The
+independent computations of the same verdict that the verification
+suites compare live in :mod:`torusq.verify`.
 """
 
 from math import gcd
 
 from . import grassmannian as gr
-from . import quiver as qv
 from . import smt
-from .rootdata import root_system
-from .weyl import MinusculePoset
 
 
 def e_ss_gr(w, r, n):
@@ -99,55 +94,3 @@ def semistable_meets_singular_gr(w, r, n):
         "semistable_nonempty": bool(ss["elements"]),
         "warnings": ss["warnings"],
     }
-
-
-def gr_cross_verdicts(w, r, n):
-    """All available formulations of the criterion for one column set.
-
-    Returns a dict of named booleans that must coincide; callers (and the
-    verification suites) assert the coincidence rather than trust it.
-    Raises when X_w has no semistable points at all.
-    """
-    report = semistable_meets_singular_gr(w, r, n)
-    if not report["semistable_nonempty"]:
-        raise ValueError(f"X_{w} has no semistable points")
-    v = gr.minimal_semistable(r, n)
-    lam_v = gr.indexset_to_partition(v, r, n)
-    out = {
-        "pair-comparison": report["separated"],
-        "diagram": gr.semistable_in_smooth(w, r, n),
-        "component-containment": not any(
-            gr.diagram_leq(mu, lam_v) for mu in report["singular_components"]
-        ),
-        "gap-inequality": all(
-            w[i - 1] < v[i]
-            for i in range(1, r)
-            if w[i] > w[i - 1] + 1
-        ),
-    }
-    model = minuscule_model("A", n - 1, r)
-    w_node = model.poset.node_of_indexset(w)
-    v_node = model.poset.node_of_indexset(v)
-    out["quiver"] = model.semistable_in_smooth(w_node, v_node)
-    return out
-
-
-_models: dict = {}
-
-
-def minuscule_model(family, rank, weight) -> qv.MinusculeModel:
-    """Cached orbit listings; a node's answers are ``quiver build``'s."""
-    key = (family, rank, weight)
-    if key not in _models:
-        _models[key] = qv.MinusculeModel(root_system(family, rank), weight)
-    return _models[key]
-
-
-def minuscule_minimal_v_node(poset: MinusculePoset):
-    """The minimal semistable element as a poset node."""
-    word = qv.minimal_v_word(
-        poset.system.family, poset.system.rank, poset.weight_index
-    )
-    if not poset.word_descends(word):
-        raise AssertionError("minimal element word is not reduced")
-    return poset.node_from_word(word)

@@ -33,6 +33,7 @@ everything weakly above h from the ideal and keep what remains.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .rootdata import (
@@ -182,18 +183,20 @@ def classify_holes(q: Quiver) -> HoleReport:
 class MinusculeQuiver:
     """One minuscule pair (system, weight) on its full quiver.
 
-    Holds the weight-orbit walks of :class:`~torusq.weyl.MinusculePoset`
-    and the quiver of the longest coset representative, and answers every
-    per-node question from them without listing the orbit, so a question
-    costs time polynomial in the number N of quiver vertices (dim G/P),
-    not in the orbit size.
+    Every Schubert variety is an order ideal of ``full``, the quiver of
+    the canonical word of the poset's bottom node, and every per-element
+    question is answered on that ideal: :meth:`grow` turns a reduced word
+    into its ideal, :meth:`word_of` reads an ideal's canonical word back
+    off the quiver, and the holes and singular components come from the
+    marked quiver.  Weights enter only through that one bottom word, so a
+    request costs time polynomial in the number N of quiver vertices
+    (dim G/P), not in the orbit size.
 
-    The node/ideal translation rests on one fact: when vertex v joins an
-    ideal I, everything below v is already in I, so v is maximal in
-    I + {v} and node(I + {v}) = s_{b_v}(node(I)).  :meth:`ideal_of` grows
-    an ideal along a reduced word, :meth:`node_of` replays an ideal's
-    letters; both raise ``AssertionError`` when a step breaks that fact.
-    They are the one node/ideal translation, for requests and ``verify``.
+    Both translations rest on one fact: when vertex v joins an ideal I,
+    everything below v is already in I, so v is maximal in I + {v} and
+    node(I + {v}) = s_{b_v}(node(I)), one level below node(I).  A
+    coordinate +1 at b means the ideal has an addable vertex labelled b,
+    and -1 at b a maximal one.
     """
 
     def __init__(self, system: RootSystem, weight_index: int):
@@ -205,126 +208,136 @@ class MinusculeQuiver:
         # the vertices of one label form a chain, lowest at the last position
         self._lowest = {b: i for i, b in enumerate(self.full.word)}
 
-    def ideal_of(self, node) -> frozenset[int]:
-        """The order ideal of a node, grown from its canonical word.
+    def grow(self, word) -> frozenset[int]:
+        """The order ideal of a reduced word of this orbit.
 
         Nearest letter first, each letter adds the one addable vertex with
         its label.  Those of one label outside the ideal form the top of
         their chain, so only the lowest of them can be addable: one pointer
-        per label, moved up the chain, finds it.
+        per label, moved up the chain, finds it.  A letter that finds none
+        does not lower the weight, and the word is refused with
+        ``ValueError``.
         """
-        word = self.poset.canonical_word(node)
+        word = tuple(word)
         free = dict(self._lowest)
         ideal: set[int] = set()
         for b in reversed(word):
             v = free.get(b)
-            if v is None:
-                raise AssertionError(f"no vertex labelled {b} is left to add")
+            if v is None or not ideal.issuperset(self.full.targets[v]):
+                raise ValueError(
+                    f"{word} is not a reduced word of letters "
+                    f"1..{self.system.rank} in this orbit"
+                )
             ideal.add(v)
-            if not ideal.issuperset(self.full.targets[v]):
-                raise AssertionError(f"vertex {v} is not addable")
             free[b] = self.full.prev[v]
-        if len(ideal) != len(word):
-            raise AssertionError(f"{len(ideal)} vertices for {len(word)} letters")
         return frozenset(ideal)
 
-    def node_of(self, ideal) -> tuple[int, ...]:
-        """The node of an order ideal: its letters replayed from the top,
-        bottom vertex first (decreasing position, a linear extension)."""
-        node = self.poset.top
-        for v in sorted(ideal, reverse=True):
-            node = self._lower(node, self.full.label(v))
-        return node
+    def word_of(self, ideal) -> tuple[int, ...]:
+        """The canonical word of an order ideal, read off the quiver.
 
-    def _lower(self, node, b: int) -> tuple[int, ...]:
-        """s_b(node), which must lie one level below node."""
-        if node[b - 1] != 1:
-            raise AssertionError(f"letter {b} does not lower {node}")
-        return reflect(self.system, node, b)
+        The canonical word raises a node along the smallest simple root
+        whose coordinate is -1, which removes the maximal vertex of that
+        label.  So the maximal vertex with the smallest label is removed
+        until none is left, from a heap of the vertices no arrow inside
+        the ideal reaches: O(|I| log N + arrows).
+        """
+        targets, labels = self.full.targets, self.full.word
+        reached = dict.fromkeys(ideal, 0)
+        for u in ideal:
+            for t in targets[u]:
+                reached[t] += 1
+        heap = [(labels[v], v) for v, k in reached.items() if not k]
+        heapify(heap)
+        word = []
+        while heap:
+            b, v = heappop(heap)
+            word.append(b)
+            for t in targets[v]:
+                reached[t] -= 1
+                if not reached[t]:
+                    heappush(heap, (labels[t], t))
+        return tuple(word)
 
-    def quiver_of(self, node) -> Quiver:
-        """The quiver of one Schubert variety: the full quiver with the
-        node's ideal marked."""
-        return self.full.marked(self.ideal_of(node))
+    def holes(self, ideal) -> HoleReport:
+        return classify_holes(self.full.marked(ideal))
 
-    def leq_nodes(self, a, b) -> bool:
-        """Bruhat order via ideal containment."""
-        return self.ideal_of(a) <= self.ideal_of(b)
-
-    def holes(self, node) -> HoleReport:
-        return classify_holes(self.quiver_of(node))
-
-    def is_smooth(self, node) -> bool:
+    def is_smooth(self, ideal) -> bool:
         """Smooth exactly when the marked quiver has no real holes."""
-        return not self.holes(node).real
+        return not self.holes(ideal).real
 
-    def singular_components(self, node) -> list[tuple[int, ...]]:
-        """Nodes indexing the components of the singular locus."""
-        q = self.quiver_of(node)
-        return self.components_from_holes(q, classify_holes(q))
+    def singular_components(self, ideal) -> list[frozenset[int]]:
+        """The order ideals of the components of the singular locus."""
+        q = self.full.marked(ideal)
+        return list(self.components_from_holes(q, classify_holes(q)))
 
-    def components_from_holes(
-        self, q: Quiver, report: HoleReport
-    ) -> list[tuple[int, ...]]:
-        """The component nodes carved out by the essential holes of
-        ``report``, the hole report of the marked quiver ``q``."""
-        out = []
-        for h in report.essential:
-            rest = q.members - q.above(h)
-            comp = self.node_of(rest)
-            if comp not in out:
-                out.append(comp)
-        return out
+    def components_from_holes(self, q: Quiver, report: HoleReport):
+        """The component ideals carved out by the essential holes of
+        ``report``, the hole report of the marked quiver ``q``, one at a
+        time.  They are distinct: no other real hole is weakly above an
+        essential one, so each component keeps every other essential hole
+        and drops only its own."""
+        return (q.members - q.above(h) for h in report.essential)
 
-    def semistable_in_smooth(self, w_node, v_node) -> bool:
+    def semistable_in_smooth(self, w_ideal, v_ideal) -> bool:
         """Criterion: every essential hole of Q_w lies in the ideal of v.
 
-        ``v_node`` is the minimal element with semistable points; ``w_node``
-        must dominate it, otherwise there is nothing to test.
+        ``v_ideal`` is the minimal element with semistable points;
+        ``w_ideal`` must contain it, otherwise there is nothing to test.
         """
-        if not self.leq_nodes(v_node, w_node):
+        if not v_ideal <= w_ideal:
             raise ValueError("w does not dominate v: no semistable points")
-        v_ideal = self.ideal_of(v_node)
-        report = classify_holes(self.quiver_of(w_node))
-        return all(h in v_ideal for h in report.essential)
+        return all(h in v_ideal for h in self.holes(w_ideal).essential)
 
 
 class MinusculeModel(MinusculeQuiver):
-    """The orbit of a minuscule pair, listed as ``nodes`` in graded order.
+    """The orbit of a minuscule pair, listed once from the quiver's ideals.
 
-    This is the verification side: the suites walk every node of
-    ``nodes`` and ask the :class:`MinusculeQuiver` lookups about each,
-    the same ``ideal_of``/``node_of`` a request runs.  Their independent
+    This is the verification side.  ``ideals`` maps every node, in graded
+    order, to its order ideal of ``full``, and ``nodes`` lists the nodes;
+    the suites read each node's ideal from here once and ask it the
+    :class:`MinusculeQuiver` questions a request asks.  Their independent
     oracle is ``ideal_node_dictionary_by_words`` in ``tests/oracles.py``.
 
     The listing costs one reflection per ideal: ``Quiver.ideals`` lists
     I before I + {v}, and node(I + {v}) = s_{b_v}(node(I)).  The build
     checks, raising ``AssertionError``, that each letter lowers the weight,
-    that every coordinate is -1, 0 or 1, that no node gets two ideals,
-    that there are as many nodes as the closed-form orbit size, and that
-    the full ideal's node is the poset's bottom.
+    that every coordinate is -1, 0 or 1, that each ideal's
+    :meth:`~MinusculeQuiver.word_of` is its node's canonical word and
+    grows back into the ideal, that no node gets two ideals, that there
+    are as many nodes as the closed-form orbit size, and that the full
+    ideal's node is the poset's bottom.
     """
 
     def __init__(self, system: RootSystem, weight_index: int):
         super().__init__(system, weight_index)
-        node_of: dict[frozenset[int], tuple[int, ...]] = {}
+        node_at: dict[frozenset[int], tuple[int, ...]] = {}
         for ideal, v in self.full.ideals():
             if v is None:
                 node = self.poset.top
             else:
-                node = self._lower(node_of[ideal - {v}], self.full.label(v))
+                node, b = node_at[ideal - {v}], self.full.label(v)
+                if node[b - 1] != 1:
+                    raise AssertionError(f"letter {b} does not lower {node}")
+                node = reflect(system, node, b)
             if not set(node) <= {-1, 0, 1}:
                 raise AssertionError(f"non-minuscule coordinate in orbit: {node}")
-            node_of[ideal] = node
-        self.nodes = list(node_of.values())
-        if len(set(self.nodes)) != len(self.nodes):
+            word = self.poset.canonical_word(node)
+            if self.word_of(ideal) != word or self.grow(word) != ideal:
+                raise AssertionError(
+                    f"the quiver word of {sorted(ideal)} is not the canonical "
+                    f"word {word} of {node}"
+                )
+            node_at[ideal] = node
+        self.ideals = {node: ideal for ideal, node in node_at.items()}
+        self.nodes = list(self.ideals)
+        if len(self.nodes) != len(node_at):
             raise AssertionError("ideal/coset correspondence is not a bijection")
         size = minuscule_orbit_size(system.family, system.rank, weight_index)
         if len(self.nodes) != size:
             raise AssertionError(
                 f"{len(self.nodes)} ideals for {size} coset elements"
             )
-        if node_of[self.full.members] != self.poset.bottom:
+        if node_at[self.full.members] != self.poset.bottom:
             raise AssertionError("the full ideal is not the bottom node")
 
 
@@ -349,11 +362,7 @@ def minimal_v_word(family: str, rank: int, weight_index: int) -> tuple[int, ...]
             )
         from .grassmannian import minimal_semistable
 
-        entries = minimal_semistable(r, n)
-        word = []
-        for j, a in enumerate(entries, start=1):
-            word.extend(range(a - 1, j - 1, -1))
-        return tuple(word)
+        return column_set_word(minimal_semistable(r, n))
     if family == "D":
         n = rank
         if weight_index == 1:
@@ -377,6 +386,15 @@ def minimal_v_word(family: str, rank: int, weight_index: int) -> tuple[int, ...]
         mirror = {1: 6, 6: 1, 3: 5, 5: 3, 2: 2, 4: 4}
         return tuple(mirror[b] for b in base)
     return (5, 2, 4, 3, 7, 6, 5, 4, 1, 2, 3, 4, 5, 6, 7)
+
+
+def column_set_word(entries) -> tuple[int, ...]:
+    """A reduced word of the type-A coset with the sorted column set
+    ``entries``: column j climbs from j to its entry a, s_{a-1} ... s_j."""
+    word = []
+    for j, a in enumerate(entries, start=1):
+        word.extend(range(a - 1, j - 1, -1))
+    return tuple(word)
 
 
 def quiver_to_dot(q: Quiver, report: HoleReport) -> str:

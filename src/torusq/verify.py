@@ -3,7 +3,9 @@
 Each suite re-derives a published or independently computable fact with
 the library and reports pass/fail plus a check count.  The suites dualize
 the test suite so that an installed package can be smoke-tested without
-pytest.
+pytest.  The formulations of the semistable-vs-singular verdict that the
+suites compare (:func:`gr_cross_verdicts`) and the cached orbit listings
+they walk (:func:`minuscule_model`) live here, off the request path.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from itertools import combinations, permutations
 from math import gcd
 
 from . import criteria, grassmannian as gr, quiver as qv, smt
-from .rootdata import minuscule_weights, root_system
-from .weyl import bruhat_leq
+from .rootdata import root_system
+from .weyl import bruhat_leq, pi_projection, word_to_perm
 
 
 def _result(name, checks, failures, info=None):
@@ -24,6 +26,51 @@ def _result(name, checks, failures, info=None):
         "failures": failures[:20],
         "info": info or {},
     }
+
+
+_models: dict = {}
+
+
+def minuscule_model(family, rank, weight) -> qv.MinusculeModel:
+    """Cached orbit listings; a node's answers are ``quiver build``'s."""
+    key = (family, rank, weight)
+    if key not in _models:
+        _models[key] = qv.MinusculeModel(root_system(family, rank), weight)
+    return _models[key]
+
+
+def gr_cross_verdicts(w, r, n):
+    """All available formulations of the criterion for one column set.
+
+    Returns a dict of named booleans that must coincide: the report's pair
+    comparison, the diagram criterion, component containment, the gap
+    inequality and the quiver hole criterion, on the ideals of w and of
+    the minimal semistable element read from the orbit listing.  Raises
+    when X_w has no semistable points at all.
+    """
+    report = criteria.semistable_meets_singular_gr(w, r, n)
+    if not report["semistable_nonempty"]:
+        raise ValueError(f"X_{w} has no semistable points")
+    v = gr.minimal_semistable(r, n)
+    lam_v = gr.indexset_to_partition(v, r, n)
+    out = {
+        "pair-comparison": report["separated"],
+        "diagram": gr.semistable_in_smooth(w, r, n),
+        "component-containment": not any(
+            gr.diagram_leq(mu, lam_v) for mu in report["singular_components"]
+        ),
+        "gap-inequality": all(
+            w[i - 1] < v[i]
+            for i in range(1, r)
+            if w[i] > w[i - 1] + 1
+        ),
+    }
+    model = minuscule_model("A", n - 1, r)
+    out["quiver"] = model.semistable_in_smooth(
+        model.ideals[model.poset.node_of_indexset(w)],
+        model.ideals[model.poset.node_of_indexset(v)],
+    )
+    return out
 
 
 def golden_sl7() -> dict:
@@ -93,11 +140,11 @@ def cross_smooth() -> dict:
                 if gr.is_smooth(lam, r, n) != (not gr.singular_components(lam, r, n)):
                     failures.append(f"box {rows_}x{cols}, {lam}: smooth tests split")
     for r, n in _SWEEP_BOXES:
-        model = criteria.minuscule_model("A", n - 1, r)
-        for node in model.nodes:
+        model = minuscule_model("A", n - 1, r)
+        for node, ideal in model.ideals.items():
             lam = gr.indexset_to_partition(model.poset.indexset(node), r, n)
             checks += 1
-            if model.is_smooth(node) != gr.is_smooth(lam, r, n):
+            if model.is_smooth(ideal) != gr.is_smooth(lam, r, n):
                 failures.append(f"Gr({r},{n}) {lam}: quiver vs diagram smoothness")
     return _result("cross-smooth", checks, failures)
 
@@ -113,18 +160,21 @@ def _partitions_in_box(rows, cols):
 
 def cross_singular() -> dict:
     """Quiver singular components against diagram growth, elementwise,
-    across every Schubert variety of every Gr(r, n) with n <= 7."""
+    across every Schubert variety of every Gr(r, n) with n <= 7.  Each
+    component is read through its quiver word, as ``quiver build`` prints
+    it."""
     failures = []
     checks = 0
     for r, n in _SWEEP_BOXES:
-        model = criteria.minuscule_model("A", n - 1, r)
-        for node in model.nodes:
-            entries = model.poset.indexset(node)
-            lam = gr.indexset_to_partition(entries, r, n)
+        model = minuscule_model("A", n - 1, r)
+        for node, ideal in model.ideals.items():
+            lam = gr.indexset_to_partition(model.poset.indexset(node), r, n)
             expected = set(gr.singular_components(lam, r, n))
             got = {
-                gr.indexset_to_partition(model.poset.indexset(c), r, n)
-                for c in model.singular_components(node)
+                gr.indexset_to_partition(
+                    pi_projection(word_to_perm(model.word_of(c), n), r), r, n
+                )
+                for c in model.singular_components(ideal)
             }
             checks += 1
             if expected != got:
@@ -144,7 +194,7 @@ def quiver_words() -> dict:
     plans += [("E6", 6, 1), ("E6", 6, 6), ("E7", 7, 7)]
     for family, rank, weight in plans:
         system = root_system(family, rank)
-        model = criteria.minuscule_model(family, rank, weight)
+        model = minuscule_model(family, rank, weight)
         for node in model.nodes:
             word = model.poset.canonical_word(node)
             qa = qv.quiver_from_word(word, system)
@@ -224,9 +274,8 @@ def minimal_singular() -> dict:
     plans += [("D", n, n - 1) for n in (4, 5, 6)]
     plans += [("E6", 6, 1), ("E7", 7, 7)]
     for family, rank, weight in plans:
-        model = criteria.minuscule_model(family, rank, weight)
-        v_node = criteria.minuscule_minimal_v_node(model.poset)
-        holes = model.holes(v_node)
+        model = minuscule_model(family, rank, weight)
+        holes = model.holes(model.grow(qv.minimal_v_word(family, rank, weight)))
         checks += 1
         if not holes.real:
             failures.append(f"{family}{rank} omega_{weight}: no real hole on v")
@@ -259,12 +308,12 @@ def minima_sweep() -> dict:
         for w in combinations(range(1, n + 1), r):
             if not gr.indexset_leq(v, w):
                 continue
-            verdicts = criteria.gr_cross_verdicts(w, r, n)
+            verdicts = gr_cross_verdicts(w, r, n)
             checks += 1
             if len(set(verdicts.values())) != 1:
                 failures.append(f"Gr({r},{n}) w={w}: {verdicts}")
     checks += 1
-    if criteria.gr_cross_verdicts((5, 7, 8, 9), 4, 9)["diagram"]:
+    if gr_cross_verdicts((5, 7, 8, 9), 4, 9)["diagram"]:
         failures.append(
             "Gr(4,9) w=(5,7,8,9): expected the singular component above "
             "(2,2,0,0) to swallow the semistable locus"
@@ -272,16 +321,13 @@ def minima_sweep() -> dict:
     for family, rank, weight in [
         ("D", 4, 1), ("D", 5, 1), ("D", 4, 3), ("D", 5, 4), ("E6", 6, 1),
     ]:
-        model = criteria.minuscule_model(family, rank, weight)
-        v_node = criteria.minuscule_minimal_v_node(model.poset)
-        for node in model.nodes:
-            if not model.leq_nodes(v_node, node):
+        model = minuscule_model(family, rank, weight)
+        v = model.grow(qv.minimal_v_word(family, rank, weight))
+        for node, ideal in model.ideals.items():
+            if not v <= ideal:
                 continue
-            quiver_verdict = model.semistable_in_smooth(node, v_node)
-            pair_verdict = not any(
-                model.leq_nodes(v_node, comp)
-                for comp in model.singular_components(node)
-            )
+            quiver_verdict = model.semistable_in_smooth(ideal, v)
+            pair_verdict = not any(v <= comp for comp in model.singular_components(ideal))
             checks += 1
             if quiver_verdict != pair_verdict:
                 failures.append(

@@ -11,15 +11,15 @@ that product, which is how everything here is computed.
 
 The second half of the module works in the weight orbit of a minuscule
 fundamental weight for any of the simply laced families, by walks of
-reflections: the bottom node, canonical words and the node of a word.  It
-never lists the orbit, and neither does a request:
-:class:`torusq.quiver.MinusculeQuiver` answers one node from its word and
-the full quiver.  Only the verification suites enumerate the orbit, with
-:class:`torusq.quiver.MinusculeModel`, from the order ideals of the
-quiver, and ask each node the questions a request asks.  Nodes are
-weights in fundamental coordinates; every coordinate of an orbit weight
-is -1, 0 or 1, which is what makes the canonical-word and length
-bookkeeping trivial.
+reflections: the bottom node, canonical words and the type-A column sets.
+It never lists the orbit.  A request reads one walk, the bottom node's
+canonical word, which builds the full quiver;
+:class:`torusq.quiver.MinusculeQuiver` answers the rest on the order
+ideals of that quiver.  Only the verification suites enumerate the orbit,
+with :class:`torusq.quiver.MinusculeModel`, which checks each node's
+canonical word against its ideal's.  Nodes are weights in fundamental
+coordinates; every coordinate of an orbit weight is -1, 0 or 1, which is
+what makes the canonical-word and length bookkeeping trivial.
 """
 
 from bisect import insort
@@ -160,27 +160,6 @@ class MinusculePoset:
             raise ValueError(f"{mu} is not in the orbit")
         return tuple(word)
 
-    def node_from_word(self, word):
-        """Apply a word to the top weight, rightmost letter first."""
-        cur = self.top
-        for i in reversed(tuple(word)):
-            cur = reflect(self.system, cur, i)
-        return cur
-
-    def word_descends(self, word):
-        """True if the word is reduced as a coset representative.
-
-        Each letter, applied nearest-first, must be a simple-root index that
-        strictly lowers the weight (coordinate +1 at that index); then
-        len(word) == depth of the result.
-        """
-        cur = self.top
-        for i in reversed(tuple(word)):
-            if not 1 <= i <= self.system.rank or cur[i - 1] != 1:
-                return False
-            cur = reflect(self.system, cur, i)
-        return True
-
     # convenience for type A, where cosets are index sets
 
     def permutation(self, mu):
@@ -194,13 +173,9 @@ class MinusculePoset:
         """The r-element column set of the node (type A only)."""
         return pi_projection(self.permutation(mu), self.weight_index)
 
-    def node_of_indexset(self, entries):
-        """Inverse of :meth:`indexset` (type A only), in closed form.
-
-        The node of a column set S is the weight of the basis vector e_S of
-        the r-th exterior power: coordinate [j in S] - [j+1 in S] at
-        j = 1..n-1.  Entries may come in any order.
-        """
+    def check_indexset(self, entries):
+        """``entries`` sorted, when they are a column set of this orbit
+        (type A only): r distinct columns among 1..n."""
         if self.system.family != "A":
             raise ValueError("index sets only make sense in type A")
         n = self.system.rank + 1
@@ -212,4 +187,17 @@ class MinusculePoset:
             or not columns <= set(range(1, n + 1))
         ):
             raise ValueError(f"{entries} is not a node of this orbit")
-        return tuple((j in columns) - (j + 1 in columns) for j in range(1, n))
+        return entries
+
+    def node_of_indexset(self, entries):
+        """Inverse of :meth:`indexset` (type A only), in closed form.
+
+        The node of a column set S is the weight of the basis vector e_S of
+        the r-th exterior power: coordinate [j in S] - [j+1 in S] at
+        j = 1..n-1.  Entries may come in any order.
+        """
+        columns = set(self.check_indexset(entries))
+        return tuple(
+            (j in columns) - (j + 1 in columns)
+            for j in range(1, self.system.rank + 1)
+        )

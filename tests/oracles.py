@@ -14,8 +14,9 @@ of the open cell) instead of tableau combinatorics, the minuscule
 ideal/node dictionary finds the ideals by a search of its own, on a
 quiver order closed from arrows read off the definition instead of the
 package's per-vertex arrow lists, and replays each one's whole word from
-the top weight instead of growing a node's ideal along its canonical
-word, and the minuscule
+the top weight instead of reflecting once per added vertex, a word is
+checked and applied letter by letter on weights instead of grown into an
+ideal on the quiver, and the minuscule
 orbit is searched breadth first over its cover edges instead of being read
 off the order ideals of the quiver.  Agreement between the two sides is
 what the tests assert.
@@ -359,6 +360,33 @@ def invariant_dim_geometric(w, m, seed=0):
 
 
 # ---------------------------------------------------------------------------
+# minuscule words replayed on weights
+
+
+def word_descends(poset, word):
+    """True if the word is reduced as a coset representative of ``poset``.
+
+    Each letter, applied nearest-first, must be a simple-root index that
+    strictly lowers the weight (coordinate +1 at that index); then
+    len(word) == depth of the result.
+    """
+    cur = poset.top
+    for i in reversed(tuple(word)):
+        if not 1 <= i <= poset.system.rank or cur[i - 1] != 1:
+            return False
+        cur = reflect(poset.system, cur, i)
+    return True
+
+
+def node_from_word(poset, word):
+    """Apply a word to the top weight of ``poset``, rightmost letter first."""
+    cur = poset.top
+    for i in reversed(tuple(word)):
+        cur = reflect(poset.system, cur, i)
+    return cur
+
+
+# ---------------------------------------------------------------------------
 # minuscule ideal/node dictionary by word replay
 
 
@@ -407,7 +435,7 @@ def ideal_node_dictionary_by_words(poset, q):
         frontier = list(grown - found)
         found |= grown
     return {
-        ideal: poset.node_from_word(tuple(q.word[i] for i in sorted(ideal)))
+        ideal: node_from_word(poset, tuple(q.word[i] for i in sorted(ideal)))
         for ideal in sorted(found, key=lambda s: (len(s), sorted(s)))
     }
 

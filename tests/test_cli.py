@@ -5,8 +5,8 @@ from collections import Counter
 
 import pytest
 
-from oracles import invariant_witnesses_by_filter
-from torusq import cli, criteria, grassmannian as gr, quiver as qv, smt
+from oracles import invariant_witnesses_by_filter, word_descends
+from torusq import cli, criteria, grassmannian as gr, quiver as qv, smt, verify
 from torusq.cli import QUIVER_MAX_VERTICES, SMT_MINIMAL_MAX_N, SMT_WORD_MAX_N, main
 from torusq.rootdata import minuscule_dimension, root_system
 from torusq.weyl import MinusculePoset
@@ -241,14 +241,14 @@ def test_quiver_build_never_enumerates_the_orbit(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(qv, "MinusculeModel", unbuildable)
     monkeypatch.setattr(qv.Quiver, "ideals", unbuildable)
-    monkeypatch.setattr(criteria, "_models", {})
+    monkeypatch.setattr(verify, "_models", {})
     path = tmp_path / "spinor.dot"
     if dot:
         argv = [*argv, "--dot", str(path)]
     code, payload, _ = run_json(capsys, ["quiver", "build", *argv])
     assert code == 0
     assert payload["result"]["length"] == len(payload["result"]["members"])
-    assert criteria._models == {}
+    assert verify._models == {}
     assert path.exists() == dot
 
 
@@ -270,14 +270,14 @@ def test_quiver_build_at_the_vertex_limit(capsys, family, rank, weight, vertices
     assert result["vertices"] == vertices == minuscule_dimension(family, rank, weight)
     assert result["length"] == len(result["word"]) == len(result["members"])
     poset = MinusculePoset(root_system(family, rank), weight)
-    assert poset.word_descends(result["word"])
+    assert word_descends(poset, result["word"])
     if element == "full":
         assert result["members"] == list(range(vertices))
         assert result["smooth"] is True and result["singular_components"] == []
     else:
         assert result["smooth"] is False and result["singular_components"]
     for word in result["singular_components"]:
-        assert poset.word_descends(word) and len(word) < result["length"]
+        assert word_descends(poset, word) and len(word) < result["length"]
 
 
 def test_quiver_build_word_and_indexset_agree(capsys):

@@ -1,7 +1,7 @@
 """The semistable-vs-singular comparison in all of its formulations.
 
-The point of the module under test is that several independently computed
-verdicts must coincide; these tests pin a few of them to hand-checked
+The point of the report and of the cross verdicts that ``verify`` keeps
+is that several independently computed verdicts must coincide; these tests pin a few of them to hand-checked
 values and sweep the coincidence on small boxes.
 """
 
@@ -11,7 +11,8 @@ from math import gcd
 
 import pytest
 
-from torusq import criteria, grassmannian as gr
+from oracles import node_from_word
+from torusq import criteria, grassmannian as gr, verify
 from torusq.cli import main
 from torusq.quiver import minimal_v_word
 
@@ -85,7 +86,7 @@ def test_meets_report_below_v():
 
 def test_cross_verdicts_raise_without_semistable_points():
     with pytest.raises(ValueError):
-        criteria.gr_cross_verdicts((1, 2), 2, 5)
+        verify.gr_cross_verdicts((1, 2), 2, 5)
 
 
 def test_cross_verdicts_agree_on_small_boxes():
@@ -94,7 +95,7 @@ def test_cross_verdicts_agree_on_small_boxes():
         for w in combinations(range(1, n + 1), r):
             if not gr.indexset_leq(v, w):
                 continue
-            verdicts = criteria.gr_cross_verdicts(w, r, n)
+            verdicts = verify.gr_cross_verdicts(w, r, n)
             assert len(set(verdicts.values())) == 1, (r, n, w, verdicts)
             assert verdicts["pair-comparison"] is True  # no failures this small
 
@@ -102,7 +103,7 @@ def test_cross_verdicts_agree_on_small_boxes():
 def test_first_failing_case():
     # the smallest column set whose semistable points reach the singular
     # locus lives in the 4x5 box
-    verdicts = criteria.gr_cross_verdicts((5, 7, 8, 9), 4, 9)
+    verdicts = verify.gr_cross_verdicts((5, 7, 8, 9), 4, 9)
     assert verdicts == {
         "pair-comparison": False,
         "diagram": False,
@@ -111,57 +112,57 @@ def test_first_failing_case():
         "quiver": False,
     }
     # its neighbours one step up are fine again
-    assert all(criteria.gr_cross_verdicts((6, 7, 8, 9), 4, 9).values())
+    assert all(verify.gr_cross_verdicts((6, 7, 8, 9), 4, 9).values())
 
 
 def test_model_cache_returns_same_object():
-    a = criteria.minuscule_model("A", 4, 2)
-    b = criteria.minuscule_model("A", 4, 2)
+    a = verify.minuscule_model("A", 4, 2)
+    b = verify.minuscule_model("A", 4, 2)
     assert a is b
 
 
 def test_minimal_v_node_depth_matches_word_length():
     for family, rank, weight in [("A", 4, 2), ("D", 4, 1), ("D", 5, 5), ("E6", 6, 1)]:
-        model = criteria.minuscule_model(family, rank, weight)
-        node = criteria.minuscule_minimal_v_node(model.poset)
+        model = verify.minuscule_model(family, rank, weight)
         word = minimal_v_word(family, rank, weight)
-        assert len(model.ideal_of(node)) == len(word)
+        ideal = model.grow(word)
+        assert len(ideal) == len(word)
+        assert model.ideals[node_from_word(model.poset, word)] == ideal
 
 
 def test_minuscule_report_quadric():
-    model = criteria.minuscule_model("D", 4, 1)
-    v_node = criteria.minuscule_minimal_v_node(model.poset)
-    assert not model.is_smooth(v_node)
-    holes = model.holes(v_node)
+    model = verify.minuscule_model("D", 4, 1)
+    v = model.grow(minimal_v_word("D", 4, 1))
+    assert not model.is_smooth(v)
+    holes = model.holes(v)
     assert holes.real == holes.essential
-    assert len(model.singular_components(v_node)) == 1
-    assert model.leq_nodes(v_node, v_node)
+    assert len(model.singular_components(v)) == 1
     # the hole sits inside the ideal of v
-    assert model.semistable_in_smooth(v_node, v_node) is True
+    assert model.semistable_in_smooth(v, v) is True
 
-    bottom = model.poset.bottom
+    bottom = model.full.members
     assert model.is_smooth(bottom)
-    assert model.semistable_in_smooth(bottom, v_node) is True
+    assert model.semistable_in_smooth(bottom, v) is True
 
-    top = model.poset.top
+    top = frozenset()
     assert model.is_smooth(top)
-    assert not model.leq_nodes(v_node, top)  # no semistable points
+    assert not v <= top  # no semistable points
     with pytest.raises(ValueError):
-        model.semistable_in_smooth(top, v_node)
+        model.semistable_in_smooth(top, v)
 
 
 def test_quiver_verdict_matches_grassmannian_route():
-    model = criteria.minuscule_model("A", 4, 2)
-    v_node = criteria.minuscule_minimal_v_node(model.poset)
+    model = verify.minuscule_model("A", 4, 2)
+    v = model.grow(minimal_v_word("A", 4, 2))
     for w in combinations(range(1, 6), 2):
         if not gr.indexset_leq((3, 5), w):
             continue
-        node = model.poset.node_of_indexset(w)
-        assert model.semistable_in_smooth(node, v_node) == gr.semistable_in_smooth(
+        ideal = model.ideals[model.poset.node_of_indexset(w)]
+        assert model.semistable_in_smooth(ideal, v) == gr.semistable_in_smooth(
             w, 2, 5
         )
         lam = gr.indexset_to_partition(w, 2, 5)
-        assert model.is_smooth(node) == gr.is_smooth(lam, 2, 5)
+        assert model.is_smooth(ideal) == gr.is_smooth(lam, 2, 5)
 
 
 def test_quotient_report_consistency(capsys):

@@ -32,9 +32,9 @@ from itertools import combinations, permutations
 from pathlib import Path
 
 from torusq.cli import main
-from torusq.criteria import minuscule_model
 from torusq.rootdata import minuscule_weights
 from torusq.smt import parabolic_lifts
+from torusq.verify import minuscule_model
 
 GOLDEN = Path(__file__).parent / "golden"
 PROMPT = "$ torusq "

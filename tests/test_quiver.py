@@ -5,14 +5,20 @@ high, so ideals collect suffixes of the building word.
 """
 
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
-from oracles import ideal_node_dictionary_by_words, quiver_order_by_closure
+from oracles import (
+    ideal_node_dictionary_by_words,
+    node_from_word,
+    quiver_order_by_closure,
+    word_descends,
+)
 from torusq import quiver as qv, verify
-from torusq.criteria import minuscule_minimal_v_node, minuscule_model
+from torusq.cli import main
 from torusq.rootdata import minuscule_orbit_size, minuscule_weights, root_system
+from torusq.verify import minuscule_model
 from torusq.weyl import MinusculePoset
 
 MINUSCULE_CASES = (
@@ -66,13 +72,81 @@ def test_dictionary_matches_word_replay(family, rank, weight):
     model = minuscule_model(family, rank, weight)
     oracle = ideal_node_dictionary_by_words(model.poset, model.full)
     assert len(oracle) == len(model.nodes) == minuscule_orbit_size(family, rank, weight)
-    assert set(model.nodes) == set(oracle.values())
-    # the lookups quiver build runs: grown from the canonical word, replayed
-    for ideal, node in oracle.items():
-        assert model.ideal_of(node) == ideal
-        assert model.node_of(ideal) == node
-    sizes = [len(model.ideal_of(node)) for node in model.nodes]
+    assert model.ideals == {node: ideal for ideal, node in oracle.items()}
+    sizes = [len(model.ideals[node]) for node in model.nodes]
     assert sizes == sorted(sizes)  # graded order
+
+
+def test_word_of_is_the_canonical_word():
+    # the heap on the quiver against the walk up the weights, on every node
+    # of A1..A9 (every weight), D4..D8 (every minuscule weight), E6 and E7;
+    # a bare MinusculeQuiver, so the model's own build check does not run
+    cases = [case for case in MINUSCULE_CASES if case[:2] != ("A", 10)]
+    nodes = 0
+    for family, rank, weight in cases:
+        minuscule = qv.MinusculeQuiver(root_system(family, rank), weight)
+        oracle = ideal_node_dictionary_by_words(minuscule.poset, minuscule.full)
+        for ideal, node in oracle.items():
+            word = minuscule.poset.canonical_word(node)
+            assert minuscule.word_of(ideal) == word
+            assert minuscule.grow(word) == ideal
+        nodes += len(oracle)
+    assert nodes == 2692
+
+
+@pytest.mark.parametrize("family,rank,weight,longest", [
+    ("A", 4, 2, 6), ("A", 5, 3, 6), ("D", 5, 1, 5), ("D", 5, 5, 5),
+    ("E6", 6, 1, 5), ("E7", 7, 7, 4),
+])
+def test_grow_matches_the_weight_replay(family, rank, weight, longest):
+    # every word of up to ``longest`` letters 1..rank: grown when the letters
+    # lower the weight one by one, into the ideal of the replayed node, and
+    # refused otherwise; the grown ideals are all those of that size
+    minuscule = qv.MinusculeQuiver(root_system(family, rank), weight)
+    poset = minuscule.poset
+    node_at = ideal_node_dictionary_by_words(poset, minuscule.full)
+    refusal = "{} is not a reduced word of letters 1..%d in this orbit" % rank
+    grown = set()
+    for length in range(longest + 1):
+        for word in product(range(1, rank + 1), repeat=length):
+            if word_descends(poset, word):
+                ideal = minuscule.grow(word)
+                assert node_at[ideal] == node_from_word(poset, word)
+                grown.add(ideal)
+                continue
+            with pytest.raises(ValueError) as exc:
+                minuscule.grow(word)
+            assert str(exc.value) == refusal.format(word)
+    assert grown == {ideal for ideal in node_at if len(ideal) <= longest}
+
+
+def test_column_set_word_grows_the_ideal_of_its_column_set():
+    # the --as indexset route against the closed-form node, every type-A
+    # column set with n <= 9
+    for n in range(2, 10):
+        for r in range(1, n):
+            model = minuscule_model("A", n - 1, r)
+            for entries in combinations(range(1, n + 1), r):
+                node = model.poset.node_of_indexset(entries)
+                assert model.grow(qv.column_set_word(entries)) == model.ideals[node]
+
+
+def test_a_request_walks_the_weights_once(capsys, monkeypatch):
+    # only the bottom word that builds the full quiver is read off weights;
+    # the answer's words and its 49 components come from the quiver
+    calls = []
+    canonical_word = MinusculePoset.canonical_word
+
+    def counting(self, mu):
+        calls.append(mu)
+        return canonical_word(self, mu)
+
+    monkeypatch.setattr(MinusculePoset, "canonical_word", counting)
+    assert main(["quiver", "build", "--family", "A", "--rank", "100",
+                 "--weight", "50", "--w", "minimal", "--json"]) == 0
+    assert '"singular_components"' in capsys.readouterr().out
+    assert len(calls) == 1
+    assert calls[0] == MinusculePoset(root_system("A", 100), 50).bottom
 
 
 def test_order_direction():
@@ -131,52 +205,66 @@ def test_ideal_checks():
 
 def test_divisor_hole_in_gr24():
     model = minuscule_model("A", 3, 2)
-    node = model.poset.node_of_indexset((2, 4))
-    report = model.holes(node)
+    ideal = model.ideals[model.poset.node_of_indexset((2, 4))]
+    report = model.holes(ideal)
     assert report.real == (3,)
     assert report.essential == (3,)
     assert report.virtual == ()
-    assert not model.is_smooth(node)
-    comps = model.singular_components(node)
-    assert [model.poset.indexset(c) for c in comps] == [(1, 2)]
+    assert not model.is_smooth(ideal)
+    comps = model.singular_components(ideal)
+    assert comps == [model.ideals[model.poset.node_of_indexset((1, 2))]]
+
+
+@pytest.mark.parametrize("family,rank,weight", [
+    case for case in MINUSCULE_CASES if case[0] != "A" or case[1] <= 7
+])
+def test_each_essential_hole_carves_its_own_component(family, rank, weight):
+    model = minuscule_model(family, rank, weight)
+    for ideal in model.ideals.values():
+        q = model.full.marked(ideal)
+        report = qv.classify_holes(q)
+        comps = list(model.components_from_holes(q, report))
+        assert len(set(comps)) == len(comps) == len(report.essential)
+        for h, comp in zip(report.essential, comps):
+            assert h not in comp and comp < ideal and q.is_ideal(comp)
 
 
 def test_full_grassmannian_is_smooth():
     model = minuscule_model("A", 3, 2)
-    assert model.is_smooth(model.poset.bottom)
-    assert model.holes(model.poset.bottom).real == ()
+    assert model.is_smooth(model.full.members)
+    assert model.holes(model.full.members).real == ()
 
 
 def test_virtual_holes_show_up():
     # the point Schubert variety of Gr(2,4): nothing marked, letters
     # without repetition above are virtual
     model = minuscule_model("A", 3, 2)
-    node = model.poset.node_of_indexset((1, 2))
-    report = model.holes(node)
+    report = model.holes(model.ideals[model.poset.node_of_indexset((1, 2))])
     assert report.real == ()
     assert 3 in report.virtual
 
 
 def test_d4_natural_weight_minimal_v():
     model = minuscule_model("D", 4, 1)
-    v = minuscule_minimal_v_node(model.poset)
-    assert len(model.ideal_of(v)) == 4
+    v = model.grow(qv.minimal_v_word("D", 4, 1))
+    assert len(v) == 4
     report = model.holes(v)
     assert len(report.real) == 1
     hole = report.real[0]
-    assert model.quiver_of(v).label(hole) == 2  # the fork joint n-2
+    assert model.full.label(hole) == 2  # the fork joint n-2
     comps = model.singular_components(v)
-    assert [model.poset.canonical_word(c) for c in comps] == [(1,)]
+    assert [model.word_of(c) for c in comps] == [(1,)]
 
 
 def test_d4_spin_minimal_v():
     model = minuscule_model("D", 4, 3)
     word = qv.minimal_v_word("D", 4, 3)
     assert word == (4, 1, 2, 3)
-    v = model.poset.node_from_word(word)
+    v = model.ideals[node_from_word(model.poset, word)]
+    assert model.grow(word) == v
     report = model.holes(v)
     assert len(report.real) == 1
-    assert model.quiver_of(v).label(report.real[0]) == 2
+    assert model.full.label(report.real[0]) == 2
 
 
 def test_d_spin_words_descend_both_weights():
@@ -184,22 +272,22 @@ def test_d_spin_words_descend_both_weights():
         for weight in (n - 1, n):
             model = minuscule_model("D", n, weight)
             word = qv.minimal_v_word("D", n, weight)
-            assert model.poset.word_descends(word)
+            assert word_descends(model.poset, word)
             # first reflection from the top must be the weight itself
             assert word[-1] == weight
 
 
 def test_e6_full_quiver_smooth():
     model = minuscule_model("E6", 6, 1)
-    bottom = model.poset.bottom
-    assert len(model.ideal_of(bottom)) == 16
+    bottom = model.ideals[model.poset.bottom]
+    assert bottom == model.full.members and len(bottom) == 16
     assert model.is_smooth(bottom)
 
 
 def test_e6_minimal_v():
     model = minuscule_model("E6", 6, 1)
-    v = minuscule_minimal_v_node(model.poset)
-    assert len(model.ideal_of(v)) == 10
+    v = model.grow(qv.minimal_v_word("E6", 6, 1))
+    assert len(v) == 10
     assert len(model.holes(v).real) == 1
 
 
@@ -207,8 +295,8 @@ def test_e7_minimal_v():
     word = qv.minimal_v_word("E7", 7, 7)
     assert len(word) == 15
     model = minuscule_model("E7", 7, 7)
-    assert model.poset.word_descends(word)
-    v = model.poset.node_from_word(word)
+    assert word_descends(model.poset, word)
+    v = model.ideals[node_from_word(model.poset, word)]
     assert model.holes(v).real != ()
 
 
@@ -228,7 +316,7 @@ def test_e6_weight_six_mirror():
     b = qv.minimal_v_word("E6", 6, 6)
     mirror = {1: 6, 6: 1, 3: 5, 5: 3, 2: 2, 4: 4}
     assert b == tuple(mirror[x] for x in a)
-    assert minuscule_model("E6", 6, 6).poset.word_descends(b)
+    assert word_descends(minuscule_model("E6", 6, 6).poset, b)
 
 
 def test_commutation_moves():
@@ -262,22 +350,32 @@ def test_swap_isomorphism_compares_the_order():
 
 
 def test_verify_reads_the_lookups_quiver_build_runs(monkeypatch):
-    grown = qv.MinusculeQuiver.ideal_of
+    classify = qv.classify_holes
 
-    def short_by_one(self, node):
-        # the earliest position is maximal, so dropping it leaves an ideal
-        ideal = grown(self, node)
-        return ideal - {min(ideal)} if ideal else ideal
+    def one_hole_short(q):
+        # the last real hole goes missing, with the component it carves out
+        report = classify(q)
+        real = report.real[:-1]
+        essential = tuple(h for h in report.essential if h in real)
+        return report._replace(real=real, essential=essential)
 
-    monkeypatch.setattr(qv.MinusculeQuiver, "ideal_of", short_by_one)
+    monkeypatch.setattr(qv, "classify_holes", one_hole_short)
     assert not verify.cross_smooth()["passed"]
+    assert not verify.cross_singular()["passed"]
+
+    def first_component_only(self, q, report):
+        return list(components(self, q, report))[:1]
+
+    monkeypatch.setattr(qv, "classify_holes", classify)
+    components = qv.MinusculeQuiver.components_from_holes
+    monkeypatch.setattr(qv.MinusculeQuiver, "components_from_holes", first_component_only)
+    assert verify.cross_smooth()["passed"]
     assert not verify.cross_singular()["passed"]
 
 
 def test_dot_output_is_stable_and_annotated():
     model = minuscule_model("E6", 6, 1)
-    v = minuscule_minimal_v_node(model.poset)
-    q = model.quiver_of(v)
+    q = model.full.marked(model.grow(qv.minimal_v_word("E6", 6, 1)))
     dot = qv.quiver_to_dot(q, qv.classify_holes(q))
     assert dot == qv.quiver_to_dot(q, qv.classify_holes(q))
     assert dot.startswith("digraph quiver {")
@@ -293,7 +391,7 @@ def test_dot_output_is_stable_and_annotated():
 
 def test_dot_smooth_case_has_no_double_circle():
     model = minuscule_model("A", 3, 2)
-    q = model.quiver_of(model.poset.bottom)
+    q = model.full.marked(model.ideals[model.poset.bottom])
     dot = qv.quiver_to_dot(q, qv.classify_holes(q))
     assert "peripheries" not in dot
     assert "style=dotted" not in dot
