@@ -3,9 +3,10 @@
 Subcommands mirror the library layers: ``gr`` for Young-diagram analysis
 of Grassmannian Schubert varieties, ``quiver`` for building and rendering
 marked quivers, ``smt`` for standard-monomial section counts, and
-``verify`` for the built-in cross-check suites.  A request builds only
-the parser of the subcommand it names, and help and errors come from the
-same definitions that ``build_parser`` assembles into the whole tree.
+``verify`` for the built-in cross-check suites.  Each subcommand's options
+are one table in ``LEAVES``.  A request that spells its options exactly is
+read straight from that table; argparse is imported and builds the whole
+tree from the same table only for help, errors and abbreviated options.
 
 Reports are plain text by default and a stable JSON envelope
 ``{"input", "result", "witnesses", "warnings"}`` under ``--json`` (keys
@@ -16,10 +17,10 @@ errors.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from math import gcd
+from types import SimpleNamespace
 from typing import NoReturn
 
 from . import __version__, criteria, grassmannian as gr, quiver as qv, smt, verify
@@ -69,9 +70,14 @@ def _ints(text: str) -> tuple[int, ...]:
         _usage_error(f"{text!r} is not a list of integers")
 
 
+def _json(value) -> str:
+    """Keys sorted, two-space indent: identical queries give identical bytes."""
+    return json.dumps(value, indent=2, sort_keys=True, default=list)
+
+
 def _emit(args, payload: dict) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True, default=list))
+        print(_json(payload))
     else:
         for line in _render_text(payload):
             print(line)
@@ -314,7 +320,7 @@ def cmd_smt_pn_check(args) -> int:
 def cmd_verify(args) -> int:
     results = verify.run_suite(args.suite)
     if args.json:
-        print(json.dumps(results, indent=2, sort_keys=True, default=list))
+        print(_json(results))
     else:
         for res in results:
             status = "PASS" if res["passed"] else "FAIL"
@@ -327,66 +333,56 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _gr_analyze_options(p) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--w", required=True, help="column set, e.g. 2,4")
+# A leaf's options as data, one row each: flag, dest, converter, choices,
+# default (_REQUIRED when the option must be given) and help.  A flag
+# without dashes names a positional.
+_REQUIRED = object()
 
 
-def _quiver_build_options(p) -> None:
-    p.add_argument("--family", choices=["A", "D", "E6", "E7"], required=True)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument(
-        "--w",
-        default="minimal",
-        help="'minimal', 'full', a reduced word, or an index set with --as indexset",
-    )
-    p.add_argument("--as", dest="element_format", choices=["word", "indexset"],
-                   default="word")
-    p.add_argument("--dot", help="write a Graphviz file here")
+def _option(flag, convert=str, *, dest=None, choices=None, default=_REQUIRED,
+            help=None):
+    return (flag, dest or flag.lstrip("-").replace("-", "_"), convert, choices,
+            default, help)
 
 
-def _smt_element_options(p) -> None:
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--w", required=True)
-    p.add_argument("--as", dest="element_format", choices=["oneline", "word"],
-                   default="oneline")
-
-
-def _smt_dim_options(p) -> None:
-    _smt_element_options(p)
-    p.add_argument("--m", type=int, required=True)
-
-
-def _smt_minimal_options(p) -> None:
-    p.add_argument("--n", type=int, required=True)
-
-
-def _smt_pn_check_options(p) -> None:
-    _smt_element_options(p)
-    p.add_argument("--max-m", type=int, default=3)
-
-
-def _verify_options(p) -> None:
-    p.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
-
+_SMT_ELEMENT = (
+    _option("--n", int),
+    _option("--w"),
+    _option("--as", dest="element_format", choices=("oneline", "word"),
+            default="oneline"),
+)
 
 # The runnable subcommands, keyed by the words that name them: the help
 # line listed under the parent command, the options, and the handler.
 # Every leaf also takes --json.
 LEAVES = {
     ("gr", "analyze"): (
-        "full diagram report for one element", _gr_analyze_options, cmd_gr_analyze),
+        "full diagram report for one element",
+        (_option("--n", int), _option("--r", int),
+         _option("--w", help="column set, e.g. 2,4")),
+        cmd_gr_analyze),
     ("quiver", "build"): (
-        "build/mark a quiver, optionally as DOT", _quiver_build_options,
+        "build/mark a quiver, optionally as DOT",
+        (_option("--family", choices=("A", "D", "E6", "E7")),
+         _option("--rank", int, default=None),
+         _option("--weight", int),
+         _option("--w", default="minimal", help="'minimal', 'full', a reduced "
+                 "word, or an index set with --as indexset"),
+         _option("--as", dest="element_format", choices=("word", "indexset"),
+                 default="word"),
+         _option("--dot", default=None, help="write a Graphviz file here")),
         cmd_quiver_build),
-    ("smt", "dim"): ("invariant section count on X(w)", _smt_dim_options, cmd_smt_dim),
+    ("smt", "dim"): (
+        "invariant section count on X(w)", _SMT_ELEMENT + (_option("--m", int),),
+        cmd_smt_dim),
     ("smt", "minimal"): (
-        "minimal semistable permutations", _smt_minimal_options, cmd_smt_minimal),
+        "minimal semistable permutations", (_option("--n", int),), cmd_smt_minimal),
     ("smt", "pn-check"): (
-        "polynomial-ring growth of sections", _smt_pn_check_options, cmd_smt_pn_check),
-    ("verify",): ("run a built-in verification suite", _verify_options, cmd_verify),
+        "polynomial-ring growth of sections",
+        _SMT_ELEMENT + (_option("--max-m", int, default=3),), cmd_smt_pn_check),
+    ("verify",): (
+        "run a built-in verification suite",
+        (_option("suite", choices=(*sorted(verify.SUITES), "all")),), cmd_verify),
 }
 GROUPS = {
     "gr": "Grassmannian Schubert varieties",
@@ -395,15 +391,70 @@ GROUPS = {
 }
 
 
-def _add_leaf(parser: argparse.ArgumentParser, words: tuple[str, ...]) -> None:
-    _, options, func = LEAVES[words]
-    options(parser)
+def _read_leaf(words: tuple[str, ...], rest: list[str]) -> SimpleNamespace | None:
+    """The request after the leaf ``words`` when every option in ``rest``
+    is spelled exactly (``--opt value``, ``--opt=value``, ``--json``, the
+    ``verify`` positional) with a valid value; None for anything else, which
+    argparse answers: help, ``--``, abbreviations, unknown or extra tokens,
+    values that start with ``-``, bad values, missing required options."""
+    _, table, func = LEAVES[words]
+    options = {row[0]: row for row in table}
+    positionals = [row for row in table if not row[0].startswith("-")]
+    values = {"json": False, "func": func}
+    tokens = iter(rest)
+    for token in tokens:
+        if token == "--json":
+            values["json"] = True
+            continue
+        if token.startswith("-"):
+            flag, eq, value = token.partition("=")
+            row = options.get(flag)
+            if row is None:
+                return None
+            if not eq:
+                value = next(tokens, "-")  # a missing value reads as a flag
+        elif positionals:
+            row, value = positionals.pop(), token
+        else:
+            return None
+        _, dest, convert, choices, _, _ = row
+        if value.startswith("-"):
+            return None
+        try:
+            value = convert(value)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    for _, dest, _, _, default, _ in table:
+        if dest not in values:
+            if default is _REQUIRED:
+                return None
+            values[dest] = default
+    return SimpleNamespace(**values)
+
+
+def _add_leaf(parser, words: tuple[str, ...]) -> None:
+    """Define the options of the leaf ``words`` on an argparse parser."""
+    _, table, func = LEAVES[words]
+    for flag, dest, convert, choices, default, help in table:
+        if flag.startswith("-"):
+            required = default is _REQUIRED
+            parser.add_argument(flag, dest=dest, type=convert, choices=choices,
+                                required=required, default=None if required else default,
+                                help=help)
+        else:
+            parser.add_argument(flag, type=convert, choices=choices, help=help)
     parser.add_argument("--json", action="store_true")
     parser.set_defaults(func=func)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The whole command tree: every group and leaf, for help and errors."""
+def build_parser():
+    """The whole command tree as an argparse parser: every group and leaf,
+    for help, errors and abbreviated options."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="torusq",
         description="Torus quotients of minuscule Schubert varieties: "
@@ -430,15 +481,11 @@ def main(argv=None) -> int:
     words = tuple(argv[:2])
     if words not in LEAVES:
         words = words[:1]
-    if words in LEAVES:
-        # Build only the parser asked for; anything it leaves over goes to
-        # the whole tree, whose root reports unrecognised arguments.
-        leaf = argparse.ArgumentParser(prog=" ".join(("torusq",) + words))
-        _add_leaf(leaf, words)
-        args, extra = leaf.parse_known_args(argv[len(words):])
-        if not extra:
-            return args.func(args)
-    args = build_parser().parse_args(argv)
+    args = _read_leaf(words, argv[len(words):]) if words in LEAVES else None
+    if args is None:
+        # Help, errors and abbreviations: argparse answers from the whole
+        # tree, so every usage and error text has one source.
+        args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -1,18 +1,23 @@
-"""``cli.main`` builds only the parser of the subcommand it is asked for.
+"""``cli.main`` reads an exactly spelled request from its leaf's table.
 
 The whole tree from ``build_parser`` is the oracle: every argv below must
 give the same exit code, stdout and stderr through ``main`` as through
-``build_parser().parse_args(argv)``.  Extra positionals and unknown options
-are the cases a leaf parser alone gets wrong (the root reports them).
+``build_parser().parse_args(argv)``.  Abbreviations, help, ``--``, extra
+positionals and unknown options are the cases the reader leaves to
+argparse; a property test checks that whatever it does accept, it reads
+as argparse would.
 """
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import test_golden as golden
 import torusq
 from torusq import cli
 
@@ -68,6 +73,9 @@ def _corpus():
             "negative value": valid + ["--w", "-1"],
             "root option after leaf": valid + ["--version"],
             "double dash": valid + ["--", "x"],
+            "repeated option": valid + valid[:2],
+            "empty --w=": valid + ["--w="],
+            "value that is a flag name": valid + ["--w", "--json"],
         }
         for case, rest in cases.items():
             yield leaf + rest, f"{name}: {case}"
@@ -106,8 +114,60 @@ def test_a_leaf_request_never_builds_the_whole_tree(capsys, monkeypatch):
     for words, (valid, _) in LEAVES.items():
         code, out, err = _run(capsys, cli.main, list(words) + valid)
         assert (code, out, err) == expected[words] and code == 0, words
+    # every request of the golden corpora, byte for byte
+    for name, (argvs_of, count) in golden.CORPORA.items():
+        records = golden.read_corpus(name)
+        argvs = list(argvs_of())
+        assert len(argvs) == count
+        for argv in argvs:
+            assert golden.run(argv) == (0, records[shlex.join(argv)]), argv
     with pytest.raises(AssertionError, match="build_parser called"):
         cli.main(["--version"])
+
+
+# The pieces of the generated argvs: every exact flag and its abbreviations,
+# in both value forms, awkward values, help, ``--`` and stray positionals.
+VALUES = ["", "-1", "+4", "1_0", "4.0", "\u0664", "0", "2", "3", "5", "3,5",
+          "4,2,3,1", "a=b", "=", "--json", "--n", "minimal", "full"]
+VALUES += sorted({value for valid, _ in LEAVES.values() for value in valid}
+                 | {choice for _, table, _ in cli.LEAVES.values()
+                    for row in table for choice in row[3] or ()})
+WHOLE_TREE = cli.build_parser()
+
+
+@st.composite
+def leaf_argvs(draw):
+    words = draw(st.sampled_from(sorted(LEAVES)))
+    flags = [row[0] for row in cli.LEAVES[words][1] if row[0].startswith("-")]
+    flags.append("--json")
+    others = [f[:k] for f in flags for k in range(3, len(f))]
+    others += ["-h", "--help", "--", "--version", "--max-n"]
+    spelling = st.one_of(st.sampled_from(flags), st.sampled_from(others))
+    valid, _ = LEAVES[words]
+    pieces = [valid[i:i + 2] for i in range(0, len(valid), 2)]
+    pieces = [["=".join(p)] if len(p) == 2 and draw(st.booleans()) else p
+              for p in pieces if draw(st.integers(0, 5))]
+    value = st.sampled_from(VALUES)
+    extra = st.one_of(
+        st.tuples(spelling, value).map(list),
+        st.tuples(spelling, value).map(lambda p: ["=".join(p)]),
+        spelling.map(lambda flag: [flag]),
+        value.map(lambda v: [v]),
+    )
+    pieces += draw(st.lists(extra, max_size=3))
+    pieces = draw(st.permutations(pieces))
+    return words, [token for piece in pieces for token in piece]
+
+
+@settings(max_examples=500, deadline=None)
+@given(leaf_argvs())
+def test_the_reader_reads_what_argparse_reads(case):
+    words, rest = case
+    args = cli._read_leaf(words, rest)
+    if args is not None:
+        whole = WHOLE_TREE.parse_args(list(words) + rest)
+        assert vars(args) == {key: value for key, value in vars(whole).items()
+                              if not key.endswith("command")}
 
 
 def _console(*argv):
