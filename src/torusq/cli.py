@@ -11,14 +11,16 @@ tree from the same table only for help, errors and abbreviated options.
 Reports are plain text by default and a stable JSON envelope
 ``{"input", "result", "witnesses", "warnings"}`` under ``--json`` (keys
 sorted, two-space indent, so identical queries produce identical bytes).
+The JSON is written by ``_json``, a small emitter whose output is
+byte-identical to ``json.dumps(value, indent=2, sort_keys=True,
+default=list)`` on every payload the CLI writes; the json package itself
+is never imported.
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage
 errors.
 """
 
-from __future__ import annotations
-
-import json
 import sys
+from _json import encode_basestring_ascii as _string
 from math import gcd
 from types import SimpleNamespace
 from typing import NoReturn
@@ -32,21 +34,22 @@ from .weyl import word_to_perm
 # never lists the orbit: its cost grows with the vertex count N = dim G/P
 # (the full quiver keeps only its arrows, at most two per vertex here) and
 # with the rank (the length of each weight tuple, walked once down to the
-# bottom node); at A100/omega_50, N = 2550, a whole call takes 0.16-0.20 s
-# with --w full and 0.30-0.36 s with --w minimal on a 2-vCPU VM (best of
-# 3), at most 22 MB peak RSS.  ``gr analyze`` lists all
+# bottom node); at A100/omega_50, N = 2550, a whole call takes 0.11-0.18 s
+# with --w full and 0.20-0.33 s with --w minimal on a 2-vCPU VM (best to
+# median of 11, two runs), at most 19 MB peak RSS.  ``gr analyze`` lists all
 # C(n, r) column sets for its chain certificate; at the middle r it takes
 # 0.7-0.8 s in process at n = 17 and 3.1-3.9 s at n = 18.
 #
 # ``smt dim`` answers from the closed form C(t+m-1, m), t = w(1) - w(n);
 # a degree whose bound C(t+m-1, m) <= (t+m)^min(m, t-1) passes
 # 2^SMT_MAX_DIM_BITS (~3 900 digits; Python prints no integer over 4 300)
-# is refused without computing the count.  ``smt dim --json`` lists every witness: a whole
-# call with 8 855 of them takes 0.33 s and writes 1.4 MB.  ``smt pn-check``
-# walks C(n+max_m, max_m) - 1 multisets through the standardness test,
-# ~5 us each: 91 389 take 0.4-0.6 s.  ``smt minimal`` answers n-1
-# permutations of n, O(n^2) output: 0.26 s and 41 MB at n = 500.  ``--as
-# word`` costs n + letters: 9 999 letters at n = 10 000 take 0.09 s.
+# is refused without computing the count.  ``smt dim --json`` lists every
+# witness: a whole call with 8 855 of them (n = 21, m = 4) takes 0.13-0.19 s
+# and writes 1.4 MB.  ``smt pn-check`` walks C(n+max_m, max_m) - 1
+# multisets through the standardness test, ~5 us each: 91 389 take
+# 0.4-0.6 s.  ``smt minimal`` answers n-1 permutations of n, O(n^2)
+# output: 0.26 s and 41 MB at n = 500.  ``--as word`` costs n + letters:
+# 9 999 letters at n = 10 000 take 0.09 s.
 QUIVER_MAX_RANK = 100
 QUIVER_MAX_VERTICES = 2550
 GR_MAX_N = 17
@@ -70,9 +73,43 @@ def _ints(text: str) -> tuple[int, ...]:
         _usage_error(f"{text!r} is not a list of integers")
 
 
-def _json(value) -> str:
-    """Keys sorted, two-space indent: identical queries give identical bytes."""
-    return json.dumps(value, indent=2, sort_keys=True, default=list)
+def _json(value, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True,
+    default=list)`` writes it, byte for byte: keys sorted, two-space indent,
+    so identical queries give identical bytes.
+
+    The domain is what the CLI writes: str, int, bool and None, dicts with
+    str keys, lists and tuples (NamedTuples included) of these, and any
+    other iterable of them, written as its ``list``.  A float or a dict key
+    that is not a str raises TypeError instead of writing other bytes.
+    ``indent`` is the newline and indent of the enclosing level.
+    """
+    if isinstance(value, str):
+        return _string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (_string(key) + ": " + _json(value[key], inner)
+                 for key in sorted(value))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if not isinstance(value, (list, tuple)):
+        return _json(list(value), indent)  # json's default=list
+    if not value:
+        return "[]"
+    if all(type(item) is int for item in value):
+        items = map(int.__repr__, value)
+    else:
+        items = (_json(item, inner) for item in value)
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
 def _emit(args, payload: dict) -> None:

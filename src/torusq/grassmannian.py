@@ -13,8 +13,6 @@ weakly upward.  No corners that fit, no singular locus — equivalently the
 complement of mu in the box, rotated a half turn, is again a rectangle.
 """
 
-from __future__ import annotations
-
 
 def check_box(r: int, n: int) -> None:
     if not (1 <= r <= n - 1):

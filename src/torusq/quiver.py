@@ -31,8 +31,6 @@ essential hole h carves out one component of the singular locus: drop
 everything weakly above h from the ideal and keep what remains.
 """
 
-from __future__ import annotations
-
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 

@@ -12,8 +12,6 @@ and ``n`` attached to ``n-2``; in E6 and E7 node ``2`` hangs off node ``4``
 of the path ``1 - 3 - 4 - 5 - 6 (- 7)``.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from math import comb
 from operator import add, sub

@@ -31,8 +31,6 @@ decided in O(n*r) by filling it value by value, top rows first, with no
 search (see :func:`_chain_fits`).
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd

@@ -8,8 +8,6 @@ suites compare (:func:`gr_cross_verdicts`) and the cached orbit listings
 they walk (:func:`minuscule_model`) live here, off the request path.
 """
 
-from __future__ import annotations
-
 from itertools import combinations, permutations
 from math import gcd
 
