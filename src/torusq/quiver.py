@@ -31,6 +31,7 @@ essential hole h carves out one component of the singular locus: drop
 everything weakly above h from the ideal and keep what remains.
 """
 
+from bisect import insort
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
@@ -88,7 +89,7 @@ class Quiver(NamedTuple):
 
     def marked(self, members) -> "Quiver":
         members = frozenset(members)
-        if not members <= frozenset(range(self.n_vertices)):
+        if members and (min(members) < 0 or max(members) >= self.n_vertices):
             raise ValueError("members must be existing vertex positions")
         if not self.is_ideal(members):
             raise ValueError(f"{sorted(members)} is not an order ideal")
@@ -99,26 +100,38 @@ class Quiver(NamedTuple):
 
         ``v`` is the vertex whose addition to an ideal listed earlier gave
         ``ideal``, so it is maximal in ``ideal``; it is ``None`` for the
-        empty ideal, which comes first.
+        empty ideal, which comes first.  Each ideal carries its sorted
+        addable vertices: adding v can open only the sources of arrows into v.
         """
+        sources: list[list[int]] = [[] for _ in self.targets]
+        for u, ts in enumerate(self.targets):
+            for t in ts:
+                sources[t].append(u)
         found = [(frozenset(), None)]
+        addable = [[v for v, ts in enumerate(self.targets) if not ts]]
         seen = {frozenset()}
-        # breadth first: ``found`` is the queue, read while it grows
-        for ideal, _ in found:
-            for v in range(self.n_vertices):
-                if v not in ideal and ideal.issuperset(self.targets[v]):
-                    grown = ideal | {v}
-                    if grown not in seen:
-                        seen.add(grown)
-                        found.append((grown, v))
+        # breadth first: ``found`` and ``addable`` are the queue, read while they grow
+        for (ideal, _), free in zip(found, addable):
+            for v in free:
+                grown = ideal | {v}
+                if grown not in seen:
+                    seen.add(grown)
+                    found.append((grown, v))
+                    rest = [u for u in free if u != v]
+                    for u in sources[v]:
+                        if grown.issuperset(self.targets[u]):
+                            insort(rest, u)
+                    addable.append(rest)
         return found
 
 
 def quiver_from_word(word, system: RootSystem) -> Quiver:
-    """Build the quiver of a reduced word.
+    """Build the quiver of a reduced word in one pass, O(N * degree).
 
     Arrows: i -> j for i < j with nonzero Cartan pairing of the letters,
-    bounded above by the next repetition s(i) of the letter of i.
+    bounded above by the next repetition s(i) of the letter of i.  So the
+    arrows into j come from the latest earlier vertex labelled by each
+    Dynkin neighbour of ``word[j]``: only that one has s(i) > j.
     """
     word = tuple(word)
     for b in word:
@@ -127,18 +140,17 @@ def quiver_from_word(word, system: RootSystem) -> Quiver:
     N = len(word)
     prv: list[int | None] = [None] * N
     nxt: list[int | None] = [None] * N
-    last_seen: dict[int, int] = {}
-    for i, b in enumerate(word):
-        p = last_seen.get(b)
-        if p is not None:
-            prv[i], nxt[p] = p, i
-        last_seen[b] = i
     targets: list[list[int]] = [[] for _ in range(N)]
-    for i in range(N):
-        stop = nxt[i] if nxt[i] is not None else N
-        for j in range(i + 1, stop):
-            if system.pairing(word[i], word[j]) != 0:
+    latest: list[int | None] = [None] * (system.rank + 1)
+    for j, b in enumerate(word):
+        for c in system.neighbours[b - 1]:
+            i = latest[c]
+            if i is not None:
                 targets[i].append(j)
+        p = latest[b]
+        if p is not None:
+            prv[j], nxt[p] = p, j
+        latest[b] = j
     return Quiver(
         system, word, frozenset(range(N)), tuple(map(tuple, targets)),
         tuple(prv), tuple(nxt),
@@ -297,7 +309,8 @@ class MinusculeModel(MinusculeQuiver):
     oracle is ``ideal_node_dictionary_by_words`` in ``tests/oracles.py``.
 
     The listing costs one reflection per ideal: ``Quiver.ideals`` lists
-    I before I + {v}, and node(I + {v}) = s_{b_v}(node(I)).  The build
+    I before I + {v}, and node(I + {v}) = s_{b_v}(node(I)).  Each node's
+    canonical word is walked once and kept in ``words``.  The build
     checks, raising ``AssertionError``, that each letter lowers the weight,
     that every coordinate is -1, 0 or 1, that each ideal's
     :meth:`~MinusculeQuiver.word_of` is its node's canonical word and
@@ -309,6 +322,7 @@ class MinusculeModel(MinusculeQuiver):
     def __init__(self, system: RootSystem, weight_index: int):
         super().__init__(system, weight_index)
         node_at: dict[frozenset[int], tuple[int, ...]] = {}
+        self.words: dict[tuple[int, ...], tuple[int, ...]] = {}
         for ideal, v in self.full.ideals():
             if v is None:
                 node = self.poset.top
@@ -326,6 +340,7 @@ class MinusculeModel(MinusculeQuiver):
                     f"word {word} of {node}"
                 )
             node_at[ideal] = node
+            self.words[node] = word
         self.ideals = {node: ideal for ideal, node in node_at.items()}
         self.nodes = list(self.ideals)
         if len(self.nodes) != len(node_at):
@@ -440,11 +455,8 @@ def quivers_isomorphic_under_swap(qa: Quiver, qb: Quiver, p: int) -> bool:
 
     The order is the closure of the arrows, so matching arrows match it.
     """
-    n = qa.n_vertices
-    if qb.n_vertices != n:
-        return False
-    sigma = list(range(n))
-    sigma[p], sigma[p + 1] = p + 1, p
-    if any(qb.label(sigma[i]) != qa.label(i) for i in range(n)):
-        return False
-    return {(sigma[a], sigma[b]) for a, b in qa.arrows} == set(qb.arrows)
+    sigma = list(range(qa.n_vertices))
+    sigma[p], sigma[p + 1] = p + 1, p  # its own inverse
+    return qb.word == tuple(qa.word[s] for s in sigma) and qb.targets == tuple(
+        tuple(sorted(sigma[j] for j in qa.targets[s])) for s in sigma
+    )

@@ -23,11 +23,13 @@ FAMILIES = ("A", "D", "E6", "E7")
 
 
 class RootSystem(NamedTuple):
-    """A simply laced root system, identified by family and rank."""
+    """A simply laced root system, identified by family and rank;
+    ``neighbours[i - 1]`` lists the Dynkin neighbours of node ``i``."""
 
     family: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]
+    neighbours: tuple[tuple[int, ...], ...]
 
     def pairing(self, i: int, j: int) -> int:
         """Cartan pairing of the simple roots ``i`` and ``j`` (1-based)."""
@@ -77,14 +79,13 @@ def root_system(family: str, rank: int) -> RootSystem:
     for a, b in _edges(family, rank):
         adjacent.add((a, b))
         adjacent.add((b, a))
+    nodes = range(1, rank + 1)
     cartan = tuple(
-        tuple(
-            2 if i == j else (-1 if (i, j) in adjacent else 0)
-            for j in range(1, rank + 1)
-        )
-        for i in range(1, rank + 1)
+        tuple(2 if i == j else (-1 if (i, j) in adjacent else 0) for j in nodes)
+        for i in nodes
     )
-    return RootSystem(family, rank, cartan)
+    neighbours = tuple(tuple(j for j in nodes if (i, j) in adjacent) for i in nodes)
+    return RootSystem(family, rank, cartan, neighbours)
 
 
 def minuscule_weights(family: str, rank: int) -> frozenset[int]:

@@ -140,11 +140,16 @@ def cross_smooth() -> dict:
     for r, n in _SWEEP_BOXES:
         model = minuscule_model("A", n - 1, r)
         for node, ideal in model.ideals.items():
-            lam = gr.indexset_to_partition(model.poset.indexset(node), r, n)
+            lam = _partition_of_word(model.words[node], r, n)
             checks += 1
             if model.is_smooth(ideal) != gr.is_smooth(lam, r, n):
                 failures.append(f"Gr({r},{n}) {lam}: quiver vs diagram smoothness")
     return _result("cross-smooth", checks, failures)
+
+
+def _partition_of_word(word, r, n):
+    """The partition of the Gr(r, n) Schubert cell with reduced word ``word``."""
+    return gr.indexset_to_partition(pi_projection(word_to_perm(word, n), r), r, n)
 
 
 def _partitions_in_box(rows, cols):
@@ -166,12 +171,10 @@ def cross_singular() -> dict:
     for r, n in _SWEEP_BOXES:
         model = minuscule_model("A", n - 1, r)
         for node, ideal in model.ideals.items():
-            lam = gr.indexset_to_partition(model.poset.indexset(node), r, n)
+            lam = _partition_of_word(model.words[node], r, n)
             expected = set(gr.singular_components(lam, r, n))
             got = {
-                gr.indexset_to_partition(
-                    pi_projection(word_to_perm(model.word_of(c), n), r), r, n
-                )
+                _partition_of_word(model.word_of(c), r, n)
                 for c in model.singular_components(ideal)
             }
             checks += 1
@@ -191,10 +194,9 @@ def quiver_words() -> dict:
     plans += [("D", n, w) for n in (4, 5, 6) for w in (1, n - 1, n)]
     plans += [("E6", 6, 1), ("E6", 6, 6), ("E7", 7, 7)]
     for family, rank, weight in plans:
-        system = root_system(family, rank)
         model = minuscule_model(family, rank, weight)
-        for node in model.nodes:
-            word = model.poset.canonical_word(node)
+        system = model.system
+        for word in model.words.values():
             qa = qv.quiver_from_word(word, system)
             for p, other in qv.commutation_moves(word, system):
                 qb = qv.quiver_from_word(other, system)

@@ -10,10 +10,10 @@ in positions ``i`` and ``i+1`` of the one-line string reproduces exactly
 that product, which is how everything here is computed.
 
 The second half of the module works in the weight orbit of a minuscule
-fundamental weight for any of the simply laced families, by walks of
-reflections: the bottom node, canonical words and the type-A column sets.
-It never lists the orbit.  A request reads one walk, the bottom node's
-canonical word, which builds the full quiver;
+fundamental weight for any of the simply laced families: the bottom node
+and canonical words by walks of reflections, the type-A column sets in
+closed form.  It never lists the orbit.  A request reads one walk, the
+bottom node's canonical word, which builds the full quiver;
 :class:`torusq.quiver.MinusculeQuiver` answers the rest on the order
 ideals of that quiver.  Only the verification suites enumerate the orbit,
 with :class:`torusq.quiver.MinusculeModel`, which checks each node's
@@ -147,31 +147,24 @@ class MinusculePoset:
         the word left to right.  The walk stays in the W-orbit of ``mu``
         and ends at a weight with no coordinate -1, so it reaches the top
         exactly when ``mu`` lies in this orbit; otherwise ``ValueError``.
+        Raising along i adds alpha_i to one list in place: 2 at i, -1 at
+        each Dynkin neighbour of i.
         """
         mu = tuple(mu)
         word = []
-        cur = mu
+        cur = list(mu)
         if len(cur) == self.system.rank:
             while -1 in cur:
-                i = cur.index(-1) + 1
-                word.append(i)
-                cur = reflect(self.system, cur, i)
-        if cur != self.top:
+                i = cur.index(-1)
+                word.append(i + 1)
+                cur[i] = 1
+                for c in self.system.neighbours[i]:
+                    cur[c - 1] -= 1
+        if tuple(cur) != self.top:
             raise ValueError(f"{mu} is not in the orbit")
         return tuple(word)
 
     # convenience for type A, where cosets are index sets
-
-    def permutation(self, mu):
-        """One-line form of the minimal representative (type A only)."""
-        if self.system.family != "A":
-            raise ValueError("permutations only make sense in type A")
-        n = self.system.rank + 1
-        return word_to_perm(self.canonical_word(mu), n)
-
-    def indexset(self, mu):
-        """The r-element column set of the node (type A only)."""
-        return pi_projection(self.permutation(mu), self.weight_index)
 
     def check_indexset(self, entries):
         """``entries`` sorted, when they are a column set of this orbit
@@ -190,7 +183,7 @@ class MinusculePoset:
         return entries
 
     def node_of_indexset(self, entries):
-        """Inverse of :meth:`indexset` (type A only), in closed form.
+        """The node of a column set (type A only), in closed form.
 
         The node of a column set S is the weight of the basis vector e_S of
         the r-th exterior power: coordinate [j in S] - [j+1 in S] at

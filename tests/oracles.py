@@ -16,19 +16,23 @@ quiver order closed from arrows read off the definition instead of the
 package's per-vertex arrow lists, and replays each one's whole word from
 the top weight instead of reflecting once per added vertex, a word is
 checked and applied letter by letter on weights instead of grown into an
-ideal on the quiver, and the minuscule
+ideal on the quiver, the minuscule
 orbit is searched breadth first over its cover edges instead of being read
-off the order ideals of the quiver.  Agreement between the two sides is
-what the tests assert.
+off the order ideals of the quiver, a quiver's arrows are found by one
+Cartan pairing per pair of positions instead of the latest vertex of each
+Dynkin neighbour, and its order ideals by testing every vertex against
+every ideal instead of carrying each ideal's addable vertices.  Agreement
+between the two sides is what the tests assert.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
+from torusq.quiver import Quiver
 from torusq.rootdata import fundamental_weight, reflect
 from torusq.smt import canonical_invariant_tableau, is_standard_on
-from torusq.weyl import bruhat_leq
+from torusq.weyl import bruhat_leq, pi_projection, word_to_perm
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +388,72 @@ def node_from_word(poset, word):
     for i in reversed(tuple(word)):
         cur = reflect(poset.system, cur, i)
     return cur
+
+
+def permutation(poset, mu):
+    """One-line form of the minimal representative of the node ``mu``
+    (type A only): the canonical word multiplied out in S_n."""
+    if poset.system.family != "A":
+        raise ValueError("permutations only make sense in type A")
+    return word_to_perm(poset.canonical_word(mu), poset.system.rank + 1)
+
+
+def indexset(poset, mu):
+    """The r-element column set of the node ``mu`` (type A only)."""
+    return pi_projection(permutation(poset, mu), poset.weight_index)
+
+
+# ---------------------------------------------------------------------------
+# quivers by pairing scans
+
+
+def quiver_by_pairing_scan(word, system):
+    """The quiver of a reduced word with every arrow tested from the
+    definition: for each vertex i, one Cartan pairing with every later
+    position up to the next repetition s(i) of its letter, O(N^2) pairings.
+    """
+    word = tuple(word)
+    for b in word:
+        if not 1 <= b <= system.rank:
+            raise ValueError(f"letter {b} out of range for {system}")
+    N = len(word)
+    prv = [None] * N
+    nxt = [None] * N
+    last_seen = {}
+    for i, b in enumerate(word):
+        p = last_seen.get(b)
+        if p is not None:
+            prv[i], nxt[p] = p, i
+        last_seen[b] = i
+    targets = [[] for _ in range(N)]
+    for i in range(N):
+        stop = nxt[i] if nxt[i] is not None else N
+        for j in range(i + 1, stop):
+            if system.pairing(word[i], word[j]) != 0:
+                targets[i].append(j)
+    return Quiver(
+        system, word, frozenset(range(N)), tuple(map(tuple, targets)),
+        tuple(prv), tuple(nxt),
+    )
+
+
+def ideals_by_vertex_scan(q):
+    """``Quiver.ideals`` with every vertex tested against every ideal.
+
+    Breadth first from the empty ideal; each ideal tries all N vertices in
+    increasing order and keeps those outside it whose targets it holds,
+    O(ideals * N) subset tests.  Returns the same ``(ideal, v)`` pairs.
+    """
+    found = [(frozenset(), None)]
+    seen = {frozenset()}
+    for ideal, _ in found:
+        for v in range(q.n_vertices):
+            if v not in ideal and ideal.issuperset(q.targets[v]):
+                grown = ideal | {v}
+                if grown not in seen:
+                    seen.add(grown)
+                    found.append((grown, v))
+    return found
 
 
 # ---------------------------------------------------------------------------

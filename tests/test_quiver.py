@@ -11,13 +11,20 @@ import pytest
 
 from oracles import (
     ideal_node_dictionary_by_words,
+    ideals_by_vertex_scan,
     node_from_word,
+    quiver_by_pairing_scan,
     quiver_order_by_closure,
     word_descends,
 )
 from torusq import quiver as qv, verify
 from torusq.cli import main
-from torusq.rootdata import minuscule_orbit_size, minuscule_weights, root_system
+from torusq.rootdata import (
+    RootSystem,
+    minuscule_orbit_size,
+    minuscule_weights,
+    root_system,
+)
 from torusq.verify import minuscule_model
 from torusq.weyl import MinusculePoset
 
@@ -26,6 +33,85 @@ MINUSCULE_CASES = (
     + [("D", rank, w) for rank in range(4, 9) for w in sorted(minuscule_weights("D", rank))]
     + [("E6", 6, 1), ("E6", 6, 6), ("E7", 7, 7)]
 )
+
+
+@pytest.fixture(scope="module")
+def verify_scope():
+    """The models one ``verify all`` builds on an empty cache, with every
+    canonical word it walks on weights."""
+    walks = []
+    canonical_word = MinusculePoset.canonical_word
+
+    def counting(self, mu):
+        walks.append(mu)
+        return canonical_word(self, mu)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_models", {})
+        mp.setattr(MinusculePoset, "canonical_word", counting)
+        results = verify.run_suite("all")
+        models = dict(verify._models)
+    assert all(result["passed"] for result in results)
+    return models, walks
+
+
+def test_verify_walks_the_weights_once_per_node(verify_scope):
+    # each model walks its bottom word for the full quiver and then each
+    # node's word once, in the build check; the suites read ``words``
+    models, walks = verify_scope
+    assert len(models) == 35
+    assert sum(len(model.nodes) for model in models.values()) == 728
+    assert len(walks) == 728 + 35
+    for model in models.values():
+        assert list(model.words) == model.nodes
+
+
+@pytest.mark.parametrize("family,rank,weight", [("A", 100, 50), ("D", 71, 71), ("D", 71, 70)])
+def test_full_quiver_at_the_vertex_limit_matches_the_pairing_scan(family, rank, weight):
+    system = root_system(family, rank)
+    poset = MinusculePoset(system, weight)
+    word = poset.canonical_word(poset.bottom)
+    assert qv.quiver_from_word(word, system) == quiver_by_pairing_scan(word, system)
+
+
+def test_quivers_of_the_verify_words_match_the_pairing_scan(verify_scope):
+    # every canonical word of every model verify builds, and each word one
+    # commutation move away, as the quiver-words suite builds them
+    models, _ = verify_scope
+    for model in models.values():
+        for word in model.words.values():
+            others = [other for _, other in qv.commutation_moves(word, model.system)]
+            for w in [word, *others]:
+                assert qv.quiver_from_word(w, model.system) == quiver_by_pairing_scan(
+                    w, model.system
+                )
+
+
+def test_ideals_match_the_vertex_scan(verify_scope):
+    # the same list, order included: the order of ``MinusculeModel.nodes``
+    # reaches the verify failures
+    models, _ = verify_scope
+    extra = [("D", 8, 7), ("D", 8, 8), ("E7", 7, 7)]
+    quivers = [model.full for model in models.values()]
+    quivers += [qv.MinusculeQuiver(root_system(*case[:2]), case[2]).full for case in extra]
+    for q in quivers:
+        assert q.ideals() == ideals_by_vertex_scan(q)
+
+
+def test_the_full_quiver_is_built_without_pairings(monkeypatch):
+    # one pass over the word with the neighbour lists of the root system,
+    # not one Cartan pairing per pair of positions
+    calls = []
+    pairing = RootSystem.pairing
+
+    def counting(self, i, j):
+        calls.append((i, j))
+        return pairing(self, i, j)
+
+    monkeypatch.setattr(RootSystem, "pairing", counting)
+    minuscule = qv.MinusculeQuiver(root_system("A", 100), 50)
+    assert minuscule.full.n_vertices == 2550
+    assert calls == []
 
 
 def test_gr24_full_quiver():
@@ -73,6 +159,9 @@ def test_dictionary_matches_word_replay(family, rank, weight):
     oracle = ideal_node_dictionary_by_words(model.poset, model.full)
     assert len(oracle) == len(model.nodes) == minuscule_orbit_size(family, rank, weight)
     assert model.ideals == {node: ideal for ideal, node in oracle.items()}
+    for node, word in model.words.items():
+        assert len(word) == len(model.ideals[node])
+        assert node_from_word(model.poset, word) == node
     sizes = [len(model.ideals[node]) for node in model.nodes]
     assert sizes == sorted(sizes)  # graded order
 
@@ -201,6 +290,10 @@ def test_ideal_checks():
     assert not q.is_ideal({0})
     with pytest.raises(ValueError):
         q.marked({0, 3})
+    for outside in ({4}, {-1}, {3, 4}, {-1, 3}):
+        with pytest.raises(ValueError, match="^members must be existing vertex positions$"):
+            q.marked(outside)
+    assert q.marked(set()).members == frozenset()
 
 
 def test_divisor_hole_in_gr24():

@@ -13,9 +13,11 @@ import pytest
 from oracles import (
     bruhat_downset,
     bruhat_leq_bruteforce,
+    indexset,
     inversions,
     minuscule_orbit_by_bfs,
     node_from_word,
+    permutation,
     word_descends,
 )
 from torusq.rootdata import (
@@ -179,25 +181,25 @@ def test_type_a_dictionary():
     model = minuscule_model("A", 4, 2)
     poset = model.poset
     for node in model.nodes:
-        entries = poset.indexset(node)
+        entries = indexset(poset, node)
         assert poset.node_of_indexset(entries) == node
-        assert poset.permutation(node)[:2] == entries
+        assert permutation(poset, node)[:2] == entries
     # entrywise dominance of index sets refines depth and matches Bruhat
     # order of the Grassmannian permutations
     for a in model.nodes:
         for b in model.nodes:
-            ia, ib = poset.indexset(a), poset.indexset(b)
+            ia, ib = indexset(poset, a), indexset(poset, b)
             dominated = all(x <= y for x, y in zip(ia, ib))
             if dominated:
                 assert len(model.ideals[a]) <= len(model.ideals[b])
             assert dominated == bruhat_leq(
-                poset.permutation(a), poset.permutation(b)
+                permutation(poset, a), permutation(poset, b)
             )
 
 
 def test_index_sets_exhaust_combinations():
     model = minuscule_model("A", 4, 3)
-    found = {model.poset.indexset(node) for node in model.nodes}
+    found = {indexset(model.poset, node) for node in model.nodes}
     assert found == set(combinations(range(1, 6), 3))
 
 
@@ -209,7 +211,7 @@ def test_node_of_indexset_is_the_canonical_word_inverse():
             model = minuscule_model("A", n - 1, r)
             poset = model.poset
             for node in model.nodes:
-                entries = poset.indexset(node)
+                entries = indexset(poset, node)
                 assert poset.node_of_indexset(entries) == node
                 assert poset.node_of_indexset(entries[::-1]) == node
 
