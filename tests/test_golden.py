@@ -2,8 +2,13 @@
 
 ``golden/gr_analyze.txt`` holds the exact stdout of ``torusq gr analyze
 --json`` for every column set of every box Gr(r, n) with 2 <= n <= 7
-(240 calls), witnesses included.  ``golden/smt.txt`` holds ``torusq smt
-dim --json`` for m = 1, 2, 3 and ``torusq smt pn-check --max-m 3 --json``
+(240 calls), witnesses included.  ``golden/gr_analyze_large.txt`` holds
+the same for larger boxes, where the certificates are costly: for every
+Gr(r, n) with 8 <= n <= 12 the top column set, the minimal semistable
+element v and the lower cover of v that lowers its first entry; the
+four boxes whose chain search once ran for 16 s to minutes; and
+Gr(8, 16), Gr(8, 17) at the top set and at v (131 calls).
+``golden/smt.txt`` holds ``torusq smt dim --json`` for m = 1, 2, 3 and ``torusq smt pn-check --max-m 3 --json``
 for every permutation in S_3 and S_4 and every two-ended coset
 representative (:func:`torusq.smt.parabolic_lifts`) for n = 5..7 (488
 calls).  ``golden/quiver_build.txt`` holds ``torusq quiver build --json``
@@ -32,6 +37,7 @@ from itertools import combinations, permutations
 from pathlib import Path
 
 from torusq.cli import main
+from torusq.grassmannian import minimal_semistable
 from torusq.rootdata import minuscule_weights
 from torusq.smt import parabolic_lifts
 from torusq.verify import minuscule_model
@@ -46,6 +52,22 @@ def gr_analyze_argvs():
             for w in combinations(range(1, n + 1), r):
                 yield ["gr", "analyze", "--n", str(n), "--r", str(r),
                        "--w", ",".join(map(str, w)), "--json"]
+
+
+def gr_analyze_large_argvs():
+    boxes = []
+    for n in range(8, 13):
+        for r in range(1, n):
+            v = minimal_semistable(r, n)
+            boxes += [(r, n, tuple(range(n - r + 1, n + 1))), (r, n, v),
+                      (r, n, (v[0] - 1, *v[1:]))]
+    boxes += [(4, 12, (3, 6, 9, 12)), (4, 10, (3, 5, 8, 10)),
+              (5, 11, (1, 4, 6, 9, 11)), (5, 13, (2, 5, 8, 10, 13))]
+    for r, n in ((8, 16), (8, 17)):
+        boxes += [(r, n, tuple(range(n - r + 1, n + 1))), (r, n, minimal_semistable(r, n))]
+    for r, n, w in dict.fromkeys(boxes):
+        yield ["gr", "analyze", "--n", str(n), "--r", str(r),
+               "--w", ",".join(map(str, w)), "--json"]
 
 
 def smt_argvs():
@@ -99,6 +121,7 @@ def verify_argvs():
 
 CORPORA = {
     "gr_analyze.txt": (gr_analyze_argvs, 240),
+    "gr_analyze_large.txt": (gr_analyze_large_argvs, 131),
     "smt.txt": (smt_argvs, 488),
     "quiver_build.txt": (quiver_build_argvs, 535),
     "quiver_build_large.txt": (quiver_build_large_argvs, 92),
@@ -142,6 +165,10 @@ def check_corpus(name):
 
 def test_gr_analyze_json_is_byte_identical():
     check_corpus("gr_analyze.txt")
+
+
+def test_gr_analyze_large_json_is_byte_identical():
+    check_corpus("gr_analyze_large.txt")
 
 
 def test_smt_json_is_byte_identical():
