@@ -23,11 +23,13 @@ from . import smt
 def e_ss_gr(w, r, n):
     """Minimal semistable indices below w, with both closed forms attached.
 
-    ``minimal`` is the ceiling form (the true minimum), ``formula`` the
+    ``minimal`` is the ceiling form v (the true minimum), ``formula`` the
     two-branch variant kept for comparison; a warning records any
-    disagreement.  When gcd(r, n) > 1 the minimum is also re-derived from
-    the invariant-chain certificate of every column set of the box
-    (``oracle``; None otherwise).
+    disagreement.  ``elements`` is [v] if v <= w, else empty.  When
+    gcd(r, n) > 1, ``oracle`` is [v] if the chain certificates at v and
+    its lower covers show that a sweep of every column set finds [v]
+    (r + 1 fits, see :func:`torusq.smt.is_certified_minimum_gr`), else
+    empty with a warning; None otherwise.
     """
     w = gr.check_indexset(w, r, n)
     v = gr.minimal_semistable(r, n)
@@ -38,26 +40,16 @@ def e_ss_gr(w, r, n):
             f"two-branch closed form {formula_v} overshoots the minimal "
             f"semistable element {v}"
         )
-    oracle_heads = None
+    oracle = None
     if gcd(r, n) > 1:
-        oracle_heads = smt.minimal_semistable_oracle_gr(r, n)
-        if sorted(oracle_heads) != [v]:
-            warnings.append(
-                f"swept minima {sorted(oracle_heads)} disagree with the "
-                f"ceiling form {v}; using the swept values"
-            )
-    heads = oracle_heads if oracle_heads is not None else [v]
-    below = [h for h in heads if gr.indexset_leq(h, w)]
-    elements = [
-        h
-        for h in below
-        if not any(u != h and gr.indexset_leq(u, h) for u in below)
-    ]
+        oracle = [v] if smt.is_certified_minimum_gr(v, r, n) else []
+        if not oracle:
+            warnings.append(f"no chain certificate confirms the minimum {v}")
     return {
-        "elements": elements,
+        "elements": [v] if gr.indexset_leq(v, w) else [],
         "minimal": v,
         "formula": formula_v,
-        "oracle": oracle_heads,
+        "oracle": oracle,
         "warnings": warnings,
     }
 

@@ -126,10 +126,12 @@ def minimal_semistable(r: int, n: int) -> tuple[int, ...]:
     degree m is a product of m Pluecker coordinates, pairwise comparable
     and all below w, using every value exactly mr/n times; each factor has
     at least i entries <= w_i, and values <= w_i supply only w_i * mr/n
-    slots, so w_i >= in/r.  The balanced chain that rotates values
-    cyclically attains the bound, making this the unique minimum (the
-    verification suites re-derive it per (r, n) from the invariant-chain
-    certificate of every column set).
+    slots, so w_i >= in/r in every degree.  Degree m0 = n' = n/g attains
+    it (g = gcd(r, n), r' = r/g): S_k = {ceil((i*n' - k)/r') : i = 1..r}
+    for k = 0..m0-1 is a weakly decreasing chain from S_0 = v, and as
+    u = i*n' - k runs over 1..r*n' once, each value ceil(u/r') is used
+    r' = m0*r/n times.  So this is the unique minimum (``verify
+    minima-sweep`` re-derives it from every column set's certificate).
     """
     check_box(r, n)
     return tuple(-((-i * n) // r) for i in range(1, r + 1))

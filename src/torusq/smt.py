@@ -409,7 +409,10 @@ def invariant_chain_gr(w, r: int, n: int, m: int):
     exactly a torus-invariant standard monomial of degree m on X_w.  The
     chain returned is the lexicographically first one, column sets taken
     in decreasing order: at each step the first candidate below the last
-    set whose remaining content still fits (:func:`_chain_fits`).
+    set whose remaining content still fits (:func:`_chain_fits`), from
+    where the last scan stopped (the next set is entrywise, so
+    lexicographically, below the last).  None in degree n / gcd(r, n)
+    rules out every degree (see :func:`is_certified_minimum_gr`).
     """
     w = tuple(w)
     need = _uniform_need(r, n, m)
@@ -424,35 +427,40 @@ def invariant_chain_gr(w, r: int, n: int, m: int):
         return left
 
     chain = []
-    bound = w
+    bound, at = w, 0
     for _ in range(m):
-        bound = next(
-            cand
-            for cand in rows
-            if all(c <= b and need[c - 1] for c, b in zip(cand, bound))
-            and _chain_fits(cand, rest(cand), r)
+        at, bound = next(
+            (i, rows[i])
+            for i in range(at, len(rows))
+            if all(c <= b and need[c - 1] for c, b in zip(rows[i], bound))
+            and _chain_fits(rows[i], rest(rows[i]), r)
         )
         need = rest(bound)
         chain.append(bound)
     return tuple(chain)
 
 
+def is_certified_minimum_gr(v, r: int, n: int) -> bool:
+    """Does v have an invariant chain in degree n / gcd(r, n) while none
+    of its lower covers has one?
+
+    For v = :func:`torusq.grassmannian.minimal_semistable` these r + 1 fits
+    give what :func:`minimal_semistable_oracle_gr` sweeps for: the sets
+    with a chain in degree m form an up-set (:func:`_chain_fits` places
+    copies without reading the bound; a larger flag only delays the
+    row-fullness test), lie above v, and hold v in degree n / gcd(r, n)
+    (both shown at ``minimal_semistable``), so their minima are [v].
+    """
+    need = _uniform_need(r, n, n // gcd(r, n))
+    covers = (v[:i] + (v[i] - 1,) + v[i + 1:] for i in range(r)
+              if v[i] - 1 > (v[i - 1] if i else 0))
+    return _chain_fits(v, need, r) and not any(_chain_fits(u, need, r) for u in covers)
+
+
 def _certificate_degrees(r: int, n: int) -> tuple[int, int]:
     """m0 = n / gcd(r, n), the least degree where m*r/n is whole, and 2*m0."""
     m0 = n // gcd(r, n)
     return m0, 2 * m0
-
-
-def semistable_nonempty_gr(w, r: int, n: int) -> dict:
-    """Search for an invariant chain on X_w in the two smallest plausible
-    degrees, m0 and 2*m0 where m0 = n / gcd(r, n); a negative answer is
-    therefore relative to the reported bound."""
-    degrees = _certificate_degrees(r, n)
-    for m in degrees:
-        chain = invariant_chain_gr(w, r, n, m)
-        if chain is not None:
-            return {"found": True, "degree": m, "bound": degrees[1], "witness": chain}
-    return {"found": False, "degree": None, "bound": degrees[1], "witness": None}
 
 
 def minimal_semistable_oracle_gr(r: int, n: int) -> list[tuple[int, ...]]:

@@ -2,6 +2,7 @@
 
 import json
 from collections import Counter
+from math import gcd
 
 import pytest
 
@@ -120,6 +121,39 @@ def test_analyze_cliff_boxes(capsys, r, n, w):
         uses = Counter(v for cols in chain for v in cols)
         assert [uses[v] for v in range(1, n + 1)] == [m * r // n] * n
     assert bool(payload["witnesses"]) is nonempty
+
+
+@pytest.mark.parametrize("r, n, w", [
+    (4, 8, (5, 6, 7, 8)),
+    (8, 16, (9, 10, 11, 12, 13, 14, 15, 16)),
+    (3, 9, (3, 6, 9)),
+    (2, 5, (3, 5)),
+    (3, 9, (2, 6, 9)),
+])
+def test_analyze_sweeps_nothing_and_builds_one_chain(capsys, monkeypatch, r, n, w):
+    """One chain, in the least degree m0, only when v <= w; never the
+    sweep of every column set, and never degree 2*m0."""
+    def refuse(*args):
+        raise AssertionError("gr analyze sweeps no column sets")
+
+    degrees = []
+    chain_of = smt.invariant_chain_gr
+
+    def counting(w, r, n, m):
+        degrees.append(m)
+        return chain_of(w, r, n, m)
+
+    monkeypatch.setattr(smt, "minimal_semistable_oracle_gr", refuse)
+    monkeypatch.setattr(smt, "invariant_chain_gr", counting)
+    code, payload, _ = run_json(
+        capsys,
+        ["gr", "analyze", "--n", str(n), "--r", str(r), "--w", ",".join(map(str, w))],
+    )
+    assert code == 0
+    above = gr.indexset_leq(gr.minimal_semistable(r, n), w)
+    assert payload["result"]["semistable_nonempty"] is above
+    assert degrees == ([n // gcd(r, n)] if above else [])
+    assert [x["degree"] for x in payload["witnesses"]] == degrees
 
 
 @pytest.mark.parametrize("argv", [

@@ -12,7 +12,7 @@ from math import gcd
 import pytest
 
 from oracles import node_from_word
-from torusq import criteria, grassmannian as gr, verify
+from torusq import criteria, grassmannian as gr, smt, verify
 from torusq.cli import main
 from torusq.quiver import minimal_v_word
 
@@ -47,11 +47,34 @@ def test_semistable_bottoms_report():
     assert rep["oracle"] is None
     assert rep["elements"] == [(2, 4, 5)]
 
-    rep = criteria.e_ss_gr((3, 5, 6), 3, 6)  # gcd 3: the sweep runs
+    rep = criteria.e_ss_gr((3, 5, 6), 3, 6)  # gcd 3: the certificate runs
     assert rep["minimal"] == (2, 4, 6)
     assert rep["formula"] == (3, 5, 6)
     assert rep["oracle"] == [(2, 4, 6)]
     assert rep["elements"] == [(2, 4, 6)]
+
+
+def test_certified_oracle_equals_the_sweep():
+    """``oracle`` from r + 1 fits at v is what the sweep of every column
+    set finds, on every box with n <= 13."""
+    for n in range(2, 14):
+        for r in range(1, n):
+            sweep = smt.minimal_semistable_oracle_gr(r, n)
+            v = gr.minimal_semistable(r, n)
+            assert smt.is_certified_minimum_gr(v, r, n) is (sweep == [v]), (r, n)
+            top = tuple(range(n - r + 1, n + 1))
+            oracle = criteria.e_ss_gr(top, r, n)["oracle"]
+            assert oracle == (None if gcd(r, n) == 1 else sweep), (r, n)
+
+
+def test_unconfirmed_minimum_is_reported(monkeypatch):
+    monkeypatch.setattr(smt, "is_certified_minimum_gr", lambda v, r, n: False)
+    rep = criteria.e_ss_gr((3, 5, 6), 3, 6)
+    assert rep["oracle"] == []
+    assert rep["elements"] == [(2, 4, 6)]
+    assert any("confirms" in w for w in rep["warnings"])
+    rep = criteria.e_ss_gr((3, 5), 2, 5)  # gcd 1: nothing to confirm
+    assert rep["oracle"] is None and rep["warnings"] == []
 
 
 def test_formula_agrees_exactly_when_n_is_1_mod_r():

@@ -391,16 +391,14 @@ def test_chain_on_gr24():
     assert smt.invariant_chain_gr((1, 4), 2, 4, 2) is None
 
 
-def test_semistable_probe_reports_bound():
-    report = smt.semistable_nonempty_gr((3, 5), 2, 5)
-    assert report == {
-        "found": True,
-        "degree": 5,
-        "bound": 10,
-        "witness": ((3, 5), (3, 5), (2, 4), (1, 4), (1, 2)),
-    }
-    report = smt.semistable_nonempty_gr((2, 5), 2, 5)
-    assert report["found"] is False and report["bound"] == 10
+def test_semistable_chain_in_the_least_degree():
+    # Gr(2,5): m0 = 5, and the chain below (3, 5) is found there
+    assert smt.invariant_chain_gr((3, 5), 2, 5, 5) == (
+        (3, 5), (3, 5), (2, 4), (1, 4), (1, 2)
+    )
+    # below v = (3, 5) there is none, in degree 2*m0 either
+    assert smt.invariant_chain_gr((2, 5), 2, 5, 5) is None
+    assert smt.invariant_chain_gr((2, 5), 2, 5, 10) is None
 
 
 def test_minimal_sweep_gr24():
@@ -430,13 +428,68 @@ def test_chain_equals_exhaustive_search():
 
 
 def test_certificate_exists_iff_above_the_minimal_element():
+    """In degree m0 and in degree 2*m0 alike: so a 2*m0 chain never
+    certifies a column set that m0 misses."""
     for n in range(2, 12):
         for r in range(1, n):
             v = gr.minimal_semistable(r, n)
             needs = [(m * r // n,) * n for m in certificate_degrees(r, n)]
             for w in column_sets(r, n):
-                found = any(smt._chain_fits(w, need, r) for need in needs)
-                assert found == gr.indexset_leq(v, w), (w, r, n)
+                above = gr.indexset_leq(v, w)
+                for need in needs:
+                    assert smt._chain_fits(w, need, r) == above, (w, r, n, need)
+
+
+def lower_covers(v):
+    """Column sets one below v: one entry lowered by one."""
+    return [
+        v[:i] + (v[i] - 1,) + v[i + 1:]
+        for i in range(len(v))
+        if v[i] - 1 > (v[i - 1] if i else 0)
+    ]
+
+
+def test_minimal_element_is_certified_and_nothing_below_it():
+    """v fits a chain in degree m0 and no lower cover of v does, for every
+    box with n <= 60: the r + 1 fits that ``gr analyze`` makes."""
+    for n in range(2, 61):
+        for r in range(1, n):
+            v = gr.minimal_semistable(r, n)
+            need = (r // gcd(r, n),) * n
+            assert smt._chain_fits(v, need, r), (r, n)
+            assert not any(smt._chain_fits(u, need, r) for u in lower_covers(v)), (r, n)
+
+
+def test_balanced_chain_attains_the_minimal_element():
+    """The chain of ``minimal_semistable``'s docstring, built directly:
+    S_k = {ceil((i*n' - k)/r')}, k < m0, is weakly decreasing from v and
+    uses every value r' = m0*r/n times."""
+    for n in range(2, 61):
+        for r in range(1, n):
+            g = gcd(r, n)
+            n1, r1 = n // g, r // g
+            chain = [
+                tuple(-((k - i * n1) // r1) for i in range(1, r + 1))
+                for k in range(n1)
+            ]
+            assert chain[0] == gr.minimal_semistable(r, n)
+            for cols in chain:
+                assert list(cols) == sorted(set(cols)) and 1 <= cols[0] and cols[-1] <= n
+            for hi, lo in zip(chain, chain[1:]):
+                assert all(b <= a for a, b in zip(hi, lo))
+            uses = [0] * n
+            for cols in chain:
+                for v in cols:
+                    uses[v - 1] += 1
+            assert uses == [r1] * n, (r, n)
+
+
+def test_certified_minimum_needs_the_minimal_element():
+    assert smt.is_certified_minimum_gr((2, 4), 2, 4)
+    assert not smt.is_certified_minimum_gr((3, 4), 2, 4)  # (2, 4) below it fits
+    assert not smt.is_certified_minimum_gr((1, 4), 2, 4)  # no chain at all
+    assert smt.is_certified_minimum_gr((2, 4, 6), 3, 6)
+    assert not smt.is_certified_minimum_gr((2, 5, 6), 3, 6)
 
 
 def test_chain_fits_hand_cases():
