@@ -37,8 +37,10 @@ from .weyl import word_to_perm
 # bottom node); at A100/omega_50, N = 2550, a whole call takes 0.11-0.18 s
 # with --w full and 0.20-0.33 s with --w minimal on a 2-vCPU VM (best to
 # median of 11, two runs), at most 19 MB peak RSS.  ``gr analyze`` lists all
-# C(n, r) column sets for its chain certificate; at the worst r it takes
-# 0.31-0.32 s in process at n = 17 and 0.62-0.65 s at n = 18 (2-vCPU VM).
+# C(n, r) column sets for its chain certificate; report plus chain, in
+# process, best of 3, two runs on a 2-vCPU VM: at the worst r (9 or 10, top
+# set) 0.23-0.25 s at n = 17 and 0.48-0.55 s at n = 18; at Gr(8, 17) and
+# Gr(9, 18), top set, 0.04-0.05 s and 0.09-0.11 s.
 #
 # ``smt dim`` answers from the closed form C(t+m-1, m), t = w(1) - w(n);
 # a degree whose bound C(t+m-1, m) <= (t+m)^min(m, t-1) passes
@@ -148,37 +150,15 @@ def cmd_gr_analyze(args) -> int:
         gr.check_indexset(w, args.r, args.n)
     except ValueError as exc:
         _usage_error(exc)
-    lam = gr.indexset_to_partition(w, args.r, args.n)
-    report = criteria.semistable_meets_singular_gr(w, args.r, args.n)
-    warnings = list(report["warnings"])
+    result, warnings = criteria.semistable_meets_singular_gr(w, args.r, args.n)
     witnesses = []
-    if report["semistable_nonempty"]:
-        separated = report["separated"]
+    if result["semistable_nonempty"]:
         m0 = args.n // gcd(args.r, args.n)
         chain = smt.invariant_chain_gr(w, args.r, args.n, m0)
         witnesses.append({"degree": m0, "chain": chain})
-    else:
-        separated = None
-        warnings.append("no semistable points below this element")
     payload = {
         "input": {"n": args.n, "r": args.r, "w": w},
-        "result": {
-            "partition": lam,
-            "corners": gr.corners(lam, args.r, args.n),
-            "singular_components": report["singular_components"],
-            "smooth": not report["singular_components"],
-            "minimal_v": {
-                "value": report["minimal"],
-                "formula": report["formula"],
-                "oracle": report["oracle"],
-                "agrees": report["formula"] == report["minimal"]
-                and report["oracle"] in (None, [report["minimal"]]),
-            },
-            "semistable_nonempty": report["semistable_nonempty"],
-            "ss_in_smooth": separated,
-            # with gcd 1 every semistable point is stable
-            "quotient_smooth": gcd(args.r, args.n) == 1 and separated is True,
-        },
+        "result": result,
         "witnesses": witnesses,
         "warnings": warnings,
     }

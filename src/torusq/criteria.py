@@ -1,17 +1,18 @@
 """Where the semistable locus meets the singular locus.
 
-The smooth-quotient question reduces to a finite comparison: collect the
-maximal torus-fixed indices that are singular on X(w) (the tops of the
-singular components) and the minimal ones below w whose variety carries
-semistable points, then ask whether any singular top dominates a
-semistable bottom.  If none does, the semistable locus stays inside the
-smooth locus and, when the torus acts with trivial generic stabilizer,
-the quotient is smooth.
+The smooth-quotient question for Gr(r, n) is one comparison.  X(w) has
+semistable points exactly when the minimal semistable column set v lies
+below w, and its semistable locus leaves the smooth locus exactly when
+some singular component of X(w) contains X(v), i.e. when v lies below the
+column set of a component.  If none does, the semistable locus stays
+inside the smooth locus and, when gcd(r, n) = 1 (every semistable point
+is stable), the quotient is smooth.
 
 A query gets one report per column set
-(:func:`semistable_meets_singular_gr`), each quantity computed once.  The
-independent computations of the same verdict that the verification
-suites compare live in :mod:`torusq.verify`.
+(:func:`semistable_meets_singular_gr`), the ``result`` that ``gr analyze``
+prints, each quantity computed once.  The independent computations of the
+same verdict that the verification suites compare live in
+:mod:`torusq.verify`.
 """
 
 from math import gcd
@@ -20,18 +21,18 @@ from . import grassmannian as gr
 from . import smt
 
 
-def e_ss_gr(w, r, n):
-    """Minimal semistable indices below w, with both closed forms attached.
+def e_ss_gr(r, n):
+    """The minimal semistable column set v of Gr(r, n), with its warnings.
 
-    ``minimal`` is the ceiling form v (the true minimum), ``formula`` the
-    two-branch variant kept for comparison; a warning records any
-    disagreement.  ``elements`` is [v] if v <= w, else empty.  When
-    gcd(r, n) > 1, ``oracle`` is [v] if the chain certificates at v and
-    its lower covers show that a sweep of every column set finds [v]
+    Returns the ``minimal_v`` block and a list of warnings.  ``value`` is
+    the ceiling form v (the true minimum), ``formula`` the two-branch
+    variant kept for comparison; a warning records any disagreement.
+    When gcd(r, n) > 1, ``oracle`` is [v] if the chain certificates at v
+    and its lower covers show that a sweep of every column set finds [v]
     (r + 1 fits, see :func:`torusq.smt.is_certified_minimum_gr`), else
-    empty with a warning; None otherwise.
+    empty with a warning; None otherwise.  ``agrees`` is True when the
+    formula and the oracle both name v.
     """
-    w = gr.check_indexset(w, r, n)
     v = gr.minimal_semistable(r, n)
     formula_v = gr.minimal_semistable_formula(r, n)
     warnings = []
@@ -46,43 +47,45 @@ def e_ss_gr(w, r, n):
         if not oracle:
             warnings.append(f"no chain certificate confirms the minimum {v}")
     return {
-        "elements": [v] if gr.indexset_leq(v, w) else [],
-        "minimal": v,
+        "value": v,
         "formula": formula_v,
         "oracle": oracle,
-        "warnings": warnings,
-    }
+        "agrees": formula_v == v and oracle in (None, [v]),
+    }, warnings
 
 
 def semistable_meets_singular_gr(w, r, n):
-    """The Grassmannian report for one column set w.
+    """The Grassmannian report for one column set w, with its warnings.
 
     ``singular_components`` are the partitions of the singular-locus
-    components of X_w and ``e_sing`` their column sets, the maximal
-    singular fixed indices; ``e_ss`` are the minimal semistable indices
-    below w, reported with ``minimal``, ``formula`` and ``oracle`` as in
-    :func:`e_ss_gr`.  ``separated`` is True when no singular top dominates
-    a semistable bottom, i.e. semistable points avoid the singular locus.
+    components of X_w and ``minimal_v`` is :func:`e_ss_gr`'s block.
+    ``ss_in_smooth`` is True when v lies below no component's column set,
+    i.e. semistable points avoid the singular locus, and None (with a
+    warning) when v is not below w and X_w has no semistable points.
     """
     w = gr.check_indexset(w, r, n)
-    components = gr.singular_components(gr.indexset_to_partition(w, r, n), r, n)
-    sing = [gr.partition_to_indexset(mu, r, n) for mu in components]
-    ss = e_ss_gr(w, r, n)
-    bad_pairs = [
-        (a, b)
-        for a in sing
-        for b in ss["elements"]
-        if gr.indexset_leq(b, a)
-    ]
-    return {
+    lam = gr.indexset_to_partition(w, r, n)
+    components = gr.singular_components(lam, r, n)
+    minimal_v, warnings = e_ss_gr(r, n)
+    v = minimal_v["value"]
+    if gr.indexset_leq(v, w):
+        separated = not any(
+            gr.indexset_leq(v, gr.partition_to_indexset(mu, r, n))
+            for mu in components
+        )
+    else:
+        separated = None
+        warnings.append("no semistable points below this element")
+    result = {
+        "partition": lam,
+        "corners": gr.corners(lam, r, n),
         "singular_components": components,
-        "e_sing": sing,
-        "e_ss": ss["elements"],
-        "minimal": ss["minimal"],
-        "formula": ss["formula"],
-        "oracle": ss["oracle"],
-        "pairs": bad_pairs,
-        "separated": not bad_pairs,
-        "semistable_nonempty": bool(ss["elements"]),
-        "warnings": ss["warnings"],
+        "smooth": not components,
+        "minimal_v": minimal_v,
+        "semistable_nonempty": separated is not None,
+        "ss_in_smooth": separated,
+        # oracle is None exactly when gcd(r, n) = 1, when every semistable
+        # point is stable
+        "quotient_smooth": minimal_v["oracle"] is None and separated is True,
     }
+    return result, warnings

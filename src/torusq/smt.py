@@ -390,6 +390,8 @@ def _chain_fits(bound, need, r: int) -> bool:
             above = shape[i]
             shape[i] += take
             copies -= take
+            if not copies:
+                break
         if copies or any(shape[i] < width for i in range(r) if bound[i] <= v):
             return False
     return True

@@ -40,22 +40,23 @@ def minuscule_model(family, rank, weight) -> qv.MinusculeModel:
 def gr_cross_verdicts(w, r, n):
     """All available formulations of the criterion for one column set.
 
-    Returns a dict of named booleans that must coincide: the report's pair
-    comparison, the diagram criterion, component containment, the gap
+    Returns a dict of named booleans that must coincide: the report's
+    ``ss_in_smooth`` (v against each singular component's column set),
+    the diagram criterion, component containment of partitions, the gap
     inequality and the quiver hole criterion, on the ideals of w and of
-    the minimal semistable element read from the orbit listing.  Raises
+    the minimal semistable element v read from the orbit listing.  Raises
     when X_w has no semistable points at all.
     """
-    report = criteria.semistable_meets_singular_gr(w, r, n)
-    if not report["semistable_nonempty"]:
+    result, _ = criteria.semistable_meets_singular_gr(w, r, n)
+    if not result["semistable_nonempty"]:
         raise ValueError(f"X_{w} has no semistable points")
-    v = gr.minimal_semistable(r, n)
+    v = result["minimal_v"]["value"]
     lam_v = gr.indexset_to_partition(v, r, n)
     out = {
-        "pair-comparison": report["separated"],
+        "pair-comparison": result["ss_in_smooth"],
         "diagram": gr.semistable_in_smooth(w, r, n),
         "component-containment": not any(
-            gr.diagram_leq(mu, lam_v) for mu in report["singular_components"]
+            gr.diagram_leq(mu, lam_v) for mu in result["singular_components"]
         ),
         "gap-inequality": all(
             w[i - 1] < v[i]

@@ -87,6 +87,59 @@ def test_analyze_text_mode(capsys):
     assert "partition: [1, 0]" in out
 
 
+@pytest.mark.parametrize("argv, stdout", [
+    # below v = (3, 5): an empty semistable locus
+    (["--n", "5", "--r", "2", "--w", "1,3"], """\
+corners: [[2, 2]]
+minimal_v: {agrees=True, formula=[3, 5], oracle=None, value=[3, 5]}
+partition: [3, 2]
+quotient_smooth: False
+semistable_nonempty: False
+singular_components: []
+smooth: True
+ss_in_smooth: None
+warning: no semistable points below this element
+"""),
+    # gcd 2 at v = (2, 4): the two-branch form overshoots
+    (["--n", "4", "--r", "2", "--w", "2,4"], """\
+corners: [[1, 1]]
+minimal_v: {agrees=False, formula=[3, 4], oracle=[[2, 4]], value=[2, 4]}
+partition: [1, 0]
+quotient_smooth: False
+semistable_nonempty: True
+singular_components: [[2, 2]]
+smooth: False
+ss_in_smooth: True
+warning: two-branch closed form (3, 4) overshoots the minimal semistable element (2, 4)
+"""),
+    # gcd 2 below v: both warnings, in this order
+    (["--n", "4", "--r", "2", "--w", "2,3"], """\
+corners: [[2, 1]]
+minimal_v: {agrees=False, formula=[3, 4], oracle=[[2, 4]], value=[2, 4]}
+partition: [1, 1]
+quotient_smooth: False
+semistable_nonempty: False
+singular_components: []
+smooth: True
+ss_in_smooth: None
+warning: two-branch closed form (3, 4) overshoots the minimal semistable element (2, 4)
+warning: no semistable points below this element
+"""),
+])
+def test_analyze_text_mode_full_stdout(capsys, argv, stdout):
+    assert main(["gr", "analyze", *argv]) == 0
+    assert capsys.readouterr().out == stdout
+
+
+def test_analyze_prints_the_criteria_report(capsys):
+    for r, n, w in [(2, 5, (3, 5)), (2, 4, (2, 3)), (4, 9, (5, 7, 8, 9))]:
+        result, warnings = criteria.semistable_meets_singular_gr(w, r, n)
+        argv = ["gr", "analyze", "--n", str(n), "--r", str(r), "--w", ",".join(map(str, w))]
+        _, payload, _ = run_json(capsys, argv)
+        assert payload["result"] == json.loads(cli._json(result))
+        assert payload["warnings"] == warnings
+
+
 def test_analyze_rejects_bad_column_set(capsys):
     with pytest.raises(SystemExit):
         main(["gr", "analyze", "--n", "5", "--r", "2", "--w", "9,9"])

@@ -19,7 +19,8 @@ from torusq.quiver import minimal_v_word
 
 def test_singular_tops_gr25():
     def tops(w):
-        return criteria.semistable_meets_singular_gr(w, 2, 5)["e_sing"]
+        result, _ = criteria.semistable_meets_singular_gr(w, 2, 5)
+        return [gr.partition_to_indexset(mu, 2, 5) for mu in result["singular_components"]]
 
     assert tops((3, 5)) == [(2, 3)]
     assert tops((4, 5)) == []  # smooth variety
@@ -27,31 +28,28 @@ def test_singular_tops_gr25():
 
 
 def test_semistable_bottoms_report():
-    rep = criteria.e_ss_gr((3, 5), 2, 5)
-    assert rep["elements"] == [(3, 5)]
-    assert rep["minimal"] == (3, 5)
-    assert rep["formula"] == (3, 5)
-    assert rep["oracle"] is None  # gcd(2,5)=1: no sweep by default
-    assert rep["warnings"] == []
+    # gcd(2, 5) = 1: no certificate is run
+    assert criteria.e_ss_gr(2, 5) == (
+        {"value": (3, 5), "formula": (3, 5), "oracle": None, "agrees": True}, []
+    )
 
-    rep = criteria.e_ss_gr((2, 4), 2, 4)
-    assert rep["elements"] == [(2, 4)]
-    assert rep["minimal"] == (2, 4)
-    assert rep["formula"] == (3, 4)
-    assert rep["oracle"] == [(2, 4)]
-    assert len(rep["warnings"]) == 1 and "overshoots" in rep["warnings"][0]
+    block, warnings = criteria.e_ss_gr(2, 4)
+    assert block == {"value": (2, 4), "formula": (3, 4), "oracle": [(2, 4)],
+                     "agrees": False}
+    assert len(warnings) == 1 and "overshoots" in warnings[0]
 
-    rep = criteria.e_ss_gr((3, 4, 5), 3, 5)
-    assert rep["minimal"] == (2, 4, 5)
-    assert rep["formula"] == (3, 4, 5)
-    assert rep["oracle"] is None
-    assert rep["elements"] == [(2, 4, 5)]
+    block, _ = criteria.e_ss_gr(3, 5)
+    assert block == {"value": (2, 4, 5), "formula": (3, 4, 5), "oracle": None,
+                     "agrees": False}
 
-    rep = criteria.e_ss_gr((3, 5, 6), 3, 6)  # gcd 3: the certificate runs
-    assert rep["minimal"] == (2, 4, 6)
-    assert rep["formula"] == (3, 5, 6)
-    assert rep["oracle"] == [(2, 4, 6)]
-    assert rep["elements"] == [(2, 4, 6)]
+    block, _ = criteria.e_ss_gr(3, 6)  # gcd 3: the certificate runs
+    assert block == {"value": (2, 4, 6), "formula": (3, 5, 6), "oracle": [(2, 4, 6)],
+                     "agrees": False}
+
+    # each of these lies above its box's minimal element
+    for w, r, n in [((3, 5), 2, 5), ((2, 4), 2, 4), ((3, 4, 5), 3, 5), ((3, 5, 6), 3, 6)]:
+        result, _ = criteria.semistable_meets_singular_gr(w, r, n)
+        assert result["semistable_nonempty"] is True, (w, r, n)
 
 
 def test_certified_oracle_equals_the_sweep():
@@ -62,19 +60,20 @@ def test_certified_oracle_equals_the_sweep():
             sweep = smt.minimal_semistable_oracle_gr(r, n)
             v = gr.minimal_semistable(r, n)
             assert smt.is_certified_minimum_gr(v, r, n) is (sweep == [v]), (r, n)
-            top = tuple(range(n - r + 1, n + 1))
-            oracle = criteria.e_ss_gr(top, r, n)["oracle"]
+            oracle = criteria.e_ss_gr(r, n)[0]["oracle"]
             assert oracle == (None if gcd(r, n) == 1 else sweep), (r, n)
 
 
 def test_unconfirmed_minimum_is_reported(monkeypatch):
     monkeypatch.setattr(smt, "is_certified_minimum_gr", lambda v, r, n: False)
-    rep = criteria.e_ss_gr((3, 5, 6), 3, 6)
-    assert rep["oracle"] == []
-    assert rep["elements"] == [(2, 4, 6)]
-    assert any("confirms" in w for w in rep["warnings"])
-    rep = criteria.e_ss_gr((3, 5), 2, 5)  # gcd 1: nothing to confirm
-    assert rep["oracle"] is None and rep["warnings"] == []
+    block, warnings = criteria.e_ss_gr(3, 6)
+    assert block["oracle"] == [] and block["agrees"] is False
+    assert any("confirms" in w for w in warnings)
+    result, warnings = criteria.semistable_meets_singular_gr((3, 5, 6), 3, 6)
+    assert result["semistable_nonempty"] is True
+    assert any("confirms" in w for w in warnings)
+    block, warnings = criteria.e_ss_gr(2, 5)  # gcd 1: nothing to confirm
+    assert block["oracle"] is None and warnings == []
 
 
 def test_formula_agrees_exactly_when_n_is_1_mod_r():
@@ -85,26 +84,28 @@ def test_formula_agrees_exactly_when_n_is_1_mod_r():
 
 
 def test_meets_report_gr25():
-    rep = criteria.semistable_meets_singular_gr((3, 5), 2, 5)
-    assert rep == {
-        "singular_components": [(2, 2)],
-        "e_sing": [(2, 3)],
-        "e_ss": [(3, 5)],
-        "minimal": (3, 5),
-        "formula": (3, 5),
-        "oracle": None,
-        "pairs": [],
-        "separated": True,
-        "semistable_nonempty": True,
-        "warnings": [],
-    }
+    assert criteria.semistable_meets_singular_gr((3, 5), 2, 5) == (
+        {
+            "partition": (1, 0),
+            "corners": [(1, 1)],
+            "singular_components": [(2, 2)],
+            "smooth": False,
+            "minimal_v": {"value": (3, 5), "formula": (3, 5), "oracle": None,
+                          "agrees": True},
+            "semistable_nonempty": True,
+            "ss_in_smooth": True,  # v = (3, 5) is not below the top (2, 3)
+            "quotient_smooth": True,
+        },
+        [],
+    )
 
 
 def test_meets_report_below_v():
-    rep = criteria.semistable_meets_singular_gr((1, 2), 2, 5)
-    assert rep["e_ss"] == []
-    assert not rep["semistable_nonempty"]
-    assert rep["separated"]  # vacuously: nothing semistable to meet
+    result, warnings = criteria.semistable_meets_singular_gr((1, 2), 2, 5)
+    assert not result["semistable_nonempty"]
+    assert result["ss_in_smooth"] is None  # nothing semistable to compare
+    assert result["quotient_smooth"] is False
+    assert warnings == ["no semistable points below this element"]
 
 
 def test_cross_verdicts_raise_without_semistable_points():
