@@ -205,7 +205,6 @@ def cmd_quiver_build(args) -> int:
     word = minuscule.word_of(ideal)
     marked = minuscule.full.marked(ideal)
     holes = qv.classify_holes(marked)
-    components = minuscule.components_from_holes(marked, holes)
     payload = {
         "input": {
             "family": args.family,
@@ -224,7 +223,7 @@ def cmd_quiver_build(args) -> int:
                 "essential": holes.essential,
             },
             "smooth": not holes.real,
-            "singular_components": [minuscule.word_of(c) for c in components],
+            "singular_components": [minuscule.word_of(c) for c in holes.components],
         },
         "witnesses": [],
         "warnings": [],

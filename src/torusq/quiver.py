@@ -28,7 +28,8 @@ readings fail on the first singular example, the divisor in Gr(2,4)):
 
 A marked quiver is smooth exactly when it has no real holes, and each
 essential hole h carves out one component of the singular locus: drop
-everything weakly above h from the ideal and keep what remains.
+everything weakly above h from the ideal and keep what remains.  One pass,
+:func:`classify_holes`, returns the holes and these components together.
 """
 
 from bisect import insort
@@ -161,10 +162,16 @@ class HoleReport(NamedTuple):
     real: tuple[int, ...]
     virtual: tuple[int, ...]
     essential: tuple[int, ...]
+    components: tuple[frozenset[int], ...]
 
 
 def classify_holes(q: Quiver) -> HoleReport:
-    """Real, virtual and essential holes of a marked quiver."""
+    """Real, virtual and essential holes of a marked quiver, and the
+    component ideals of its singular locus: ``q.members`` minus the up-set
+    of each essential hole, in the order of ``essential``, from the up-sets
+    the classification holds.  They are distinct: no other real hole is
+    weakly above an essential one, so each component keeps every other
+    essential hole and drops only its own."""
     real, above = [], {}
     for i in sorted(q.members):
         p = q.prev[i]
@@ -187,7 +194,10 @@ def classify_holes(q: Quiver) -> HoleReport:
         for i in real
         if not any(j != i and j in above[i] for j in real)
     ]
-    return HoleReport(tuple(real), tuple(virtual), tuple(essential))
+    return HoleReport(
+        tuple(real), tuple(virtual), tuple(essential),
+        tuple(q.members - above[h] for h in essential),
+    )
 
 
 class MinusculeQuiver:
@@ -197,10 +207,10 @@ class MinusculeQuiver:
     the canonical word of the poset's bottom node, and every per-element
     question is answered on that ideal: :meth:`grow` turns a reduced word
     into its ideal, :meth:`word_of` reads an ideal's canonical word back
-    off the quiver, and the holes and singular components come from the
-    marked quiver.  Weights enter only through that one bottom word, so a
-    request costs time polynomial in the number N of quiver vertices
-    (dim G/P), not in the orbit size.
+    off the quiver, and :meth:`holes` gives one hole report: the holes,
+    smoothness (no real hole) and the singular components.  Weights enter
+    only through that one bottom word, so a request costs time polynomial
+    in the number N of quiver vertices (dim G/P), not in the orbit size.
 
     Both translations rest on one fact: when vertex v joins an ideal I,
     everything below v is already in I, so v is maximal in I + {v} and
@@ -270,23 +280,6 @@ class MinusculeQuiver:
 
     def holes(self, ideal) -> HoleReport:
         return classify_holes(self.full.marked(ideal))
-
-    def is_smooth(self, ideal) -> bool:
-        """Smooth exactly when the marked quiver has no real holes."""
-        return not self.holes(ideal).real
-
-    def singular_components(self, ideal) -> list[frozenset[int]]:
-        """The order ideals of the components of the singular locus."""
-        q = self.full.marked(ideal)
-        return list(self.components_from_holes(q, classify_holes(q)))
-
-    def components_from_holes(self, q: Quiver, report: HoleReport):
-        """The component ideals carved out by the essential holes of
-        ``report``, the hole report of the marked quiver ``q``, one at a
-        time.  They are distinct: no other real hole is weakly above an
-        essential one, so each component keeps every other essential hole
-        and drops only its own."""
-        return (q.members - q.above(h) for h in report.essential)
 
     def semistable_in_smooth(self, w_ideal, v_ideal) -> bool:
         """Criterion: every essential hole of Q_w lies in the ideal of v.

@@ -62,12 +62,6 @@ class Tableau(namedtuple("Tableau", "n shorts missings")):
     def m(self) -> int:
         return len(self.shorts)
 
-    def rows(self):
-        """Rows in chain order: all single boxes, then all long rows."""
-        return [("short", v) for v in self.shorts] + [
-            ("long", d) for d in self.missings
-        ]
-
 
 def canonical_invariant_tableau(n: int, values) -> Tableau:
     """The only possibly-standard invariant tableau with given content."""
@@ -383,6 +377,7 @@ def _chain_fits(bound, need, r: int) -> bool:
         return False
     width = total // r
     shape = [0] * r
+    k = 0  # rows before k have flags <= v and are full, and stay full
     for v, copies in enumerate(need, start=1):
         above = width
         for i in range(r):
@@ -392,8 +387,12 @@ def _chain_fits(bound, need, r: int) -> bool:
             copies -= take
             if not copies:
                 break
-        if copies or any(shape[i] < width for i in range(r) if bound[i] <= v):
+        if copies:
             return False
+        while k < r and bound[k] <= v:
+            if shape[k] < width:
+                return False
+            k += 1
     return True
 
 

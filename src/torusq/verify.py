@@ -143,7 +143,7 @@ def cross_smooth() -> dict:
         for node, ideal in model.ideals.items():
             lam = _partition_of_word(model.words[node], r, n)
             checks += 1
-            if model.is_smooth(ideal) != gr.is_smooth(lam, r, n):
+            if (not model.holes(ideal).real) != gr.is_smooth(lam, r, n):
                 failures.append(f"Gr({r},{n}) {lam}: quiver vs diagram smoothness")
     return _result("cross-smooth", checks, failures)
 
@@ -176,7 +176,7 @@ def cross_singular() -> dict:
             expected = set(gr.singular_components(lam, r, n))
             got = {
                 _partition_of_word(model.word_of(c), r, n)
-                for c in model.singular_components(ideal)
+                for c in model.holes(ideal).components
             }
             checks += 1
             if expected != got:
@@ -328,7 +328,7 @@ def minima_sweep() -> dict:
             if not v <= ideal:
                 continue
             quiver_verdict = model.semistable_in_smooth(ideal, v)
-            pair_verdict = not any(v <= comp for comp in model.singular_components(ideal))
+            pair_verdict = not any(v <= comp for comp in model.holes(ideal).components)
             checks += 1
             if quiver_verdict != pair_verdict:
                 failures.append(

@@ -130,6 +130,13 @@ def _next_bounds(bound, kind, val):
     return keep
 
 
+def tableau_rows(tableau):
+    """Rows in chain order: all single boxes, then all long rows."""
+    return [("short", v) for v in tableau.shorts] + [
+        ("long", d) for d in tableau.missings
+    ]
+
+
 def is_standard_exhaustive(tableau, w):
     """Chain search over every admissible coset member, row by row.
 
@@ -138,7 +145,7 @@ def is_standard_exhaustive(tableau, w):
     branches loses nothing).
     """
     bounds = [tuple(w)]
-    for kind, val in tableau.rows():
+    for kind, val in tableau_rows(tableau):
         nxt = []
         for bound in bounds:
             for cand in _next_bounds(bound, kind, val):
@@ -154,7 +161,7 @@ def is_young_on(tableau, w):
     """The Young condition, necessary for standardness: each row lies
     entrywise below the sorted prefix of w of the same length."""
     n = tableau.n
-    for kind, val in tableau.rows():
+    for kind, val in tableau_rows(tableau):
         if kind == "short":
             row, prefix = (val,), sorted(w[:1])
         else:
@@ -214,7 +221,7 @@ def is_standard_greedy(tableau, w):
     """Standardness by the greedy chain through S_n: each row replaces
     the bound by the largest permutation below it with the row's pin."""
     bound = tuple(w)
-    for kind, val in tableau.rows():
+    for kind, val in tableau_rows(tableau):
         if kind == "short":
             bound = max_coset_member_below(bound, first=val)
         else:

@@ -157,19 +157,19 @@ def test_minimal_v_node_depth_matches_word_length():
 def test_minuscule_report_quadric():
     model = verify.minuscule_model("D", 4, 1)
     v = model.grow(minimal_v_word("D", 4, 1))
-    assert not model.is_smooth(v)
     holes = model.holes(v)
+    assert holes.real  # not smooth
     assert holes.real == holes.essential
-    assert len(model.singular_components(v)) == 1
+    assert len(holes.components) == 1
     # the hole sits inside the ideal of v
     assert model.semistable_in_smooth(v, v) is True
 
     bottom = model.full.members
-    assert model.is_smooth(bottom)
+    assert not model.holes(bottom).real
     assert model.semistable_in_smooth(bottom, v) is True
 
     top = frozenset()
-    assert model.is_smooth(top)
+    assert not model.holes(top).real
     assert not v <= top  # no semistable points
     with pytest.raises(ValueError):
         model.semistable_in_smooth(top, v)
@@ -186,7 +186,7 @@ def test_quiver_verdict_matches_grassmannian_route():
             w, 2, 5
         )
         lam = gr.indexset_to_partition(w, 2, 5)
-        assert model.is_smooth(ideal) == gr.is_smooth(lam, 2, 5)
+        assert (not model.holes(ideal).real) == gr.is_smooth(lam, 2, 5)
 
 
 def test_quotient_report_consistency(capsys):

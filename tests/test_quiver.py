@@ -4,6 +4,7 @@ Positions are 0-based throughout; a quiver's order has early positions
 high, so ideals collect suffixes of the building word.
 """
 
+import json
 import tracemalloc
 from itertools import combinations, product
 
@@ -238,6 +239,31 @@ def test_a_request_walks_the_weights_once(capsys, monkeypatch):
     assert calls[0] == MinusculePoset(root_system("A", 100), 50).bottom
 
 
+def test_a_request_scans_up_sets_only_to_classify_holes(capsys, monkeypatch):
+    # one up-set per candidate hole, and none again for the 49 components
+    calls, candidates, inside = [], [], []
+    above, classify = qv.Quiver.above, qv.classify_holes
+
+    def counting_above(self, i):
+        calls.append((bool(inside), i))
+        return above(self, i)
+
+    def counting_classify(q):
+        candidates.extend(i for i in sorted(q.members) if q.prev[i] not in q.members)
+        inside.append(True)
+        try:
+            return classify(q)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(qv.Quiver, "above", counting_above)
+    monkeypatch.setattr(qv, "classify_holes", counting_classify)
+    assert main(["quiver", "build", "--family", "A", "--rank", "100",
+                 "--weight", "50", "--w", "minimal", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["result"]["singular_components"]) == 49
+    assert calls == [(True, i) for i in candidates]
+
+
 def test_order_direction():
     q = qv.quiver_from_word((2, 1, 3, 2), root_system("A", 3))
     # arrows point toward later positions, which sit lower
@@ -303,9 +329,7 @@ def test_divisor_hole_in_gr24():
     assert report.real == (3,)
     assert report.essential == (3,)
     assert report.virtual == ()
-    assert not model.is_smooth(ideal)
-    comps = model.singular_components(ideal)
-    assert comps == [model.ideals[model.poset.node_of_indexset((1, 2))]]
+    assert report.components == (model.ideals[model.poset.node_of_indexset((1, 2))],)
 
 
 @pytest.mark.parametrize("family,rank,weight", [
@@ -316,16 +340,30 @@ def test_each_essential_hole_carves_its_own_component(family, rank, weight):
     for ideal in model.ideals.values():
         q = model.full.marked(ideal)
         report = qv.classify_holes(q)
-        comps = list(model.components_from_holes(q, report))
+        comps = report.components
         assert len(set(comps)) == len(comps) == len(report.essential)
         for h, comp in zip(report.essential, comps):
             assert h not in comp and comp < ideal and q.is_ideal(comp)
 
 
+@pytest.mark.parametrize("family,rank,weight", [
+    case for case in MINUSCULE_CASES if case[0] != "A" or case[1] <= 7
+])
+def test_components_drop_the_up_set_of_each_essential_hole(family, rank, weight):
+    model = minuscule_model(family, rank, weight)
+    below = quiver_order_by_closure(model.system, model.full.word)
+    for ideal in model.ideals.values():
+        report = qv.classify_holes(model.full.marked(ideal))
+        assert report.components == tuple(
+            ideal - {j for j in range(model.full.n_vertices) if h in below[j]}
+            for h in report.essential
+        )
+
+
 def test_full_grassmannian_is_smooth():
     model = minuscule_model("A", 3, 2)
-    assert model.is_smooth(model.full.members)
-    assert model.holes(model.full.members).real == ()
+    report = model.holes(model.full.members)
+    assert report.real == () and report.components == ()
 
 
 def test_virtual_holes_show_up():
@@ -345,8 +383,7 @@ def test_d4_natural_weight_minimal_v():
     assert len(report.real) == 1
     hole = report.real[0]
     assert model.full.label(hole) == 2  # the fork joint n-2
-    comps = model.singular_components(v)
-    assert [model.word_of(c) for c in comps] == [(1,)]
+    assert [model.word_of(c) for c in report.components] == [(1,)]
 
 
 def test_d4_spin_minimal_v():
@@ -374,7 +411,7 @@ def test_e6_full_quiver_smooth():
     model = minuscule_model("E6", 6, 1)
     bottom = model.ideals[model.poset.bottom]
     assert bottom == model.full.members and len(bottom) == 16
-    assert model.is_smooth(bottom)
+    assert not model.holes(bottom).real
 
 
 def test_e6_minimal_v():
@@ -449,19 +486,22 @@ def test_verify_reads_the_lookups_quiver_build_runs(monkeypatch):
         # the last real hole goes missing, with the component it carves out
         report = classify(q)
         real = report.real[:-1]
-        essential = tuple(h for h in report.essential if h in real)
-        return report._replace(real=real, essential=essential)
+        kept = [i for i, h in enumerate(report.essential) if h in real]
+        return report._replace(
+            real=real,
+            essential=tuple(report.essential[i] for i in kept),
+            components=tuple(report.components[i] for i in kept),
+        )
 
     monkeypatch.setattr(qv, "classify_holes", one_hole_short)
     assert not verify.cross_smooth()["passed"]
     assert not verify.cross_singular()["passed"]
 
-    def first_component_only(self, q, report):
-        return list(components(self, q, report))[:1]
+    def first_component_only(q):
+        report = classify(q)
+        return report._replace(components=report.components[:1])
 
-    monkeypatch.setattr(qv, "classify_holes", classify)
-    components = qv.MinusculeQuiver.components_from_holes
-    monkeypatch.setattr(qv.MinusculeQuiver, "components_from_holes", first_component_only)
+    monkeypatch.setattr(qv, "classify_holes", first_component_only)
     assert verify.cross_smooth()["passed"]
     assert not verify.cross_singular()["passed"]
 

@@ -21,6 +21,7 @@ from oracles import (
     is_standard_greedy,
     is_young_on,
     max_coset_member_below,
+    tableau_rows,
 )
 from torusq import grassmannian as gr, smt
 
@@ -32,7 +33,7 @@ W7 = (5, 2, 3, 6, 7, 4, 1)
 def test_tableau_shape_and_validation():
     t = smt.Tableau(7, (5,), (5,))
     assert t.m == 1
-    assert t.rows() == [("short", 5), ("long", 5)]
+    assert tableau_rows(t) == [("short", 5), ("long", 5)]
     with pytest.raises(ValueError):
         smt.Tableau(7, (5, 4), (5,))
     with pytest.raises(ValueError):
