@@ -36,11 +36,13 @@ from .weyl import word_to_perm
 # with the rank (the length of each weight tuple, walked once down to the
 # bottom node); at A100/omega_50, N = 2550, a whole call takes 0.11-0.18 s
 # with --w full and 0.20-0.33 s with --w minimal on a 2-vCPU VM (best to
-# median of 11, two runs), at most 19 MB peak RSS.  ``gr analyze`` lists all
-# C(n, r) column sets for its chain certificate; report plus chain, in
-# process, best of 3, two runs on a 2-vCPU VM: at the worst r (9 or 10, top
-# set) 0.23-0.25 s at n = 17 and 0.48-0.55 s at n = 18; at Gr(8, 17) and
-# Gr(9, 18), top set, 0.04-0.05 s and 0.09-0.11 s.
+# median of 11, two runs), at most 19 MB peak RSS.  ``gr analyze`` lists no
+# column set: its cost is the r + 1 chain fits of O(n*r) that certify the
+# minimum when gcd(r, n) > 1, plus one fill for the chain it prints.  At
+# n = 300 the worst r (150-152, top set) takes 0.46-0.65 s as a whole call
+# in a subprocess, import included (5 runs on a 2-vCPU VM).  The largest
+# answer is a prime n with r near n: Gr(279, 293), top set, prints a chain
+# of 293 column sets, 1.2 MB, in 0.07 s in process.
 #
 # ``smt dim`` answers from the closed form C(t+m-1, m), t = w(1) - w(n);
 # a degree whose bound C(t+m-1, m) <= (t+m)^min(m, t-1) passes
@@ -54,7 +56,7 @@ from .weyl import word_to_perm
 # 9 999 letters at n = 10 000 take 0.09 s.
 QUIVER_MAX_RANK = 100
 QUIVER_MAX_VERTICES = 2550
-GR_MAX_N = 17
+GR_MAX_N = 300
 SMT_MAX_DIM_BITS = 13_000
 SMT_MAX_WITNESSES = 10_000
 SMT_MAX_WALK = 100_000

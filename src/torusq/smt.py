@@ -28,7 +28,9 @@ are weakly decreasing chains of m column sets below w that use every
 value m*r/n times.  Read backwards and transposed, such a chain is an
 r x m semistandard tableau whose row i stays below w_i, so existence is
 decided in O(n*r) by filling it value by value, top rows first, with no
-search (see :func:`_chain_fits`).
+search (see :func:`_chain_fits`), and the filling read column by column
+is the chain that ``gr analyze`` prints (:func:`invariant_chain_gr`),
+found without listing the column sets of the box.
 """
 
 from collections import namedtuple
@@ -338,10 +340,10 @@ def parabolic_lifts(n: int) -> list[tuple[int, ...]]:
 # Grassmannian side: invariant chains of column sets
 
 
-def _chain_fits(bound, need, r: int) -> bool:
-    """Is there a weakly decreasing chain of r-element column sets, the
-    first one below ``bound``, that uses each value v exactly
-    ``need[v-1]`` times?
+def _chain_fits(bound, need, r: int):
+    """A weakly decreasing chain of r-element column sets, the first one
+    below ``bound``, that uses each value v exactly ``need[v-1]`` times,
+    as the rows of its flagged tableau (below); None if there is none.
 
     Reverse such a chain and write its column sets as the columns of an
     r x M array (M = sum(need) / r): the result is a semistandard tableau
@@ -352,6 +354,10 @@ def _chain_fits(bound, need, r: int) -> bool:
     most M - lambda_1 of them and row i at most lambda_{i-1} - lambda_i.
     Put them in the top rows first.  The filling fails when some copy
     fits nowhere, or when row i is not full once value bound[i] is in.
+    Each row comes back as its runs (value, count), left to right, so a
+    caller that only asks whether a chain exists builds no cells; test
+    the result against None, since the filling of an empty content is a
+    chain too.
 
     Why top rows first loses nothing (exchange argument): write P_i for
     the number of cells in rows 1..i.  Adding k cells top-first turns P_i
@@ -374,26 +380,29 @@ def _chain_fits(bound, need, r: int) -> bool:
     """
     total = sum(need)
     if total % r:
-        return False
+        return None
     width = total // r
     shape = [0] * r
+    rows = [[] for _ in range(r)]
     k = 0  # rows before k have flags <= v and are full, and stay full
     for v, copies in enumerate(need, start=1):
         above = width
         for i in range(r):
             take = min(copies, above - shape[i])
+            if take:
+                rows[i].append((v, take))
             above = shape[i]
             shape[i] += take
             copies -= take
             if not copies:
                 break
         if copies:
-            return False
+            return None
         while k < r and bound[k] <= v:
             if shape[k] < width:
-                return False
+                return None
             k += 1
-    return True
+    return rows
 
 
 def _uniform_need(r: int, n: int, m: int):
@@ -408,37 +417,23 @@ def invariant_chain_gr(w, r: int, n: int, m: int):
 
     This is the Grassmannian semistability certificate: such a chain is
     exactly a torus-invariant standard monomial of degree m on X_w.  The
-    chain returned is the lexicographically first one, column sets taken
-    in decreasing order: at each step the first candidate below the last
-    set whose remaining content still fits (:func:`_chain_fits`), from
-    where the last scan stopped (the next set is entrywise, so
-    lexicographically, below the last).  None in degree n / gcd(r, n)
-    rules out every degree (see :func:`is_certified_minimum_gr`).
+    chain returned is the top-first filling of :func:`_chain_fits` at
+    bound w, read column by column, last column first.  It is a valid
+    chain: a horizontal strip puts at most one cell in a column, so each
+    column strictly increases and is a column set; rows weakly increase,
+    so each column is entrywise >= the one before it, and read backwards
+    the chain weakly decreases; row i is full before any value above w_i
+    is placed, so the last column, the first set of the chain, is <= w.
+    One fill, O(n*r) plus the m*r cells of the chain.  None in degree
+    n / gcd(r, n) rules out every degree (see
+    :func:`is_certified_minimum_gr`).
     """
-    w = tuple(w)
     need = _uniform_need(r, n, m)
-    if need is None or not _chain_fits(w, need, r):
+    rows = None if need is None else _chain_fits(w, need, r)
+    if rows is None:
         return None
-    rows = sorted(combinations(range(1, n + 1), r), reverse=True)
-
-    def rest(cand):
-        left = list(need)
-        for v in cand:
-            left[v - 1] -= 1
-        return left
-
-    chain = []
-    bound, at = w, 0
-    for _ in range(m):
-        at, bound = next(
-            (i, rows[i])
-            for i in range(at, len(rows))
-            if all(c <= b and need[c - 1] for c, b in zip(rows[i], bound))
-            and _chain_fits(rows[i], rest(rows[i]), r)
-        )
-        need = rest(bound)
-        chain.append(bound)
-    return tuple(chain)
+    cells = [[v for v, count in runs for _ in range(count)] for runs in rows]
+    return tuple(zip(*cells))[::-1]
 
 
 def is_certified_minimum_gr(v, r: int, n: int) -> bool:
@@ -455,7 +450,8 @@ def is_certified_minimum_gr(v, r: int, n: int) -> bool:
     need = _uniform_need(r, n, n // gcd(r, n))
     covers = (v[:i] + (v[i] - 1,) + v[i + 1:] for i in range(r)
               if v[i] - 1 > (v[i - 1] if i else 0))
-    return _chain_fits(v, need, r) and not any(_chain_fits(u, need, r) for u in covers)
+    return _chain_fits(v, need, r) is not None and all(
+        _chain_fits(u, need, r) is None for u in covers)
 
 
 def _certificate_degrees(r: int, n: int) -> tuple[int, int]:
@@ -472,7 +468,7 @@ def minimal_semistable_oracle_gr(r: int, n: int) -> list[tuple[int, ...]]:
     hits = [
         w
         for w in combinations(range(1, n + 1), r)
-        if any(_chain_fits(w, need, r) for need in needs)
+        if any(_chain_fits(w, need, r) is not None for need in needs)
     ]
     return [
         w

@@ -291,6 +291,25 @@ def invariant_chain_exhaustive(w, r, n, m):
     return search(tuple(w), (target,) * n)
 
 
+def is_invariant_chain(chain, w, r, n, m):
+    """Is ``chain`` a weakly decreasing chain of m column sets of Gr(r, n),
+    the first one below w, that uses each of 1..n exactly m*r/n times?"""
+    if len(chain) != m or (m * r) % n:
+        return False
+    bound = tuple(w)
+    for cols in map(tuple, chain):
+        if len(cols) != r or list(cols) != sorted(set(cols)):
+            return False
+        if cols[0] < 1 or any(c > b for c, b in zip(cols, bound)):
+            return False
+        bound = cols
+    uses = [0] * n
+    for cols in chain:
+        for v in cols:
+            uses[v - 1] += 1
+    return uses == [m * r // n] * n
+
+
 # ---------------------------------------------------------------------------
 # section counts by evaluation rank
 #

@@ -1,14 +1,13 @@
 """End-to-end runs of the command line entry point, in process."""
 
 import json
-from collections import Counter
 from math import gcd
 
 import pytest
 
-from oracles import invariant_witnesses_by_filter, word_descends
+from oracles import invariant_witnesses_by_filter, is_invariant_chain, word_descends
 from torusq import cli, criteria, grassmannian as gr, quiver as qv, smt, verify
-from torusq.cli import QUIVER_MAX_VERTICES, SMT_MINIMAL_MAX_N, SMT_WORD_MAX_N, main
+from torusq.cli import GR_MAX_N, QUIVER_MAX_VERTICES, SMT_MINIMAL_MAX_N, SMT_WORD_MAX_N, main
 from torusq.rootdata import minuscule_dimension, root_system
 from torusq.weyl import MinusculePoset
 
@@ -164,15 +163,7 @@ def test_analyze_cliff_boxes(capsys, r, n, w):
     nonempty = gr.indexset_leq(gr.minimal_semistable(r, n), w)
     assert payload["result"]["semistable_nonempty"] is nonempty
     for witness in payload["witnesses"]:
-        m, chain = witness["degree"], [tuple(c) for c in witness["chain"]]
-        assert len(chain) == m and (m * r) % n == 0
-        bound = w
-        for cols in chain:
-            assert len(cols) == r and list(cols) == sorted(set(cols))
-            assert all(c <= b for c, b in zip(cols, bound))
-            bound = cols
-        uses = Counter(v for cols in chain for v in cols)
-        assert [uses[v] for v in range(1, n + 1)] == [m * r // n] * n
+        assert is_invariant_chain(witness["chain"], w, r, n, witness["degree"])
     assert bool(payload["witnesses"]) is nonempty
 
 
@@ -185,7 +176,8 @@ def test_analyze_cliff_boxes(capsys, r, n, w):
 ])
 def test_analyze_sweeps_nothing_and_builds_one_chain(capsys, monkeypatch, r, n, w):
     """One chain, in the least degree m0, only when v <= w; never the
-    sweep of every column set, and never degree 2*m0."""
+    sweep of every column set, no list of column sets at all, and never
+    degree 2*m0."""
     def refuse(*args):
         raise AssertionError("gr analyze sweeps no column sets")
 
@@ -197,6 +189,7 @@ def test_analyze_sweeps_nothing_and_builds_one_chain(capsys, monkeypatch, r, n, 
         return chain_of(w, r, n, m)
 
     monkeypatch.setattr(smt, "minimal_semistable_oracle_gr", refuse)
+    monkeypatch.setattr(smt, "combinations", refuse)
     monkeypatch.setattr(smt, "invariant_chain_gr", counting)
     code, payload, _ = run_json(
         capsys,
@@ -209,13 +202,29 @@ def test_analyze_sweeps_nothing_and_builds_one_chain(capsys, monkeypatch, r, n, 
     assert [x["degree"] for x in payload["witnesses"]] == degrees
 
 
+@pytest.mark.parametrize("r", [1, 2, 150])
+def test_analyze_at_the_size_limit(capsys, r):
+    # the top set at n = GR_MAX_N; r = 150 is the costly r there
+    w = tuple(range(GR_MAX_N - r + 1, GR_MAX_N + 1))
+    code, payload, _ = run_json(
+        capsys,
+        ["gr", "analyze", "--n", str(GR_MAX_N), "--r", str(r),
+         "--w", ",".join(map(str, w))],
+    )
+    assert code == 0
+    assert payload["result"]["semistable_nonempty"] is True
+    [witness] = payload["witnesses"]
+    assert witness["degree"] == GR_MAX_N // gcd(r, GR_MAX_N)
+    assert is_invariant_chain(witness["chain"], w, r, GR_MAX_N, witness["degree"])
+
+
 @pytest.mark.parametrize("argv", [
     ["--n", "5", "--r", "2", "--w", "a,b"],
     ["--n", "5", "--r", "2", "--w", "3,3"],
     ["--n", "5", "--r", "7", "--w", "1,2,3,4,5,6,7"],
     ["--n", "5", "--r", "5", "--w", "1,2,3,4,5"],
     ["--n", "5", "--r", "0", "--w", ""],
-    ["--n", "18", "--r", "9", "--w", "10,11,12,13,14,15,16,17,18"],
+    ["--n", str(GR_MAX_N + 1), "--r", "2", "--w", f"{GR_MAX_N},{GR_MAX_N + 1}"],
 ])
 def test_analyze_usage_errors_exit_2_with_one_line(capsys, monkeypatch, argv):
     def refuse(*args):

@@ -7,6 +7,7 @@ monomial evaluation matrix at random points of the open cell
 chain machinery being tested.
 """
 
+import random
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import gcd
 
@@ -17,6 +18,7 @@ from oracles import (
     invariant_chain_exhaustive,
     invariant_dim_geometric,
     invariant_witnesses_by_filter,
+    is_invariant_chain,
     is_standard_exhaustive,
     is_standard_greedy,
     is_young_on,
@@ -24,6 +26,7 @@ from oracles import (
     tableau_rows,
 )
 from torusq import grassmannian as gr, smt
+from torusq.cli import GR_MAX_N
 
 
 V7 = (5, 1, 2, 3, 6, 7, 4)  # the running SL(7) seed element
@@ -393,9 +396,10 @@ def test_chain_on_gr24():
 
 
 def test_semistable_chain_in_the_least_degree():
-    # Gr(2,5): m0 = 5, and the chain below (3, 5) is found there
+    # Gr(2,5): m0 = 5, and the chain below (3, 5) is found there: the
+    # top-first filling has rows 11223 / 34455, read last column first
     assert smt.invariant_chain_gr((3, 5), 2, 5, 5) == (
-        (3, 5), (3, 5), (2, 4), (1, 4), (1, 2)
+        (3, 5), (2, 5), (2, 4), (1, 4), (1, 3)
     )
     # below v = (3, 5) there is none, in degree 2*m0 either
     assert smt.invariant_chain_gr((2, 5), 2, 5, 5) is None
@@ -415,15 +419,20 @@ def certificate_degrees(r, n):
     return (m0, 2 * m0)
 
 
-def test_chain_equals_exhaustive_search():
+def test_chain_exists_iff_exhaustive_search_finds_one():
+    """The filling's chain exists exactly when the depth-first search
+    finds one, and is a valid chain (not necessarily the same one)."""
     cases = 0
     for n in range(2, 8):
         for r in range(1, n):
             for w in column_sets(r, n):
                 for m in certificate_degrees(r, n):
-                    assert smt.invariant_chain_gr(w, r, n, m) == (
-                        invariant_chain_exhaustive(w, r, n, m)
-                    ), (w, r, n, m)
+                    chain = smt.invariant_chain_gr(w, r, n, m)
+                    expected = invariant_chain_exhaustive(w, r, n, m)
+                    assert (chain is None) == (expected is None), (w, r, n, m)
+                    assert chain is None or is_invariant_chain(chain, w, r, n, m), (
+                        w, r, n, m, chain
+                    )
                     cases += 1
     assert cases == 480
 
@@ -438,7 +447,8 @@ def test_certificate_exists_iff_above_the_minimal_element():
             for w in column_sets(r, n):
                 above = gr.indexset_leq(v, w)
                 for need in needs:
-                    assert smt._chain_fits(w, need, r) == above, (w, r, n, need)
+                    fits = smt._chain_fits(w, need, r) is not None
+                    assert fits == above, (w, r, n, need)
 
 
 def lower_covers(v):
@@ -457,8 +467,26 @@ def test_minimal_element_is_certified_and_nothing_below_it():
         for r in range(1, n):
             v = gr.minimal_semistable(r, n)
             need = (r // gcd(r, n),) * n
-            assert smt._chain_fits(v, need, r), (r, n)
-            assert not any(smt._chain_fits(u, need, r) for u in lower_covers(v)), (r, n)
+            assert smt._chain_fits(v, need, r) is not None, (r, n)
+            assert all(smt._chain_fits(u, need, r) is None for u in lower_covers(v)), (r, n)
+
+
+def test_least_degree_chain_exists_iff_above_v_up_to_the_limit():
+    """Seeded random boxes with n up to the ``gr analyze`` limit: the
+    degree-m0 chain exists exactly when v <= w, and is valid.  Each box
+    tries a random w, its entrywise max and min with v (both column sets,
+    one above v, one below), v and a lower cover of v."""
+    rng = random.Random(2012)
+    for _ in range(40):
+        n = rng.randint(2, GR_MAX_N)
+        r = rng.randint(1, n - 1)
+        v = gr.minimal_semistable(r, n)
+        m0 = n // gcd(r, n)
+        w = tuple(sorted(rng.sample(range(1, n + 1), r)))
+        for u in (w, tuple(map(max, w, v)), tuple(map(min, w, v)), v, *lower_covers(v)[:1]):
+            chain = smt.invariant_chain_gr(u, r, n, m0)
+            assert (chain is not None) == gr.indexset_leq(v, u), (u, r, n)
+            assert chain is None or is_invariant_chain(chain, u, r, n, m0), (u, r, n)
 
 
 def test_balanced_chain_attains_the_minimal_element():
@@ -494,24 +522,33 @@ def test_certified_minimum_needs_the_minimal_element():
 
 
 def test_chain_fits_hand_cases():
+    def fits(bound, need, r):
+        return smt._chain_fits(bound, need, r) is not None
+
     # 2 x 2 tableaux, rows bounded by the flags
-    assert smt._chain_fits((2, 4), (1, 1, 1, 1), 2)  # rows 12 / 34
-    assert smt._chain_fits((2, 4), (0, 2, 0, 2), 2)  # rows 22 / 44
-    assert smt._chain_fits((1, 3), (2, 0, 2, 0), 2)  # rows 11 / 33
-    assert not smt._chain_fits((1, 2), (2, 0, 2, 0), 2)  # 3 above its flag 2
-    assert not smt._chain_fits((1, 4), (1, 1, 1, 1), 2)  # row 1 needs two 1s
+    assert fits((2, 4), (1, 1, 1, 1), 2)  # rows 12 / 34
+    assert fits((2, 4), (0, 2, 0, 2), 2)  # rows 22 / 44
+    assert fits((1, 3), (2, 0, 2, 0), 2)  # rows 11 / 33
+    assert not fits((1, 2), (2, 0, 2, 0), 2)  # 3 above its flag 2
+    assert not fits((1, 4), (1, 1, 1, 1), 2)  # row 1 needs two 1s
     # the 2 must go on top (rows 12 / 44); below the 1 it would push a 4
     # into row 1, past its flag
-    assert smt._chain_fits((2, 4), (1, 1, 0, 2), 2)
+    assert fits((2, 4), (1, 1, 0, 2), 2)
     # three copies of one value in two columns cannot be strict
-    assert not smt._chain_fits((3, 4), (3, 1, 0, 0), 2)
+    assert not fits((3, 4), (3, 1, 0, 0), 2)
     # cell count not a multiple of the number of rows
-    assert not smt._chain_fits((3, 4), (1, 1, 1, 0), 2)
-    # the empty tableau
-    assert smt._chain_fits((1, 2), (0, 0, 0), 2)
+    assert not fits((3, 4), (1, 1, 1, 0), 2)
+    # the empty tableau: a filling with no cells, not a failure
+    assert fits((1, 2), (0, 0, 0), 2)
     # 3 x 2: rows 12 / 23 / 45
-    assert smt._chain_fits((2, 3, 5), (1, 2, 1, 1, 1), 3)
-    assert not smt._chain_fits((2, 3, 4), (1, 2, 1, 1, 1), 3)
+    assert fits((2, 3, 5), (1, 2, 1, 1, 1), 3)
+    assert not fits((2, 3, 4), (1, 2, 1, 1, 1), 3)
+    # the filling itself, as runs (value, count) per row
+    assert smt._chain_fits((2, 4), (1, 1, 0, 2), 2) == [[(1, 1), (2, 1)], [(4, 2)]]
+    assert smt._chain_fits((2, 3, 5), (1, 2, 1, 1, 1), 3) == [
+        [(1, 1), (2, 1)], [(2, 1), (3, 1)], [(4, 1), (5, 1)]
+    ]
+    assert smt._chain_fits((1, 2), (0, 0, 0), 2) == [[], []]
 
 
 def test_chain_fits_against_every_small_chain():
@@ -540,6 +577,7 @@ def test_chain_fits_against_every_small_chain():
                             all(t <= b for t, b in zip(top, bound))
                             for top in tops.get(need, ())
                         )
-                        assert smt._chain_fits(bound, need, r) == expected, (
+                        fits = smt._chain_fits(bound, need, r) is not None
+                        assert fits == expected, (
                             bound, need, r
                         )
