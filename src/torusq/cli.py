@@ -39,7 +39,7 @@ from .weyl import word_to_perm
 # median of 11, two runs), at most 19 MB peak RSS.  ``gr analyze`` lists no
 # column set: its cost is the r + 1 chain fits of O(n*r) that certify the
 # minimum when gcd(r, n) > 1, plus one fill for the chain it prints.  At
-# n = 300 the worst r (150-152, top set) takes 0.46-0.65 s as a whole call
+# n = 300 the worst r (150-152, top set) takes 0.44-0.65 s as a whole call
 # in a subprocess, import included (5 runs on a 2-vCPU VM).  The largest
 # answer is a prime n with r near n: Gr(279, 293), top set, prints a chain
 # of 293 column sets, 1.2 MB, in 0.07 s in process.

@@ -173,11 +173,14 @@ def test_analyze_cliff_boxes(capsys, r, n, w):
     (3, 9, (3, 6, 9)),
     (2, 5, (3, 5)),
     (3, 9, (2, 6, 9)),
+    # the size limit, top set; r = 150 is the costly r there
+    (2, GR_MAX_N, (GR_MAX_N - 1, GR_MAX_N)),
+    (150, GR_MAX_N, tuple(range(GR_MAX_N - 149, GR_MAX_N + 1))),
 ])
 def test_analyze_sweeps_nothing_and_builds_one_chain(capsys, monkeypatch, r, n, w):
-    """One chain, in the least degree m0, only when v <= w; never the
-    sweep of every column set, no list of column sets at all, and never
-    degree 2*m0."""
+    """One valid chain, in the least degree m0, only when v <= w; never
+    the sweep of every column set, no list of column sets at all, and
+    never degree 2*m0."""
     def refuse(*args):
         raise AssertionError("gr analyze sweeps no column sets")
 
@@ -200,22 +203,8 @@ def test_analyze_sweeps_nothing_and_builds_one_chain(capsys, monkeypatch, r, n, 
     assert payload["result"]["semistable_nonempty"] is above
     assert degrees == ([n // gcd(r, n)] if above else [])
     assert [x["degree"] for x in payload["witnesses"]] == degrees
-
-
-@pytest.mark.parametrize("r", [1, 2, 150])
-def test_analyze_at_the_size_limit(capsys, r):
-    # the top set at n = GR_MAX_N; r = 150 is the costly r there
-    w = tuple(range(GR_MAX_N - r + 1, GR_MAX_N + 1))
-    code, payload, _ = run_json(
-        capsys,
-        ["gr", "analyze", "--n", str(GR_MAX_N), "--r", str(r),
-         "--w", ",".join(map(str, w))],
-    )
-    assert code == 0
-    assert payload["result"]["semistable_nonempty"] is True
-    [witness] = payload["witnesses"]
-    assert witness["degree"] == GR_MAX_N // gcd(r, GR_MAX_N)
-    assert is_invariant_chain(witness["chain"], w, r, GR_MAX_N, witness["degree"])
+    for x in payload["witnesses"]:
+        assert is_invariant_chain(x["chain"], w, r, n, x["degree"])
 
 
 @pytest.mark.parametrize("argv", [
