@@ -21,6 +21,7 @@ from .smt import (
     Tableau,
     invariant_dimension,
     invariant_witnesses,
+    is_standard_on,
     minimal_borel_semistable,
     projective_normality_check,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "invariant_dimension",
     "invariant_witnesses",
     "is_smooth",
+    "is_standard_on",
     "minimal_borel_semistable",
     "minimal_semistable",
     "minimal_v_word",

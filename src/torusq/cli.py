@@ -37,10 +37,11 @@ from .weyl import word_to_perm
 # bottom node); at A100/omega_50, N = 2550, a whole call takes 0.11-0.18 s
 # with --w full and 0.20-0.33 s with --w minimal on a 2-vCPU VM (best to
 # median of 11, two runs), at most 19 MB peak RSS.  ``gr analyze`` lists no
-# column set: its cost is the r + 1 chain fits of O(n*r) that certify the
-# minimum when gcd(r, n) > 1, plus one fill for the chain it prints.  At
-# n = 300 the worst r (150-152, top set) takes 0.44-0.65 s as a whole call
-# in a subprocess, import included (5 runs on a 2-vCPU VM).  The largest
+# column set: its cost is the r + 1 chain fits that certify the minimum
+# when gcd(r, n) > 1, plus one fill for the chain it prints, each strip
+# started at the first row that is not full.  At n = 300 the worst r
+# (150-152, top set) takes 0.07-0.12 s as a whole call in a subprocess,
+# import included (5 runs each on a 2-vCPU VM).  The largest
 # answer is a prime n with r near n: Gr(279, 293), top set, prints a chain
 # of 293 column sets, 1.2 MB, in 0.07 s in process.
 #
@@ -49,9 +50,9 @@ from .weyl import word_to_perm
 # 2^SMT_MAX_DIM_BITS (~3 900 digits; Python prints no integer over 4 300)
 # is refused without computing the count.  ``smt dim --json`` lists every
 # witness: a whole call with 8 855 of them (n = 21, m = 4) takes 0.13-0.19 s
-# and writes 1.4 MB.  ``smt pn-check`` walks C(n+max_m, max_m) - 1
-# multisets through the standardness test, ~5 us each: 91 389 take
-# 0.4-0.6 s.  ``smt minimal`` answers n-1 permutations of n, O(n^2)
+# and writes 1.4 MB.  ``smt pn-check`` walks the pairs of the standardness
+# test down C(n+max_m, max_m) - 1 sorted multisets, ~1 us each: 91 389
+# take 0.12-0.19 s.  ``smt minimal`` answers n-1 permutations of n, O(n^2)
 # output: 0.26 s and 41 MB at n = 500.  ``--as word`` costs n + letters:
 # 9 999 letters at n = 10 000 take 0.09 s.
 QUIVER_MAX_RANK = 100

@@ -300,6 +300,9 @@ class MinusculeModel(MinusculeQuiver):
     the suites read each node's ideal from here once and ask it the
     :class:`MinusculeQuiver` questions a request asks.  Their independent
     oracle is ``ideal_node_dictionary_by_words`` in ``tests/oracles.py``.
+    :meth:`holes` keeps each ideal's report, so suites that ask about the
+    same ideal classify its holes once; the reports are bounded by the
+    orbit that ``ideals`` already holds.
 
     The listing costs one reflection per ideal: ``Quiver.ideals`` lists
     I before I + {v}, and node(I + {v}) = s_{b_v}(node(I)).  Each node's
@@ -345,6 +348,13 @@ class MinusculeModel(MinusculeQuiver):
             )
         if node_at[self.full.members] != self.poset.bottom:
             raise AssertionError("the full ideal is not the bottom node")
+        self._holes: dict[frozenset[int], HoleReport] = {}
+
+    def holes(self, ideal) -> HoleReport:
+        report = self._holes.get(ideal)
+        if report is None:
+            report = self._holes[ideal] = classify_holes(self.full.marked(ideal))
+        return report
 
 
 def minimal_v_word(family: str, rank: int, weight_index: int) -> tuple[int, ...]:
@@ -450,6 +460,7 @@ def quivers_isomorphic_under_swap(qa: Quiver, qb: Quiver, p: int) -> bool:
     """
     sigma = list(range(qa.n_vertices))
     sigma[p], sigma[p + 1] = p + 1, p  # its own inverse
-    return qb.word == tuple(qa.word[s] for s in sigma) and qb.targets == tuple(
-        tuple(sorted(sigma[j] for j in qa.targets[s])) for s in sigma
+    image = sigma.__getitem__
+    return qb.word == tuple(map(qa.word.__getitem__, sigma)) and qb.targets == tuple(
+        tuple(sorted(map(image, ts))) for ts in map(qa.targets.__getitem__, sigma)
     )

@@ -19,7 +19,8 @@ increasing.  The canonical tableau of a multiset is standard on X(w)
 exactly when every value lies in (w(n), w(1)], so the invariant sections
 form a polynomial ring on t = max(0, w(1) - w(n)) generators and
 dim H^0(X(w), L_m)^T = C(t+m-1, m) (see :func:`invariant_witnesses`).
-The walk over every multiset of 1..n stays as the independent count
+The pair walk over every multiset of 1..n, read off the sorted multiset
+without building its tableau, stays as the independent count
 (:func:`invariant_dimension`) that the suites compare the closed form
 against.
 
@@ -100,16 +101,21 @@ def is_standard_on(t: Tableau, w) -> bool:
         raise ValueError("size mismatch")
     if t.n < 2:
         raise ValueError("standardness needs n >= 2")
+    return _pair_walk(t.shorts, t.missings, w, t.n)
+
+
+def _pair_walk(shorts, missings, w, n: int) -> bool:
+    """The walk of :func:`is_standard_on` on bare rows, entries in 1..n."""
     a, z = w[0], w[-1]
-    for v in t.shorts:
+    for v in shorts:
         if v > a:
             return False
         a, z = v, z + (z == v)
-    for d in t.missings:
+    for d in missings:
         if d < z:
             return False
         a, z = a - (a == d), d
-    return 1 <= a and z <= t.n
+    return 1 <= a and z <= n
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +160,21 @@ def invariant_witnesses(w, m: int) -> list[Tableau]:
 
 def invariant_dimension(w, m: int) -> int:
     """Dimension of the degree-m invariant sections on X(w), by walking
-    every multiset of 1..n through :func:`is_standard_on`.
+    the pairs of :func:`is_standard_on` down the canonical tableau of
+    every multiset of 1..n.
 
-    The closed form C(t+m-1, m) gives the same number; this count stays
-    as the independent side that ``pn-check`` and the verify suites
-    compare against, so the closed form never checks itself.
+    Each multiset comes sorted, so the single boxes are its values read
+    backwards and the missing values the values themselves; the walk
+    reads them in place and builds no tableau.  The closed form
+    C(t+m-1, m) gives the same number; this count stays as the
+    independent side that ``pn-check`` and the verify suites compare
+    against, so the closed form never checks itself.
     """
     n = len(w)
+    if n < 2:
+        raise ValueError("standardness needs n >= 2")
     return sum(
-        is_standard_on(canonical_invariant_tableau(n, values), w)
+        _pair_walk(values[::-1], values, w, n)
         for values in combinations_with_replacement(range(1, n + 1), m)
     )
 
@@ -376,7 +388,9 @@ def _chain_fits(bound, need, r: int):
     top-first filling fails only if every filling does.
     This is the counting behind the lower bound w_i >= i*n/r in
     :func:`torusq.grassmannian.minimal_semistable`: values <= w_i must
-    fill rows 1..i.  Runs in O(n*r).
+    fill rows 1..i.  Each strip starts at the first row that is not full
+    (full rows form a prefix and stay full), so a fit costs O(n) plus the
+    rows its strips walk, O(n*r) at worst.
     """
     total = sum(need)
     if total % r:
@@ -384,10 +398,11 @@ def _chain_fits(bound, need, r: int):
     width = total // r
     shape = [0] * r
     rows = [[] for _ in range(r)]
+    f = 0  # rows before f are full, and stay full: strips start at row f
     k = 0  # rows before k have flags <= v and are full, and stay full
     for v, copies in enumerate(need, start=1):
         above = width
-        for i in range(r):
+        for i in range(f, r):
             take = min(copies, above - shape[i])
             if take:
                 rows[i].append((v, take))
@@ -398,6 +413,8 @@ def _chain_fits(bound, need, r: int):
                 break
         if copies:
             return None
+        while f < r and shape[f] == width:
+            f += 1
         while k < r and bound[k] <= v:
             if shape[k] < width:
                 return None

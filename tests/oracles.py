@@ -6,9 +6,12 @@ exhaustive chain search, or by the greedy maximum through S_n (on the
 package's prefix-dominance Bruhat test, itself checked against the cover
 walk), instead of the walk on end-value pairs, the invariant witnesses
 are every multiset's canonical tableau filtered through that walk
-instead of the multisets of (w(n), w(1)] listed directly, Grassmannian
-invariant chains by depth-first search instead of the flagged-tableau
-filling, section counts
+instead of the multisets of (w(n), w(1)] listed directly, the walked
+section count builds and validates each multiset's tableau instead of
+reading the sorted multiset in place, Grassmannian invariant chains by
+depth-first search instead of the flagged-tableau filling, that filling
+starts every strip at row 1 instead of at the first row that is not
+full, section counts
 come from linear algebra (ranks of evaluation matrices at random points
 of the open cell) instead of tableau combinatorics, the minuscule
 ideal/node dictionary finds the ideals by a search of its own, on a
@@ -243,6 +246,17 @@ def invariant_witnesses_by_filter(w, m):
     return [t for t in tableaux if is_standard_on(t, w)]
 
 
+def invariant_dimension_by_tableaux(w, m):
+    """The degree-m invariant section count on X(w), by building the
+    canonical tableau of every multiset of 1..n and testing it with
+    :func:`torusq.smt.is_standard_on`."""
+    n = len(w)
+    return sum(
+        is_standard_on(canonical_invariant_tableau(n, values), w)
+        for values in combinations_with_replacement(range(1, n + 1), m)
+    )
+
+
 # ---------------------------------------------------------------------------
 # Grassmannian invariant chains by depth-first search
 
@@ -289,6 +303,37 @@ def invariant_chain_exhaustive(w, r, n, m):
         return result
 
     return search(tuple(w), (target,) * n)
+
+
+def chain_fits_from_row_one(bound, need, r):
+    """The top-first flagged-tableau filling of ``torusq.smt._chain_fits``,
+    with each value's strip walked down from row 1, full rows included:
+    the same runs (value, count) per row, or None."""
+    total = sum(need)
+    if total % r:
+        return None
+    width = total // r
+    shape = [0] * r
+    rows = [[] for _ in range(r)]
+    k = 0  # rows before k have flags <= v and are full, and stay full
+    for v, copies in enumerate(need, start=1):
+        above = width
+        for i in range(r):
+            take = min(copies, above - shape[i])
+            if take:
+                rows[i].append((v, take))
+            above = shape[i]
+            shape[i] += take
+            copies -= take
+            if not copies:
+                break
+        if copies:
+            return None
+        while k < r and bound[k] <= v:
+            if shape[k] < width:
+                return None
+            k += 1
+    return rows
 
 
 def is_invariant_chain(chain, w, r, n, m):

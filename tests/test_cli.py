@@ -467,7 +467,8 @@ def test_smt_dim_runs_no_walk(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("smt dim walked the multisets")
 
-    monkeypatch.setattr(smt, "is_standard_on", refuse)
+    for name in ("is_standard_on", "invariant_dimension"):
+        monkeypatch.setattr(smt, name, refuse)
     for (w, m), witnesses in expected.items():
         argv = ["smt", "dim", "--n", "7", "--w", ",".join(map(str, w)), "--m", str(m)]
         assert main(argv) == 0
@@ -527,7 +528,8 @@ def test_smt_usage_errors_exit_2_with_one_line(capsys, monkeypatch, argv):
             refuse()
         return word_to_perm(word, n)
 
-    for name in ("is_standard_on", "invariant_witnesses", "minimal_borel_semistable"):
+    for name in ("is_standard_on", "invariant_dimension", "invariant_witnesses",
+                 "minimal_borel_semistable"):
         monkeypatch.setattr(smt, name, refuse)
     monkeypatch.setattr(cli, "word_to_perm", small_only)
     with pytest.raises(SystemExit) as exc:

@@ -493,6 +493,8 @@ def test_verify_reads_the_lookups_quiver_build_runs(monkeypatch):
             components=tuple(report.components[i] for i in kept),
         )
 
+    # models cached by earlier calls keep the reports they classified
+    monkeypatch.setattr(verify, "_models", {})
     monkeypatch.setattr(qv, "classify_holes", one_hole_short)
     assert not verify.cross_smooth()["passed"]
     assert not verify.cross_singular()["passed"]
@@ -501,9 +503,24 @@ def test_verify_reads_the_lookups_quiver_build_runs(monkeypatch):
         report = classify(q)
         return report._replace(components=report.components[:1])
 
+    monkeypatch.setattr(verify, "_models", {})
     monkeypatch.setattr(qv, "classify_holes", first_component_only)
     assert verify.cross_smooth()["passed"]
     assert not verify.cross_singular()["passed"]
+
+
+def test_verify_all_classifies_each_marked_quiver_once(monkeypatch):
+    calls = []
+    classify = qv.classify_holes
+
+    def counting(q):
+        calls.append((q.word, q.members))
+        return classify(q)
+
+    monkeypatch.setattr(verify, "_models", {})
+    monkeypatch.setattr(qv, "classify_holes", counting)
+    assert all(result["passed"] for result in verify.run_suite("all"))
+    assert len(calls) == len(set(calls)) == 279
 
 
 def test_dot_output_is_stable_and_annotated():

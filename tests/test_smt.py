@@ -15,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from oracles import (
+    chain_fits_from_row_one,
     invariant_chain_exhaustive,
     invariant_dim_geometric,
+    invariant_dimension_by_tableaux,
     invariant_witnesses_by_filter,
     is_invariant_chain,
     is_standard_exhaustive,
@@ -292,6 +294,17 @@ def test_dimension_depends_only_on_the_two_ends():
             lift = lifts[w[0], w[-1]]
             for m in (1, 2, 3):
                 assert smt.invariant_dimension(w, m) == smt.invariant_dimension(lift, m)
+
+
+def test_section_count_walk_equals_the_tableau_walk():
+    # the pair walk on each sorted multiset, read in place, against the
+    # walk of its validated canonical tableau through is_standard_on
+    elements = [w for n in range(2, 7) for w in permutations(range(1, n + 1))]
+    elements += [w for n in range(2, 10) for w in smt.parabolic_lifts(n)]
+    for w in elements:
+        for m in range(4):
+            expected = invariant_dimension_by_tableaux(w, m)
+            assert smt.invariant_dimension(w, m) == expected, (w, m)
 
 
 def test_minimal_borel_closed_form():
@@ -581,3 +594,40 @@ def test_chain_fits_against_every_small_chain():
                         assert fits == expected, (
                             bound, need, r
                         )
+
+
+def test_chain_fits_starts_each_strip_at_the_first_open_row():
+    """The same fillings as walking every strip down from row 1: every
+    column set with n <= 10 at m0 and 2*m0, then seeded random contents
+    (half of them the content of random column sets, so often a chain)
+    under random and top bounds with n <= 40."""
+    cases = [
+        (w, smt._uniform_need(r, n, m), r)
+        for n in range(2, 11)
+        for r in range(1, n)
+        for m in smt._certificate_degrees(r, n)
+        for w in combinations(range(1, n + 1), r)
+    ]
+    rng = random.Random(2021)
+    for _ in range(3000):
+        n = rng.randint(2, 40)
+        r = rng.randint(1, n - 1)
+        width = rng.randint(0, 8)
+        need = [0] * n
+        if rng.random() < 0.5:
+            picks = [v for _ in range(width) for v in rng.sample(range(1, n + 1), r)]
+        else:
+            picks = rng.choices(range(1, n + 1), k=width * r)
+        for v in picks:
+            need[v - 1] += 1
+        if rng.random() < 0.5:
+            bound = tuple(range(n - r + 1, n + 1))
+        else:
+            bound = tuple(sorted(rng.sample(range(1, n + 1), r)))
+        cases.append((bound, tuple(need), r))
+    chains = 0
+    for bound, need, r in cases:
+        rows = smt._chain_fits(bound, need, r)
+        assert rows == chain_fits_from_row_one(bound, need, r), (bound, need, r)
+        chains += rows is not None
+    assert len(cases) == 7052 and 0 < chains < len(cases)
