@@ -93,10 +93,10 @@ def singular_components(mu, r: int, n: int) -> list[tuple[int, ...]]:
     For each corner (k, c): place a cell at (k+1, c+1) and complete the
     result minimally to a partition (every earlier row is raised to at
     least c+1).  Corners whose new cell would leave the box contribute
-    nothing.  Duplicates are merged.
+    nothing.  Duplicates are merged.  :func:`corners` checks the box and
+    the partition.
     """
-    check_box(r, n)
-    mu = check_partition(mu, r, n)
+    mu = tuple(mu)
     seen = []
     for k, c in corners(mu, r, n):
         if k + 1 > r or c + 1 > n - r:

@@ -135,16 +135,17 @@ def quiver_from_word(word, system: RootSystem) -> Quiver:
     Dynkin neighbour of ``word[j]``: only that one has s(i) > j.
     """
     word = tuple(word)
-    for b in word:
-        if not 1 <= b <= system.rank:
-            raise ValueError(f"letter {b} out of range for {system}")
+    if word and not 1 <= min(word) <= max(word) <= system.rank:
+        bad = next(b for b in word if not 1 <= b <= system.rank)
+        raise ValueError(f"letter {bad} out of range for {system}")
     N = len(word)
     prv: list[int | None] = [None] * N
     nxt: list[int | None] = [None] * N
     targets: list[list[int]] = [[] for _ in range(N)]
     latest: list[int | None] = [None] * (system.rank + 1)
+    neighbours = system.neighbours
     for j, b in enumerate(word):
-        for c in system.neighbours[b - 1]:
+        for c in neighbours[b - 1]:
             i = latest[c]
             if i is not None:
                 targets[i].append(j)
@@ -239,17 +240,18 @@ class MinusculeQuiver:
         ``ValueError``.
         """
         word = tuple(word)
+        targets, prev = self.full.targets, self.full.prev
         free = dict(self._lowest)
         ideal: set[int] = set()
         for b in reversed(word):
             v = free.get(b)
-            if v is None or not ideal.issuperset(self.full.targets[v]):
+            if v is None or not ideal.issuperset(targets[v]):
                 raise ValueError(
                     f"{word} is not a reduced word of letters "
                     f"1..{self.system.rank} in this orbit"
                 )
             ideal.add(v)
-            free[b] = self.full.prev[v]
+            free[b] = prev[v]
         return frozenset(ideal)
 
     def word_of(self, ideal) -> tuple[int, ...]:
@@ -262,11 +264,11 @@ class MinusculeQuiver:
         the ideal reaches: O(|I| log N + arrows).
         """
         targets, labels = self.full.targets, self.full.word
-        reached = dict.fromkeys(ideal, 0)
+        reached = [0] * len(labels)
         for u in ideal:
             for t in targets[u]:
                 reached[t] += 1
-        heap = [(labels[v], v) for v, k in reached.items() if not k]
+        heap = [(labels[v], v) for v in ideal if not reached[v]]
         heapify(heap)
         word = []
         while heap:
@@ -456,11 +458,12 @@ def commutation_moves(word, system: RootSystem) -> list[tuple[int, tuple[int, ..
 def quivers_isomorphic_under_swap(qa: Quiver, qb: Quiver, p: int) -> bool:
     """Check the canonical isomorphism for a commutation move at p, p+1.
 
-    The order is the closure of the arrows, so matching arrows match it.
+    The order is the closure of the arrows, so matching arrows match it:
+    the swap must carry the labels of ``qa`` onto those of ``qb`` and its
+    arrows (i, j) onto the arrows of ``qb``, compared as sets.
     """
     sigma = list(range(qa.n_vertices))
     sigma[p], sigma[p + 1] = p + 1, p  # its own inverse
-    image = sigma.__getitem__
-    return qb.word == tuple(map(qa.word.__getitem__, sigma)) and qb.targets == tuple(
-        tuple(sorted(map(image, ts))) for ts in map(qa.targets.__getitem__, sigma)
-    )
+    return qb.word == tuple(map(qa.word.__getitem__, sigma)) and {
+        (i, j) for i, ts in enumerate(qb.targets) for j in ts
+    } == {(sigma[i], sigma[j]) for i, ts in enumerate(qa.targets) for j in ts}

@@ -179,13 +179,15 @@ def invariant_dimension(w, m: int) -> int:
     )
 
 
-def projective_normality_check(w, degrees) -> dict:
+def projective_normality_check(w, degrees, t: int | None = None) -> dict:
     """Compare section counts against the free polynomial ring prediction.
 
     With t independent degree-1 invariants the degree-m count of a
-    polynomial ring on t generators is C(t+m-1, m).
+    polynomial ring on t generators is C(t+m-1, m).  A caller that has
+    walked the degree-one count already passes it as ``t``.
     """
-    t = invariant_dimension(w, 1)
+    if t is None:
+        t = invariant_dimension(w, 1)
     rows = []
     for m in degrees:
         computed = invariant_dimension(w, m)
@@ -239,44 +241,6 @@ def family_minimal(case: str, n: int, i: int | None = None):
     return word_to_perm(word, n)
 
 
-def _row_plan(case: str, n: int, i: int | None, k: int):
-    """(is_copy, first_letter) for row k of a family."""
-    if case == "a":
-        if k == i + 1:
-            return True, None
-        return False, 2 if k <= i else 1
-    if case == "a2":
-        return False, 2
-    if k == i:
-        return True, None
-    return False, 2 if k <= i - 1 else 1
-
-
-def family_element(case: str, n: int, i: int | None, k: int, j: int | None = None):
-    """Element (k, j) of an extension family.
-
-    Row k extends the last element of row k-1 by right multiplications
-    s_start ... s_j, nearest letter first; the copy rows repeat the
-    previous row's last element unchanged.
-    """
-    last_k = {"a": n - 1, "a2": n - 2, "b": n - 1}[case]
-    if not 0 <= k <= last_k:
-        raise ValueError(f"row {k} out of range for this family")
-    elt = family_minimal(case, n, i)
-    for kk in range(1, k + 1):
-        is_copy, start = _row_plan(case, n, i, kk)
-        if is_copy:
-            continue
-        end = j if kk == k else n - kk
-        if end is None:
-            raise ValueError("a non-copy row needs its column index j")
-        if not start <= end <= n - kk:
-            raise ValueError(f"column {end} out of range {start}..{n - kk} in row {kk}")
-        for a in range(start, end + 1):
-            elt = right_multiply(elt, a)
-    return elt
-
-
 def family_rows(case: str, n: int, i: int | None = None):
     """Every admissible (k, j) of a family with its predicted invariant
     count in degree one, tagged by which regime the prediction comes from."""
@@ -320,18 +284,23 @@ def family_rows(case: str, n: int, i: int | None = None):
     return rows
 
 
-def dimension_table(case: str, n: int, i: int | None = None) -> dict:
-    """Computed vs predicted degree-one invariant counts along a family."""
-    table = []
+def family_walk(case: str, n: int, i: int | None = None):
+    """Every row of :func:`family_rows` with its element, as
+    ``(k, j, predicted, tag, element)``.
+
+    Row k extends the last element of row k-1 by right multiplications
+    s_start ... s_j, nearest letter first, and its columns run up from
+    start to n - k; so each element is the one before it times s_j, and
+    the seed and copy rows (no j) repeat the previous element unchanged.
+    O(n) per row.
+    """
+    elt = family_minimal(case, n, i)
+    walk = []
     for k, j, predicted, tag in family_rows(case, n, i):
-        elt = family_element(case, n, i, k, j)
-        computed = invariant_dimension(elt, 1)
-        table.append(
-            {"k": k, "j": j, "element": elt, "predicted": predicted,
-             "computed": computed, "tag": tag, "match": computed == predicted}
-        )
-    return {"case": case, "n": n, "i": i, "rows": table,
-            "all_match": all(r["match"] for r in table)}
+        if j is not None:
+            elt = right_multiply(elt, j)
+        walk.append((k, j, predicted, tag, elt))
+    return walk
 
 
 def parabolic_lifts(n: int) -> list[tuple[int, ...]]:

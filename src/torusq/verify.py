@@ -6,6 +6,15 @@ the test suite so that an installed package can be smoke-tested without
 pytest.  The formulations of the semistable-vs-singular verdict that the
 suites compare (:func:`gr_cross_verdicts`) and the cached orbit listings
 they walk (:func:`minuscule_model`) live here, off the request path.
+
+Work the suites share is done once per process: each orbit listing is
+built once (``_models``), each walked section count
+``smt.invariant_dimension(w, m)`` is computed once per (w, m)
+(``_dimensions``: the families, S_5 and the lifts overlap), and each
+Grassmannian word's partition once per (word, r, n) (``_partitions``:
+``cross-smooth`` and ``cross-singular`` read the same nodes).  The caches
+hold results only, read through the library functions on a miss, so a
+suite run alone gives what it gives inside ``all``.
 """
 
 from itertools import combinations, permutations
@@ -27,6 +36,8 @@ def _result(name, checks, failures, info=None):
 
 
 _models: dict = {}
+_dimensions: dict = {}
+_partitions: dict = {}
 
 
 def minuscule_model(family, rank, weight) -> qv.MinusculeModel:
@@ -35,6 +46,24 @@ def minuscule_model(family, rank, weight) -> qv.MinusculeModel:
     if key not in _models:
         _models[key] = qv.MinusculeModel(root_system(family, rank), weight)
     return _models[key]
+
+
+def _invariant_dimension(w, m):
+    """The walked section count, once per (w, m) across the suites."""
+    key = (w, m)
+    if key not in _dimensions:
+        _dimensions[key] = smt.invariant_dimension(w, m)
+    return _dimensions[key]
+
+
+def _partition_of_word(word, r, n):
+    """The partition of the Gr(r, n) Schubert cell with reduced word
+    ``word``, read once per (word, r, n) across the suites."""
+    key = (word, r, n)
+    if key not in _partitions:
+        perm = word_to_perm(word, n)
+        _partitions[key] = gr.indexset_to_partition(pi_projection(perm, r), r, n)
+    return _partitions[key]
 
 
 def gr_cross_verdicts(w, r, n):
@@ -77,7 +106,7 @@ def golden_sl7() -> dict:
     along the family seeded at (5,1,2,3,6,7,4), plus its landmark
     one-line forms."""
     failures = []
-    rows = [r for r in smt.family_rows("a", 7, 3) if r[3] != "copy"]
+    rows = [r for r in smt.family_walk("a", 7, 3) if r[3] != "copy"]
     if len(rows) != 16:
         failures.append(f"expected 16 chain rows, enumerated {len(rows)}")
     landmarks = {
@@ -88,11 +117,10 @@ def golden_sl7() -> dict:
         (6, 1): (7, 6, 5, 4, 3, 2, 1),
     }
     checks = 0
-    for k, j, predicted, _tag in rows:
-        elt = smt.family_element("a", 7, 3, k, j)
+    for k, j, predicted, _tag, elt in rows:
         if (k, j) in landmarks and landmarks[(k, j)] != elt:
             failures.append(f"element ({k},{j}) is {elt}, expected {landmarks[(k, j)]}")
-        computed = smt.invariant_dimension(elt, 1)
+        computed = _invariant_dimension(elt, 1)
         checks += 1
         if computed != predicted:
             failures.append(
@@ -111,13 +139,13 @@ def family_tables() -> dict:
         plans += [("a", i) for i in range(1, n - 2)]
         plans += [("b", i) for i in range(1, n)]
         for case, i in plans:
-            table = smt.dimension_table(case, n, i)
-            checks += len(table["rows"])
-            for row in table["rows"]:
-                if not row["match"]:
+            for k, j, predicted, _tag, elt in smt.family_walk(case, n, i):
+                computed = _invariant_dimension(elt, 1)
+                checks += 1
+                if computed != predicted:
                     failures.append(
-                        f"case {case} n={n} i={i} (k={row['k']}, j={row['j']}): "
-                        f"computed {row['computed']}, predicted {row['predicted']}"
+                        f"case {case} n={n} i={i} (k={k}, j={j}): "
+                        f"computed {computed}, predicted {predicted}"
                     )
     return _result("family-tables", checks, failures)
 
@@ -146,11 +174,6 @@ def cross_smooth() -> dict:
             if (not model.holes(ideal).real) != gr.is_smooth(lam, r, n):
                 failures.append(f"Gr({r},{n}) {lam}: quiver vs diagram smoothness")
     return _result("cross-smooth", checks, failures)
-
-
-def _partition_of_word(word, r, n):
-    """The partition of the Gr(r, n) Schubert cell with reduced word ``word``."""
-    return gr.indexset_to_partition(pi_projection(word_to_perm(word, n), r), r, n)
 
 
 def _partitions_in_box(rows, cols):
@@ -198,8 +221,11 @@ def quiver_words() -> dict:
         model = minuscule_model(family, rank, weight)
         system = model.system
         for word in model.words.values():
+            moves = qv.commutation_moves(word, system)
+            if not moves:
+                continue
             qa = qv.quiver_from_word(word, system)
-            for p, other in qv.commutation_moves(word, system):
+            for p, other in moves:
                 qb = qv.quiver_from_word(other, system)
                 checks += 1
                 if not qv.quivers_isomorphic_under_swap(qa, qb, p):
@@ -215,7 +241,7 @@ def minimal_borel() -> dict:
     n = 5
     failures = []
     hits = [
-        w for w in permutations(range(1, n + 1)) if smt.invariant_dimension(w, 1) > 0
+        w for w in permutations(range(1, n + 1)) if _invariant_dimension(w, 1) > 0
     ]
     minimal = {
         w
@@ -240,17 +266,17 @@ def hilbert() -> dict:
     flagged = []
     checks = 0
     for n in (4, 5, 6):
-        family_elements = set()
         plans = [("a2", None)] + [("a", i) for i in range(1, n - 2)]
         plans += [("b", i) for i in range(1, n)]
-        for case, i in plans:
-            for k, j, _p, _t in smt.family_rows(case, n, i):
-                family_elements.add(smt.family_element(case, n, i, k, j))
+        family_elements = {
+            row[4] for case, i in plans for row in smt.family_walk(case, n, i)
+        }
         degrees = (2, 3) if n <= 5 else (2,)
         for w in smt.parabolic_lifts(n):
-            if smt.invariant_dimension(w, 1) < 1:
+            t = _invariant_dimension(w, 1)
+            if t < 1:
                 continue
-            report = smt.projective_normality_check(w, degrees)
+            report = smt.projective_normality_check(w, degrees, t)
             checks += len(report["degrees"])
             if not report["all_match"]:
                 message = f"n={n} lift {w}: {report['degrees']}"

@@ -24,8 +24,11 @@ orbit is searched breadth first over its cover edges instead of being read
 off the order ideals of the quiver, a quiver's arrows are found by one
 Cartan pairing per pair of positions instead of the latest vertex of each
 Dynkin neighbour, and its order ideals by testing every vertex against
-every ideal instead of carrying each ideal's addable vertices.  Agreement
-between the two sides is what the tests assert.
+every ideal instead of carrying each ideal's addable vertices, a
+commutation move's quiver isomorphism compares sorted target tuples
+instead of arrow sets, and an extension family's element is rebuilt from
+the seed row by row instead of one right multiplication after the row
+before it.  Agreement between the two sides is what the tests assert.
 """
 
 import random
@@ -34,8 +37,14 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 from torusq.quiver import Quiver
 from torusq.rootdata import fundamental_weight, reflect
-from torusq.smt import canonical_invariant_tableau, is_standard_on
-from torusq.weyl import bruhat_leq, pi_projection, word_to_perm
+from torusq.smt import (
+    canonical_invariant_tableau,
+    family_minimal,
+    family_rows,
+    invariant_dimension,
+    is_standard_on,
+)
+from torusq.weyl import bruhat_leq, pi_projection, right_multiply, word_to_perm
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +444,64 @@ def invariant_dim_geometric(w, m, seed=0):
 
 
 # ---------------------------------------------------------------------------
+# extension families rebuilt from the seed
+
+
+def _row_plan(case, n, i, k):
+    """(is_copy, first_letter) for row k of a family."""
+    if case == "a":
+        if k == i + 1:
+            return True, None
+        return False, 2 if k <= i else 1
+    if case == "a2":
+        return False, 2
+    if k == i:
+        return True, None
+    return False, 2 if k <= i - 1 else 1
+
+
+def family_element(case, n, i, k, j=None):
+    """Element (k, j) of an extension family, rebuilt from the seed.
+
+    Row k extends the last element of row k-1 by right multiplications
+    s_start ... s_j, nearest letter first; the copy rows repeat the
+    previous row's last element unchanged.  O(k*n) right multiplications
+    per element, against one per row in ``family_walk``.
+    """
+    last_k = {"a": n - 1, "a2": n - 2, "b": n - 1}[case]
+    if not 0 <= k <= last_k:
+        raise ValueError(f"row {k} out of range for this family")
+    elt = family_minimal(case, n, i)
+    for kk in range(1, k + 1):
+        is_copy, start = _row_plan(case, n, i, kk)
+        if is_copy:
+            continue
+        end = j if kk == k else n - kk
+        if end is None:
+            raise ValueError("a non-copy row needs its column index j")
+        if not start <= end <= n - kk:
+            raise ValueError(f"column {end} out of range {start}..{n - kk} in row {kk}")
+        for a in range(start, end + 1):
+            elt = right_multiply(elt, a)
+    return elt
+
+
+def dimension_table(case, n, i=None):
+    """Computed vs predicted degree-one invariant counts along a family,
+    each element rebuilt by :func:`family_element`."""
+    table = []
+    for k, j, predicted, tag in family_rows(case, n, i):
+        elt = family_element(case, n, i, k, j)
+        computed = invariant_dimension(elt, 1)
+        table.append(
+            {"k": k, "j": j, "element": elt, "predicted": predicted,
+             "computed": computed, "tag": tag, "match": computed == predicted}
+        )
+    return {"case": case, "n": n, "i": i, "rows": table,
+            "all_match": all(r["match"] for r in table)}
+
+
+# ---------------------------------------------------------------------------
 # minuscule words replayed on weights
 
 
@@ -505,6 +572,18 @@ def quiver_by_pairing_scan(word, system):
     return Quiver(
         system, word, frozenset(range(N)), tuple(map(tuple, targets)),
         tuple(prv), tuple(nxt),
+    )
+
+
+def quivers_isomorphic_by_sorted_targets(qa, qb, p):
+    """The swap isomorphism of a commutation move at p, p+1, tested on
+    every vertex's target tuple: the image of each tuple under the swap,
+    sorted, must be the target tuple of the image vertex in ``qb``."""
+    sigma = list(range(qa.n_vertices))
+    sigma[p], sigma[p + 1] = p + 1, p  # its own inverse
+    image = sigma.__getitem__
+    return qb.word == tuple(map(qa.word.__getitem__, sigma)) and qb.targets == tuple(
+        tuple(sorted(map(image, ts))) for ts in map(qa.targets.__getitem__, sigma)
     )
 
 

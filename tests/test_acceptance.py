@@ -9,7 +9,7 @@ integer; there are no tolerances.
 from itertools import combinations_with_replacement, permutations, product
 from math import gcd
 
-from oracles import invariant_dim_geometric, is_standard_exhaustive
+from oracles import family_element, invariant_dim_geometric, is_standard_exhaustive
 from torusq import smt, verify
 
 
@@ -29,7 +29,7 @@ def test_ac1_sl7_dimension_chain():
     for k, j, predicted, tag in smt.family_rows("a", 7, 3):
         if tag == "copy":
             continue
-        w = smt.family_element("a", 7, 3, k, j)
+        w = family_element("a", 7, 3, k, j)
         assert invariant_dim_geometric(w, 1) == predicted, (k, j)
     _gate("AC1", result, f"{result['checks']} frozen counts, each matching "
           "the geometric rank oracle")

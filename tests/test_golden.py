@@ -32,10 +32,14 @@ Rewrite the corpora (only when a change of output is intended) with::
 
 import contextlib
 import io
+import json
 import shlex
 from itertools import combinations, permutations
 from pathlib import Path
 
+import pytest
+
+from torusq import verify
 from torusq.cli import main
 from torusq.grassmannian import minimal_semistable
 from torusq.rootdata import minuscule_weights
@@ -185,6 +189,20 @@ def test_quiver_build_large_json_is_byte_identical():
 
 def test_verify_json_is_byte_identical():
     check_corpus("verify.txt")
+
+
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_each_verify_suite_alone_prints_its_record(suite, monkeypatch):
+    # the caches the suites share must not make a suite depend on the ones
+    # run before it: alone, on empty caches, each prints its record of
+    # ``verify all``, check count included
+    for cache in ("_models", "_dimensions", "_partitions"):
+        monkeypatch.setattr(verify, cache, {})
+    [record] = read_corpus("verify.txt").values()
+    [expected] = [entry for entry in json.loads(record) if entry["suite"] == suite]
+    code, out = run(["verify", suite, "--json"])
+    assert code == 0
+    assert json.loads(out) == [expected]
 
 
 if __name__ == "__main__":

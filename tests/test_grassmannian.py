@@ -70,6 +70,29 @@ def test_singular_component_growth():
     assert gr.singular_components((3, 0), 2, 5) == []
 
 
+def test_singular_components_checks_the_partition_once(monkeypatch):
+    calls = []
+    check = gr.check_partition
+
+    def counting(parts, r, n):
+        calls.append(parts)
+        return check(parts, r, n)
+
+    monkeypatch.setattr(gr, "check_partition", counting)
+    assert gr.singular_components([2, 1], 2, 5) == [(3, 3)]
+    assert calls == [(2, 1)]
+    monkeypatch.undo()
+    for mu, r, n, message in [
+        ((1, 0), 4, 4, "need 1 <= r <= n-1, got r=4, n=4"),
+        ((1,), 2, 4, "partition (1,) should have 2 parts (pad with 0)"),
+        ((3, 0), 2, 4, "partition (3, 0) leaves the 2x2 box"),
+        ((0, 1), 2, 4, "partition (0, 1) must be weakly decreasing"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            gr.singular_components(mu, r, n)
+        assert str(exc.value) == message
+
+
 def test_smoothness_by_complement():
     assert gr.is_smooth((0, 0), 2, 4)
     assert gr.is_smooth((2, 2), 2, 4)

@@ -16,6 +16,7 @@ from oracles import (
     node_from_word,
     quiver_by_pairing_scan,
     quiver_order_by_closure,
+    quivers_isomorphic_by_sorted_targets,
     word_descends,
 )
 from torusq import quiver as qv, verify
@@ -477,6 +478,38 @@ def test_swap_isomorphism_compares_the_order():
     for targets in ((1,), (1, 2, 3)):
         changed = qb._replace(targets=(targets,) + qb.targets[1:])
         assert not qv.quivers_isomorphic_under_swap(qa, changed, 1)
+
+
+def test_swap_check_agrees_with_the_sorted_targets_oracle():
+    # every (word, move) of the quiver-words plans, at the move's own
+    # position and at every other one: the arrow sets against the sorted
+    # target tuples of each vertex
+    plans = [("A", n - 1, r) for n in range(4, 8) for r in range(1, n)]
+    plans += [("D", n, w) for n in (4, 5, 6) for w in (1, n - 1, n)]
+    plans += [("E6", 6, 1), ("E6", 6, 6), ("E7", 7, 7)]
+    moves = 0
+    for family, rank, weight in plans:
+        model = minuscule_model(family, rank, weight)
+        for word in model.words.values():
+            qa = qv.quiver_from_word(word, model.system)
+            for p, other in qv.commutation_moves(word, model.system):
+                qb = qv.quiver_from_word(other, model.system)
+                moves += 1
+                assert qv.quivers_isomorphic_under_swap(qa, qb, p)
+                for s in range(len(word) - 1):
+                    assert qv.quivers_isomorphic_under_swap(
+                        qa, qb, s
+                    ) == quivers_isomorphic_by_sorted_targets(qa, qb, s), (word, p, s)
+    assert moves == 591
+
+
+def test_quiver_from_word_names_the_first_letter_out_of_range():
+    system = root_system("A", 3)
+    for word, bad in [((2, 5, 0, 1), 5), ((0, 2, 7), 0), ((1, 2, 4), 4), ((-1, 3), -1)]:
+        with pytest.raises(ValueError) as exc:
+            qv.quiver_from_word(word, system)
+        assert str(exc.value) == f"letter {bad} out of range for A3"
+    assert qv.quiver_from_word((), system).n_vertices == 0
 
 
 def test_verify_reads_the_lookups_quiver_build_runs(monkeypatch):

@@ -16,6 +16,8 @@ import pytest
 
 from oracles import (
     chain_fits_from_row_one,
+    dimension_table,
+    family_element,
     invariant_chain_exhaustive,
     invariant_dim_geometric,
     invariant_dimension_by_tableaux,
@@ -27,7 +29,7 @@ from oracles import (
     max_coset_member_below,
     tableau_rows,
 )
-from torusq import grassmannian as gr, smt
+from torusq import grassmannian as gr, smt, verify
 from torusq.cli import GR_MAX_N
 
 
@@ -281,7 +283,7 @@ def test_dimension_matches_geometric_rank_golden_rows():
     for k, j, _pred, tag in smt.family_rows("a", 7, 3):
         if tag == "copy":
             continue
-        w = smt.family_element("a", 7, 3, k, j)
+        w = family_element("a", 7, 3, k, j)
         assert smt.invariant_dimension(w, 1) == invariant_dim_geometric(w, 1)
 
 
@@ -305,6 +307,35 @@ def test_section_count_walk_equals_the_tableau_walk():
         for m in range(4):
             expected = invariant_dimension_by_tableaux(w, m)
             assert smt.invariant_dimension(w, m) == expected, (w, m)
+
+
+def test_verify_reads_the_section_counts_through_the_walk(monkeypatch):
+    # the suites keep each (w, m) count once; with the cache emptied, a
+    # wrong walk must reach every suite that compares section counts
+    walk = smt.invariant_dimension
+
+    def one_too_many(w, m):
+        return walk(w, m) + 1
+
+    monkeypatch.setattr(verify, "_dimensions", {})
+    monkeypatch.setattr(smt, "invariant_dimension", one_too_many)
+    for suite in ("golden-sl7", "family-tables", "hilbert"):
+        [result] = verify.run_suite(suite)
+        assert not result["passed"], suite
+
+
+def test_verify_walks_each_section_count_once(monkeypatch):
+    calls = []
+    walk = smt.invariant_dimension
+
+    def counting(w, m):
+        calls.append((w, m))
+        return walk(w, m)
+
+    monkeypatch.setattr(verify, "_dimensions", {})
+    monkeypatch.setattr(smt, "invariant_dimension", counting)
+    assert all(result["passed"] for result in verify.run_suite("all"))
+    assert len(calls) == len(set(calls))
 
 
 def test_minimal_borel_closed_form():
@@ -336,14 +367,14 @@ def test_family_seeds():
 
 
 def test_family_elements_along_the_golden_chain():
-    assert smt.family_element("a", 7, 3, 1, 2) == (5, 2, 1, 3, 6, 7, 4)
-    assert smt.family_element("a", 7, 3, 1, 6) == W7
-    assert smt.family_element("a", 7, 3, 3, 4) == (5, 6, 7, 4, 3, 2, 1)
-    assert smt.family_element("a", 7, 3, 6, 1) == (7, 6, 5, 4, 3, 2, 1)
+    assert family_element("a", 7, 3, 1, 2) == (5, 2, 1, 3, 6, 7, 4)
+    assert family_element("a", 7, 3, 1, 6) == W7
+    assert family_element("a", 7, 3, 3, 4) == (5, 6, 7, 4, 3, 2, 1)
+    assert family_element("a", 7, 3, 6, 1) == (7, 6, 5, 4, 3, 2, 1)
     with pytest.raises(ValueError):
-        smt.family_element("a", 7, 3, 2, 7)  # j beyond n-k
+        family_element("a", 7, 3, 2, 7)  # j beyond n-k
     with pytest.raises(ValueError):
-        smt.family_element("a", 7, 3, 9, 1)
+        family_element("a", 7, 3, 9, 1)
 
 
 def test_family_row_counts():
@@ -352,13 +383,29 @@ def test_family_row_counts():
     assert rows[0] == (0, None, 1, "seed")
     # the B family ends at w0 like the others
     last_k, last_j = 6, 1
-    assert smt.family_element("b", 7, 2, last_k, last_j) == (7, 6, 5, 4, 3, 2, 1)
+    assert family_element("b", 7, 2, last_k, last_j) == (7, 6, 5, 4, 3, 2, 1)
 
 
 def test_dimension_tables_match():
     for case, n, i in [("a", 6, 2), ("a2", 5, None), ("b", 5, 4)]:
-        table = smt.dimension_table(case, n, i)
+        table = dimension_table(case, n, i)
         assert table["all_match"], table
+
+
+def test_family_walk_equals_the_elements_rebuilt_from_the_seed():
+    # every row of every family with 3 <= n <= 9, one right multiplication
+    # per row against O(k*n) from the seed
+    rows = 0
+    for n in range(3, 10):
+        plans = [("a2", None)] + [("a", i) for i in range(1, n - 2)]
+        plans += [("b", i) for i in range(1, n)]
+        for case, i in plans:
+            walked = smt.family_walk(case, n, i)
+            assert [row[:4] for row in walked] == smt.family_rows(case, n, i)
+            for k, j, _predicted, _tag, elt in walked:
+                assert elt == family_element(case, n, i, k, j), (case, n, i, k, j)
+            rows += len(walked)
+    assert rows == 1127
 
 
 def test_parabolic_lifts():
@@ -381,6 +428,12 @@ def test_projective_normality_reports():
     report = smt.projective_normality_check(V7, (2, 3))
     assert report["t"] == 1
     assert all(r["computed"] == 1 for r in report["degrees"])
+    # a degree-one count passed in gives the report that walks it
+    for w in smt.parabolic_lifts(5):
+        t = smt.invariant_dimension(w, 1)
+        assert smt.projective_normality_check(w, (2, 3), t) == (
+            smt.projective_normality_check(w, (2, 3))
+        )
 
 
 # ---------------------------------------------------------------------------
