@@ -208,8 +208,9 @@ class MinusculeQuiver:
     the canonical word of the poset's bottom node, and every per-element
     question is answered on that ideal: :meth:`grow` turns a reduced word
     into its ideal, :meth:`word_of` reads an ideal's canonical word back
-    off the quiver, and :meth:`holes` gives one hole report: the holes,
-    smoothness (no real hole) and the singular components.  Weights enter
+    off the quiver, and :func:`classify_holes` of the marked ideal gives
+    one hole report: the holes, smoothness (no real hole) and the singular
+    components, each read back through :meth:`word_of`.  Weights enter
     only through that one bottom word, so a request costs time polynomial
     in the number N of quiver vertices (dim G/P), not in the orbit size.
 
@@ -280,19 +281,6 @@ class MinusculeQuiver:
                     heappush(heap, (labels[t], t))
         return tuple(word)
 
-    def holes(self, ideal) -> HoleReport:
-        return classify_holes(self.full.marked(ideal))
-
-    def semistable_in_smooth(self, w_ideal, v_ideal) -> bool:
-        """Criterion: every essential hole of Q_w lies in the ideal of v.
-
-        ``v_ideal`` is the minimal element with semistable points;
-        ``w_ideal`` must contain it, otherwise there is nothing to test.
-        """
-        if not v_ideal <= w_ideal:
-            raise ValueError("w does not dominate v: no semistable points")
-        return all(h in v_ideal for h in self.holes(w_ideal).essential)
-
 
 class MinusculeModel(MinusculeQuiver):
     """The orbit of a minuscule pair, listed once from the quiver's ideals.
@@ -300,21 +288,21 @@ class MinusculeModel(MinusculeQuiver):
     This is the verification side.  ``ideals`` maps every node, in graded
     order, to its order ideal of ``full``, and ``nodes`` lists the nodes;
     the suites read each node's ideal from here once and ask it the
-    :class:`MinusculeQuiver` questions a request asks.  Their independent
-    oracle is ``ideal_node_dictionary_by_words`` in ``tests/oracles.py``.
-    :meth:`holes` keeps each ideal's report, so suites that ask about the
-    same ideal classify its holes once; the reports are bounded by the
-    orbit that ``ideals`` already holds.
+    questions a request asks.  Their independent oracle is
+    ``ideal_node_dictionary_by_words`` in ``tests/oracles.py``.
+    :meth:`holes` keeps each ideal's :func:`classify_holes` report, so
+    suites that ask about the same ideal classify its holes once; the
+    reports are bounded by the orbit that ``ideals`` already holds.
+    :meth:`semistable_in_smooth` is the quiver form of the separation
+    criterion, which only the suites compare against the others.
 
     The listing costs one reflection per ideal: ``Quiver.ideals`` lists
     I before I + {v}, and node(I + {v}) = s_{b_v}(node(I)).  Each node's
     canonical word is walked once and kept in ``words``.  The build
     checks, raising ``AssertionError``, that each letter lowers the weight,
-    that every coordinate is -1, 0 or 1, that each ideal's
-    :meth:`~MinusculeQuiver.word_of` is its node's canonical word and
-    grows back into the ideal, that no node gets two ideals, that there
-    are as many nodes as the closed-form orbit size, and that the full
-    ideal's node is the poset's bottom.
+    that every coordinate is -1, 0 or 1, that no node gets two ideals,
+    that there are as many nodes as the closed-form orbit size, and that
+    the full ideal's node is the poset's bottom.
     """
 
     def __init__(self, system: RootSystem, weight_index: int):
@@ -331,14 +319,8 @@ class MinusculeModel(MinusculeQuiver):
                 node = reflect(system, node, b)
             if not set(node) <= {-1, 0, 1}:
                 raise AssertionError(f"non-minuscule coordinate in orbit: {node}")
-            word = self.poset.canonical_word(node)
-            if self.word_of(ideal) != word or self.grow(word) != ideal:
-                raise AssertionError(
-                    f"the quiver word of {sorted(ideal)} is not the canonical "
-                    f"word {word} of {node}"
-                )
             node_at[ideal] = node
-            self.words[node] = word
+            self.words[node] = self.poset.canonical_word(node)
         self.ideals = {node: ideal for ideal, node in node_at.items()}
         self.nodes = list(self.ideals)
         if len(self.nodes) != len(node_at):
@@ -357,6 +339,16 @@ class MinusculeModel(MinusculeQuiver):
         if report is None:
             report = self._holes[ideal] = classify_holes(self.full.marked(ideal))
         return report
+
+    def semistable_in_smooth(self, w_ideal, v_ideal) -> bool:
+        """Criterion: every essential hole of Q_w lies in the ideal of v.
+
+        ``v_ideal`` is the minimal element with semistable points;
+        ``w_ideal`` must contain it, otherwise there is nothing to test.
+        """
+        if not v_ideal <= w_ideal:
+            raise ValueError("w does not dominate v: no semistable points")
+        return all(h in v_ideal for h in self.holes(w_ideal).essential)
 
 
 def minimal_v_word(family: str, rank: int, weight_index: int) -> tuple[int, ...]:

@@ -16,8 +16,8 @@ closed form.  It never lists the orbit.  A request reads one walk, the
 bottom node's canonical word, which builds the full quiver;
 :class:`torusq.quiver.MinusculeQuiver` answers the rest on the order
 ideals of that quiver.  Only the verification suites enumerate the orbit,
-with :class:`torusq.quiver.MinusculeModel`, which checks each node's
-canonical word against its ideal's.  Nodes are weights in fundamental
+with :class:`torusq.quiver.MinusculeModel`, which walks each node's
+canonical word once.  Nodes are weights in fundamental
 coordinates; every coordinate of an orbit weight is -1, 0 or 1, which is
 what makes the canonical-word and length bookkeeping trivial.
 """

@@ -131,7 +131,6 @@ def test_first_failing_case():
     assert verdicts == {
         "pair-comparison": False,
         "diagram": False,
-        "component-containment": False,
         "gap-inequality": False,
         "quiver": False,
     }

@@ -25,6 +25,7 @@ from torusq.rootdata import (
     RootSystem,
     minuscule_orbit_size,
     minuscule_weights,
+    reflect,
     root_system,
 )
 from torusq.verify import minuscule_model
@@ -59,7 +60,7 @@ def verify_scope():
 
 def test_verify_walks_the_weights_once_per_node(verify_scope):
     # each model walks its bottom word for the full quiver and then each
-    # node's word once, in the build check; the suites read ``words``
+    # node's word once, into the ``words`` the suites read
     models, walks = verify_scope
     assert len(models) == 35
     assert sum(len(model.nodes) for model in models.values()) == 728
@@ -170,8 +171,10 @@ def test_dictionary_matches_word_replay(family, rank, weight):
 
 def test_word_of_is_the_canonical_word():
     # the heap on the quiver against the walk up the weights, on every node
-    # of A1..A9 (every weight), D4..D8 (every minuscule weight), E6 and E7;
-    # a bare MinusculeQuiver, so the model's own build check does not run
+    # of A1..A9 (every weight), D4..D8 (every minuscule weight), E6 and E7,
+    # which covers every model verify builds; the model takes its words from
+    # the walk alone, so this is what checks that the quiver reads each one
+    # back and grows it into the same ideal
     cases = [case for case in MINUSCULE_CASES if case[:2] != ("A", 10)]
     nodes = 0
     for family, rank, weight in cases:
@@ -183,6 +186,69 @@ def test_word_of_is_the_canonical_word():
             assert minuscule.grow(word) == ideal
         nodes += len(oracle)
     assert nodes == 2692
+
+
+def test_verify_derives_each_node_once(monkeypatch):
+    # the models list their nodes without growing or reading any word; the
+    # suites grow the 21 minimal words of minimal-singular and minima-sweep
+    # and read the 102 component words of cross-singular
+    calls = {"grow": 0, "word_of": 0}
+
+    def counting(name):
+        method = getattr(qv.MinusculeQuiver, name)
+
+        def wrapped(self, arg):
+            calls[name] += 1
+            return method(self, arg)
+
+        return wrapped
+
+    monkeypatch.setattr(verify, "_models", {})
+    for name in calls:
+        monkeypatch.setattr(qv.MinusculeQuiver, name, counting(name))
+    assert all(result["passed"] for result in verify.run_suite("all"))
+    assert calls == {"grow": 21, "word_of": 102}
+
+
+def _faulty_reflect(fault):
+    """``reflect`` with ``fault(system, node)`` applied to each result."""
+    return lambda system, node, b: fault(system, reflect(system, node, b))
+
+
+def _short_at_bottom(canonical_word):
+    """``canonical_word`` with the bottom node's word one letter short."""
+
+    def faulty(self, mu):
+        word = canonical_word(self, mu)
+        return word[1:] if mu == self.bottom else word
+
+    return faulty
+
+
+@pytest.mark.parametrize("faults,message", [
+    ([(qv, "reflect", lambda system, node, b: node)],
+     "letter 1 does not lower (0, 1, 0)"),
+    ([(qv, "reflect", _faulty_reflect(lambda system, node: tuple(2 * c for c in node)))],
+     "non-minuscule coordinate in orbit: (2, -2, 2)"),
+    # the bottom, the one node with no coordinate +1, becomes the top
+    ([(qv, "reflect", _faulty_reflect(
+        lambda system, node: node if 1 in node else (0, 1, 0)))],
+     "ideal/coset correspondence is not a bijection"),
+    ([(qv, "minuscule_orbit_size", lambda family, rank, weight: 7)],
+     "6 ideals for 7 coset elements"),
+    # the full quiver one vertex short, and an orbit size that agrees with it
+    ([(MinusculePoset, "canonical_word", _short_at_bottom(MinusculePoset.canonical_word)),
+      (qv, "minuscule_orbit_size", lambda family, rank, weight: 5)],
+     "the full ideal is not the bottom node"),
+])
+def test_model_build_checks_fire(monkeypatch, faults, message):
+    # each build check of Gr(2,4) under the faults that reach it; its orbit runs
+    # (0,1,0) -> (1,-1,1) -> (-1,0,1), (1,0,-1) -> (-1,1,-1) -> (0,-1,0)
+    for target, name, fault in faults:
+        monkeypatch.setattr(target, name, fault)
+    with pytest.raises(AssertionError) as exc:
+        qv.MinusculeModel(root_system("A", 3), 2)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("family,rank,weight,longest", [
