@@ -25,7 +25,7 @@ from .smt import (
     minimal_borel_semistable,
     projective_normality_check,
 )
-from .weyl import MinusculePoset, bruhat_leq, reduced_word, word_to_perm
+from .weyl import MinusculePoset, bruhat_leq, word_to_perm
 
 __all__ = [
     "MinusculePoset",
@@ -46,7 +46,6 @@ __all__ = [
     "projective_normality_check",
     "quiver_from_word",
     "quiver_to_dot",
-    "reduced_word",
     "semistable_in_smooth",
     "singular_components",
     "word_to_perm",

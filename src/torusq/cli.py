@@ -49,17 +49,20 @@ from .weyl import word_to_perm
 # a degree whose bound C(t+m-1, m) <= (t+m)^min(m, t-1) passes
 # 2^SMT_MAX_DIM_BITS (~3 900 digits; Python prints no integer over 4 300)
 # is refused without computing the count.  ``smt dim --json`` lists every
-# witness: a whole call with 8 855 of them (n = 21, m = 4) takes 0.13-0.19 s
-# and writes 1.4 MB.  ``smt pn-check`` walks the pairs of the standardness
-# test down C(n+max_m, max_m) - 1 sorted multisets, ~1 us each: 91 389
-# take 0.12-0.19 s.  ``smt minimal`` answers n-1 permutations of n, O(n^2)
+# witness, 2*m entries each, and stops at SMT_MAX_WITNESS_ENTRIES entries in
+# all: a whole call with 8 855 witnesses (n = 21, m = 4, 70 840 entries)
+# takes 0.13-0.19 s and writes 1.4 MB, one with 24 976 (n = 224, m = 2)
+# 0.32-0.45 s and 2.9 MB; 50 000 at m = 1 take 0.67 s in process.
+# ``smt pn-check`` walks the pairs of the standardness test down
+# C(n+max_m, max_m) - 1 sorted multisets, ~1 us each: 91 389 take
+# 0.12-0.19 s.  ``smt minimal`` answers n-1 permutations of n, O(n^2)
 # output: 0.26 s and 41 MB at n = 500.  ``--as word`` costs n + letters:
 # 9 999 letters at n = 10 000 take 0.09 s.
 QUIVER_MAX_RANK = 100
 QUIVER_MAX_VERTICES = 2550
 GR_MAX_N = 300
 SMT_MAX_DIM_BITS = 13_000
-SMT_MAX_WITNESSES = 10_000
+SMT_MAX_WITNESS_ENTRIES = 100_000
 SMT_MAX_WALK = 100_000
 SMT_MINIMAL_MAX_N = 500
 SMT_WORD_MAX_N = 10_000
@@ -275,10 +278,10 @@ def cmd_smt_dim(args) -> int:
             f"2^{SMT_MAX_DIM_BITS}; smt dim stops there"
         )
     dim = smt.monomial_count(t, m)
-    if args.json and dim > SMT_MAX_WITNESSES:
+    if args.json and 2 * m * dim > SMT_MAX_WITNESS_ENTRIES:
         _usage_error(
-            f"--json would list {dim} witnesses; smt dim --json stops at "
-            f"{SMT_MAX_WITNESSES}"
+            f"--m {m}: --json would list {dim} x 2*m witness entries; smt dim "
+            f"--json stops at {SMT_MAX_WITNESS_ENTRIES}"
         )
     witnesses = smt.invariant_witnesses(w, m) if args.json else []
     payload = {

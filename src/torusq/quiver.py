@@ -36,13 +36,7 @@ from bisect import insort
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
-from .rootdata import (
-    RootSystem,
-    minuscule_orbit_size,
-    minuscule_weights,
-    reflect,
-    root_system,
-)
+from .rootdata import RootSystem, check_minuscule, minuscule_orbit_size, reflect
 from .weyl import MinusculePoset
 
 
@@ -359,9 +353,7 @@ def minimal_v_word(family: str, rank: int, weight_index: int) -> tuple[int, ...]
     semistable points on a proper Schubert variety in the needed sense)
     raise.
     """
-    system = root_system(family, rank)
-    if weight_index not in minuscule_weights(family, rank):
-        raise ValueError(f"omega_{weight_index} is not minuscule for {system}")
+    check_minuscule(family, rank, weight_index)
     if family == "A":
         n = rank + 1
         r = weight_index

@@ -105,7 +105,8 @@ def minuscule_weights(family: str, rank: int) -> frozenset[int]:
     return frozenset({7})
 
 
-def _check_minuscule(family: str, rank: int, weight_index: int) -> None:
+def check_minuscule(family: str, rank: int, weight_index: int) -> None:
+    """Raise ``ValueError`` unless ``omega_i`` is minuscule for the system."""
     if weight_index not in minuscule_weights(family, rank):
         raise ValueError(
             f"omega_{weight_index} is not minuscule for {root_system(family, rank)}"
@@ -119,7 +120,7 @@ def minuscule_orbit_size(family: str, rank: int, weight_index: int) -> int:
     C(rank+1, i) in type A, 2*rank for the natural weight of type D,
     2^(rank-1) for its spin weights, 27 for E6 and 56 for E7.
     """
-    _check_minuscule(family, rank, weight_index)
+    check_minuscule(family, rank, weight_index)
     if family == "A":
         return comb(rank + 1, weight_index)
     if family == "D":
@@ -136,7 +137,7 @@ def minuscule_dimension(family: str, rank: int, weight_index: int) -> int:
     quadric of type D, rank(rank-1)/2 for its spinor varieties, 16 for E6
     and 27 for E7.
     """
-    _check_minuscule(family, rank, weight_index)
+    check_minuscule(family, rank, weight_index)
     if family == "A":
         return weight_index * (rank + 1 - weight_index)
     if family == "D":

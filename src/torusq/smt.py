@@ -224,63 +224,57 @@ def minimal_borel_semistable(n: int) -> list[tuple[int, ...]]:
 # the three extension families filling the interval up to w_0
 
 
-def family_minimal(case: str, n: int, i: int | None = None):
-    """Seed element of one extension family, as a permutation."""
+def _saturation(case: str, n: int, i: int | None) -> int:
+    """The level s at which a family's degree-one count saturates: i + 1
+    for the first family, n - 1 for the second, i for the third.  Any
+    other (case, i) is refused."""
     if case == "a":
         if not 1 <= i <= n - 3:
             raise ValueError("the first family needs 1 <= i <= n-3")
-        word = tuple(range(i + 1, n)) + tuple(range(i, 0, -1))
-    elif case == "a2":
-        word = tuple(range(n - 1, 0, -1))
-    elif case == "b":
+        return i + 1
+    if case == "a2":
+        return n - 1
+    if case == "b":
         if not 1 <= i <= n - 1:
             raise ValueError("the third family needs 1 <= i <= n-1")
-        word = tuple(range(i, 0, -1)) + tuple(range(i + 1, n))
-    else:
-        raise ValueError(f"unknown family {case!r}")
-    return word_to_perm(word, n)
+        return i
+    raise ValueError(f"unknown family {case!r}")
+
+
+def family_minimal(case: str, n: int, i: int | None = None):
+    """Seed element of one extension family, as a permutation.
+
+    At saturation level s every family starts at s_s ... s_1 s_{s+1} ...
+    s_{n-1} = (s+1, 1, ..., s-1, s+2, ..., n, s), the minimal element of
+    :func:`minimal_borel_semistable` with w(n) = s (the first two
+    families' word s_s ... s_{n-1} s_{s-1} ... s_1 names it too).
+    """
+    s = _saturation(case, n, i)
+    return word_to_perm(tuple(range(s, 0, -1)) + tuple(range(s + 1, n)), n)
 
 
 def family_rows(case: str, n: int, i: int | None = None):
     """Every admissible (k, j) of a family with its predicted invariant
-    count in degree one, tagged by which regime the prediction comes from."""
+    count in degree one, tagged by which regime the prediction comes from.
+
+    All three read off the saturation level s: after the seed, row 1
+    keeps one invariant until (1, n-1), where the count reaches s, and
+    rows 2..s-1 stay at s (the third family skips both at s = 1, where
+    its seed is saturated already); then, except in the second family,
+    which ends there, row s copies the last element and each row k > s
+    grows the count to k.
+    """
+    s = _saturation(case, n, i)
     rows = [(0, None, 1, "seed")]
-    if case == "a":
-        if not 1 <= i <= n - 3:
-            raise ValueError("the first family needs 1 <= i <= n-3")
-        for j in range(2, n - 1):
-            rows.append((1, j, 1, "first-pass"))
-        rows.append((1, n - 1, i + 1, "saturated"))
-        for k in range(2, i + 1):
-            for j in range(2, n - k + 1):
-                rows.append((k, j, i + 1, "saturated"))
-        rows.append((i + 1, None, i + 1, "copy"))
-        for k in range(i + 2, n):
-            for j in range(1, n - k + 1):
-                rows.append((k, j, k, "growth"))
-    elif case == "a2":
-        for j in range(2, n - 1):
-            rows.append((1, j, 1, "first-pass"))
-        rows.append((1, n - 1, n - 1, "saturated"))
-        for k in range(2, n - 1):
-            for j in range(2, n - k + 1):
-                rows.append((k, j, n - 1, "saturated"))
-    elif case == "b":
-        if not 1 <= i <= n - 1:
-            raise ValueError("the third family needs 1 <= i <= n-1")
-        if i >= 2:
-            for j in range(2, n - 1):
-                rows.append((1, j, 1, "first-pass"))
-            rows.append((1, n - 1, i, "saturated"))
-            for k in range(2, i):
-                for j in range(2, n - k + 1):
-                    rows.append((k, j, i, "saturated"))
-        rows.append((i, None, i, "copy"))
-        for k in range(i + 1, n):
-            for j in range(1, n - k + 1):
-                rows.append((k, j, k, "growth"))
-    else:
-        raise ValueError(f"unknown family {case!r}")
+    if case != "b" or s > 1:
+        rows += [(1, j, 1, "first-pass") for j in range(2, n - 1)]
+        rows.append((1, n - 1, s, "saturated"))
+        rows += [(k, j, s, "saturated")
+                 for k in range(2, s) for j in range(2, n - k + 1)]
+    if case != "a2":
+        rows.append((s, None, s, "copy"))
+        rows += [(k, j, k, "growth")
+                 for k in range(s + 1, n) for j in range(1, n - k + 1)]
     return rows
 
 

@@ -7,16 +7,18 @@ pytest.  The formulations of the semistable-vs-singular verdict that the
 suites compare (:func:`gr_cross_verdicts`) and the cached orbit listings
 they walk (:func:`minuscule_model`) live here, off the request path.
 
-Work the suites share is done once per process: each orbit listing is
-built once (``_models``), each walked section count
-``smt.invariant_dimension(w, m)`` is computed once per (w, m)
-(``_dimensions``: the families, S_5 and the lifts overlap), and each
-Grassmannian word's partition once per (word, r, n) (``_partitions``:
-``cross-smooth`` and ``cross-singular`` read the same nodes).  The caches
-hold results only, read through the library functions on a miss, so a
-suite run alone gives what it gives inside ``all``.
+Work the suites share is done once per process, by ``functools.cache``:
+each orbit listing is built once (:func:`minuscule_model`), each walked
+section count ``smt.invariant_dimension(w, m)`` is computed once per
+(w, m) (:func:`_invariant_dimension`: the families, S_5 and the lifts
+overlap), and each Grassmannian word's partition once per (word, r, n)
+(:func:`_partition_of_word`: ``cross-smooth`` and ``cross-singular`` read
+the same nodes).  The caches hold results only, read through the library
+functions on a miss, so a suite run alone gives what it gives inside
+``all``.
 """
 
+from functools import cache
 from itertools import combinations, permutations
 from math import gcd
 
@@ -35,35 +37,24 @@ def _result(name, checks, failures, info=None):
     }
 
 
-_models: dict = {}
-_dimensions: dict = {}
-_partitions: dict = {}
-
-
+@cache
 def minuscule_model(family, rank, weight) -> qv.MinusculeModel:
     """Cached orbit listings; a node's answers are ``quiver build``'s."""
-    key = (family, rank, weight)
-    if key not in _models:
-        _models[key] = qv.MinusculeModel(root_system(family, rank), weight)
-    return _models[key]
+    return qv.MinusculeModel(root_system(family, rank), weight)
 
 
+@cache
 def _invariant_dimension(w, m):
     """The walked section count, once per (w, m) across the suites."""
-    key = (w, m)
-    if key not in _dimensions:
-        _dimensions[key] = smt.invariant_dimension(w, m)
-    return _dimensions[key]
+    return smt.invariant_dimension(w, m)
 
 
+@cache
 def _partition_of_word(word, r, n):
     """The partition of the Gr(r, n) Schubert cell with reduced word
     ``word``, read once per (word, r, n) across the suites."""
-    key = (word, r, n)
-    if key not in _partitions:
-        perm = word_to_perm(word, n)
-        _partitions[key] = gr.indexset_to_partition(pi_projection(perm, r), r, n)
-    return _partitions[key]
+    perm = word_to_perm(word, n)
+    return gr.indexset_to_partition(pi_projection(perm, r), r, n)
 
 
 def gr_cross_verdicts(w, r, n):

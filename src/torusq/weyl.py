@@ -24,7 +24,7 @@ what makes the canonical-word and length bookkeeping trivial.
 
 from bisect import insort
 
-from .rootdata import fundamental_weight, minuscule_weights, reflect
+from .rootdata import check_minuscule, fundamental_weight, reflect
 
 
 # ---------------------------------------------------------------------------
@@ -33,12 +33,6 @@ from .rootdata import fundamental_weight, minuscule_weights, reflect
 
 def identity_perm(n):
     return tuple(range(1, n + 1))
-
-
-def check_perm(w):
-    n = len(w)
-    if sorted(w) != list(range(1, n + 1)):
-        raise ValueError(f"{w!r} is not a permutation of 1..{n}")
 
 
 def right_multiply(w, i):
@@ -58,25 +52,6 @@ def word_to_perm(word, n):
             raise ValueError(f"reflection index {i} out of range for n={n}")
         line[i - 1], line[i] = line[i], line[i - 1]
     return tuple(line)
-
-
-def descents(w):
-    return [i for i in range(1, len(w)) if w[i - 1] > w[i]]
-
-
-def reduced_word(w):
-    """Some reduced word for w (the descent-stripping one)."""
-    check_perm(w)
-    letters = []
-    cur = w
-    while True:
-        ds = descents(cur)
-        if not ds:
-            break
-        letters.append(ds[0])
-        cur = right_multiply(cur, ds[0])
-    letters.reverse()
-    return tuple(letters)
 
 
 def pi_projection(w, i):
@@ -127,10 +102,7 @@ class MinusculePoset:
     """
 
     def __init__(self, system, weight_index):
-        if weight_index not in minuscule_weights(system.family, system.rank):
-            raise ValueError(
-                f"omega_{weight_index} is not minuscule for {system}"
-            )
+        check_minuscule(system.family, system.rank, weight_index)
         self.system = system
         self.weight_index = weight_index
         self.top = fundamental_weight(system, weight_index)

@@ -10,6 +10,7 @@ from torusq import cli, criteria, grassmannian as gr, quiver as qv, smt, verify
 from torusq.cli import GR_MAX_N, QUIVER_MAX_VERTICES, SMT_MINIMAL_MAX_N, SMT_WORD_MAX_N, main
 from torusq.rootdata import minuscule_dimension, root_system
 from torusq.weyl import MinusculePoset
+from verify_memos import fresh_verify_memos
 
 # README's D4 quadric example: the quiver of the minimal semistable element
 QUADRIC_DOT = """\
@@ -326,14 +327,14 @@ def test_quiver_build_never_enumerates_the_orbit(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(qv, "MinusculeModel", unbuildable)
     monkeypatch.setattr(qv.Quiver, "ideals", unbuildable)
-    monkeypatch.setattr(verify, "_models", {})
+    fresh_verify_memos(monkeypatch)
     path = tmp_path / "spinor.dot"
     if dot:
         argv = [*argv, "--dot", str(path)]
     code, payload, _ = run_json(capsys, ["quiver", "build", *argv])
     assert code == 0
     assert payload["result"]["length"] == len(payload["result"]["members"])
-    assert verify._models == {}
+    assert verify.minuscule_model.cache_info().currsize == 0
     assert path.exists() == dot
 
 
@@ -510,6 +511,8 @@ W20 = ",".join(map(str, (20, *range(2, 20), 1)))  # t = 19
     ["pn-check", "--n", "1", "--w", "1"],
     ["dim", "--n", "20", "--w", W20, "--m", "9"],  # 4 686 825 witnesses
     ["dim", "--n", "20", "--w", W20, "--m", str(10**300)],  # ~5 400 digits
+    ["dim", "--n", "3", "--w", "3,2,1", "--m", "2000"],  # 2 001 witnesses of 4 000 entries
+    ["dim", "--n", "2", "--w", "2,1", "--m", str(10**9)],  # one of 2 * 10^9 entries
     ["pn-check", "--n", "20", "--w", W20, "--max-m", "9"],  # C(29, 9) - 1
     ["pn-check", "--n", "20", "--w", W20, "--max-m", str(10**9)],
     ["minimal", "--n", str(SMT_MINIMAL_MAX_N + 1)],

@@ -45,6 +45,7 @@ from torusq.grassmannian import minimal_semistable
 from torusq.rootdata import minuscule_weights
 from torusq.smt import parabolic_lifts
 from torusq.verify import minuscule_model
+from verify_memos import fresh_verify_memos
 
 GOLDEN = Path(__file__).parent / "golden"
 PROMPT = "$ torusq "
@@ -196,8 +197,7 @@ def test_each_verify_suite_alone_prints_its_record(suite, monkeypatch):
     # the caches the suites share must not make a suite depend on the ones
     # run before it: alone, on empty caches, each prints its record of
     # ``verify all``, check count included
-    for cache in ("_models", "_dimensions", "_partitions"):
-        monkeypatch.setattr(verify, cache, {})
+    fresh_verify_memos(monkeypatch)
     [record] = read_corpus("verify.txt").values()
     [expected] = [entry for entry in json.loads(record) if entry["suite"] == suite]
     code, out = run(["verify", suite, "--json"])

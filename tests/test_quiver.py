@@ -30,6 +30,7 @@ from torusq.rootdata import (
 )
 from torusq.verify import minuscule_model
 from torusq.weyl import MinusculePoset
+from verify_memos import fresh_verify_memos
 
 MINUSCULE_CASES = (
     [("A", rank, w) for rank in range(1, 11) for w in range(1, rank + 1)]
@@ -40,20 +41,25 @@ MINUSCULE_CASES = (
 
 @pytest.fixture(scope="module")
 def verify_scope():
-    """The models one ``verify all`` builds on an empty cache, with every
-    canonical word it walks on weights."""
-    walks = []
+    """The models one ``verify all`` builds on an empty cache, each time
+    one is built, with every canonical word it walks on weights."""
+    models, walks = [], []
     canonical_word = MinusculePoset.canonical_word
 
     def counting(self, mu):
         walks.append(mu)
         return canonical_word(self, mu)
 
+    class Recording(qv.MinusculeModel):
+        def __init__(self, system, weight_index):
+            super().__init__(system, weight_index)
+            models.append(self)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_models", {})
+        fresh_verify_memos(mp)
         mp.setattr(MinusculePoset, "canonical_word", counting)
+        mp.setattr(qv, "MinusculeModel", Recording)
         results = verify.run_suite("all")
-        models = dict(verify._models)
     assert all(result["passed"] for result in results)
     return models, walks
 
@@ -63,9 +69,9 @@ def test_verify_walks_the_weights_once_per_node(verify_scope):
     # node's word once, into the ``words`` the suites read
     models, walks = verify_scope
     assert len(models) == 35
-    assert sum(len(model.nodes) for model in models.values()) == 728
+    assert sum(len(model.nodes) for model in models) == 728
     assert len(walks) == 728 + 35
-    for model in models.values():
+    for model in models:
         assert list(model.words) == model.nodes
 
 
@@ -81,7 +87,7 @@ def test_quivers_of_the_verify_words_match_the_pairing_scan(verify_scope):
     # every canonical word of every model verify builds, and each word one
     # commutation move away, as the quiver-words suite builds them
     models, _ = verify_scope
-    for model in models.values():
+    for model in models:
         for word in model.words.values():
             others = [other for _, other in qv.commutation_moves(word, model.system)]
             for w in [word, *others]:
@@ -95,7 +101,7 @@ def test_ideals_match_the_vertex_scan(verify_scope):
     # reaches the verify failures
     models, _ = verify_scope
     extra = [("D", 8, 7), ("D", 8, 8), ("E7", 7, 7)]
-    quivers = [model.full for model in models.values()]
+    quivers = [model.full for model in models]
     quivers += [qv.MinusculeQuiver(root_system(*case[:2]), case[2]).full for case in extra]
     for q in quivers:
         assert q.ideals() == ideals_by_vertex_scan(q)
@@ -203,7 +209,7 @@ def test_verify_derives_each_node_once(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(verify, "_models", {})
+    fresh_verify_memos(monkeypatch)
     for name in calls:
         monkeypatch.setattr(qv.MinusculeQuiver, name, counting(name))
     assert all(result["passed"] for result in verify.run_suite("all"))
@@ -593,7 +599,7 @@ def test_verify_reads_the_lookups_quiver_build_runs(monkeypatch):
         )
 
     # models cached by earlier calls keep the reports they classified
-    monkeypatch.setattr(verify, "_models", {})
+    fresh_verify_memos(monkeypatch)
     monkeypatch.setattr(qv, "classify_holes", one_hole_short)
     assert not verify.cross_smooth()["passed"]
     assert not verify.cross_singular()["passed"]
@@ -602,7 +608,7 @@ def test_verify_reads_the_lookups_quiver_build_runs(monkeypatch):
         report = classify(q)
         return report._replace(components=report.components[:1])
 
-    monkeypatch.setattr(verify, "_models", {})
+    fresh_verify_memos(monkeypatch)
     monkeypatch.setattr(qv, "classify_holes", first_component_only)
     assert verify.cross_smooth()["passed"]
     assert not verify.cross_singular()["passed"]
@@ -616,7 +622,7 @@ def test_verify_all_classifies_each_marked_quiver_once(monkeypatch):
         calls.append((q.word, q.members))
         return classify(q)
 
-    monkeypatch.setattr(verify, "_models", {})
+    fresh_verify_memos(monkeypatch)
     monkeypatch.setattr(qv, "classify_holes", counting)
     assert all(result["passed"] for result in verify.run_suite("all"))
     assert len(calls) == len(set(calls)) == 279

@@ -1,12 +1,16 @@
 from hypothesis import given, strategies as st
 import pytest
 
+from torusq.quiver import minimal_v_word
 from torusq.rootdata import (
     fundamental_weight,
+    minuscule_dimension,
+    minuscule_orbit_size,
     minuscule_weights,
     reflect,
     root_system,
 )
+from torusq.weyl import MinusculePoset
 
 
 def test_type_a_cartan():
@@ -93,6 +97,24 @@ def test_minuscule_weight_table():
     assert minuscule_weights("D", 5) == frozenset({1, 4, 5})
     assert minuscule_weights("E6", 6) == frozenset({1, 6})
     assert minuscule_weights("E7", 7) == frozenset({7})
+
+
+@pytest.mark.parametrize("caller", [
+    lambda family, rank, w: MinusculePoset(root_system(family, rank), w),
+    minimal_v_word,
+    minuscule_orbit_size,
+    minuscule_dimension,
+])
+@pytest.mark.parametrize("family,rank,weight,message", [
+    ("D", 5, 2, "omega_2 is not minuscule for D5"),
+    ("E6", 6, 2, "omega_2 is not minuscule for E6"),
+    ("E7", 7, 1, "omega_1 is not minuscule for E7"),
+])
+def test_every_caller_refuses_a_non_minuscule_weight_alike(caller, family, rank,
+                                                           weight, message):
+    with pytest.raises(ValueError) as exc:
+        caller(family, rank, weight)
+    assert str(exc.value) == message
 
 
 def test_bad_families_rejected():

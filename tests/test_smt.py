@@ -31,6 +31,7 @@ from oracles import (
 )
 from torusq import grassmannian as gr, smt, verify
 from torusq.cli import GR_MAX_N
+from verify_memos import fresh_verify_memos
 
 
 V7 = (5, 1, 2, 3, 6, 7, 4)  # the running SL(7) seed element
@@ -317,7 +318,7 @@ def test_verify_reads_the_section_counts_through_the_walk(monkeypatch):
     def one_too_many(w, m):
         return walk(w, m) + 1
 
-    monkeypatch.setattr(verify, "_dimensions", {})
+    fresh_verify_memos(monkeypatch)
     monkeypatch.setattr(smt, "invariant_dimension", one_too_many)
     for suite in ("golden-sl7", "family-tables", "hilbert"):
         [result] = verify.run_suite(suite)
@@ -332,7 +333,7 @@ def test_verify_walks_each_section_count_once(monkeypatch):
         calls.append((w, m))
         return walk(w, m)
 
-    monkeypatch.setattr(verify, "_dimensions", {})
+    fresh_verify_memos(monkeypatch)
     monkeypatch.setattr(smt, "invariant_dimension", counting)
     assert all(result["passed"] for result in verify.run_suite("all"))
     assert len(calls) == len(set(calls))
@@ -387,9 +388,17 @@ def test_family_row_counts():
 
 
 def test_dimension_tables_match():
-    for case, n, i in [("a", 6, 2), ("a2", 5, None), ("b", 5, 4)]:
-        table = dimension_table(case, n, i)
-        assert table["all_match"], table
+    # every family of every S_n with 4 <= n <= 10: each predicted count
+    # against the walked count of the element rebuilt from the seed
+    tables = 0
+    for n in range(4, 11):
+        plans = [("a2", None)] + [("a", i) for i in range(1, n - 2)]
+        plans += [("b", i) for i in range(1, n)]
+        for case, i in plans:
+            table = dimension_table(case, n, i)
+            assert table["all_match"], table
+            tables += 1
+    assert tables == 77
 
 
 def test_family_walk_equals_the_elements_rebuilt_from_the_seed():

@@ -1,4 +1,4 @@
-"""Permutations, reduced words, minuscule posets.
+"""Permutations, Bruhat order, minuscule posets.
 
 The Bruhat comparisons are checked against the cover-walk oracle, which
 never looks at sorted prefixes.
@@ -7,14 +7,12 @@ never looks at sorted prefixes.
 from itertools import combinations, permutations
 import random
 
-from hypothesis import given, strategies as st
 import pytest
 
 from oracles import (
     bruhat_downset,
     bruhat_leq_bruteforce,
     indexset,
-    inversions,
     minuscule_orbit_by_bfs,
     node_from_word,
     permutation,
@@ -29,9 +27,7 @@ from torusq.rootdata import (
 from torusq.weyl import (
     MinusculePoset,
     bruhat_leq,
-    descents,
     pi_projection,
-    reduced_word,
     right_multiply,
     word_to_perm,
 )
@@ -61,24 +57,6 @@ def test_word_to_perm_folds_right_multiply():
 def test_right_multiply_swaps_positions():
     assert right_multiply((3, 1, 2), 1) == (1, 3, 2)
     assert right_multiply((3, 1, 2), 2) == (3, 2, 1)
-
-
-perms5 = st.integers(min_value=2, max_value=5).flatmap(
-    lambda n: st.permutations(list(range(1, n + 1)))
-)
-
-
-@given(perms5)
-def test_reduced_word_roundtrip(line):
-    w = tuple(line)
-    word = reduced_word(w)
-    assert len(word) == inversions(w)
-    assert word_to_perm(word, len(w)) == w
-
-
-def test_descents_and_length():
-    assert descents((3, 1, 4, 2)) == [1, 3]
-    assert len(reduced_word((4, 3, 2, 1))) == 6
 
 
 def test_bruhat_against_cover_walk_s4():
