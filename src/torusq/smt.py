@@ -227,12 +227,16 @@ def minimal_borel_semistable(n: int) -> list[tuple[int, ...]]:
 def _saturation(case: str, n: int, i: int | None) -> int:
     """The level s at which a family's degree-one count saturates: i + 1
     for the first family, n - 1 for the second, i for the third.  Any
-    other (case, i) is refused."""
+    other (case, i) is refused, and so is the second family below n = 3:
+    at n = 2 its row (1, 1) multiplies the seed s_1 by s_1 again, down to
+    the identity, which has no invariant, and at n = 1 there is no seed."""
     if case == "a":
         if not 1 <= i <= n - 3:
             raise ValueError("the first family needs 1 <= i <= n-3")
         return i + 1
     if case == "a2":
+        if n < 3:
+            raise ValueError("the second family needs n >= 3")
         return n - 1
     if case == "b":
         if not 1 <= i <= n - 1:

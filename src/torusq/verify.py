@@ -16,8 +16,24 @@ overlap), and each Grassmannian word's partition once per (word, r, n)
 the same nodes).  The caches hold results only, read through the library
 functions on a miss, so a suite run alone gives what it gives inside
 ``all``.
+
+``all`` runs in two processes where two CPUs are allowed
+(:func:`run_suite`).  A forked child runs ``golden-sl7``,
+``family-tables``, ``minimal-borel`` and ``hilbert``, the four that share
+the section counts of ``_invariant_dimension``, and ``quiver-words``,
+which reads no hole report.  Meanwhile this process runs
+``cross-smooth``, ``cross-singular``, ``minimal-singular`` and
+``minima-sweep``, which share the type-A models and their hole reports.
+The two shares take about the same time (18 and 20 ms, best of seven
+fresh processes on a 2-vCPU VM, Python 3.11), so ``all`` takes about as
+long as the slower one.  About 26 orbit listings are read by both shares
+and built in each process; on one CPU that rebuild would cost more than
+the split saves, so there, and where ``os.sched_getaffinity`` is missing,
+the suites run one after another here.
 """
 
+import marshal
+import os
 from functools import cache
 from itertools import combinations, permutations
 from math import gcd
@@ -370,8 +386,82 @@ SUITES = {
 }
 
 
+# The share of ``all`` a forked child runs (see the module docstring)
+_CHILD_SHARE = ("golden-sl7", "family-tables", "quiver-words", "minimal-borel", "hilbert")
+_PARENT_SHARE = tuple(name for name in SUITES if name not in _CHILD_SHARE)
+
+
+def _run_in_process(names) -> list[dict]:
+    """Run the named suites here, in order: the path of one suite alone,
+    and of ``all`` wherever no child can take a share."""
+    return [SUITES[name]() for name in names]
+
+
+def _fork_child_share():
+    """Start a child on ``_CHILD_SHARE`` and return (pid, read end of its
+    pipe), or None where this process may use only one CPU, or none is
+    known (no ``os.sched_getaffinity``, as on macOS and Windows), or the
+    fork fails.
+
+    The child sends its results as one ``marshal`` blob (they hold only
+    str, int, bool, list and dict), writes nothing to stdout or stderr,
+    and leaves through ``os._exit``, so no buffer, atexit hook or caller's
+    frame of this process runs in it.  A child that raises sends nothing.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None or len(affinity(0)) < 2:
+        return None
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(marshal.dumps(_run_in_process(_CHILD_SHARE)))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _collect(pid, read_fd):
+    """Read the child's pipe to EOF and reap it; its results, or None
+    when it exited without a complete answer."""
+    try:
+        with open(read_fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        return None
+    return marshal.loads(data)
+
+
 def run_suite(name: str) -> list[dict]:
-    """Run one suite (or ``all``) and return the result dicts."""
-    if name == "all":
-        return [fn() for fn in SUITES.values()]
-    return [SUITES[name]()]
+    """Run one suite (or ``all``) and return the result dicts.
+
+    ``all`` runs ``_CHILD_SHARE`` in a forked child while this process
+    runs the rest, and merges the results in ``SUITES`` order.  Where no
+    child runs, or it gives no complete answer, this process runs the
+    child's share itself, so a suite that raises in the child raises here.
+    """
+    if name != "all":
+        return _run_in_process([name])
+    child = _fork_child_share()
+    if child is None:
+        return _run_in_process(SUITES)
+    try:
+        results = dict(zip(_PARENT_SHARE, _run_in_process(_PARENT_SHARE)))
+    finally:
+        theirs = _collect(*child)
+    if theirs is None:
+        theirs = _run_in_process(_CHILD_SHARE)
+    results.update(zip(_CHILD_SHARE, theirs))
+    return [results[name] for name in SUITES]

@@ -30,7 +30,7 @@ from torusq.rootdata import (
 )
 from torusq.verify import minuscule_model
 from torusq.weyl import MinusculePoset
-from verify_memos import fresh_verify_memos
+from verify_memos import fresh_verify_memos, run_all_in_one_process
 
 MINUSCULE_CASES = (
     [("A", rank, w) for rank in range(1, 11) for w in range(1, rank + 1)]
@@ -59,7 +59,7 @@ def verify_scope():
         fresh_verify_memos(mp)
         mp.setattr(MinusculePoset, "canonical_word", counting)
         mp.setattr(qv, "MinusculeModel", Recording)
-        results = verify.run_suite("all")
+        results = run_all_in_one_process()
     assert all(result["passed"] for result in results)
     return models, walks
 
@@ -212,7 +212,7 @@ def test_verify_derives_each_node_once(monkeypatch):
     fresh_verify_memos(monkeypatch)
     for name in calls:
         monkeypatch.setattr(qv.MinusculeQuiver, name, counting(name))
-    assert all(result["passed"] for result in verify.run_suite("all"))
+    assert all(result["passed"] for result in run_all_in_one_process())
     assert calls == {"grow": 21, "word_of": 102}
 
 
@@ -624,7 +624,7 @@ def test_verify_all_classifies_each_marked_quiver_once(monkeypatch):
 
     fresh_verify_memos(monkeypatch)
     monkeypatch.setattr(qv, "classify_holes", counting)
-    assert all(result["passed"] for result in verify.run_suite("all"))
+    assert all(result["passed"] for result in run_all_in_one_process())
     assert len(calls) == len(set(calls)) == 279
 
 

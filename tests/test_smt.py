@@ -31,7 +31,7 @@ from oracles import (
 )
 from torusq import grassmannian as gr, smt, verify
 from torusq.cli import GR_MAX_N
-from verify_memos import fresh_verify_memos
+from verify_memos import fresh_verify_memos, run_all_in_one_process
 
 
 V7 = (5, 1, 2, 3, 6, 7, 4)  # the running SL(7) seed element
@@ -335,8 +335,8 @@ def test_verify_walks_each_section_count_once(monkeypatch):
 
     fresh_verify_memos(monkeypatch)
     monkeypatch.setattr(smt, "invariant_dimension", counting)
-    assert all(result["passed"] for result in verify.run_suite("all"))
-    assert len(calls) == len(set(calls))
+    assert all(result["passed"] for result in run_all_in_one_process())
+    assert len(calls) == len(set(calls)) == 324
 
 
 def test_minimal_borel_closed_form():
@@ -365,6 +365,15 @@ def test_family_seeds():
         smt.family_minimal("a", 5, 3)  # i must stay below n-2
     with pytest.raises(ValueError):
         smt.family_minimal("c", 5, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("read", [smt.family_rows, smt.family_minimal, smt.family_walk])
+def test_the_second_family_is_refused_below_n_3(read, n):
+    # at n = 2 the walk would reach the identity, which has no invariant,
+    # with one predicted; at n = 1 there is no s_1 to multiply by
+    with pytest.raises(ValueError, match="the second family needs n >= 3"):
+        read("a2", n)
 
 
 def test_family_elements_along_the_golden_chain():

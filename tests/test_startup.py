@@ -61,6 +61,20 @@ def test_a_valid_request_never_loads_argparse():
     assert not loaded & (PARSING | JSON), sorted(loaded & (PARSING | JSON))
 
 
+def test_verify_all_loads_no_process_pool():
+    """``verify all`` hands a share of its suites to a child made with
+    ``os.fork`` and reads its results with ``marshal``; neither a pool nor
+    a pickler loads for it."""
+    out = _fresh(
+        "from torusq import cli\n"
+        "assert cli.main(['verify', 'all', '--json']) == 0\n"
+        "print(repr(sorted(sys.modules)))\n",
+    )
+    loaded = set(ast.literal_eval(out.splitlines()[-1]))
+    pools = {"multiprocessing", "concurrent.futures", "pickle", "subprocess"}
+    assert not loaded & pools, sorted(loaded & pools)
+
+
 def test_help_still_prints_usage():
     out = _fresh("from torusq import cli\ncli.main(['--help'])\n")
     assert out.startswith("usage: torusq ")
