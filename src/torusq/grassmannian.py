@@ -34,9 +34,9 @@ def check_partition(parts, r: int, n: int) -> tuple[int, ...]:
     parts = tuple(parts)
     if len(parts) != r:
         raise ValueError(f"partition {parts} should have {r} parts (pad with 0)")
-    if any(p < 0 or p > n - r for p in parts):
+    if parts and (min(parts) < 0 or max(parts) > n - r):
         raise ValueError(f"partition {parts} leaves the {r}x{n - r} box")
-    if any(parts[k] < parts[k + 1] for k in range(r - 1)):
+    if parts != tuple(sorted(parts, reverse=True)):
         raise ValueError(f"partition {parts} must be weakly decreasing")
     return parts
 

@@ -90,11 +90,11 @@ class Quiver(NamedTuple):
             raise ValueError(f"{sorted(members)} is not an order ideal")
         return self._replace(members=members)
 
-    def ideals(self) -> list[tuple[frozenset[int], int | None]]:
-        """Every order ideal once, graded by size, as ``(ideal, v)`` pairs.
+    def ideals(self) -> list[tuple[frozenset[int], int | None, int | None]]:
+        """Every order ideal once, graded by size, as ``(ideal, v, k)``.
 
-        ``v`` is the vertex whose addition to an ideal listed earlier gave
-        ``ideal``, so it is maximal in ``ideal``; it is ``None`` for the
+        ``v`` is the vertex whose addition to the ideal listed at ``k`` gave
+        ``ideal``, so it is maximal in ``ideal``; both are ``None`` for the
         empty ideal, which comes first.  Each ideal carries its sorted
         addable vertices: adding v can open only the sources of arrows into v.
         """
@@ -102,16 +102,16 @@ class Quiver(NamedTuple):
         for u, ts in enumerate(self.targets):
             for t in ts:
                 sources[t].append(u)
-        found = [(frozenset(), None)]
+        found = [(frozenset(), None, None)]
         addable = [[v for v, ts in enumerate(self.targets) if not ts]]
         seen = {frozenset()}
         # breadth first: ``found`` and ``addable`` are the queue, read while they grow
-        for (ideal, _), free in zip(found, addable):
+        for k, ((ideal, _, _), free) in enumerate(zip(found, addable)):
             for v in free:
                 grown = ideal | {v}
                 if grown not in seen:
                     seen.add(grown)
-                    found.append((grown, v))
+                    found.append((grown, v, k))
                     rest = [u for u in free if u != v]
                     for u in sources[v]:
                         if grown.issuperset(self.targets[u]):
@@ -166,23 +166,26 @@ def classify_holes(q: Quiver) -> HoleReport:
     of each essential hole, in the order of ``essential``, from the up-sets
     the classification holds.  They are distinct: no other real hole is
     weakly above an essential one, so each component keeps every other
-    essential hole and drops only its own."""
+    essential hole and drops only its own.
+
+    The systems are simply laced, so two vertices pair nontrivially
+    exactly when they carry the same label or Dynkin neighbours: the
+    partners of i are counted by label membership, with no Cartan lookup."""
+    members, labels, neighbours = q.members, q.word, q.system.neighbours
     real, above = [], {}
-    for i in sorted(q.members):
+    for i in sorted(members):
         p = q.prev[i]
-        if p is not None and p in q.members:
+        if p is not None and p in members:
             continue
         above[i] = q.above(i)  # the highest marked vertex of its label
-        count = 0
-        for j in above[i] & q.members:
-            if j != i and q.system.pairing(q.label(j), q.label(i)) != 0:
-                count += 1
-        if count == 2:
+        b = labels[i]
+        partners = {b, *neighbours[b - 1]}
+        if len([j for j in above[i] & members if j != i and labels[j] in partners]) == 2:
             real.append(i)
     virtual = [
         i
         for i in range(q.n_vertices)
-        if i not in q.members and q.next[i] is None
+        if i not in members and q.next[i] is None
     ]
     essential = [
         i
@@ -191,7 +194,7 @@ def classify_holes(q: Quiver) -> HoleReport:
     ]
     return HoleReport(
         tuple(real), tuple(virtual), tuple(essential),
-        tuple(q.members - above[h] for h in essential),
+        tuple(members - above[h] for h in essential),
     )
 
 
@@ -291,47 +294,59 @@ class MinusculeModel(MinusculeQuiver):
     criterion, which only the suites compare against the others.
 
     The listing costs one reflection per ideal: ``Quiver.ideals`` lists
-    I before I + {v}, and node(I + {v}) = s_{b_v}(node(I)).  Each node's
-    canonical word is walked once and kept in ``words``.  The build
-    checks, raising ``AssertionError``, that each letter lowers the weight,
-    that every coordinate is -1, 0 or 1, that no node gets two ideals,
-    that there are as many nodes as the closed-form orbit size, and that
-    the full ideal's node is the poset's bottom.
+    I before I + {v}, with the index of I, and node(I + {v}) =
+    s_{b_v}(node(I)).  The build checks, raising ``AssertionError``, that
+    each letter lowers the weight, that every coordinate is -1, 0 or 1,
+    that no node gets two ideals, that there are as many nodes as the
+    closed-form orbit size, and that the full ideal's node is the poset's
+    bottom.  Only then are the canonical words kept in ``words``, each in
+    O(rank) from one listed one level up: the walk of
+    :meth:`~torusq.weyl.MinusculePoset.canonical_word` raises a node at
+    its first coordinate -1, say at i, so its word is (i,) followed by
+    the word of s_i(node).
     """
 
     def __init__(self, system: RootSystem, weight_index: int):
         super().__init__(system, weight_index)
-        node_at: dict[frozenset[int], tuple[int, ...]] = {}
-        self.words: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for ideal, v in self.full.ideals():
+        listed = self.full.ideals()
+        nodes: list[tuple[int, ...]] = []
+        for ideal, v, k in listed:
             if v is None:
                 node = self.poset.top
             else:
-                node, b = node_at[ideal - {v}], self.full.label(v)
+                node, b = nodes[k], self.full.label(v)
                 if node[b - 1] != 1:
                     raise AssertionError(f"letter {b} does not lower {node}")
                 node = reflect(system, node, b)
             if not set(node) <= {-1, 0, 1}:
                 raise AssertionError(f"non-minuscule coordinate in orbit: {node}")
-            node_at[ideal] = node
-            self.words[node] = self.poset.canonical_word(node)
-        self.ideals = {node: ideal for ideal, node in node_at.items()}
+            nodes.append(node)
+        self.ideals = {node: ideal for node, (ideal, _, _) in zip(nodes, listed)}
         self.nodes = list(self.ideals)
-        if len(self.nodes) != len(node_at):
+        if len(self.nodes) != len(listed):
             raise AssertionError("ideal/coset correspondence is not a bijection")
         size = minuscule_orbit_size(system.family, system.rank, weight_index)
         if len(self.nodes) != size:
             raise AssertionError(
                 f"{len(self.nodes)} ideals for {size} coset elements"
             )
-        if node_at[self.full.members] != self.poset.bottom:
+        if nodes[-1] != self.poset.bottom:  # graded: the full ideal comes last
             raise AssertionError("the full ideal is not the bottom node")
+        self.words: dict[tuple[int, ...], tuple[int, ...]] = {self.poset.top: ()}
+        for node in self.nodes[1:]:
+            i = node.index(-1) + 1
+            self.words[node] = (i,) + self.words[reflect(system, node, i)]
         self._holes: dict[frozenset[int], HoleReport] = {}
 
     def holes(self, ideal) -> HoleReport:
+        """The hole report of one of this model's ideals, classified once;
+        the ideals are the listing's own, so ``marked``'s checks are
+        skipped."""
         report = self._holes.get(ideal)
         if report is None:
-            report = self._holes[ideal] = classify_holes(self.full.marked(ideal))
+            report = self._holes[ideal] = classify_holes(
+                self.full._replace(members=ideal)
+            )
         return report
 
     def semistable_in_smooth(self, w_ideal, v_ideal) -> bool:
@@ -443,11 +458,18 @@ def quivers_isomorphic_under_swap(qa: Quiver, qb: Quiver, p: int) -> bool:
     """Check the canonical isomorphism for a commutation move at p, p+1.
 
     The order is the closure of the arrows, so matching arrows match it:
-    the swap must carry the labels of ``qa`` onto those of ``qb`` and its
-    arrows (i, j) onto the arrows of ``qb``, compared as sets.
+    the swap must carry the labels of ``qa`` onto those of ``qb`` and the
+    targets of each vertex onto the targets of its image, both sorted.
+    The swap moves only p and p + 1, so only a target tuple holding one
+    of them changes, and only such a tuple is mapped and sorted again.
     """
     sigma = list(range(qa.n_vertices))
     sigma[p], sigma[p + 1] = p + 1, p  # its own inverse
-    return qb.word == tuple(map(qa.word.__getitem__, sigma)) and {
-        (i, j) for i, ts in enumerate(qb.targets) for j in ts
-    } == {(sigma[i], sigma[j]) for i, ts in enumerate(qa.targets) for j in ts}
+    if qb.word != tuple(map(qa.word.__getitem__, sigma)):
+        return False
+    for i, ts in enumerate(qa.targets):
+        if p in ts or p + 1 in ts:
+            ts = tuple(sorted(map(sigma.__getitem__, ts)))
+        if qb.targets[sigma[i]] != ts:
+            return False
+    return True

@@ -20,16 +20,17 @@ functions on a miss, so a suite run alone gives what it gives inside
 ``all`` runs in two processes where two CPUs are allowed
 (:func:`run_suite`).  A forked child runs ``golden-sl7``,
 ``family-tables``, ``minimal-borel`` and ``hilbert``, the four that share
-the section counts of ``_invariant_dimension``, and ``quiver-words``,
-which reads no hole report.  Meanwhile this process runs
-``cross-smooth``, ``cross-singular``, ``minimal-singular`` and
-``minima-sweep``, which share the type-A models and their hole reports.
-The two shares take about the same time (18 and 20 ms, best of seven
-fresh processes on a 2-vCPU VM, Python 3.11), so ``all`` takes about as
-long as the slower one.  About 26 orbit listings are read by both shares
-and built in each process; on one CPU that rebuild would cost more than
-the split saves, so there, and where ``os.sched_getaffinity`` is missing,
-the suites run one after another here.
+the section counts of ``_invariant_dimension``, ``quiver-words``, which
+reads no hole report, and ``minimal-singular``, whose D and E listings
+``quiver-words`` has already built there.  Meanwhile this process runs
+``cross-smooth``, ``cross-singular`` and ``minima-sweep``, which share
+the type-A models and their hole reports.  The two shares take about the
+same time (18 ms each, best of fifteen fresh processes on a 2-vCPU VM,
+Python 3.11), so ``all`` takes about as long as the slower one.  23 orbit
+listings are read by both shares and built in each process; on one CPU
+that rebuild would cost more than the split saves, so there, and where
+``os.sched_getaffinity`` is missing, the suites run one after another
+here.
 """
 
 import marshal
@@ -387,7 +388,10 @@ SUITES = {
 
 
 # The share of ``all`` a forked child runs (see the module docstring)
-_CHILD_SHARE = ("golden-sl7", "family-tables", "quiver-words", "minimal-borel", "hilbert")
+_CHILD_SHARE = (
+    "golden-sl7", "family-tables", "quiver-words", "minimal-borel", "hilbert",
+    "minimal-singular",
+)
 _PARENT_SHARE = tuple(name for name in SUITES if name not in _CHILD_SHARE)
 
 

@@ -25,8 +25,11 @@ off the order ideals of the quiver, a quiver's arrows are found by one
 Cartan pairing per pair of positions instead of the latest vertex of each
 Dynkin neighbour, and its order ideals by testing every vertex against
 every ideal instead of carrying each ideal's addable vertices, a
-commutation move's quiver isomorphism compares sorted target tuples
-instead of arrow sets, and an extension family's element is rebuilt from
+commutation move's quiver isomorphism compares every vertex's target
+tuple mapped and sorted, or the two arrow sets, instead of the target
+tuples vertex by vertex with only those holding a swapped position
+sorted again, a hole's partners are counted by Cartan pairings instead
+of label membership, and an extension family's element is rebuilt from
 the seed row by row instead of one right multiplication after the row
 before it.  Agreement between the two sides is what the tests assert.
 """
@@ -587,23 +590,62 @@ def quivers_isomorphic_by_sorted_targets(qa, qb, p):
     )
 
 
+def quivers_isomorphic_by_arrow_sets(qa, qb, p):
+    """The swap isomorphism of a commutation move at p, p+1, tested on
+    the arrows as sets: the swap must carry the labels of ``qa`` onto
+    those of ``qb`` and its arrows (i, j) onto the arrows of ``qb``.
+    Target order is not compared."""
+    sigma = list(range(qa.n_vertices))
+    sigma[p], sigma[p + 1] = p + 1, p
+    return qb.word == tuple(map(qa.word.__getitem__, sigma)) and {
+        (i, j) for i, ts in enumerate(qb.targets) for j in ts
+    } == {(sigma[i], sigma[j]) for i, ts in enumerate(qa.targets) for j in ts}
+
+
 def ideals_by_vertex_scan(q):
     """``Quiver.ideals`` with every vertex tested against every ideal.
 
     Breadth first from the empty ideal; each ideal tries all N vertices in
     increasing order and keeps those outside it whose targets it holds,
-    O(ideals * N) subset tests.  Returns the same ``(ideal, v)`` pairs.
+    O(ideals * N) subset tests.  Returns the same ``(ideal, v, k)``
+    triples, k the index of the ideal that v was added to.
     """
-    found = [(frozenset(), None)]
+    found = [(frozenset(), None, None)]
     seen = {frozenset()}
-    for ideal, _ in found:
+    for k, (ideal, _, _) in enumerate(found):
         for v in range(q.n_vertices):
             if v not in ideal and ideal.issuperset(q.targets[v]):
                 grown = ideal | {v}
                 if grown not in seen:
                     seen.add(grown)
-                    found.append((grown, v))
+                    found.append((grown, v, k))
     return found
+
+
+def classify_holes_by_pairing(q):
+    """Real, virtual and essential holes of a marked quiver, with every
+    partner of a candidate tested by a Cartan pairing.
+
+    A candidate is a marked vertex i whose p(i) is unmarked or absent; it
+    is real when exactly two marked vertices j != i weakly above it pair
+    nontrivially with it, and essential when no other real hole is weakly
+    above it.  Returns ``(real, virtual, essential)``.
+    """
+    real, above = [], {}
+    for i in sorted(q.members):
+        p = q.prev[i]
+        if p is not None and p in q.members:
+            continue
+        above[i] = q.above(i)
+        count = 0
+        for j in above[i] & q.members:
+            if j != i and q.system.pairing(q.label(j), q.label(i)) != 0:
+                count += 1
+        if count == 2:
+            real.append(i)
+    virtual = [i for i in range(q.n_vertices) if i not in q.members and q.next[i] is None]
+    essential = [i for i in real if not any(j != i and j in above[i] for j in real)]
+    return tuple(real), tuple(virtual), tuple(essential)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+from itertools import product
 
 from hypothesis import given, strategies as st
 import pytest
@@ -170,3 +171,22 @@ def test_validation_errors():
         gr.check_partition((3, 0), 2, 4)
     with pytest.raises(ValueError):
         gr.check_box(4, 4)
+
+
+def test_check_partition_messages_come_in_the_rule_order():
+    # every tuple of parts one past the box on each side: the box rule is
+    # reported first, then the order rule, with the same messages
+    for r, n in [(1, 3), (2, 4), (3, 5), (3, 7)]:
+        for parts in product(range(-1, n - r + 2), repeat=r):
+            if any(p < 0 or p > n - r for p in parts):
+                expected = f"partition {parts} leaves the {r}x{n - r} box"
+            elif any(parts[k] < parts[k + 1] for k in range(r - 1)):
+                expected = f"partition {parts} must be weakly decreasing"
+            else:
+                assert gr.check_partition(list(parts), r, n) == parts
+                continue
+            with pytest.raises(ValueError) as exc:
+                gr.check_partition(parts, r, n)
+            assert str(exc.value) == expected
+    with pytest.raises(ValueError, match=r"should have 2 parts"):
+        gr.check_partition((1,), 2, 4)

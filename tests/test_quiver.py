@@ -11,11 +11,13 @@ from itertools import combinations, product
 import pytest
 
 from oracles import (
+    classify_holes_by_pairing,
     ideal_node_dictionary_by_words,
     ideals_by_vertex_scan,
     node_from_word,
     quiver_by_pairing_scan,
     quiver_order_by_closure,
+    quivers_isomorphic_by_arrow_sets,
     quivers_isomorphic_by_sorted_targets,
     word_descends,
 )
@@ -64,15 +66,24 @@ def verify_scope():
     return models, walks
 
 
-def test_verify_walks_the_weights_once_per_node(verify_scope):
-    # each model walks its bottom word for the full quiver and then each
-    # node's word once, into the ``words`` the suites read
+def test_verify_walks_the_weights_once_per_model(verify_scope):
+    # each model walks only its bottom word, for the full quiver; the
+    # words of its 728 nodes come from the words one level up
     models, walks = verify_scope
     assert len(models) == 35
     assert sum(len(model.nodes) for model in models) == 728
-    assert len(walks) == 728 + 35
+    assert walks == [model.poset.bottom for model in models]
     for model in models:
         assert list(model.words) == model.nodes
+
+
+def test_model_words_are_the_canonical_words(verify_scope):
+    models, _ = verify_scope
+    models = models + [qv.MinusculeModel(root_system(*case[:2]), case[2])
+                       for case in [("D", 8, 7), ("D", 8, 8), ("E7", 7, 7)]]
+    for model in models:
+        for node in model.nodes:
+            assert model.words[node] == model.poset.canonical_word(node)
 
 
 @pytest.mark.parametrize("family,rank,weight", [("A", 100, 50), ("D", 71, 71), ("D", 71, 70)])
@@ -135,14 +146,14 @@ def test_gr24_full_quiver():
 def test_ideals_grow_by_one_maximal_vertex():
     q = minuscule_model("E6", 6, 1).full
     listed = q.ideals()
-    assert listed[0] == (frozenset(), None)
-    position = {ideal: k for k, (ideal, _) in enumerate(listed)}
+    assert listed[0] == (frozenset(), None, None)
+    position = {ideal: k for k, (ideal, _, _) in enumerate(listed)}
     assert len(position) == len(listed) == 27
-    sizes = [len(ideal) for ideal, _ in listed]
+    sizes = [len(ideal) for ideal, _, _ in listed]
     assert sizes == sorted(sizes)
-    for k, (ideal, v) in enumerate(listed[1:], start=1):
+    for k, (ideal, v, parent) in enumerate(listed[1:], start=1):
         assert q.is_ideal(ideal)
-        assert position[ideal - {v}] < k
+        assert position[ideal - {v}] == parent < k
         assert q.above(v) & ideal == {v}  # v is maximal
 
 
@@ -433,6 +444,20 @@ def test_components_drop_the_up_set_of_each_essential_hole(family, rank, weight)
         )
 
 
+@pytest.mark.parametrize("family,rank,weight", [
+    case for case in MINUSCULE_CASES if case[0] != "A" or case[1] <= 7
+])
+def test_holes_match_the_pairing_oracle(family, rank, weight):
+    model = minuscule_model(family, rank, weight)
+    for ideal in model.ideals.values():
+        q = model.full.marked(ideal)
+        report = qv.classify_holes(q)
+        assert (report.real, report.virtual, report.essential) == (
+            classify_holes_by_pairing(q)
+        )
+        assert model.holes(ideal) == report
+
+
 def test_full_grassmannian_is_smooth():
     model = minuscule_model("A", 3, 2)
     report = model.holes(model.full.members)
@@ -552,27 +577,52 @@ def test_swap_isomorphism_compares_the_order():
         assert not qv.quivers_isomorphic_under_swap(qa, changed, 1)
 
 
-def test_swap_check_agrees_with_the_sorted_targets_oracle():
-    # every (word, move) of the quiver-words plans, at the move's own
-    # position and at every other one: the arrow sets against the sorted
-    # target tuples of each vertex
+def test_swap_check_refuses_an_unsorted_target_tuple():
+    # the same arrows as an isomorphic quiver, listed out of order
+    system = root_system("A", 3)
+    qa = qv.quiver_from_word((2, 1, 3, 2), system)
+    qb = qv.quiver_from_word((2, 3, 1, 2), system)
+    assert qb.targets[0] == (1, 2)
+    unsorted = qb._replace(targets=((2, 1),) + qb.targets[1:])
+    assert quivers_isomorphic_by_arrow_sets(qa, unsorted, 1)
+    assert not quivers_isomorphic_by_sorted_targets(qa, unsorted, 1)
+    assert not qv.quivers_isomorphic_under_swap(qa, unsorted, 1)
+
+
+def _swaps_of_the_quiver_words_plans():
+    """Every (word, move) of the quiver-words plans, as (qa, qb, p)."""
     plans = [("A", n - 1, r) for n in range(4, 8) for r in range(1, n)]
     plans += [("D", n, w) for n in (4, 5, 6) for w in (1, n - 1, n)]
     plans += [("E6", 6, 1), ("E6", 6, 6), ("E7", 7, 7)]
-    moves = 0
     for family, rank, weight in plans:
         model = minuscule_model(family, rank, weight)
         for word in model.words.values():
             qa = qv.quiver_from_word(word, model.system)
             for p, other in qv.commutation_moves(word, model.system):
-                qb = qv.quiver_from_word(other, model.system)
-                moves += 1
-                assert qv.quivers_isomorphic_under_swap(qa, qb, p)
-                for s in range(len(word) - 1):
-                    assert qv.quivers_isomorphic_under_swap(
-                        qa, qb, s
-                    ) == quivers_isomorphic_by_sorted_targets(qa, qb, s), (word, p, s)
+                yield qa, qv.quiver_from_word(other, model.system), p
+
+
+def _assert_swap_check_agrees(oracle):
+    # at the move's own position and at every other one
+    moves = 0
+    for qa, qb, p in _swaps_of_the_quiver_words_plans():
+        moves += 1
+        assert qv.quivers_isomorphic_under_swap(qa, qb, p)
+        for s in range(qa.n_vertices - 1):
+            assert qv.quivers_isomorphic_under_swap(qa, qb, s) == oracle(
+                qa, qb, s
+            ), (qa.word, p, s)
     assert moves == 591
+
+
+def test_swap_check_agrees_with_the_sorted_targets_oracle():
+    # the target tuples vertex by vertex against the sorted image of each
+    # vertex's targets
+    _assert_swap_check_agrees(quivers_isomorphic_by_sorted_targets)
+
+
+def test_swap_check_agrees_with_the_arrow_sets_oracle():
+    _assert_swap_check_agrees(quivers_isomorphic_by_arrow_sets)
 
 
 def test_quiver_from_word_names_the_first_letter_out_of_range():
