@@ -23,7 +23,6 @@ import sys
 from _json import encode_basestring_ascii as _string
 from math import gcd
 from types import SimpleNamespace
-from typing import NoReturn
 
 from . import __version__, criteria, grassmannian as gr, quiver as qv, smt, verify
 from .rootdata import minuscule_dimension, root_system
@@ -34,14 +33,14 @@ from .weyl import word_to_perm
 # never lists the orbit: its cost grows with the vertex count N = dim G/P
 # (the full quiver keeps only its arrows, at most two per vertex here) and
 # with the rank (the length of each weight tuple, walked once down to the
-# bottom node); at A100/omega_50, N = 2550, a whole call takes 0.11-0.18 s
-# with --w full and 0.20-0.33 s with --w minimal on a 2-vCPU VM (best to
-# median of 11, two runs), at most 19 MB peak RSS.  ``gr analyze`` lists no
-# column set: its cost is the r + 1 chain fits that certify the minimum
-# when gcd(r, n) > 1, plus one fill for the chain it prints, each strip
-# started at the first row that is not full.  At n = 300 the worst r
-# (150-152, top set) takes 0.07-0.12 s as a whole call in a subprocess,
-# import included (5 runs each on a 2-vCPU VM).  The largest
+# bottom node).  A whole call at A100/omega_50 (N = 2550) takes 0.07-0.11 s
+# with --w full and 0.11-0.20 s with --w minimal, at D71 spin 0.06-0.07 s and
+# 0.09-0.16 s (2-vCPU VM, best to median of 11, three runs), <= 21.3 MB RSS.
+# ``gr analyze`` lists no column set: its cost is the r + 1 chain fits that
+# certify the minimum when gcd(r, n) > 1, plus one fill for the chain it
+# prints, each strip started at the first row that is not full.  At n = 300
+# the worst r (150-152, top set) takes 0.07-0.12 s as a whole call in a
+# subprocess, import included (5 runs each on a 2-vCPU VM).  The largest
 # answer is a prime n with r near n: Gr(279, 293), top set, prints a chain
 # of 293 column sets, 1.2 MB, in 0.07 s in process.
 #
@@ -68,7 +67,7 @@ SMT_MINIMAL_MAX_N = 500
 SMT_WORD_MAX_N = 10_000
 
 
-def _usage_error(message) -> NoReturn:
+def _usage_error(message):
     """Exit 2 with a single line on stderr."""
     print(f"error: {message}", file=sys.stderr)
     raise SystemExit(2)
@@ -210,7 +209,7 @@ def cmd_quiver_build(args) -> int:
         _usage_error(exc)
     word = minuscule.word_of(ideal)
     marked = minuscule.full.marked(ideal)
-    holes = qv.classify_holes(marked)
+    holes = qv.classify_holes(marked, minuscule.up)
     payload = {
         "input": {
             "family": args.family,

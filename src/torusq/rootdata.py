@@ -12,24 +12,22 @@ and ``n`` attached to ``n-2``; in E6 and E7 node ``2`` hangs off node ``4``
 of the path ``1 - 3 - 4 - 5 - 6 (- 7)``.
 """
 
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 from operator import add, sub
-from typing import NamedTuple
 
 Weight = tuple[int, ...]
 
 FAMILIES = ("A", "D", "E6", "E7")
 
 
-class RootSystem(NamedTuple):
+class RootSystem(namedtuple("RootSystem", "family rank cartan neighbours")):
     """A simply laced root system, identified by family and rank;
+    ``cartan`` is the Cartan matrix as a tuple of rows, and
     ``neighbours[i - 1]`` lists the Dynkin neighbours of node ``i``."""
 
-    family: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    neighbours: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def pairing(self, i: int, j: int) -> int:
         """Cartan pairing of the simple roots ``i`` and ``j`` (1-based)."""

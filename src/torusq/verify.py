@@ -24,11 +24,12 @@ the section counts of ``_invariant_dimension``, ``quiver-words``, which
 reads no hole report, and ``minimal-singular``, whose D and E listings
 ``quiver-words`` has already built there.  Meanwhile this process runs
 ``cross-smooth``, ``cross-singular`` and ``minima-sweep``, which share
-the type-A models and their hole reports.  The two shares take about the
-same time (18 ms each, best of fifteen fresh processes on a 2-vCPU VM,
-Python 3.11), so ``all`` takes about as long as the slower one.  23 orbit
-listings are read by both shares and built in each process; on one CPU
-that rebuild would cost more than the split saves, so there, and where
+the type-A models and their hole reports.  Alone in a fresh process the
+shares take 15.0 and 13.6 ms (best of fifteen on a 2-vCPU VM, Python
+3.11); moving ``cross-singular`` to the child or swapping
+``quiver-words`` with ``minima-sweep`` timed slower.  23 orbit listings
+are read by both shares and built in each process; on one CPU that
+rebuild would cost more than the split saves, so there, and where
 ``os.sched_getaffinity`` is missing, the suites run one after another
 here.
 """
@@ -36,7 +37,7 @@ here.
 import marshal
 import os
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd
 
 from . import criteria, grassmannian as gr, quiver as qv, smt
@@ -172,7 +173,8 @@ def cross_smooth() -> dict:
     for rows_ in range(1, 5):
         for cols in range(1, 5):
             r, n = rows_, rows_ + cols
-            for lam in _partitions_in_box(rows_, cols):
+            # the partitions in the box: multisets of parts, largest first
+            for lam in combinations_with_replacement(range(cols, -1, -1), rows_):
                 checks += 1
                 if gr.is_smooth(lam, r, n) != (not gr.singular_components(lam, r, n)):
                     failures.append(f"box {rows_}x{cols}, {lam}: smooth tests split")
@@ -184,15 +186,6 @@ def cross_smooth() -> dict:
             if (not model.holes(ideal).real) != gr.is_smooth(lam, r, n):
                 failures.append(f"Gr({r},{n}) {lam}: quiver vs diagram smoothness")
     return _result("cross-smooth", checks, failures)
-
-
-def _partitions_in_box(rows, cols):
-    if rows == 0:
-        yield ()
-        return
-    for first in range(cols, -1, -1):
-        for rest in _partitions_in_box(rows - 1, first):
-            yield (first,) + rest
 
 
 def cross_singular() -> dict:
@@ -234,11 +227,12 @@ def quiver_words() -> dict:
             moves = qv.commutation_moves(word, system)
             if not moves:
                 continue
-            qa = qv.quiver_from_word(word, system)
+            targets = qv.word_targets(word, system)
             for p, other in moves:
-                qb = qv.quiver_from_word(other, system)
                 checks += 1
-                if not qv.quivers_isomorphic_under_swap(qa, qb, p):
+                if not qv.quivers_isomorphic_under_swap(
+                    word, targets, other, qv.word_targets(other, system), p
+                ):
                     failures.append(
                         f"{system} omega_{weight}, word {word}, swap at {p}"
                     )

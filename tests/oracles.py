@@ -29,7 +29,9 @@ commutation move's quiver isomorphism compares every vertex's target
 tuple mapped and sorted, or the two arrow sets, instead of the target
 tuples vertex by vertex with only those holding a swapped position
 sorted again, a hole's partners are counted by Cartan pairings instead
-of label membership, and an extension family's element is rebuilt from
+of label membership, the up-set of a candidate hole is scanned afresh as
+a set instead of read off bitmasks built once per quiver, and an
+extension family's element is rebuilt from
 the seed row by row instead of one right multiplication after the row
 before it.  Agreement between the two sides is what the tests assert.
 """
@@ -38,7 +40,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
-from torusq.quiver import Quiver
+from torusq.quiver import HoleReport, Quiver
 from torusq.rootdata import fundamental_weight, reflect
 from torusq.smt import (
     canonical_invariant_tableau,
@@ -622,6 +624,16 @@ def ideals_by_vertex_scan(q):
     return found
 
 
+def up_set_by_scan(q, i):
+    """Every vertex weakly above i, in one scan down from i - 1: arrows
+    increase the position, so each vertex comes after its targets."""
+    up = {i}
+    for j in range(i - 1, -1, -1):
+        if not up.isdisjoint(q.targets[j]):
+            up.add(j)
+    return frozenset(up)
+
+
 def classify_holes_by_pairing(q):
     """Real, virtual and essential holes of a marked quiver, with every
     partner of a candidate tested by a Cartan pairing.
@@ -636,7 +648,7 @@ def classify_holes_by_pairing(q):
         p = q.prev[i]
         if p is not None and p in q.members:
             continue
-        above[i] = q.above(i)
+        above[i] = up_set_by_scan(q, i)
         count = 0
         for j in above[i] & q.members:
             if j != i and q.system.pairing(q.label(j), q.label(i)) != 0:
@@ -646,6 +658,30 @@ def classify_holes_by_pairing(q):
     virtual = [i for i in range(q.n_vertices) if i not in q.members and q.next[i] is None]
     essential = [i for i in real if not any(j != i and j in above[i] for j in real)]
     return tuple(real), tuple(virtual), tuple(essential)
+
+
+def classify_holes_by_scans(q):
+    """``classify_holes`` with each candidate's up-set scanned afresh as a
+    set (:func:`up_set_by_scan`) and its partners counted by label
+    membership; the components are ``q.members`` minus the up-set of each
+    essential hole.  Returns a ``HoleReport``."""
+    members, labels, neighbours = q.members, q.word, q.system.neighbours
+    real, above = [], {}
+    for i in sorted(members):
+        p = q.prev[i]
+        if p is not None and p in members:
+            continue
+        above[i] = up_set_by_scan(q, i)
+        b = labels[i]
+        partners = {b, *neighbours[b - 1]}
+        if len([j for j in above[i] & members if j != i and labels[j] in partners]) == 2:
+            real.append(i)
+    virtual = [i for i in range(q.n_vertices) if i not in members and q.next[i] is None]
+    essential = [i for i in real if not any(j != i and j in above[i] for j in real)]
+    return HoleReport(
+        tuple(real), tuple(virtual), tuple(essential),
+        tuple(members - above[h] for h in essential),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 from oracles import (
     classify_holes_by_pairing,
+    classify_holes_by_scans,
     ideal_node_dictionary_by_words,
     ideals_by_vertex_scan,
     node_from_word,
@@ -39,6 +40,11 @@ MINUSCULE_CASES = (
     + [("D", rank, w) for rank in range(4, 9) for w in sorted(minuscule_weights("D", rank))]
     + [("E6", 6, 1), ("E6", 6, 6), ("E7", 7, 7)]
 )
+
+
+def _mask(vertices):
+    """Bit v set for each vertex v: the form of ``Quiver.up_masks``."""
+    return sum(1 << v for v in set(vertices))
 
 
 @pytest.fixture(scope="module")
@@ -151,10 +157,11 @@ def test_ideals_grow_by_one_maximal_vertex():
     assert len(position) == len(listed) == 27
     sizes = [len(ideal) for ideal, _, _ in listed]
     assert sizes == sorted(sizes)
+    up = q.up_masks()
     for k, (ideal, v, parent) in enumerate(listed[1:], start=1):
         assert q.is_ideal(ideal)
         assert position[ideal - {v}] == parent < k
-        assert q.above(v) & ideal == {v}  # v is maximal
+        assert up[v] & _mask(ideal) == 1 << v  # v is maximal
 
 
 def test_quiver_is_an_immutable_value():
@@ -324,45 +331,45 @@ def test_a_request_walks_the_weights_once(capsys, monkeypatch):
 
 
 def test_a_request_scans_up_sets_only_to_classify_holes(capsys, monkeypatch):
-    # one up-set per candidate hole, and none again for the 49 components
-    calls, candidates, inside = [], [], []
-    above, classify = qv.Quiver.above, qv.classify_holes
+    # one mask pass over the full quiver, and the one hole report reads it:
+    # no up-set is scanned again per candidate or for the 49 components
+    passes, classified = [], []
+    up_masks, classify = qv.Quiver.up_masks, qv.classify_holes
 
-    def counting_above(self, i):
-        calls.append((bool(inside), i))
-        return above(self, i)
+    def counting_up_masks(self):
+        passes.append(up_masks(self))
+        return passes[-1]
 
-    def counting_classify(q):
-        candidates.extend(i for i in sorted(q.members) if q.prev[i] not in q.members)
-        inside.append(True)
-        try:
-            return classify(q)
-        finally:
-            inside.pop()
+    def counting_classify(q, up=None):
+        classified.append(up)
+        return classify(q, up)
 
-    monkeypatch.setattr(qv.Quiver, "above", counting_above)
+    monkeypatch.setattr(qv.Quiver, "up_masks", counting_up_masks)
     monkeypatch.setattr(qv, "classify_holes", counting_classify)
     assert main(["quiver", "build", "--family", "A", "--rank", "100",
                  "--weight", "50", "--w", "minimal", "--json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["result"]["singular_components"]) == 49
-    assert calls == [(True, i) for i in candidates]
+    assert len(passes) == len(classified) == 1
+    assert classified[0] is passes[0] and len(passes[0]) == 2550
 
 
 def test_order_direction():
-    q = qv.quiver_from_word((2, 1, 3, 2), root_system("A", 3))
+    up = qv.quiver_from_word((2, 1, 3, 2), root_system("A", 3)).up_masks()
     # arrows point toward later positions, which sit lower
-    assert 0 in q.above(3)
-    assert 3 not in q.above(0)
-    assert q.above(3) == {0, 1, 2, 3}
-    assert q.above(0) == {0}
+    assert up[3] >> 0 & 1
+    assert not up[0] >> 3 & 1
+    assert up[3] == _mask({0, 1, 2, 3})
+    assert up[0] == _mask({0})
 
 
 @pytest.mark.parametrize("family,rank,weight", MINUSCULE_CASES)
 def test_above_is_the_closure_of_the_arrows(family, rank, weight):
-    q = minuscule_model(family, rank, weight).full
+    model = minuscule_model(family, rank, weight)
+    q = model.full
     below = quiver_order_by_closure(q.system, q.word)
+    assert model.up == q.up_masks()
     for i in range(q.n_vertices):
-        assert q.above(i) == {j for j in range(q.n_vertices) if i in below[j]}
+        assert model.up[i] == _mask(j for j in range(q.n_vertices) if i in below[j])
 
 
 @pytest.mark.parametrize("family,rank,weight", [
@@ -456,6 +463,17 @@ def test_holes_match_the_pairing_oracle(family, rank, weight):
             classify_holes_by_pairing(q)
         )
         assert model.holes(ideal) == report
+
+
+@pytest.mark.parametrize("family,rank,weight", MINUSCULE_CASES)
+def test_mask_classification_matches_the_up_set_scans(family, rank, weight):
+    # every ideal, on the model's shared masks and on masks built per call
+    model = minuscule_model(family, rank, weight)
+    for ideal in model.ideals.values():
+        q = model.full.marked(ideal)
+        report = classify_holes_by_scans(q)
+        assert qv.classify_holes(q, model.up) == report
+        assert qv.classify_holes(q) == report
 
 
 def test_full_grassmannian_is_smooth():
@@ -555,26 +573,39 @@ def test_commutation_moves():
     assert all(other[p] != 2 or other[p + 1] != 1 for p, other in moves)
 
 
+def _swap_check(qa, qb, p):
+    """The swap check on the quivers' target tuples; on the same targets as
+    lists, the form ``quiver-words`` passes, it must answer alike."""
+    answer = qv.quivers_isomorphic_under_swap(qa.word, qa.targets, qb.word, qb.targets, p)
+    a, b = ([list(ts) for ts in q.targets] for q in (qa, qb))
+    assert qv.quivers_isomorphic_under_swap(qa.word, a, qb.word, b, p) == answer
+    return answer
+
+
 def test_commutation_isomorphism():
     system = root_system("D", 4)
     word = (3, 4, 2, 1)
     qa = qv.quiver_from_word(word, system)
+    targets = qv.word_targets(word, system)
     for p, other in qv.commutation_moves(word, system):
         qb = qv.quiver_from_word(other, system)
-        assert qv.quivers_isomorphic_under_swap(qa, qb, p)
+        assert _swap_check(qa, qb, p)
+        assert qv.quivers_isomorphic_under_swap(
+            word, targets, other, qv.word_targets(other, system), p
+        )
 
 
 def test_swap_isomorphism_compares_the_order():
     system = root_system("A", 3)
     qa = qv.quiver_from_word((2, 1, 3, 2), system)
     qb = qv.quiver_from_word((2, 3, 1, 2), system)
-    assert qv.quivers_isomorphic_under_swap(qa, qb, 1)
-    assert qv.quivers_isomorphic_under_swap(qa, qb._replace(targets=qb.targets), 1)
+    assert _swap_check(qa, qb, 1)
+    assert _swap_check(qa, qb._replace(targets=qb.targets), 1)
     # same labels, but the arrow 0 -> 2 is lost, or an arrow 0 -> 3 is gained
     assert qb.targets[0] == (1, 2)
     for targets in ((1,), (1, 2, 3)):
         changed = qb._replace(targets=(targets,) + qb.targets[1:])
-        assert not qv.quivers_isomorphic_under_swap(qa, changed, 1)
+        assert not _swap_check(qa, changed, 1)
 
 
 def test_swap_check_refuses_an_unsorted_target_tuple():
@@ -586,7 +617,7 @@ def test_swap_check_refuses_an_unsorted_target_tuple():
     unsorted = qb._replace(targets=((2, 1),) + qb.targets[1:])
     assert quivers_isomorphic_by_arrow_sets(qa, unsorted, 1)
     assert not quivers_isomorphic_by_sorted_targets(qa, unsorted, 1)
-    assert not qv.quivers_isomorphic_under_swap(qa, unsorted, 1)
+    assert not _swap_check(qa, unsorted, 1)
 
 
 def _swaps_of_the_quiver_words_plans():
@@ -607,12 +638,23 @@ def _assert_swap_check_agrees(oracle):
     moves = 0
     for qa, qb, p in _swaps_of_the_quiver_words_plans():
         moves += 1
-        assert qv.quivers_isomorphic_under_swap(qa, qb, p)
+        assert _swap_check(qa, qb, p)
         for s in range(qa.n_vertices - 1):
-            assert qv.quivers_isomorphic_under_swap(qa, qb, s) == oracle(
-                qa, qb, s
-            ), (qa.word, p, s)
+            assert _swap_check(qa, qb, s) == oracle(qa, qb, s), (qa.word, p, s)
     assert moves == 591
+
+
+def test_target_lists_are_the_quivers_targets_on_every_word_the_suite_walks():
+    # each word and each swapped word of the quiver-words plans, as lists
+    # and against the arrows tested pair by pair from the definition
+    words = 0
+    for qa, qb, _ in _swaps_of_the_quiver_words_plans():
+        for q in (qa, qb):
+            words += 1
+            built = qv.word_targets(q.word, q.system)
+            assert built == [list(ts) for ts in q.targets]
+            assert q.targets == quiver_by_pairing_scan(q.word, q.system).targets
+    assert words == 2 * 591
 
 
 def test_swap_check_agrees_with_the_sorted_targets_oracle():
@@ -628,18 +670,19 @@ def test_swap_check_agrees_with_the_arrow_sets_oracle():
 def test_quiver_from_word_names_the_first_letter_out_of_range():
     system = root_system("A", 3)
     for word, bad in [((2, 5, 0, 1), 5), ((0, 2, 7), 0), ((1, 2, 4), 4), ((-1, 3), -1)]:
-        with pytest.raises(ValueError) as exc:
-            qv.quiver_from_word(word, system)
-        assert str(exc.value) == f"letter {bad} out of range for A3"
+        for build in (qv.quiver_from_word, qv.word_targets):
+            with pytest.raises(ValueError) as exc:
+                build(word, system)
+            assert str(exc.value) == f"letter {bad} out of range for A3"
     assert qv.quiver_from_word((), system).n_vertices == 0
 
 
 def test_verify_reads_the_lookups_quiver_build_runs(monkeypatch):
     classify = qv.classify_holes
 
-    def one_hole_short(q):
+    def one_hole_short(q, up=None):
         # the last real hole goes missing, with the component it carves out
-        report = classify(q)
+        report = classify(q, up)
         real = report.real[:-1]
         kept = [i for i, h in enumerate(report.essential) if h in real]
         return report._replace(
@@ -654,8 +697,8 @@ def test_verify_reads_the_lookups_quiver_build_runs(monkeypatch):
     assert not verify.cross_smooth()["passed"]
     assert not verify.cross_singular()["passed"]
 
-    def first_component_only(q):
-        report = classify(q)
+    def first_component_only(q, up=None):
+        report = classify(q, up)
         return report._replace(components=report.components[:1])
 
     fresh_verify_memos(monkeypatch)
@@ -668,9 +711,9 @@ def test_verify_all_classifies_each_marked_quiver_once(monkeypatch):
     calls = []
     classify = qv.classify_holes
 
-    def counting(q):
+    def counting(q, up=None):
         calls.append((q.word, q.members))
-        return classify(q)
+        return classify(q, up)
 
     fresh_verify_memos(monkeypatch)
     monkeypatch.setattr(qv, "classify_holes", counting)

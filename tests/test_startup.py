@@ -47,6 +47,22 @@ def test_importing_the_cli_loads_no_introspection_modules():
     assert not loaded & unwanted, sorted(loaded & unwanted)
 
 
+def test_a_bare_interpreter_imports_neither_typing_nor_re():
+    """Without ``site`` (``python -S``), which on some installs imports
+    ``typing`` first, the package loads neither: its records are
+    ``collections.namedtuple`` classes and nothing is annotated from
+    ``typing``."""
+    out = subprocess.run(
+        [sys.executable, "-S", "-E", "-c",
+         f"import sys\nsys.path.insert(0, {str(SRC)!r})\nimport torusq.cli\n"
+         "print(repr(sorted(sys.modules)))\n"],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    loaded = set(ast.literal_eval(out))
+    assert "torusq.cli" in loaded
+    assert not loaded & {"typing", "re"}, sorted(loaded & {"typing", "re"})
+
+
 def test_a_valid_request_never_loads_argparse():
     """Nor json: a valid ``--json`` request of every leaf loads neither."""
     requests = [list(words) + valid + ["--json"] for words, (valid, _) in LEAVES.items()]
