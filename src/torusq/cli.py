@@ -31,11 +31,10 @@ from .weyl import word_to_perm
 
 # Largest inputs, refused before anything is computed.  ``quiver build``
 # never lists the orbit: its cost grows with the vertex count N = dim G/P
-# (the full quiver keeps only its arrows, at most two per vertex here) and
-# with the rank (the length of each weight tuple, walked once down to the
-# bottom node).  A whole call at A100/omega_50 (N = 2550) takes 0.07-0.11 s
-# with --w full and 0.11-0.20 s with --w minimal, at D71 spin 0.06-0.07 s and
-# 0.09-0.16 s (2-vCPU VM, best to median of 11, three runs), <= 21.3 MB RSS.
+# (at most two arrows per vertex) and the rank (the length of each weight
+# tuple, walked once to the bottom node).  Whole calls at A100/omega_50 (N =
+# 2550) take 0.07-0.10 s with --w full, 0.13-0.17 s with minimal, at D71 spin
+# 0.08-0.11 and 0.10-0.15 s (2-vCPU VM, best to median of 11), <= 17.9 MB RSS.
 # ``gr analyze`` lists no column set: its cost is the r + 1 chain fits that
 # certify the minimum when gcd(r, n) > 1, plus one fill for the chain it
 # prints, each strip started at the first row that is not full.  At n = 300
@@ -171,8 +170,8 @@ def cmd_gr_analyze(args) -> int:
     return 0
 
 
-def _resolve_ideal(minuscule, args) -> frozenset[int]:
-    """The order ideal of the full quiver that ``--w`` names."""
+def _resolve_ideal(minuscule, args) -> int:
+    """The order ideal of the full quiver that ``--w`` names, as a mask."""
     system = minuscule.system
     if args.w == "full":
         return minuscule.full.members
@@ -209,7 +208,7 @@ def cmd_quiver_build(args) -> int:
         _usage_error(exc)
     word = minuscule.word_of(ideal)
     marked = minuscule.full.marked(ideal)
-    holes = qv.classify_holes(marked, minuscule.up)
+    holes = qv.classify_holes(marked, minuscule.masks)
     payload = {
         "input": {
             "family": args.family,
@@ -221,7 +220,7 @@ def cmd_quiver_build(args) -> int:
             "word": word,
             "length": len(word),
             "vertices": marked.n_vertices,
-            "members": sorted(marked.members),
+            "members": marked.member_list,
             "holes": {
                 "real": holes.real,
                 "virtual": holes.virtual,

@@ -9,12 +9,10 @@ s(i) does not exist).  The partial order puts i below j when an oriented
 path runs from j down to i; since arrows always increase the position
 index, the early positions are the high ones.
 
-Subvarieties enter as order ideals: the down-closed vertex subsets are in
-bijection with W^P (read the ideal's letters in increasing position order
-to get a reduced word for its element), and containment of ideals is the
-Bruhat order.  This is why the vertex set of an embedded quiver is a
-marked subset of the big quiver rather than a quiver rebuilt from
-scratch.
+Subvarieties enter as order ideals, kept as int bitmasks (bit i for
+position i): the down-closed vertex subsets are in bijection with W^P
+(read the ideal's letters in increasing position order to get a reduced
+word for its element), and containment of ideals is the Bruhat order.
 
 Hole bookkeeping, with the conventions pinned by cross-checking against
 the Young-diagram singular locus on Grassmannians (the alternative
@@ -34,19 +32,19 @@ everything weakly above h from the ideal and keep what remains.  One pass,
 
 from bisect import insort
 from collections import namedtuple
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
+from itertools import accumulate, count
+from operator import add, sub
 
-from .rootdata import RootSystem, check_minuscule, minuscule_orbit_size, reflect
+from .rootdata import RootSystem, check_minuscule, minuscule_orbit_size
 from .weyl import MinusculePoset
 
 
 class Quiver(namedtuple("Quiver", "system word members targets prev next")):
-    """A quiver on the positions of a reduced word, with a marked subset.
-
-    ``members`` is the marked ideal (all positions for the full quiver).
-    Positions are 0-based internally.  The order is kept only as the
-    arrows, each vertex's targets in increasing position order; ``prev``
-    and ``next`` hold p(i) and s(i), ``None`` where there is none.
+    """A quiver on the 0-based positions of a reduced word, with a marked
+    ideal ``members`` as a bitmask (all N bits for the full quiver).  The
+    order is kept only as the arrows, each vertex's targets in increasing
+    position order; ``prev`` and ``next`` hold p(i) and s(i), or ``None``.
     """
 
     __slots__ = ()
@@ -56,61 +54,71 @@ class Quiver(namedtuple("Quiver", "system word members targets prev next")):
         return len(self.word)
 
     @property
-    def arrows(self) -> tuple[tuple[int, int], ...]:
-        """Every arrow (i, j), in increasing order of i and then of j."""
-        return tuple((i, j) for i, ts in enumerate(self.targets) for j in ts)
+    def member_list(self) -> list[int]:
+        """The marked positions, in increasing order."""
+        return list(_positions(self.members))
 
     def label(self, i: int) -> int:
         return self.word[i]
 
-    def up_masks(self) -> list[int]:
-        """Bit i of ``up[v]`` is set when i is weakly above v: ``up[t] |=
-        up[k]`` for each arrow k -> t in position order, which completes
-        ``up[k]`` first.  O(arrows * N / 64) time, N^2 / 8 bytes at most."""
+    def hole_masks(self) -> tuple:
+        """``(up, chains, partners)`` for :func:`classify_holes`.  Bit i of
+        ``up[v]`` is set when i is weakly above v: ``up[t] |= up[k]`` for
+        each arrow k -> t in position order, which completes ``up[k]``
+        first.  ``chains[b]`` holds label b's vertices (a chain, lowest at
+        the last position), ``partners[b]`` those of b and of its Dynkin
+        neighbours.  O(arrows * N / 64) time, N^2 / 8 bytes at most."""
         up = [1 << v for v in range(len(self.word))]
         for k, ts in enumerate(self.targets):
             for t in ts:
                 up[t] |= up[k]
-        return up
+        chains = [0] * (self.system.rank + 1)
+        for i, b in enumerate(self.word):
+            chains[b] |= 1 << i
+        partners = chains[:]
+        for b, neighbours in enumerate(self.system.neighbours, start=1):
+            for c in neighbours:
+                partners[b] |= chains[c]
+        return up, chains, partners
 
-    def is_ideal(self, subset) -> bool:
+    def is_ideal(self, mask: int) -> bool:
         """Down-closed: closed under arrows, hence under paths."""
-        subset = frozenset(subset)
-        return all(subset.issuperset(self.targets[v]) for v in subset)
+        members = set(_positions(mask))
+        return all(members.issuperset(self.targets[v]) for v in members)
 
-    def marked(self, members) -> "Quiver":
-        members = frozenset(members)
-        if members and (min(members) < 0 or max(members) >= self.n_vertices):
+    def marked(self, members: int) -> "Quiver":
+        if not 0 <= members < 1 << self.n_vertices:
             raise ValueError("members must be existing vertex positions")
         if not self.is_ideal(members):
-            raise ValueError(f"{sorted(members)} is not an order ideal")
+            raise ValueError(f"{list(_positions(members))} is not an order ideal")
         return self._replace(members=members)
 
-    def ideals(self) -> list[tuple[frozenset[int], int | None, int | None]]:
-        """Every order ideal once, graded by size, as ``(ideal, v, k)``.
-
-        ``v`` is the vertex whose addition to the ideal listed at ``k`` gave
-        ``ideal``, so it is maximal in ``ideal``; both are ``None`` for the
-        empty ideal, which comes first.  Each ideal carries its sorted
-        addable vertices: adding v can open only the sources of arrows into v.
-        """
+    def ideals(self) -> list[tuple[int, int | None, int | None]]:
+        """Every order ideal mask once, graded by size, as ``(ideal, v, k)``:
+        v was added to the ideal listed at k, so it is maximal in ``ideal``;
+        both are ``None`` for the empty ideal 0, which comes first.  Each
+        ideal carries its sorted addable vertices: adding v can open only
+        the sources of arrows into v, each when the ideal holds its targets'
+        mask.  One int OR and one hash per edge of the lattice."""
         sources: list[list[int]] = [[] for _ in self.targets]
         for u, ts in enumerate(self.targets):
             for t in ts:
                 sources[t].append(u)
-        found = [(frozenset(), None, None)]
+        below = [sum(1 << t for t in ts) for ts in self.targets]
+        found = [(0, None, None)]
         addable = [[v for v, ts in enumerate(self.targets) if not ts]]
-        seen = {frozenset()}
+        seen = {0}
         # breadth first: ``found`` and ``addable`` are the queue, read while they grow
         for k, ((ideal, _, _), free) in enumerate(zip(found, addable)):
             for v in free:
-                grown = ideal | {v}
+                grown = ideal | 1 << v
                 if grown not in seen:
                     seen.add(grown)
                     found.append((grown, v, k))
-                    rest = [u for u in free if u != v]
+                    rest = free.copy()
+                    rest.remove(v)
                     for u in sources[v]:
-                        if grown.issuperset(self.targets[u]):
+                        if grown & below[u] == below[u]:
                             insort(rest, u)
                     addable.append(rest)
         return found
@@ -150,73 +158,70 @@ def quiver_from_word(word, system: RootSystem) -> Quiver:
             prv[j], nxt[p] = p, j
         latest[b] = j
     return Quiver(
-        system, word, frozenset(range(len(word))),
+        system, word, (1 << len(word)) - 1,
         tuple(map(tuple, word_targets(word, system))), tuple(prv), tuple(nxt),
     )
 
 
 HoleReport = namedtuple("HoleReport", "real virtual essential components")
 
+# the coordinates a weight of a minuscule orbit may have
+_MINUSCULE = frozenset((-1, 0, 1))
+
 
 def _positions(mask: int):
-    """The set bits of a bitmask, one step per bit."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """The set bits of a bitmask, in increasing order: the zero runs
+    between them, read off its binary string and summed in C."""
+    runs = bin(mask)[:1:-1].split("1")
+    runs.pop()
+    return map(add, accumulate(map(len, runs)), count())
 
 
-def classify_holes(q: Quiver, up=None) -> HoleReport:
+def classify_holes(q: Quiver, masks=None) -> HoleReport:
     """Real, virtual and essential holes of a marked quiver, and the
-    component ideals of its singular locus: ``q.members`` minus the up-set
-    of each essential hole, in the order of ``essential``.  They are
-    distinct: no other real hole is weakly above an essential one, so each
-    component keeps every other essential hole and drops only its own.
+    component ideal masks of its singular locus: ``q.members`` minus the
+    up-set of each essential hole, in the order of ``essential``, distinct
+    since no other real hole is weakly above an essential one.
 
-    Up-sets are read off ``up``, the full quiver's :meth:`Quiver.up_masks`
-    (built here when not given); simply laced partners, same label or a
-    Dynkin neighbour's, are one popcount against the marked mask.  Past the
-    mask pass, O(N^2 / 64) for the ideal's and labels' masks, O(N / 64) per
-    candidate and O(|members|) per component: 2.4-2.7 ms at A100/omega_50
-    --w minimal with the masks given, 22-30 ms by up-set scans (2-vCPU VM,
-    Python 3.11, best and median of 11, three runs)."""
-    up = q.up_masks() if up is None else up
-    members, labels, neighbours = q.members, q.word, q.system.neighbours
-    marked, real, real_mask = sum(1 << i for i in members), [], 0
-    of_label = [0] * (q.system.rank + 1)
-    for i, b in enumerate(labels):
-        of_label[b] |= 1 << i
-    for i in sorted(members):
-        if q.prev[i] in members:
-            continue  # only the highest marked vertex of a label is a candidate
-        b = labels[i]
-        partners = of_label[b]
-        for c in neighbours[b - 1]:
-            partners |= of_label[c]
-        if (up[i] & marked & partners).bit_count() == 3:  # i and two others
-            real.append(i)
-            real_mask |= 1 << i
-    virtual = [i for i, s in enumerate(q.next) if s is None and i not in members]
-    essential = [i for i in real if up[i] & real_mask == 1 << i]
+    ``masks`` is the full quiver's :meth:`Quiver.hole_masks`, built here
+    when not given.  The marked vertices of a label are the last of its
+    chain, so its one candidate, whose p(i) is unmarked, is the lowest bit
+    of the chain's marked mask, with its partners one popcount; a label
+    with none marked leaves its last vertex, which has no s(i), a virtual
+    hole.  O(rank * N / 64) past the masks: 0.11-0.12 ms at A100/omega_50
+    --w minimal (2-vCPU VM, Python 3.11, best and median of 11, three runs)."""
+    up, chains, partners = q.hole_masks() if masks is None else masks
+    marked, real, virtual, real_mask = q.members, [], [], 0
+    for b, chain in enumerate(chains):
+        top = marked & chain
+        if top:
+            top &= -top  # the highest marked vertex labelled b
+            i = top.bit_length() - 1
+            if (up[i] & marked & partners[b]).bit_count() == 3:  # i and two others
+                real.append(i)
+                real_mask |= top
+        elif chain:
+            virtual.append(chain.bit_length() - 1)
+    real.sort()
+    virtual.sort()
+    essential = tuple(i for i in real if up[i] & real_mask == 1 << i)
     return HoleReport(
-        tuple(real), tuple(virtual), tuple(essential),
-        tuple(members.difference(_positions(up[h] & marked)) for h in essential),
+        tuple(real), tuple(virtual), essential,
+        tuple(marked & ~up[h] for h in essential),
     )
 
 
 class MinusculeQuiver:
     """One minuscule pair (system, weight) on its full quiver.
 
-    Every Schubert variety is an order ideal of ``full``, the quiver of
-    the canonical word of the poset's bottom node, and every per-element
-    question is answered on that ideal: :meth:`grow` turns a reduced word
-    into its ideal, :meth:`word_of` reads an ideal's canonical word back
-    off the quiver, and :func:`classify_holes` of the marked ideal gives
-    one hole report: the holes, smoothness (no real hole) and the singular
-    components, each read back through :meth:`word_of`, with the up-set
-    masks ``up`` of ``full`` built once for all of them.  Weights enter
-    only through that one bottom word, so a request costs time polynomial
-    in the number N of quiver vertices (dim G/P), not in the orbit size.
+    Every Schubert variety is an order ideal mask of ``full``, the quiver
+    of the canonical word of the poset's bottom node: :meth:`grow` turns a
+    reduced word into its ideal, :meth:`word_of` reads an ideal's canonical
+    word back off the quiver, and :func:`classify_holes` gives its holes,
+    smoothness and singular components, on ``masks``
+    (:meth:`Quiver.hole_masks`) built once.  Weights enter only through
+    that one bottom word, so a request costs time polynomial in the number
+    N of quiver vertices (dim G/P), not in the orbit size.
 
     Both translations rest on one fact: when vertex v joins an ideal I,
     everything below v is already in I, so v is maximal in I + {v} and
@@ -228,62 +233,70 @@ class MinusculeQuiver:
     def __init__(self, system: RootSystem, weight_index: int):
         self.system = system
         self.poset = MinusculePoset(system, weight_index)
-        self.full = quiver_from_word(
-            self.poset.canonical_word(self.poset.bottom), system
-        )
-        self.up = self.full.up_masks()
-        # the vertices of one label form a chain, lowest at the last position
-        self._lowest = {b: i for i, b in enumerate(self.full.word)}
+        self.full = quiver_from_word(self.poset.canonical_word(self.poset.bottom), system)
+        self.masks = self.full.hole_masks()
 
-    def grow(self, word) -> frozenset[int]:
+    def grow(self, word) -> int:
         """The order ideal of a reduced word of this orbit.
 
         Nearest letter first, each letter adds the one addable vertex with
-        its label.  Those of one label outside the ideal form the top of
-        their chain, so only the lowest of them can be addable: one pointer
-        per label, moved up the chain, finds it.  A letter that finds none
-        does not lower the weight, and the word is refused with
-        ``ValueError``.
+        its label: the lowest of its chain outside the ideal, found by one
+        pointer per label moved up the chain.  A letter that finds none
+        does not lower the weight, and the word is refused (``ValueError``).
         """
         word = tuple(word)
         targets, prev = self.full.targets, self.full.prev
-        free = dict(self._lowest)
-        ideal: set[int] = set()
+        free = {b: chain.bit_length() - 1 for b, chain in enumerate(self.masks[1]) if chain}
+        inside = bytearray(len(prev))  # a flag per vertex, read as the mask's bits
         for b in reversed(word):
             v = free.get(b)
-            if v is None or not ideal.issuperset(targets[v]):
-                raise ValueError(
-                    f"{word} is not a reduced word of letters "
-                    f"1..{self.system.rank} in this orbit"
-                )
-            ideal.add(v)
+            if v is None or not all(map(inside.__getitem__, targets[v])):
+                raise ValueError(f"{word} is not a reduced word of letters "
+                                 f"1..{self.system.rank} in this orbit")
+            inside[v] = 1
             free[b] = prev[v]
-        return frozenset(ideal)
+        return int(inside[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2)
 
-    def word_of(self, ideal) -> tuple[int, ...]:
-        """The canonical word of an order ideal, read off the quiver.
-
-        The canonical word raises a node along the smallest simple root
-        whose coordinate is -1, which removes the maximal vertex of that
-        label.  So the maximal vertex with the smallest label is removed
-        until none is left, from a heap of the vertices no arrow inside
-        the ideal reaches: O(|I| log N + arrows).
-        """
-        targets, labels = self.full.targets, self.full.word
-        reached = [0] * len(labels)
-        for u in ideal:
-            for t in targets[u]:
-                reached[t] += 1
-        heap = [(labels[v], v) for v in ideal if not reached[v]]
-        heapify(heap)
+    def word_of(self, ideal: int) -> tuple[int, ...]:
+        """The canonical word of an order ideal, read off the quiver: it
+        removes the maximal vertex of the smallest label with one.  Only a
+        label's first member, its top, can be maximal, and is when it comes
+        before the tops of the neighbour labels, whose latest earlier
+        vertices send the arrows into it.  Each label counts the neighbour
+        tops before its own, a heap holds the labels with none, and a
+        removed top moves down to s(top), changing only the counts of its
+        label and neighbours: O(rank * N / 64 + |I| log rank)."""
+        chains, nxt = self.masks[1], self.full.next
+        neighbours = ((),) + self.system.neighbours  # by label
+        end = len(nxt)  # the top of a label with no member
+        top = [end] * len(chains)
+        for b, chain in enumerate(chains):
+            mask = ideal & chain
+            if mask:
+                top[b] = (mask & -mask).bit_length() - 1
+        blocked, heap = [0] * len(top), []
+        for b, t in enumerate(top):
+            if t < end:
+                for c in neighbours[b]:
+                    if top[c] < t:
+                        blocked[b] += 1
+                if not blocked[b]:
+                    heap.append(b)
         word = []
         while heap:
-            b, v = heappop(heap)
+            b = heappop(heap)
             word.append(b)
-            for t in targets[v]:
-                reached[t] -= 1
-                if not reached[t]:
-                    heappush(heap, (labels[t], t))
+            s = nxt[top[b]]
+            new = top[b] = end if s is None else s
+            blocked[b] = 0  # the neighbours' tops before its new one block b
+            for c in neighbours[b]:
+                if top[c] < new:
+                    blocked[b] += 1
+                    blocked[c] -= 1
+                    if not blocked[c]:
+                        heappush(heap, c)
+            if new < end and not blocked[b]:
+                heappush(heap, b)
         return tuple(word)
 
 
@@ -291,42 +304,38 @@ class MinusculeModel(MinusculeQuiver):
     """The orbit of a minuscule pair, listed once from the quiver's ideals.
 
     This is the verification side.  ``ideals`` maps every node, in graded
-    order, to its order ideal of ``full``, and ``nodes`` lists the nodes;
-    the suites read each node's ideal from here once and ask it the
-    questions a request asks.  Their independent oracle is
-    ``ideal_node_dictionary_by_words`` in ``tests/oracles.py``.
-    :meth:`holes` keeps each ideal's :func:`classify_holes` report, so
-    suites that ask about the same ideal classify its holes once; the
-    reports are bounded by the orbit that ``ideals`` already holds.
-    :meth:`semistable_in_smooth` is the quiver form of the separation
-    criterion, which only the suites compare against the others.
+    order, to its ideal mask, and ``nodes`` lists the nodes (independent
+    oracle: ``ideal_node_dictionary_by_words`` in ``tests/oracles.py``).
+    :meth:`holes` keeps each ideal's :func:`classify_holes` report, so the
+    suites classify an ideal once; :meth:`semistable_in_smooth` is the
+    quiver form of the separation criterion.
 
-    The listing costs one reflection per ideal: ``Quiver.ideals`` lists
-    I before I + {v}, with the index of I, and node(I + {v}) =
-    s_{b_v}(node(I)).  The build checks, raising ``AssertionError``, that
-    each letter lowers the weight, that every coordinate is -1, 0 or 1,
-    that no node gets two ideals, that there are as many nodes as the
-    closed-form orbit size, and that the full ideal's node is the poset's
-    bottom.  Only then are the canonical words kept in ``words``, each in
-    O(rank) from one listed one level up: the walk of
-    :meth:`~torusq.weyl.MinusculePoset.canonical_word` raises a node at
-    its first coordinate -1, say at i, so its word is (i,) followed by
-    the word of s_i(node).
+    ``Quiver.ideals`` lists I before I + {v}, with the index of I; once
+    node(I) is checked to be 1 at b = b_v, node(I + {v}) = s_b(node(I)) =
+    node(I) - alpha_b, one tuple subtraction of a Cartan row per ideal.
+    The build checks (``AssertionError``) that each letter lowers the
+    weight, that every coordinate is -1, 0 or 1, that no node gets two
+    ideals, that there are as many nodes as the closed-form orbit size,
+    and that the full ideal's node is the poset's bottom.  Then each
+    canonical word in ``words`` takes O(rank), from the word of node +
+    alpha_i = s_i(node), i its first coordinate -1, where the walk of
+    :meth:`~torusq.weyl.MinusculePoset.canonical_word` goes next.
     """
 
     def __init__(self, system: RootSystem, weight_index: int):
         super().__init__(system, weight_index)
         listed = self.full.ideals()
+        labels, alpha = self.full.word, system.cartan
         nodes: list[tuple[int, ...]] = []
-        for ideal, v, k in listed:
+        for _, v, k in listed:
             if v is None:
                 node = self.poset.top
             else:
-                node, b = nodes[k], self.full.label(v)
+                node, b = nodes[k], labels[v]
                 if node[b - 1] != 1:
                     raise AssertionError(f"letter {b} does not lower {node}")
-                node = reflect(system, node, b)
-            if not set(node) <= {-1, 0, 1}:
+                node = tuple(map(sub, node, alpha[b - 1]))
+            if not _MINUSCULE.issuperset(node):
                 raise AssertionError(f"non-minuscule coordinate in orbit: {node}")
             nodes.append(node)
         self.ideals = {node: ideal for node, (ideal, _, _) in zip(nodes, listed)}
@@ -335,37 +344,34 @@ class MinusculeModel(MinusculeQuiver):
             raise AssertionError("ideal/coset correspondence is not a bijection")
         size = minuscule_orbit_size(system.family, system.rank, weight_index)
         if len(self.nodes) != size:
-            raise AssertionError(
-                f"{len(self.nodes)} ideals for {size} coset elements"
-            )
+            raise AssertionError(f"{len(self.nodes)} ideals for {size} coset elements")
         if nodes[-1] != self.poset.bottom:  # graded: the full ideal comes last
             raise AssertionError("the full ideal is not the bottom node")
         self.words: dict[tuple[int, ...], tuple[int, ...]] = {self.poset.top: ()}
         for node in self.nodes[1:]:
             i = node.index(-1) + 1
-            self.words[node] = (i,) + self.words[reflect(system, node, i)]
-        self._holes: dict[frozenset[int], HoleReport] = {}
+            self.words[node] = (i,) + self.words[tuple(map(add, node, alpha[i - 1]))]
+        self._holes: dict[int, HoleReport] = {}
 
-    def holes(self, ideal) -> HoleReport:
-        """The hole report of one of this model's ideals, classified once;
-        the ideals are the listing's own, so ``marked``'s checks are
-        skipped."""
+    def holes(self, ideal: int) -> HoleReport:
+        """The hole report of one of the listing's ideals, classified once,
+        without ``marked``'s checks."""
         report = self._holes.get(ideal)
         if report is None:
             report = self._holes[ideal] = classify_holes(
-                self.full._replace(members=ideal), self.up
+                self.full._replace(members=ideal), self.masks
             )
         return report
 
-    def semistable_in_smooth(self, w_ideal, v_ideal) -> bool:
+    def semistable_in_smooth(self, w_ideal: int, v_ideal: int) -> bool:
         """Criterion: every essential hole of Q_w lies in the ideal of v.
 
         ``v_ideal`` is the minimal element with semistable points;
         ``w_ideal`` must contain it, otherwise there is nothing to test.
         """
-        if not v_ideal <= w_ideal:
+        if v_ideal & ~w_ideal:
             raise ValueError("w does not dominate v: no semistable points")
-        return all(h in v_ideal for h in self.holes(w_ideal).essential)
+        return all(v_ideal >> h & 1 for h in self.holes(w_ideal).essential)
 
 
 def minimal_v_word(family: str, rank: int, weight_index: int) -> tuple[int, ...]:
@@ -431,18 +437,19 @@ def quiver_to_dot(q: Quiver, report: HoleReport) -> str:
     identical input is part of the contract, so everything is emitted in
     sorted position order.
     """
-    real = set(report.real)
+    real, members = set(report.real), set(q.member_list)
     lines = ["digraph quiver {", "  rankdir=TB;"]
     for i in range(q.n_vertices):
         attrs = [f'label="{q.label(i)}"', "shape=circle"]
         if i in real:
             attrs.append("peripheries=2")
-        if i not in q.members:
+        if i not in members:
             attrs.append("style=dotted")
         lines.append(f"  v{i} [{', '.join(attrs)}];")
-    for a, b in sorted(q.arrows):
-        style = "" if a in q.members and b in q.members else " [style=dotted]"
-        lines.append(f"  v{a} -> v{b}{style};")
+    for a, ts in enumerate(q.targets):
+        for b in ts:
+            style = "" if a in members and b in members else " [style=dotted]"
+            lines.append(f"  v{a} -> v{b}{style};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -467,13 +474,11 @@ def quivers_isomorphic_under_swap(word_a, targets_a, word_b, targets_b, p) -> bo
     between two words' quivers, given as target lists of one kind
     (:func:`word_targets`, or a :class:`Quiver`'s ``targets``).
 
-    The order is the closure of the arrows, so matching arrows match it:
-    the swap must carry the labels of ``word_a`` onto those of ``word_b``
-    and the targets of each vertex onto the targets of its image, both
-    sorted.  The swap moves only p and p + 1, so only a target list
-    holding one of them changes, and only such a list is mapped and
-    sorted again; arrows increase the position, so the lists after p + 1
-    hold neither and are compared all at once.
+    Matching arrows match the order, their closure: the swap must carry
+    the labels of ``word_a`` onto those of ``word_b`` and each vertex's
+    sorted targets onto its image's.  Only a list holding p or p + 1
+    changes, and is mapped and sorted again; arrows increase the
+    position, so the lists after p + 1 are compared all at once.
     """
     sigma = list(range(len(word_a)))
     sigma[p], sigma[p + 1] = p + 1, p  # its own inverse

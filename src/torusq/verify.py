@@ -19,19 +19,16 @@ functions on a miss, so a suite run alone gives what it gives inside
 
 ``all`` runs in two processes where two CPUs are allowed
 (:func:`run_suite`).  A forked child runs ``golden-sl7``,
-``family-tables``, ``minimal-borel`` and ``hilbert``, the four that share
-the section counts of ``_invariant_dimension``, ``quiver-words``, which
-reads no hole report, and ``minimal-singular``, whose D and E listings
-``quiver-words`` has already built there.  Meanwhile this process runs
-``cross-smooth``, ``cross-singular`` and ``minima-sweep``, which share
-the type-A models and their hole reports.  Alone in a fresh process the
-shares take 15.0 and 13.6 ms (best of fifteen on a 2-vCPU VM, Python
-3.11); moving ``cross-singular`` to the child or swapping
-``quiver-words`` with ``minima-sweep`` timed slower.  23 orbit listings
-are read by both shares and built in each process; on one CPU that
-rebuild would cost more than the split saves, so there, and where
-``os.sched_getaffinity`` is missing, the suites run one after another
-here.
+``family-tables``, ``minimal-borel`` and ``hilbert``, which share the
+section counts of ``_invariant_dimension``, ``quiver-words``, which reads
+no hole report, and ``minimal-singular``, whose D and E listings
+``quiver-words`` has built there.  This process runs ``cross-smooth``,
+``cross-singular`` and ``minima-sweep``, which share the type-A models
+and their hole reports.  Alone in a fresh process the shares take 13.0
+and 13.4 ms (best of fifteen on a 2-vCPU VM, Python 3.11); the other
+splits timed were slower.  23 listings are built in both processes; on
+one CPU that costs more than the split saves, so there, and without
+``os.sched_getaffinity``, the suites run one after another here.
 """
 
 import marshal
@@ -318,10 +315,9 @@ def minima_sweep() -> dict:
 
     Type A: for every w above the minimal semistable element, the diagram
     test, pair comparison, the gap inequality and the quiver hole
-    criterion coincide; the minimal element itself is
-    re-derived per (r, n) from the invariant-chain certificate of every
-    column set.  The other
-    minuscule families compare the hole criterion against the pair
+    criterion coincide; the minimal element itself is re-derived per
+    (r, n) from the invariant-chain certificate of every column set.  The
+    other minuscule families compare the hole criterion against the pair
     comparison directly.  Gr(4, 9) is added on top of the sweep because it
     is the smallest case where the criterion can actually fail."""
     failures = []
@@ -355,10 +351,10 @@ def minima_sweep() -> dict:
         model = minuscule_model(family, rank, weight)
         v = model.grow(qv.minimal_v_word(family, rank, weight))
         for node, ideal in model.ideals.items():
-            if not v <= ideal:
+            if v & ~ideal:
                 continue
             quiver_verdict = model.semistable_in_smooth(ideal, v)
-            pair_verdict = not any(v <= comp for comp in model.holes(ideal).components)
+            pair_verdict = not any(v & ~comp == 0 for comp in model.holes(ideal).components)
             checks += 1
             if quiver_verdict != pair_verdict:
                 failures.append(

@@ -30,8 +30,10 @@ tuple mapped and sorted, or the two arrow sets, instead of the target
 tuples vertex by vertex with only those holding a swapped position
 sorted again, a hole's partners are counted by Cartan pairings instead
 of label membership, the up-set of a candidate hole is scanned afresh as
-a set instead of read off bitmasks built once per quiver, and an
-extension family's element is rebuilt from
+a set instead of read off bitmasks built once per quiver, an ideal is a
+set of positions instead of a bitmask (converted with :func:`as_mask` only
+where an answer is handed back to be compared), and an extension family's
+element is rebuilt from
 the seed row by row instead of one right multiplication after the row
 before it.  Agreement between the two sides is what the tests assert.
 """
@@ -575,7 +577,7 @@ def quiver_by_pairing_scan(word, system):
             if system.pairing(word[i], word[j]) != 0:
                 targets[i].append(j)
     return Quiver(
-        system, word, frozenset(range(N)), tuple(map(tuple, targets)),
+        system, word, as_mask(range(N)), tuple(map(tuple, targets)),
         tuple(prv), tuple(nxt),
     )
 
@@ -604,13 +606,24 @@ def quivers_isomorphic_by_arrow_sets(qa, qb, p):
     } == {(sigma[i], sigma[j]) for i, ts in enumerate(qa.targets) for j in ts}
 
 
+def as_mask(vertices):
+    """A set of positions as the package's bitmask: bit v for each v."""
+    return sum(1 << v for v in set(vertices))
+
+
+def marked_set(q):
+    """The marked positions of ``q``, bit by bit off its mask."""
+    return frozenset(v for v in range(q.n_vertices) if q.members >> v & 1)
+
+
 def ideals_by_vertex_scan(q):
     """``Quiver.ideals`` with every vertex tested against every ideal.
 
     Breadth first from the empty ideal; each ideal tries all N vertices in
     increasing order and keeps those outside it whose targets it holds,
-    O(ideals * N) subset tests.  Returns the same ``(ideal, v, k)``
-    triples, k the index of the ideal that v was added to.
+    O(ideals * N) subset tests on sets.  Returns the same ``(ideal, v, k)``
+    triples, k the index of the ideal that v was added to, each ideal as
+    a mask.
     """
     found = [(frozenset(), None, None)]
     seen = {frozenset()}
@@ -621,7 +634,7 @@ def ideals_by_vertex_scan(q):
                 if grown not in seen:
                     seen.add(grown)
                     found.append((grown, v, k))
-    return found
+    return [(as_mask(ideal), v, k) for ideal, v, k in found]
 
 
 def up_set_by_scan(q, i):
@@ -643,29 +656,31 @@ def classify_holes_by_pairing(q):
     nontrivially with it, and essential when no other real hole is weakly
     above it.  Returns ``(real, virtual, essential)``.
     """
+    members = marked_set(q)
     real, above = [], {}
-    for i in sorted(q.members):
+    for i in sorted(members):
         p = q.prev[i]
-        if p is not None and p in q.members:
+        if p is not None and p in members:
             continue
         above[i] = up_set_by_scan(q, i)
         count = 0
-        for j in above[i] & q.members:
+        for j in above[i] & members:
             if j != i and q.system.pairing(q.label(j), q.label(i)) != 0:
                 count += 1
         if count == 2:
             real.append(i)
-    virtual = [i for i in range(q.n_vertices) if i not in q.members and q.next[i] is None]
+    virtual = [i for i in range(q.n_vertices) if i not in members and q.next[i] is None]
     essential = [i for i in real if not any(j != i and j in above[i] for j in real)]
     return tuple(real), tuple(virtual), tuple(essential)
 
 
 def classify_holes_by_scans(q):
     """``classify_holes`` with each candidate's up-set scanned afresh as a
-    set (:func:`up_set_by_scan`) and its partners counted by label
-    membership; the components are ``q.members`` minus the up-set of each
-    essential hole.  Returns a ``HoleReport``."""
-    members, labels, neighbours = q.members, q.word, q.system.neighbours
+    set (:func:`up_set_by_scan`), every marked vertex tested for a marked
+    p(i), and its partners counted by label membership; the components are
+    the marked set minus the up-set of each essential hole.  Returns a
+    ``HoleReport``, the components as masks."""
+    members, labels, neighbours = marked_set(q), q.word, q.system.neighbours
     real, above = [], {}
     for i in sorted(members):
         p = q.prev[i]
@@ -680,7 +695,7 @@ def classify_holes_by_scans(q):
     essential = [i for i in real if not any(j != i and j in above[i] for j in real)]
     return HoleReport(
         tuple(real), tuple(virtual), tuple(essential),
-        tuple(members - above[h] for h in essential),
+        tuple(as_mask(members - above[h]) for h in essential),
     )
 
 
@@ -715,7 +730,8 @@ def ideal_node_dictionary_by_words(poset, q):
     everything strictly below it is in, by the closure of
     :func:`quiver_order_by_closure`), listed by size and then by their
     sorted entries, and each ideal's letters read in increasing position
-    order are applied to the top weight as a reduced word.
+    order are applied to the top weight as a reduced word.  The ideals are
+    sets until the dictionary is returned, keyed by their masks.
     """
     n = q.n_vertices
     below = [
@@ -733,7 +749,7 @@ def ideal_node_dictionary_by_words(poset, q):
         frontier = list(grown - found)
         found |= grown
     return {
-        ideal: node_from_word(poset, tuple(q.word[i] for i in sorted(ideal)))
+        as_mask(ideal): node_from_word(poset, tuple(q.word[i] for i in sorted(ideal)))
         for ideal in sorted(found, key=lambda s: (len(s), sorted(s)))
     }
 

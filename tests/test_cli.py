@@ -269,9 +269,9 @@ def test_quiver_build_dot_classifies_holes_once(tmp_path, capsys, monkeypatch):
     calls = []
     classify = qv.classify_holes
 
-    def counting(q, up=None):
+    def counting(q, masks=None):
         calls.append(q)
-        return classify(q, up)
+        return classify(q, masks)
 
     monkeypatch.setattr(qv, "classify_holes", counting)
     dot = tmp_path / "quadric.dot"

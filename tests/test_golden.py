@@ -20,7 +20,10 @@ orbit node given by its canonical word (535 calls).
 with ``minimal`` and ``full`` at the sizes where listing the orbit is
 costly: A8..A12 with every weight 2..n-2 and D7, D8 with
 every minuscule weight (92 calls).  ``golden/verify.txt``
-holds ``torusq verify all --json``.  Each record is a ``$ torusq ...``
+holds ``torusq verify all --json``.  At the admission limit of ``quiver
+build``, where a record would run to 0.8 MB, only the sha256 of the output
+is pinned: A100/omega_50 and D71/omega_71 with ``minimal`` and ``full``
+(``LIMIT_DIGESTS``).  Each record is a ``$ torusq ...``
 line (arguments quoted as a shell would need them) followed by the
 output.  Any change to an answer, a witness, a warning or the formatting
 shows up here.
@@ -31,6 +34,7 @@ Rewrite the corpora (only when a change of output is intended) with::
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import shlex
@@ -190,6 +194,28 @@ def test_quiver_build_large_json_is_byte_identical():
 
 def test_verify_json_is_byte_identical():
     check_corpus("verify.txt")
+
+
+# sha256 of the ``torusq quiver build --json`` bytes at the admission limit
+# (N = 2550 and 2485 vertices), keyed by (family, rank, weight, --w)
+LIMIT_DIGESTS = {
+    ("A", "100", "50", "minimal"):
+        "0b708cc306dd0d2957540e9ccce1cff94a7a24134f340cd72a9de0284026d001",
+    ("A", "100", "50", "full"):
+        "4da06f0f8d718d96c92985b2eccbe3e5ef6e1ffe4c1999c93bcabd64eab1caf8",
+    ("D", "71", "71", "minimal"):
+        "a4d902f304fd0e0229eece2813d7a17f14896a1e436b43e5e2fc7c3c7cebd860",
+    ("D", "71", "71", "full"):
+        "0e8580463bb5df34190a9ef68711818016d26d92fe7aa68d15b6841dbdff7e25",
+}
+
+
+@pytest.mark.parametrize("family,rank,weight,w", list(LIMIT_DIGESTS))
+def test_quiver_build_json_at_the_admission_limit_is_pinned(family, rank, weight, w):
+    code, out = run(["quiver", "build", "--family", family, "--rank", rank,
+                     "--weight", weight, "--w", w, "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LIMIT_DIGESTS[family, rank, weight, w]
 
 
 @pytest.mark.parametrize("suite", list(verify.SUITES))

@@ -7,14 +7,17 @@ high, so ideals collect suffixes of the building word.
 import json
 import tracemalloc
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
 from oracles import (
+    as_mask,
     classify_holes_by_pairing,
     classify_holes_by_scans,
     ideal_node_dictionary_by_words,
     ideals_by_vertex_scan,
+    marked_set,
     node_from_word,
     quiver_by_pairing_scan,
     quiver_order_by_closure,
@@ -28,7 +31,6 @@ from torusq.rootdata import (
     RootSystem,
     minuscule_orbit_size,
     minuscule_weights,
-    reflect,
     root_system,
 )
 from torusq.verify import minuscule_model
@@ -40,11 +42,6 @@ MINUSCULE_CASES = (
     + [("D", rank, w) for rank in range(4, 9) for w in sorted(minuscule_weights("D", rank))]
     + [("E6", 6, 1), ("E6", 6, 6), ("E7", 7, 7)]
 )
-
-
-def _mask(vertices):
-    """Bit v set for each vertex v: the form of ``Quiver.up_masks``."""
-    return sum(1 << v for v in set(vertices))
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +140,7 @@ def test_the_full_quiver_is_built_without_pairings(monkeypatch):
 def test_gr24_full_quiver():
     q = qv.quiver_from_word((2, 1, 3, 2), root_system("A", 3))
     assert q.n_vertices == 4
-    assert sorted(q.arrows) == [(0, 1), (0, 2), (1, 3), (2, 3)]
+    assert q.targets == ((1, 2), (3,), (3,), ())  # arrows 0->1, 0->2, 1->3, 2->3
     assert q.next[0] == 3 and q.prev[3] == 0
     assert q.next[1] is None
     assert len(list(q.ideals())) == 6  # one per Schubert variety of Gr(2,4)
@@ -152,16 +149,16 @@ def test_gr24_full_quiver():
 def test_ideals_grow_by_one_maximal_vertex():
     q = minuscule_model("E6", 6, 1).full
     listed = q.ideals()
-    assert listed[0] == (frozenset(), None, None)
+    assert listed[0] == (0, None, None)
     position = {ideal: k for k, (ideal, _, _) in enumerate(listed)}
     assert len(position) == len(listed) == 27
-    sizes = [len(ideal) for ideal, _, _ in listed]
+    sizes = [ideal.bit_count() for ideal, _, _ in listed]
     assert sizes == sorted(sizes)
-    up = q.up_masks()
+    up = q.hole_masks()[0]
     for k, (ideal, v, parent) in enumerate(listed[1:], start=1):
         assert q.is_ideal(ideal)
-        assert position[ideal - {v}] == parent < k
-        assert up[v] & _mask(ideal) == 1 << v  # v is maximal
+        assert ideal >> v & 1 and position[ideal ^ 1 << v] == parent < k
+        assert up[v] & ideal == 1 << v  # v is maximal
 
 
 def test_quiver_is_an_immutable_value():
@@ -170,10 +167,11 @@ def test_quiver_is_an_immutable_value():
     again = qv.quiver_from_word((2, 1, 3, 2), system)
     assert q is not again and q == again and hash(q) == hash(again)
     with pytest.raises(AttributeError):
-        q.members = frozenset()
-    marked = q.marked({1, 3})
-    assert marked is not q and marked.members == {1, 3}
-    assert q.members == {0, 1, 2, 3} and q == again
+        q.members = 0
+    marked = q.marked(as_mask({1, 3}))
+    assert marked is not q and marked.members == 0b1010
+    assert marked.member_list == [1, 3]
+    assert q.members == 0b1111 and q == again
     assert marked != q and marked.targets == q.targets
     report = qv.classify_holes(marked)
     with pytest.raises(AttributeError):
@@ -187,9 +185,9 @@ def test_dictionary_matches_word_replay(family, rank, weight):
     assert len(oracle) == len(model.nodes) == minuscule_orbit_size(family, rank, weight)
     assert model.ideals == {node: ideal for ideal, node in oracle.items()}
     for node, word in model.words.items():
-        assert len(word) == len(model.ideals[node])
+        assert len(word) == model.ideals[node].bit_count()
         assert node_from_word(model.poset, word) == node
-    sizes = [len(model.ideals[node]) for node in model.nodes]
+    sizes = [model.ideals[node].bit_count() for node in model.nodes]
     assert sizes == sorted(sizes)  # graded order
 
 
@@ -210,6 +208,43 @@ def test_word_of_is_the_canonical_word():
             assert minuscule.grow(word) == ideal
         nodes += len(oracle)
     assert nodes == 2692
+
+
+def test_word_of_reads_back_every_grown_word_of_the_verify_models(verify_scope):
+    # the label tops of ``word_of`` against the flags of ``grow``, both ways
+    # round on every node of the 35 models ``verify all`` builds
+    models, _ = verify_scope
+    nodes = 0
+    for model in models:
+        for node, word in model.words.items():
+            ideal = model.grow(word)
+            assert ideal == model.ideals[node]
+            assert model.word_of(ideal) == word
+            nodes += 1
+    assert nodes == 728
+
+
+@pytest.mark.parametrize("family,rank,weight", [("A", 5, 3), ("D", 5, 5)])
+def test_mask_containment_is_set_containment(family, rank, weight):
+    # every ordered pair of nodes: the criterion on masks against the
+    # essential holes of the set oracle, and the refusal when v is not in w
+    model = minuscule_model(family, rank, weight)
+    contained = refused = 0
+    for w in model.ideals.values():
+        q = model.full.marked(w)
+        essential = classify_holes_by_scans(q).essential
+        w_set = marked_set(q)
+        for v in model.ideals.values():
+            v_set = marked_set(model.full.marked(v))
+            if v_set <= w_set:
+                contained += 1
+                assert model.semistable_in_smooth(w, v) == all(h in v_set for h in essential)
+                continue
+            refused += 1
+            with pytest.raises(ValueError) as exc:
+                model.semistable_in_smooth(w, v)
+            assert str(exc.value) == "w does not dominate v: no semistable points"
+    assert contained and refused and contained + refused == len(model.nodes) ** 2
 
 
 def test_verify_derives_each_node_once(monkeypatch):
@@ -234,9 +269,10 @@ def test_verify_derives_each_node_once(monkeypatch):
     assert calls == {"grow": 21, "word_of": 102}
 
 
-def _faulty_reflect(fault):
-    """``reflect`` with ``fault(system, node)`` applied to each result."""
-    return lambda system, node, b: fault(system, reflect(system, node, b))
+# Gr(2,4)'s root system with Cartan rows a fault may replace: the listing
+# steps each node by the row of the added label, while the poset the model
+# walks keeps the true rows (see ``test_model_build_checks_fire``)
+_GR24 = SimpleNamespace(**root_system("A", 3)._asdict())
 
 
 def _short_at_bottom(canonical_word):
@@ -250,13 +286,14 @@ def _short_at_bottom(canonical_word):
 
 
 @pytest.mark.parametrize("faults,message", [
-    ([(qv, "reflect", lambda system, node, b: node)],
-     "letter 1 does not lower (0, 1, 0)"),
-    ([(qv, "reflect", _faulty_reflect(lambda system, node: tuple(2 * c for c in node)))],
-     "non-minuscule coordinate in orbit: (2, -2, 2)"),
-    # the bottom, the one node with no coordinate +1, becomes the top
-    ([(qv, "reflect", _faulty_reflect(
-        lambda system, node: node if 1 in node else (0, 1, 0)))],
+    # no row moves a node
+    ([(_GR24, "cartan", ((0, 0, 0),) * 3)], "letter 1 does not lower (0, 1, 0)"),
+    # every root counted twice
+    ([(_GR24, "cartan", ((4, -2, 0), (-2, 4, -2), (0, -2, 4)))],
+     "non-minuscule coordinate in orbit: (2, -3, 2)"),
+    # 1 on the diagonal at both ends: the third level steps back to the top,
+    # (1,-1,1) -> (0,0,1) -> (0,1,0)
+    ([(_GR24, "cartan", ((1, -1, 0), (-1, 2, -1), (0, -1, 1)))],
      "ideal/coset correspondence is not a bijection"),
     ([(qv, "minuscule_orbit_size", lambda family, rank, weight: 7)],
      "6 ideals for 7 coset elements"),
@@ -264,15 +301,29 @@ def _short_at_bottom(canonical_word):
     ([(MinusculePoset, "canonical_word", _short_at_bottom(MinusculePoset.canonical_word)),
       (qv, "minuscule_orbit_size", lambda family, rank, weight: 5)],
      "the full ideal is not the bottom node"),
+    # 1 on the diagonal at the first end only: six distinct nodes, the last
+    # of them not the bottom
+    ([(_GR24, "cartan", ((1, -1, 0), (-1, 2, -1), (0, -1, 2)))],
+     "the full ideal is not the bottom node"),
 ])
 def test_model_build_checks_fire(monkeypatch, faults, message):
     # each build check of Gr(2,4) under the faults that reach it; its orbit runs
     # (0,1,0) -> (1,-1,1) -> (-1,0,1), (1,0,-1) -> (-1,1,-1) -> (0,-1,0)
+    system = root_system("A", 3)
+    monkeypatch.setattr(qv, "MinusculePoset", lambda _, weight: MinusculePoset(system, weight))
     for target, name, fault in faults:
         monkeypatch.setattr(target, name, fault)
     with pytest.raises(AssertionError) as exc:
-        qv.MinusculeModel(root_system("A", 3), 2)
+        qv.MinusculeModel(_GR24, 2)
     assert str(exc.value) == message
+
+
+def test_model_build_steps_by_the_cartan_rows(monkeypatch):
+    # the true rows on the stand-in build the model of the true system
+    system = root_system("A", 3)
+    monkeypatch.setattr(qv, "MinusculePoset", lambda _, weight: MinusculePoset(system, weight))
+    model, true = qv.MinusculeModel(_GR24, 2), minuscule_model("A", 3, 2)
+    assert model.ideals == true.ideals and model.words == true.words
 
 
 @pytest.mark.parametrize("family,rank,weight,longest", [
@@ -298,7 +349,7 @@ def test_grow_matches_the_weight_replay(family, rank, weight, longest):
             with pytest.raises(ValueError) as exc:
                 minuscule.grow(word)
             assert str(exc.value) == refusal.format(word)
-    assert grown == {ideal for ideal in node_at if len(ideal) <= longest}
+    assert grown == {ideal for ideal in node_at if ideal.bit_count() <= longest}
 
 
 def test_column_set_word_grows_the_ideal_of_its_column_set():
@@ -334,32 +385,32 @@ def test_a_request_scans_up_sets_only_to_classify_holes(capsys, monkeypatch):
     # one mask pass over the full quiver, and the one hole report reads it:
     # no up-set is scanned again per candidate or for the 49 components
     passes, classified = [], []
-    up_masks, classify = qv.Quiver.up_masks, qv.classify_holes
+    hole_masks, classify = qv.Quiver.hole_masks, qv.classify_holes
 
-    def counting_up_masks(self):
-        passes.append(up_masks(self))
+    def counting_hole_masks(self):
+        passes.append(hole_masks(self))
         return passes[-1]
 
-    def counting_classify(q, up=None):
-        classified.append(up)
-        return classify(q, up)
+    def counting_classify(q, masks=None):
+        classified.append(masks)
+        return classify(q, masks)
 
-    monkeypatch.setattr(qv.Quiver, "up_masks", counting_up_masks)
+    monkeypatch.setattr(qv.Quiver, "hole_masks", counting_hole_masks)
     monkeypatch.setattr(qv, "classify_holes", counting_classify)
     assert main(["quiver", "build", "--family", "A", "--rank", "100",
                  "--weight", "50", "--w", "minimal", "--json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["result"]["singular_components"]) == 49
     assert len(passes) == len(classified) == 1
-    assert classified[0] is passes[0] and len(passes[0]) == 2550
+    assert classified[0] is passes[0] and len(passes[0][0]) == 2550
 
 
 def test_order_direction():
-    up = qv.quiver_from_word((2, 1, 3, 2), root_system("A", 3)).up_masks()
+    up = qv.quiver_from_word((2, 1, 3, 2), root_system("A", 3)).hole_masks()[0]
     # arrows point toward later positions, which sit lower
     assert up[3] >> 0 & 1
     assert not up[0] >> 3 & 1
-    assert up[3] == _mask({0, 1, 2, 3})
-    assert up[0] == _mask({0})
+    assert up[3] == as_mask({0, 1, 2, 3})
+    assert up[0] == as_mask({0})
 
 
 @pytest.mark.parametrize("family,rank,weight", MINUSCULE_CASES)
@@ -367,9 +418,10 @@ def test_above_is_the_closure_of_the_arrows(family, rank, weight):
     model = minuscule_model(family, rank, weight)
     q = model.full
     below = quiver_order_by_closure(q.system, q.word)
-    assert model.up == q.up_masks()
+    up = model.masks[0]
+    assert up == q.hole_masks()[0]
     for i in range(q.n_vertices):
-        assert model.up[i] == _mask(j for j in range(q.n_vertices) if i in below[j])
+        assert up[i] == as_mask(j for j in range(q.n_vertices) if i in below[j])
 
 
 @pytest.mark.parametrize("family,rank,weight", [
@@ -382,7 +434,7 @@ def test_is_ideal_is_down_closure(family, rank, weight):
     for size in range(q.n_vertices + 1):
         for subset in combinations(range(q.n_vertices), size):
             closed = all(below[v] <= set(subset) for v in subset)
-            assert q.is_ideal(subset) == closed
+            assert q.is_ideal(as_mask(subset)) == closed
 
 
 def test_full_quiver_at_the_vertex_limit_holds_little_memory():
@@ -402,15 +454,16 @@ def test_full_quiver_at_the_vertex_limit_holds_little_memory():
 
 def test_ideal_checks():
     q = qv.quiver_from_word((2, 1, 3, 2), root_system("A", 3))
-    assert q.is_ideal({3})
-    assert q.is_ideal({1, 3})
-    assert not q.is_ideal({0})
-    with pytest.raises(ValueError):
-        q.marked({0, 3})
-    for outside in ({4}, {-1}, {3, 4}, {-1, 3}):
+    assert q.is_ideal(as_mask({3}))
+    assert q.is_ideal(as_mask({1, 3}))
+    assert not q.is_ideal(as_mask({0}))
+    with pytest.raises(ValueError, match=r"^\[0, 3\] is not an order ideal$"):
+        q.marked(as_mask({0, 3}))
+    # a bit past the last vertex, or a negative mask (bits without end)
+    for outside in (as_mask({4}), as_mask({3, 4}), -1, -as_mask({3})):
         with pytest.raises(ValueError, match="^members must be existing vertex positions$"):
             q.marked(outside)
-    assert q.marked(set()).members == frozenset()
+    assert q.marked(0).members == 0
 
 
 def test_divisor_hole_in_gr24():
@@ -434,7 +487,8 @@ def test_each_essential_hole_carves_its_own_component(family, rank, weight):
         comps = report.components
         assert len(set(comps)) == len(comps) == len(report.essential)
         for h, comp in zip(report.essential, comps):
-            assert h not in comp and comp < ideal and q.is_ideal(comp)
+            assert not comp >> h & 1 and comp & ~ideal == 0 and comp != ideal
+            assert q.is_ideal(comp)
 
 
 @pytest.mark.parametrize("family,rank,weight", [
@@ -446,7 +500,7 @@ def test_components_drop_the_up_set_of_each_essential_hole(family, rank, weight)
     for ideal in model.ideals.values():
         report = qv.classify_holes(model.full.marked(ideal))
         assert report.components == tuple(
-            ideal - {j for j in range(model.full.n_vertices) if h in below[j]}
+            ideal & ~as_mask(j for j in range(model.full.n_vertices) if h in below[j])
             for h in report.essential
         )
 
@@ -472,7 +526,7 @@ def test_mask_classification_matches_the_up_set_scans(family, rank, weight):
     for ideal in model.ideals.values():
         q = model.full.marked(ideal)
         report = classify_holes_by_scans(q)
-        assert qv.classify_holes(q, model.up) == report
+        assert qv.classify_holes(q, model.masks) == report
         assert qv.classify_holes(q) == report
 
 
@@ -494,7 +548,7 @@ def test_virtual_holes_show_up():
 def test_d4_natural_weight_minimal_v():
     model = minuscule_model("D", 4, 1)
     v = model.grow(qv.minimal_v_word("D", 4, 1))
-    assert len(v) == 4
+    assert v.bit_count() == 4
     report = model.holes(v)
     assert len(report.real) == 1
     hole = report.real[0]
@@ -526,14 +580,14 @@ def test_d_spin_words_descend_both_weights():
 def test_e6_full_quiver_smooth():
     model = minuscule_model("E6", 6, 1)
     bottom = model.ideals[model.poset.bottom]
-    assert bottom == model.full.members and len(bottom) == 16
+    assert bottom == model.full.members and bottom.bit_count() == 16
     assert not model.holes(bottom).real
 
 
 def test_e6_minimal_v():
     model = minuscule_model("E6", 6, 1)
     v = model.grow(qv.minimal_v_word("E6", 6, 1))
-    assert len(v) == 10
+    assert v.bit_count() == 10
     assert len(model.holes(v).real) == 1
 
 
@@ -680,9 +734,9 @@ def test_quiver_from_word_names_the_first_letter_out_of_range():
 def test_verify_reads_the_lookups_quiver_build_runs(monkeypatch):
     classify = qv.classify_holes
 
-    def one_hole_short(q, up=None):
+    def one_hole_short(q, masks=None):
         # the last real hole goes missing, with the component it carves out
-        report = classify(q, up)
+        report = classify(q, masks)
         real = report.real[:-1]
         kept = [i for i, h in enumerate(report.essential) if h in real]
         return report._replace(
@@ -697,8 +751,8 @@ def test_verify_reads_the_lookups_quiver_build_runs(monkeypatch):
     assert not verify.cross_smooth()["passed"]
     assert not verify.cross_singular()["passed"]
 
-    def first_component_only(q, up=None):
-        report = classify(q, up)
+    def first_component_only(q, masks=None):
+        report = classify(q, masks)
         return report._replace(components=report.components[:1])
 
     fresh_verify_memos(monkeypatch)
@@ -711,9 +765,9 @@ def test_verify_all_classifies_each_marked_quiver_once(monkeypatch):
     calls = []
     classify = qv.classify_holes
 
-    def counting(q, up=None):
+    def counting(q, masks=None):
         calls.append((q.word, q.members))
-        return classify(q, up)
+        return classify(q, masks)
 
     fresh_verify_memos(monkeypatch)
     monkeypatch.setattr(qv, "classify_holes", counting)
