@@ -208,7 +208,7 @@ def cmd_quiver_build(args) -> int:
         _usage_error(exc)
     word = minuscule.word_of(ideal)
     marked = minuscule.full.marked(ideal)
-    holes = qv.classify_holes(marked, minuscule.masks)
+    holes = qv.classify_holes(ideal, minuscule.masks)
     payload = {
         "input": {
             "family": args.family,

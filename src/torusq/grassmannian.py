@@ -91,32 +91,27 @@ def singular_components(mu, r: int, n: int) -> list[tuple[int, ...]]:
     """Partitions indexing the components of the singular locus of X_mu.
 
     For each corner (k, c): place a cell at (k+1, c+1) and complete the
-    result minimally to a partition (every earlier row is raised to at
-    least c+1).  Corners whose new cell would leave the box contribute
-    nothing.  Duplicates are merged.  :func:`corners` checks the box and
-    the partition.
+    result minimally to a partition (rows from the first of length c down
+    to row k+1 become c+1).  Corners whose new cell would leave the box
+    contribute nothing, so one pass reads the corners that count: mu_{k+1}
+    < mu_k = c < n - r.  Two corners grow partitions that differ in the
+    row below the lower one.  The box and the partition are checked once.
     """
-    mu = tuple(mu)
-    seen = []
-    for k, c in corners(mu, r, n):
-        if k + 1 > r or c + 1 > n - r:
-            continue
-        grown = list(mu)
-        for t in range(k + 1):
-            grown[t] = max(grown[t], c + 1)
-        grown = tuple(grown)
-        if grown not in seen:
-            seen.append(grown)
-    return seen
+    check_box(r, n)
+    mu = check_partition(tuple(mu), r, n)
+    out = []
+    for k, (c, below) in enumerate(zip(mu, mu[1:]), start=1):
+        if below < c < n - r:
+            j = mu.index(c)
+            out.append(mu[:j] + (c + 1,) * (k + 1 - j) + mu[k + 1 :])
+    return out
 
 
 def is_smooth(mu, r: int, n: int) -> bool:
-    """Smoothness of X_mu: the rotated complement is again a rectangle."""
+    """Smoothness of X_mu: the rotated complement is again a rectangle,
+    its non-zero rows n - r - mu_k taking one value at most."""
     check_box(r, n)
-    mu = check_partition(mu, r, n)
-    complement = tuple(n - r - mu[r - 1 - k] for k in range(r))
-    nonzero = [c for c in complement if c > 0]
-    return all(c == nonzero[0] for c in nonzero)
+    return len(set(check_partition(mu, r, n)) - {n - r}) < 2
 
 
 def minimal_semistable(r: int, n: int) -> tuple[int, ...]:

@@ -177,21 +177,21 @@ def _positions(mask: int):
     return map(add, accumulate(map(len, runs)), count())
 
 
-def classify_holes(q: Quiver, masks=None) -> HoleReport:
-    """Real, virtual and essential holes of a marked quiver, and the
-    component ideal masks of its singular locus: ``q.members`` minus the
+def classify_holes(marked: int, masks) -> HoleReport:
+    """Real, virtual and essential holes of an ideal mask ``marked``, and
+    the component ideal masks of its singular locus: ``marked`` minus the
     up-set of each essential hole, in the order of ``essential``, distinct
     since no other real hole is weakly above an essential one.
 
-    ``masks`` is the full quiver's :meth:`Quiver.hole_masks`, built here
-    when not given.  The marked vertices of a label are the last of its
-    chain, so its one candidate, whose p(i) is unmarked, is the lowest bit
-    of the chain's marked mask, with its partners one popcount; a label
-    with none marked leaves its last vertex, which has no s(i), a virtual
-    hole.  O(rank * N / 64) past the masks: 0.11-0.12 ms at A100/omega_50
+    ``masks`` is the quiver's :meth:`Quiver.hole_masks`: a marked quiver q
+    is ``classify_holes(q.members, q.hole_masks())``.  The marked vertices
+    of a label are the last of its chain, so its one candidate, whose p(i)
+    is unmarked, is the lowest bit of the chain's marked mask, with its
+    partners one popcount; a label with none marked leaves its last vertex,
+    which has no s(i), a virtual hole.  O(rank * N / 64) past the masks: 0.11-0.12 ms at A100/omega_50
     --w minimal (2-vCPU VM, Python 3.11, best and median of 11, three runs)."""
-    up, chains, partners = q.hole_masks() if masks is None else masks
-    marked, real, virtual, real_mask = q.members, [], [], 0
+    up, chains, partners = masks
+    real, virtual, real_mask = [], [], 0
     for b, chain in enumerate(chains):
         top = marked & chain
         if top:
@@ -319,7 +319,8 @@ class MinusculeModel(MinusculeQuiver):
     and that the full ideal's node is the poset's bottom.  Then each
     canonical word in ``words`` takes O(rank), from the word of node +
     alpha_i = s_i(node), i its first coordinate -1, where the walk of
-    :meth:`~torusq.weyl.MinusculePoset.canonical_word` goes next.
+    :meth:`~torusq.weyl.MinusculePoset.canonical_word` goes next; the
+    build checks that this parent was listed before the node.
     """
 
     def __init__(self, system: RootSystem, weight_index: int):
@@ -349,18 +350,20 @@ class MinusculeModel(MinusculeQuiver):
             raise AssertionError("the full ideal is not the bottom node")
         self.words: dict[tuple[int, ...], tuple[int, ...]] = {self.poset.top: ()}
         for node in self.nodes[1:]:
-            i = node.index(-1) + 1
-            self.words[node] = (i,) + self.words[tuple(map(add, node, alpha[i - 1]))]
+            try:
+                i = node.index(-1) + 1
+                parent = self.words[tuple(map(add, node, alpha[i - 1]))]
+            except (ValueError, KeyError):
+                raise AssertionError(f"the canonical parent of {node} is not listed") from None
+            self.words[node] = (i,) + parent
         self._holes: dict[int, HoleReport] = {}
 
     def holes(self, ideal: int) -> HoleReport:
-        """The hole report of one of the listing's ideals, classified once,
-        without ``marked``'s checks."""
+        """The hole report of one of the listing's ideals, classified once
+        on the bare mask, without ``marked``'s checks."""
         report = self._holes.get(ideal)
         if report is None:
-            report = self._holes[ideal] = classify_holes(
-                self.full._replace(members=ideal), self.masks
-            )
+            report = self._holes[ideal] = classify_holes(ideal, self.masks)
         return report
 
     def semistable_in_smooth(self, w_ideal: int, v_ideal: int) -> bool:
@@ -461,12 +464,12 @@ def commutation_moves(word, system: RootSystem) -> list[tuple[int, tuple[int, ..
     pair; the position-swap bijection is then a quiver isomorphism, which
     is what makes the quiver a well-defined invariant of the element.
     """
-    word = tuple(word)
-    return [
-        (p, word[:p] + (word[p + 1], word[p]) + word[p + 2 :])
-        for p in range(len(word) - 1)
-        if system.pairing(word[p], word[p + 1]) == 0
-    ]
+    word, cartan, moves = tuple(word), system.cartan, []
+    for p, b in enumerate(word[1:]):
+        a = word[p]
+        if cartan[a - 1][b - 1] == 0:
+            moves.append((p, word[:p] + (b, a) + word[p + 2 :]))
+    return moves
 
 
 def quivers_isomorphic_under_swap(word_a, targets_a, word_b, targets_b, p) -> bool:
@@ -480,17 +483,15 @@ def quivers_isomorphic_under_swap(word_a, targets_a, word_b, targets_b, p) -> bo
     changes, and is mapped and sorted again; arrows increase the
     position, so the lists after p + 1 are compared all at once.
     """
-    sigma = list(range(len(word_a)))
-    sigma[p], sigma[p + 1] = p + 1, p  # its own inverse
-    if word_b != tuple(map(word_a.__getitem__, sigma)):
+    if word_b != word_a[:p] + (word_a[p + 1], word_a[p]) + word_a[p + 2 :]:
         return False
     if targets_b[p + 2 :] != targets_a[p + 2 :]:
         return False
-    for i in range(p + 2):
-        ts = targets_a[i]
+    swap = {p: p + 1, p + 1: p}  # the positions it moves, its own inverse
+    for i, ts in enumerate(targets_a[: p + 2]):
         if p in ts or p + 1 in ts:
-            if list(targets_b[sigma[i]]) != sorted(map(sigma.__getitem__, ts)):
+            if list(targets_b[swap.get(i, i)]) != sorted(map(swap.get, ts, ts)):
                 return False
-        elif targets_b[sigma[i]] != ts:
+        elif targets_b[swap.get(i, i)] != ts:
             return False
     return True

@@ -29,10 +29,6 @@ class RootSystem(namedtuple("RootSystem", "family rank cartan neighbours")):
 
     __slots__ = ()
 
-    def pairing(self, i: int, j: int) -> int:
-        """Cartan pairing of the simple roots ``i`` and ``j`` (1-based)."""
-        return self.cartan[i - 1][j - 1]
-
     def simple_root(self, i: int) -> Weight:
         """Simple root ``alpha_i`` in fundamental-weight coordinates."""
         return self.cartan[i - 1]

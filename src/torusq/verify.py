@@ -24,8 +24,8 @@ section counts of ``_invariant_dimension``, ``quiver-words``, which reads
 no hole report, and ``minimal-singular``, whose D and E listings
 ``quiver-words`` has built there.  This process runs ``cross-smooth``,
 ``cross-singular`` and ``minima-sweep``, which share the type-A models
-and their hole reports.  Alone in a fresh process the shares take 13.0
-and 13.4 ms (best of fifteen on a 2-vCPU VM, Python 3.11); the other
+and their hole reports.  Alone in a fresh process the shares take 12.0
+and 12.4 ms (best of fifteen on a 2-vCPU VM, Python 3.11); the other
 splits timed were slower.  23 listings are built in both processes; on
 one CPU that costs more than the split saves, so there, and without
 ``os.sched_getaffinity``, the suites run one after another here.
@@ -34,8 +34,9 @@ one CPU that costs more than the split saves, so there, and without
 import marshal
 import os
 from functools import cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, starmap
 from math import gcd
+from operator import gt
 
 from . import criteria, grassmannian as gr, quiver as qv, smt
 from .rootdata import root_system
@@ -236,6 +237,17 @@ def quiver_words() -> dict:
     return _result("quiver-words", checks, failures)
 
 
+def _bruhat_minima(elements):
+    """The Bruhat-minimal members of a set of permutations: taken in order
+    of length (u < w forces l(u) < l(w)), w is minimal when no minimal
+    member found before it lies below it."""
+    minima = []
+    for w in sorted(elements, key=lambda w: sum(starmap(gt, combinations(w, 2)))):
+        if not any(bruhat_leq(u, w) for u in minima):
+            minima.append(w)
+    return minima
+
+
 def minimal_borel() -> dict:
     """Brute force over S_5: the Bruhat-minimal permutations carrying a
     degree-one invariant are exactly the closed-form family."""
@@ -244,11 +256,7 @@ def minimal_borel() -> dict:
     hits = [
         w for w in permutations(range(1, n + 1)) if _invariant_dimension(w, 1) > 0
     ]
-    minimal = {
-        w
-        for w in hits
-        if not any(u != w and bruhat_leq(u, w) for u in hits)
-    }
+    minimal = set(_bruhat_minima(hits))
     expected = set(smt.minimal_borel_semistable(n))
     if minimal != expected:
         failures.append(

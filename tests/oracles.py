@@ -28,11 +28,15 @@ every ideal instead of carrying each ideal's addable vertices, a
 commutation move's quiver isomorphism compares every vertex's target
 tuple mapped and sorted, or the two arrow sets, instead of the target
 tuples vertex by vertex with only those holding a swapped position
-sorted again, a hole's partners are counted by Cartan pairings instead
+sorted again, or reads the swap through a permutation list of every
+position instead of slices and a two-entry map, a hole's partners are counted by Cartan pairings instead
 of label membership, the up-set of a candidate hole is scanned afresh as
 a set instead of read off bitmasks built once per quiver, an ideal is a
 set of positions instead of a bitmask (converted with :func:`as_mask` only
-where an answer is handed back to be compared), and an extension family's
+where an answer is handed back to be compared), Grassmannian smoothness
+reads the rotated complement row by row instead of as one set of parts,
+singular components are grown from the listed corners instead of in one
+pass over the rows, and an extension family's
 element is rebuilt from
 the seed row by row instead of one right multiplication after the row
 before it.  Agreement between the two sides is what the tests assert.
@@ -42,6 +46,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
+from torusq.grassmannian import check_box, check_partition, corners
 from torusq.quiver import HoleReport, Quiver
 from torusq.rootdata import fundamental_weight, reflect
 from torusq.smt import (
@@ -509,6 +514,39 @@ def dimension_table(case, n, i=None):
 
 
 # ---------------------------------------------------------------------------
+# Grassmannian smoothness row by row, singular components from the corners
+
+
+def is_smooth_by_complement_rows(mu, r, n):
+    """Smoothness of X_mu with the rotated complement built row by row:
+    its non-zero rows must all equal the first of them."""
+    check_box(r, n)
+    mu = check_partition(mu, r, n)
+    complement = tuple(n - r - mu[r - 1 - k] for k in range(r))
+    nonzero = [c for c in complement if c > 0]
+    return all(c == nonzero[0] for c in nonzero)
+
+
+def singular_components_by_corners(mu, r, n):
+    """The singular components of X_mu grown one listed corner at a time:
+    each corner (k, c) of ``grassmannian.corners`` raises rows 1..k+1 to
+    at least c + 1, corners whose cell would leave the box are skipped,
+    and duplicates are merged."""
+    mu = tuple(mu)
+    seen = []
+    for k, c in corners(mu, r, n):
+        if k + 1 > r or c + 1 > n - r:
+            continue
+        grown = list(mu)
+        for t in range(k + 1):
+            grown[t] = max(grown[t], c + 1)
+        grown = tuple(grown)
+        if grown not in seen:
+            seen.append(grown)
+    return seen
+
+
+# ---------------------------------------------------------------------------
 # minuscule words replayed on weights
 
 
@@ -574,7 +612,7 @@ def quiver_by_pairing_scan(word, system):
     for i in range(N):
         stop = nxt[i] if nxt[i] is not None else N
         for j in range(i + 1, stop):
-            if system.pairing(word[i], word[j]) != 0:
+            if system.cartan[word[i] - 1][word[j] - 1] != 0:
                 targets[i].append(j)
     return Quiver(
         system, word, as_mask(range(N)), tuple(map(tuple, targets)),
@@ -604,6 +642,27 @@ def quivers_isomorphic_by_arrow_sets(qa, qb, p):
     return qb.word == tuple(map(qa.word.__getitem__, sigma)) and {
         (i, j) for i, ts in enumerate(qb.targets) for j in ts
     } == {(sigma[i], sigma[j]) for i, ts in enumerate(qa.targets) for j in ts}
+
+
+def quivers_isomorphic_under_swap_by_sigma(word_a, targets_a, word_b, targets_b, p):
+    """``quiver.quivers_isomorphic_under_swap`` as it was before it read
+    the swapped word off slices: the swap is a permutation list sigma of
+    all N positions, the swapped word is read through it, and so is each
+    target of a list holding p or p + 1."""
+    sigma = list(range(len(word_a)))
+    sigma[p], sigma[p + 1] = p + 1, p  # its own inverse
+    if word_b != tuple(map(word_a.__getitem__, sigma)):
+        return False
+    if targets_b[p + 2 :] != targets_a[p + 2 :]:
+        return False
+    for i in range(p + 2):
+        ts = targets_a[i]
+        if p in ts or p + 1 in ts:
+            if list(targets_b[sigma[i]]) != sorted(map(sigma.__getitem__, ts)):
+                return False
+        elif targets_b[sigma[i]] != ts:
+            return False
+    return True
 
 
 def as_mask(vertices):
@@ -665,7 +724,7 @@ def classify_holes_by_pairing(q):
         above[i] = up_set_by_scan(q, i)
         count = 0
         for j in above[i] & members:
-            if j != i and q.system.pairing(q.label(j), q.label(i)) != 0:
+            if j != i and q.system.cartan[q.label(j) - 1][q.label(i) - 1] != 0:
                 count += 1
         if count == 2:
             real.append(i)
@@ -717,7 +776,7 @@ def quiver_order_by_closure(system, word):
     for i in range(n - 1, -1, -1):
         acc = {i}
         for j in range(i + 1, n):
-            if system.pairing(word[i], word[j]) != 0 and word[i] not in word[i + 1:j + 1]:
+            if system.cartan[word[i] - 1][word[j] - 1] != 0 and word[i] not in word[i + 1:j + 1]:
                 acc |= below[j]
         below[i] = frozenset(acc)
     return below

@@ -269,9 +269,9 @@ def test_quiver_build_dot_classifies_holes_once(tmp_path, capsys, monkeypatch):
     calls = []
     classify = qv.classify_holes
 
-    def counting(q, masks=None):
-        calls.append(q)
-        return classify(q, masks)
+    def counting(marked, masks):
+        calls.append(marked)
+        return classify(marked, masks)
 
     monkeypatch.setattr(qv, "classify_holes", counting)
     dot = tmp_path / "quadric.dot"

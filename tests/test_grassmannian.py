@@ -1,7 +1,7 @@
 import contextlib
 import io
 import json
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from hypothesis import given, strategies as st
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from torusq import grassmannian as gr
 from torusq import smt
 from torusq.cli import main
+from oracles import is_smooth_by_complement_rows, singular_components_by_corners
 
 
 boxes = st.tuples(
@@ -92,6 +93,48 @@ def test_singular_components_checks_the_partition_once(monkeypatch):
         with pytest.raises(ValueError) as exc:
             gr.singular_components(mu, r, n)
         assert str(exc.value) == message
+
+
+def _outcome(kernel, mu, r, n):
+    """A kernel's answer, or the type and message of what it raises."""
+    try:
+        return kernel(mu, r, n)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_diagram_kernels_match_the_oracles_in_every_box_up_to_7x7():
+    # every partition of every r x c box, 1 <= r, c <= 7
+    cases = 0
+    for r, c in product(range(1, 8), repeat=2):
+        for mu in combinations_with_replacement(range(c, -1, -1), r):
+            cases += 1
+            assert gr.is_smooth(mu, r, r + c) == is_smooth_by_complement_rows(mu, r, r + c)
+            assert gr.singular_components(mu, r, r + c) == (
+                singular_components_by_corners(mu, r, r + c)
+            )
+    assert cases == 12854
+
+
+def test_diagram_kernels_refuse_with_the_oracles_messages():
+    # every tuple of parts one past the box, one part short and one too
+    # many, in boxes up to 3 x 3 and in boxes that are not boxes
+    cases = [(list(mu), r, n) for mu, r, n in [((2, 1), 2, 5), ((), 0, 3), ((1, 0), 4, 4)]]
+    for r, c in product(range(1, 4), repeat=2):
+        for size in (r - 1, r, r + 1):
+            cases += [(mu, r, r + c) for mu in product(range(-1, c + 2), repeat=size)]
+    refused = 0
+    for mu, r, n in cases:
+        for kernel, oracle in [(gr.is_smooth, is_smooth_by_complement_rows),
+                               (gr.singular_components, singular_components_by_corners)]:
+            got = _outcome(kernel, mu, r, n)
+            assert got == _outcome(oracle, mu, r, n), (kernel.__name__, mu, r, n)
+            refused += isinstance(got, tuple)
+    # all but [2, 1] and the 62 partitions of the boxes up to 3 x 3 are refused
+    assert refused == 2 * (len(cases) - 63)
+    # out of the box and unsorted: the box is named first
+    for kernel in (gr.is_smooth, gr.singular_components):
+        assert _outcome(kernel, (1, 3), 2, 4) == (ValueError, "partition (1, 3) leaves the 2x2 box")
 
 
 def test_smoothness_by_complement():

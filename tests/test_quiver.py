@@ -23,16 +23,12 @@ from oracles import (
     quiver_order_by_closure,
     quivers_isomorphic_by_arrow_sets,
     quivers_isomorphic_by_sorted_targets,
+    quivers_isomorphic_under_swap_by_sigma,
     word_descends,
 )
 from torusq import quiver as qv, verify
 from torusq.cli import main
-from torusq.rootdata import (
-    RootSystem,
-    minuscule_orbit_size,
-    minuscule_weights,
-    root_system,
-)
+from torusq.rootdata import minuscule_orbit_size, minuscule_weights, root_system
 from torusq.verify import minuscule_model
 from torusq.weyl import MinusculePoset
 from verify_memos import fresh_verify_memos, run_all_in_one_process
@@ -121,20 +117,24 @@ def test_ideals_match_the_vertex_scan(verify_scope):
         assert q.ideals() == ideals_by_vertex_scan(q)
 
 
-def test_the_full_quiver_is_built_without_pairings(monkeypatch):
+def test_the_full_quiver_is_built_without_pairings():
     # one pass over the word with the neighbour lists of the root system,
-    # not one Cartan pairing per pair of positions
-    calls = []
-    pairing = RootSystem.pairing
+    # not one Cartan pairing per pair of positions: no Cartan entry is read
+    # by index (the walk to the bottom node subtracts whole rows)
+    reads = []
 
-    def counting(self, i, j):
-        calls.append((i, j))
-        return pairing(self, i, j)
+    class CountingRow(tuple):
+        def __getitem__(self, j):
+            reads.append(j)
+            return tuple.__getitem__(self, j)
 
-    monkeypatch.setattr(RootSystem, "pairing", counting)
-    minuscule = qv.MinusculeQuiver(root_system("A", 100), 50)
+    system = root_system("A", 100)
+    system = system._replace(cartan=tuple(map(CountingRow, system.cartan)))
+    minuscule = qv.MinusculeQuiver(system, 50)
     assert minuscule.full.n_vertices == 2550
-    assert calls == []
+    assert reads == []
+    qv.commutation_moves((1, 3, 2), system)  # one pairing per adjacent pair
+    assert reads == [2, 1]
 
 
 def test_gr24_full_quiver():
@@ -173,7 +173,7 @@ def test_quiver_is_an_immutable_value():
     assert marked.member_list == [1, 3]
     assert q.members == 0b1111 and q == again
     assert marked != q and marked.targets == q.targets
-    report = qv.classify_holes(marked)
+    report = qv.classify_holes(marked.members, marked.hole_masks())
     with pytest.raises(AttributeError):
         report.real = ()
 
@@ -305,6 +305,13 @@ def _short_at_bottom(canonical_word):
     # of them not the bottom
     ([(_GR24, "cartan", ((1, -1, 0), (-1, 2, -1), (0, -1, 2)))],
      "the full ideal is not the bottom node"),
+    # six distinct nodes ending at the bottom, but one of them, (0,0,1), has
+    # no coordinate -1, so no canonical parent above it
+    ([(_GR24, "cartan", ((1, -1, 0), (-1, 2, -1), (1, -1, 2)))],
+     "the canonical parent of (0, 0, 1) is not listed"),
+    # (1,-1,-1) + alpha_2 = (0,1,-2) is no node of the listing
+    ([(_GR24, "cartan", ((2, -2, 0), (-1, 2, -1), (0, 0, 2)))],
+     "the canonical parent of (1, -1, -1) is not listed"),
 ])
 def test_model_build_checks_fire(monkeypatch, faults, message):
     # each build check of Gr(2,4) under the faults that reach it; its orbit runs
@@ -391,9 +398,9 @@ def test_a_request_scans_up_sets_only_to_classify_holes(capsys, monkeypatch):
         passes.append(hole_masks(self))
         return passes[-1]
 
-    def counting_classify(q, masks=None):
+    def counting_classify(marked, masks):
         classified.append(masks)
-        return classify(q, masks)
+        return classify(marked, masks)
 
     monkeypatch.setattr(qv.Quiver, "hole_masks", counting_hole_masks)
     monkeypatch.setattr(qv, "classify_holes", counting_classify)
@@ -483,7 +490,7 @@ def test_each_essential_hole_carves_its_own_component(family, rank, weight):
     model = minuscule_model(family, rank, weight)
     for ideal in model.ideals.values():
         q = model.full.marked(ideal)
-        report = qv.classify_holes(q)
+        report = qv.classify_holes(q.members, model.masks)
         comps = report.components
         assert len(set(comps)) == len(comps) == len(report.essential)
         for h, comp in zip(report.essential, comps):
@@ -498,7 +505,7 @@ def test_components_drop_the_up_set_of_each_essential_hole(family, rank, weight)
     model = minuscule_model(family, rank, weight)
     below = quiver_order_by_closure(model.system, model.full.word)
     for ideal in model.ideals.values():
-        report = qv.classify_holes(model.full.marked(ideal))
+        report = qv.classify_holes(model.full.marked(ideal).members, model.masks)
         assert report.components == tuple(
             ideal & ~as_mask(j for j in range(model.full.n_vertices) if h in below[j])
             for h in report.essential
@@ -512,7 +519,7 @@ def test_holes_match_the_pairing_oracle(family, rank, weight):
     model = minuscule_model(family, rank, weight)
     for ideal in model.ideals.values():
         q = model.full.marked(ideal)
-        report = qv.classify_holes(q)
+        report = qv.classify_holes(q.members, model.masks)
         assert (report.real, report.virtual, report.essential) == (
             classify_holes_by_pairing(q)
         )
@@ -526,8 +533,8 @@ def test_mask_classification_matches_the_up_set_scans(family, rank, weight):
     for ideal in model.ideals.values():
         q = model.full.marked(ideal)
         report = classify_holes_by_scans(q)
-        assert qv.classify_holes(q, model.masks) == report
-        assert qv.classify_holes(q) == report
+        assert qv.classify_holes(ideal, model.masks) == report
+        assert qv.classify_holes(q.members, q.hole_masks()) == report
 
 
 def test_full_grassmannian_is_smooth():
@@ -711,6 +718,42 @@ def test_target_lists_are_the_quivers_targets_on_every_word_the_suite_walks():
     assert words == 2 * 591
 
 
+def _one_list_perturbed(targets, p):
+    """Copies of a target list of lists with one list changed: its last
+    target dropped, p or p + 1 added where missing, or its order reversed."""
+    for k, ts in enumerate(targets):
+        changes = [ts[:-1]] if ts else []
+        changes += [sorted(ts + [t]) for t in (p, p + 1) if t not in ts]
+        if len(ts) > 1:
+            changes.append(ts[::-1])
+        for changed in changes:
+            yield targets[:k] + [changed] + targets[k + 1 :]
+
+
+def test_swap_check_agrees_with_the_permutation_list_check():
+    # the target lists quiver-words compares, as built and with one list of
+    # either side perturbed, against the check that reads the swap through a
+    # permutation list of every position
+    moves, perturbed, refused = 0, 0, 0
+    for qa, qb, p in _swaps_of_the_quiver_words_plans():
+        a, b = (qv.word_targets(q.word, q.system) for q in (qa, qb))
+        moves += 1
+        assert qv.quivers_isomorphic_under_swap(qa.word, a, qb.word, b, p)
+        assert quivers_isomorphic_under_swap_by_sigma(qa.word, a, qb.word, b, p)
+        cases = [(changed, b) for changed in _one_list_perturbed(a, p)]
+        cases += [(a, changed) for changed in _one_list_perturbed(b, p)]
+        for ta, tb in cases:
+            answer = qv.quivers_isomorphic_under_swap(qa.word, ta, qb.word, tb, p)
+            assert answer == quivers_isomorphic_under_swap_by_sigma(
+                qa.word, ta, qb.word, tb, p
+            ), (qa.word, p, ta, tb)
+            perturbed += 1
+            refused += not answer
+    assert moves == 591
+    # only an order reversed in a list holding p or p + 1 can still pass
+    assert perturbed > refused > 0.9 * perturbed
+
+
 def test_swap_check_agrees_with_the_sorted_targets_oracle():
     # the target tuples vertex by vertex against the sorted image of each
     # vertex's targets
@@ -734,9 +777,9 @@ def test_quiver_from_word_names_the_first_letter_out_of_range():
 def test_verify_reads_the_lookups_quiver_build_runs(monkeypatch):
     classify = qv.classify_holes
 
-    def one_hole_short(q, masks=None):
+    def one_hole_short(marked, masks):
         # the last real hole goes missing, with the component it carves out
-        report = classify(q, masks)
+        report = classify(marked, masks)
         real = report.real[:-1]
         kept = [i for i, h in enumerate(report.essential) if h in real]
         return report._replace(
@@ -751,8 +794,8 @@ def test_verify_reads_the_lookups_quiver_build_runs(monkeypatch):
     assert not verify.cross_smooth()["passed"]
     assert not verify.cross_singular()["passed"]
 
-    def first_component_only(q, masks=None):
-        report = classify(q, masks)
+    def first_component_only(marked, masks):
+        report = classify(marked, masks)
         return report._replace(components=report.components[:1])
 
     fresh_verify_memos(monkeypatch)
@@ -765,9 +808,10 @@ def test_verify_all_classifies_each_marked_quiver_once(monkeypatch):
     calls = []
     classify = qv.classify_holes
 
-    def counting(q, masks=None):
-        calls.append((q.word, q.members))
-        return classify(q, masks)
+    def counting(marked, masks):
+        # each model classifies on its own quiver's masks
+        calls.append((id(masks), marked))
+        return classify(marked, masks)
 
     fresh_verify_memos(monkeypatch)
     monkeypatch.setattr(qv, "classify_holes", counting)
@@ -778,8 +822,8 @@ def test_verify_all_classifies_each_marked_quiver_once(monkeypatch):
 def test_dot_output_is_stable_and_annotated():
     model = minuscule_model("E6", 6, 1)
     q = model.full.marked(model.grow(qv.minimal_v_word("E6", 6, 1)))
-    dot = qv.quiver_to_dot(q, qv.classify_holes(q))
-    assert dot == qv.quiver_to_dot(q, qv.classify_holes(q))
+    dot = qv.quiver_to_dot(q, qv.classify_holes(q.members, q.hole_masks()))
+    assert dot == qv.quiver_to_dot(q, qv.classify_holes(q.members, model.masks))
     assert dot.startswith("digraph quiver {")
     assert dot.rstrip().endswith("}")
     assert dot.count("peripheries=2") == 1  # exactly one circled hole
@@ -794,6 +838,6 @@ def test_dot_output_is_stable_and_annotated():
 def test_dot_smooth_case_has_no_double_circle():
     model = minuscule_model("A", 3, 2)
     q = model.full.marked(model.ideals[model.poset.bottom])
-    dot = qv.quiver_to_dot(q, qv.classify_holes(q))
+    dot = qv.quiver_to_dot(q, qv.classify_holes(q.members, model.masks))
     assert "peripheries" not in dot
     assert "style=dotted" not in dot

@@ -47,13 +47,6 @@ def test_root_system_is_an_immutable_value():
         built.rank = 6
 
 
-def test_pairing_is_cartan_entry():
-    system = root_system("D", 5)
-    for i in range(1, 6):
-        for j in range(1, 6):
-            assert system.pairing(i, j) == system.cartan[i - 1][j - 1]
-
-
 def test_reflect_simple_example():
     # s_1 applied to omega_1 in A_2 lands at omega_2 - omega_1
     system = root_system("A", 2)

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from oracles import (
+    bruhat_leq_bruteforce,
     chain_fits_from_row_one,
     dimension_table,
     family_element,
@@ -355,6 +356,19 @@ def test_minimal_borel_closed_form():
         w for w in hits if not any(u != w and bruhat_leq(u, w) for u in hits)
     }
     assert minimal == set(got)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_bruhat_minima_by_length_match_the_all_pairs_scan(n):
+    # the minimal-borel suite's minima of the degree-one hits, against every
+    # pair compared on the cover-walk Bruhat order
+    hits = [w for w in permutations(range(1, n + 1)) if smt.invariant_dimension(w, 1) > 0]
+    expected = [
+        w for w in hits if not any(u != w and bruhat_leq_bruteforce(u, w) for u in hits)
+    ]
+    got = verify._bruhat_minima(hits)
+    assert sorted(got) == sorted(expected) == sorted(smt.minimal_borel_semistable(n))
+    assert sorted(verify._bruhat_minima(reversed(hits))) == sorted(expected)
 
 
 def test_family_seeds():
