@@ -14,13 +14,13 @@ sorted, two-space indent, so identical queries produce identical bytes).
 The JSON is written by ``_json``, a small emitter whose output is
 byte-identical to ``json.dumps(value, indent=2, sort_keys=True,
 default=list)`` on every payload the CLI writes; the json package itself
-is never imported.
+is never imported, and its C helper ``_json`` loads only for a string
+that needs escapes.
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage
 errors.
 """
 
 import sys
-from _json import encode_basestring_ascii as _string
 from math import gcd
 from types import SimpleNamespace
 
@@ -33,8 +33,8 @@ from .weyl import word_to_perm
 # never lists the orbit: its cost grows with the vertex count N = dim G/P
 # (at most two arrows per vertex) and the rank (the length of each weight
 # tuple, walked once to the bottom node).  Whole calls at A100/omega_50 (N =
-# 2550) take 0.07-0.10 s with --w full, 0.13-0.17 s with minimal, at D71 spin
-# 0.08-0.11 and 0.10-0.15 s (2-vCPU VM, best to median of 11), <= 17.9 MB RSS.
+# 2550) take 0.06-0.09 s with --w full, 0.10-0.15 s with minimal, at D71 spin
+# 0.06-0.09 and 0.08-0.13 s (2-vCPU VM, best to median of 11), <= 17.8 MB RSS.
 # ``gr analyze`` lists no column set: its cost is the r + 1 chain fits that
 # certify the minimum when gcd(r, n) > 1, plus one fill for the chain it
 # prints, each strip started at the first row that is not full.  At n = 300
@@ -77,6 +77,16 @@ def _ints(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.replace(",", " ").split())
     except ValueError:
         _usage_error(f"{text!r} is not a list of integers")
+
+
+def _string(text: str) -> str:
+    """``text`` as json.dumps writes it: printable ASCII with no ``"`` or
+    backslash as it is, any other str by ``_json``, a non-str TypeError."""
+    if str.isascii(text) and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    from _json import encode_basestring_ascii
+
+    return encode_basestring_ascii(text)
 
 
 def _json(value, indent: str = "\n") -> str:

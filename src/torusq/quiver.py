@@ -31,16 +31,14 @@ everything weakly above h from the ideal and keep what remains.  One pass,
 """
 
 from bisect import insort
-from collections import namedtuple
-from heapq import heappop, heappush
 from itertools import accumulate, count
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 from .rootdata import RootSystem, check_minuscule, minuscule_orbit_size
 from .weyl import MinusculePoset
 
 
-class Quiver(namedtuple("Quiver", "system word members targets prev next")):
+class Quiver(tuple):
     """A quiver on the 0-based positions of a reduced word, with a marked
     ideal ``members`` as a bitmask (all N bits for the full quiver).  The
     order is kept only as the arrows, each vertex's targets in increasing
@@ -48,6 +46,15 @@ class Quiver(namedtuple("Quiver", "system word members targets prev next")):
     """
 
     __slots__ = ()
+
+    def __new__(cls, system, word, members, targets, prev, next):
+        return tuple.__new__(cls, (system, word, members, targets, prev, next))
+
+    system, word, members, targets, prev, next = map(property, map(itemgetter, range(6)))
+
+    def _replace(self, **fields):
+        names = ("system", "word", "members", "targets", "prev", "next")
+        return Quiver(**dict(zip(names, self), **fields))
 
     @property
     def n_vertices(self) -> int:
@@ -163,7 +170,16 @@ def quiver_from_word(word, system: RootSystem) -> Quiver:
     )
 
 
-HoleReport = namedtuple("HoleReport", "real virtual essential components")
+class HoleReport(tuple):
+    """What :func:`classify_holes` finds in one ideal."""
+
+    __slots__ = ()
+
+    def __new__(cls, real, virtual, essential, components):
+        return tuple.__new__(cls, (real, virtual, essential, components))
+
+    real, virtual, essential, components = map(property, map(itemgetter, range(4)))
+
 
 # the coordinates a weight of a minuscule orbit may have
 _MINUSCULE = frozenset((-1, 0, 1))
@@ -263,9 +279,9 @@ class MinusculeQuiver:
         label's first member, its top, can be maximal, and is when it comes
         before the tops of the neighbour labels, whose latest earlier
         vertices send the arrows into it.  Each label counts the neighbour
-        tops before its own, a heap holds the labels with none, and a
-        removed top moves down to s(top), changing only the counts of its
-        label and neighbours: O(rank * N / 64 + |I| log rank)."""
+        tops before its own, a sorted list holds the labels with none, and
+        a removed top moves down to s(top), changing only the counts of its
+        label and neighbours: O(rank * N / 64 + |I| * rank)."""
         chains, nxt = self.masks[1], self.full.next
         neighbours = ((),) + self.system.neighbours  # by label
         end = len(nxt)  # the top of a label with no member
@@ -274,17 +290,17 @@ class MinusculeQuiver:
             mask = ideal & chain
             if mask:
                 top[b] = (mask & -mask).bit_length() - 1
-        blocked, heap = [0] * len(top), []
+        blocked, ready = [0] * len(top), []
         for b, t in enumerate(top):
             if t < end:
                 for c in neighbours[b]:
                     if top[c] < t:
                         blocked[b] += 1
                 if not blocked[b]:
-                    heap.append(b)
+                    ready.append(b)  # in increasing order
         word = []
-        while heap:
-            b = heappop(heap)
+        while ready:
+            b = ready.pop(0)
             word.append(b)
             s = nxt[top[b]]
             new = top[b] = end if s is None else s
@@ -294,9 +310,9 @@ class MinusculeQuiver:
                     blocked[b] += 1
                     blocked[c] -= 1
                     if not blocked[c]:
-                        heappush(heap, c)
+                        insort(ready, c)
             if new < end and not blocked[b]:
-                heappush(heap, b)
+                insort(ready, b)
         return tuple(word)
 
 

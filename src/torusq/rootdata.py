@@ -12,22 +12,26 @@ and ``n`` attached to ``n-2``; in E6 and E7 node ``2`` hangs off node ``4``
 of the path ``1 - 3 - 4 - 5 - 6 (- 7)``.
 """
 
-from collections import namedtuple
 from functools import lru_cache
 from math import comb
-from operator import add, sub
+from operator import add, itemgetter, sub
 
 Weight = tuple[int, ...]
 
 FAMILIES = ("A", "D", "E6", "E7")
 
 
-class RootSystem(namedtuple("RootSystem", "family rank cartan neighbours")):
+class RootSystem(tuple):
     """A simply laced root system, identified by family and rank;
     ``cartan`` is the Cartan matrix as a tuple of rows, and
     ``neighbours[i - 1]`` lists the Dynkin neighbours of node ``i``."""
 
     __slots__ = ()
+
+    def __new__(cls, family, rank, cartan, neighbours):
+        return tuple.__new__(cls, (family, rank, cartan, neighbours))
+
+    family, rank, cartan, neighbours = map(property, map(itemgetter, range(4)))
 
     def simple_root(self, i: int) -> Weight:
         """Simple root ``alpha_i`` in fundamental-weight coordinates."""
@@ -69,17 +73,17 @@ def _validate(family: str, rank: int) -> None:
 def root_system(family: str, rank: int) -> RootSystem:
     """Build the (cached) root system of the given family and rank."""
     _validate(family, rank)
-    adjacent = set()
+    neighbours = [[] for _ in range(rank + 1)]
     for a, b in _edges(family, rank):
-        adjacent.add((a, b))
-        adjacent.add((b, a))
-    nodes = range(1, rank + 1)
-    cartan = tuple(
-        tuple(2 if i == j else (-1 if (i, j) in adjacent else 0) for j in nodes)
-        for i in nodes
-    )
-    neighbours = tuple(tuple(j for j in nodes if (i, j) in adjacent) for i in nodes)
-    return RootSystem(family, rank, cartan, neighbours)
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    cartan = [[0] * rank for _ in range(rank)]
+    for i, row in enumerate(cartan, start=1):
+        row[i - 1] = 2
+        for j in neighbours[i]:
+            row[j - 1] = -1
+    neighbours = tuple(tuple(sorted(row)) for row in neighbours[1:])
+    return RootSystem(family, rank, tuple(map(tuple, cartan)), neighbours)
 
 
 def minuscule_weights(family: str, rank: int) -> frozenset[int]:

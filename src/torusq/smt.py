@@ -34,9 +34,9 @@ is the chain that ``gr analyze`` prints (:func:`invariant_chain_gr`),
 found without listing the column sets of the box.
 """
 
-from collections import namedtuple
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
+from operator import itemgetter
 
 from .weyl import right_multiply, word_to_perm
 
@@ -45,7 +45,7 @@ from .weyl import right_multiply, word_to_perm
 # tableaux of shape m * (omega_1 + omega_{n-1})
 
 
-class Tableau(namedtuple("Tableau", "n shorts missings")):
+class Tableau(tuple):
     __slots__ = ()
 
     def __new__(cls, n: int, shorts: tuple[int, ...], missings: tuple[int, ...]):
@@ -54,12 +54,17 @@ class Tableau(namedtuple("Tableau", "n shorts missings")):
         for v in shorts + missings:
             if not 1 <= v <= n:
                 raise ValueError(f"entry {v} out of range 1..{n}")
-        return super().__new__(cls, n, shorts, missings)
+        return tuple.__new__(cls, (n, shorts, missings))
 
+    n, shorts, missings = map(property, map(itemgetter, range(3)))
+
+    # both build through the constructor, so they check as well
     @classmethod
     def _make(cls, iterable):
-        # ``_replace`` builds through ``_make``: both must check as well
         return cls(*iterable)
+
+    def _replace(self, **fields):
+        return Tableau(**dict(zip(("n", "shorts", "missings"), self), **fields))
 
     @property
     def m(self) -> int:

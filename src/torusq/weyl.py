@@ -25,7 +25,7 @@ what makes the canonical-word and length bookkeeping trivial.
 
 from bisect import insort
 
-from .rootdata import check_minuscule, fundamental_weight, reflect
+from .rootdata import check_minuscule, fundamental_weight
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +99,7 @@ class MinusculePoset:
     the list of nodes the verification suites walk.  The bottom node, the
     longest element of W^P, comes from greedy descent: lower at the first
     coordinate equal to +1 until none is left, which ends at the orbit's
-    unique antidominant weight.
+    unique antidominant weight, subtracting alpha_i from one list in place.
     """
 
     def __init__(self, system, weight_index):
@@ -107,10 +107,13 @@ class MinusculePoset:
         self.system = system
         self.weight_index = weight_index
         self.top = fundamental_weight(system, weight_index)
-        cur = self.top
+        cur = list(self.top)
         while 1 in cur:
-            cur = reflect(system, cur, cur.index(1) + 1)
-        self.bottom = cur
+            i = cur.index(1)
+            cur[i] = -1
+            for c in system.neighbours[i]:
+                cur[c - 1] += 1
+        self.bottom = tuple(cur)
 
     def canonical_word(self, mu):
         """Canonical reduced word of the coset representative of ``mu``.

@@ -39,16 +39,21 @@ singular components are grown from the listed corners instead of in one
 pass over the rows, and an extension family's
 element is rebuilt from
 the seed row by row instead of one right multiplication after the row
-before it.  Agreement between the two sides is what the tests assert.
+before it, root data probes a set of Dynkin edge pairs for every Cartan
+entry instead of filling rows from neighbour lists, the bottom node takes
+one reflection and one tuple per step instead of stepping a list in place,
+and an ideal's canonical word pops its ready labels off a heap instead of
+a sorted list.  Agreement between the two sides is what the tests assert.
 """
 
 import random
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations, combinations_with_replacement, permutations
 
 from torusq.grassmannian import check_box, check_partition, corners
 from torusq.quiver import HoleReport, Quiver
-from torusq.rootdata import fundamental_weight, reflect
+from torusq.rootdata import _edges, fundamental_weight, reflect
 from torusq.smt import (
     canonical_invariant_tableau,
     family_minimal,
@@ -547,7 +552,36 @@ def singular_components_by_corners(mu, r, n):
 
 
 # ---------------------------------------------------------------------------
+# root data probed pair by pair
+
+
+def root_data_by_pairs(family, rank):
+    """``(cartan, neighbours)`` of a root system, every entry probed in the
+    set of ordered Dynkin edges."""
+    adjacent = set()
+    for a, b in _edges(family, rank):
+        adjacent.add((a, b))
+        adjacent.add((b, a))
+    nodes = range(1, rank + 1)
+    cartan = tuple(
+        tuple(2 if i == j else (-1 if (i, j) in adjacent else 0) for j in nodes)
+        for i in nodes
+    )
+    neighbours = tuple(tuple(j for j in nodes if (i, j) in adjacent) for i in nodes)
+    return cartan, neighbours
+
+
+# ---------------------------------------------------------------------------
 # minuscule words replayed on weights
+
+
+def bottom_by_reflections(system, weight_index):
+    """The bottom node of the orbit by greedy descent: reflect at the first
+    coordinate equal to +1 until none is left."""
+    cur = fundamental_weight(system, weight_index)
+    while 1 in cur:
+        cur = reflect(system, cur, cur.index(1) + 1)
+    return cur
 
 
 def word_descends(poset, word):
@@ -618,6 +652,42 @@ def quiver_by_pairing_scan(word, system):
         system, word, as_mask(range(N)), tuple(map(tuple, targets)),
         tuple(prv), tuple(nxt),
     )
+
+
+def word_of_by_heap(minuscule, ideal):
+    """The canonical word of an ideal of a ``MinusculeQuiver``'s full
+    quiver: the label tops of ``MinusculeQuiver.word_of``, with the labels
+    that no neighbour top blocks kept on a heap."""
+    chains, nxt = minuscule.masks[1], minuscule.full.next
+    neighbours = ((),) + minuscule.system.neighbours
+    end = len(nxt)
+    top = [end] * len(chains)
+    for b, chain in enumerate(chains):
+        mask = ideal & chain
+        if mask:
+            top[b] = (mask & -mask).bit_length() - 1
+    blocked, heap = [0] * len(top), []
+    for b, t in enumerate(top):
+        if t < end:
+            blocked[b] = sum(top[c] < t for c in neighbours[b])
+            if not blocked[b]:
+                heappush(heap, b)
+    word = []
+    while heap:
+        b = heappop(heap)
+        word.append(b)
+        s = nxt[top[b]]
+        new = top[b] = end if s is None else s
+        blocked[b] = 0
+        for c in neighbours[b]:
+            if top[c] < new:
+                blocked[b] += 1
+                blocked[c] -= 1
+                if not blocked[c]:
+                    heappush(heap, c)
+        if new < end and not blocked[b]:
+            heappush(heap, b)
+    return tuple(word)
 
 
 def quivers_isomorphic_by_sorted_targets(qa, qb, p):

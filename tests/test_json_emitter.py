@@ -8,7 +8,8 @@ characters (surrogate pairs under ``ensure_ascii``), ints past 2**64,
 bools mixed into int lists (the all-int fast path must not take them),
 empty and nested containers, NamedTuples and frozensets (``default=list``).
 Outside that domain, a float or a non-str dict key raises TypeError rather
-than write other bytes.
+than write other bytes.  Strings alone go through ``cli._string``, which
+writes printable ASCII itself and hands the rest to json's C escaper.
 """
 
 import json
@@ -17,7 +18,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusq.cli import _json
+from torusq.cli import _json, _string
 
 
 class Pair(NamedTuple):
@@ -81,3 +82,15 @@ def test_edge_values(value):
 def test_floats_and_non_str_keys_raise(value):
     with pytest.raises(TypeError):
         _json(value)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(TEXT, st.text(st.characters(min_codepoint=0x1E, max_codepoint=0x81))))
+def test_a_string_is_written_as_json_dumps_writes_it(text):
+    assert _string(text) == json.dumps(text)
+
+
+@pytest.mark.parametrize("value", [1, None, True, 1.5, b"a", ("a",), ["a"]])
+def test_a_string_that_is_not_a_str_raises(value):
+    with pytest.raises(TypeError):
+        _string(value)

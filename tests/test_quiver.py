@@ -25,10 +25,11 @@ from oracles import (
     quivers_isomorphic_by_sorted_targets,
     quivers_isomorphic_under_swap_by_sigma,
     word_descends,
+    word_of_by_heap,
 )
 from torusq import quiver as qv, verify
 from torusq.cli import main
-from torusq.rootdata import minuscule_orbit_size, minuscule_weights, root_system
+from torusq.rootdata import RootSystem, minuscule_orbit_size, minuscule_weights, root_system
 from torusq.verify import minuscule_model
 from torusq.weyl import MinusculePoset
 from verify_memos import fresh_verify_memos, run_all_in_one_process
@@ -129,7 +130,8 @@ def test_the_full_quiver_is_built_without_pairings():
             return tuple.__getitem__(self, j)
 
     system = root_system("A", 100)
-    system = system._replace(cartan=tuple(map(CountingRow, system.cartan)))
+    system = RootSystem(system.family, system.rank,
+                        tuple(map(CountingRow, system.cartan)), system.neighbours)
     minuscule = qv.MinusculeQuiver(system, 50)
     assert minuscule.full.n_vertices == 2550
     assert reads == []
@@ -192,7 +194,7 @@ def test_dictionary_matches_word_replay(family, rank, weight):
 
 
 def test_word_of_is_the_canonical_word():
-    # the heap on the quiver against the walk up the weights, on every node
+    # the label tops on the quiver against the walk up the weights, on every node
     # of A1..A9 (every weight), D4..D8 (every minuscule weight), E6 and E7,
     # which covers every model verify builds; the model takes its words from
     # the walk alone, so this is what checks that the quiver reads each one
@@ -222,6 +224,22 @@ def test_word_of_reads_back_every_grown_word_of_the_verify_models(verify_scope):
             assert model.word_of(ideal) == word
             nodes += 1
     assert nodes == 728
+
+
+def test_word_of_pops_the_labels_in_the_order_of_a_heap(verify_scope):
+    # the sorted list of ready labels against a heap of them, on every ideal
+    # of the 35 models ``verify all`` builds and at A100/omega_50 on the full
+    # and minimal ideals and the minimal one's singular components
+    models, _ = verify_scope
+    for model in models:
+        for ideal in model.ideals.values():
+            assert model.word_of(ideal) == word_of_by_heap(model, ideal)
+    minuscule = qv.MinusculeQuiver(root_system("A", 100), 50)
+    minimal = minuscule.grow(qv.minimal_v_word("A", 100, 50))
+    components = qv.classify_holes(minimal, minuscule.masks).components
+    assert components
+    for ideal in (minuscule.full.members, minimal, *components):
+        assert minuscule.word_of(ideal) == word_of_by_heap(minuscule, ideal)
 
 
 @pytest.mark.parametrize("family,rank,weight", [("A", 5, 3), ("D", 5, 5)])
@@ -272,7 +290,8 @@ def test_verify_derives_each_node_once(monkeypatch):
 # Gr(2,4)'s root system with Cartan rows a fault may replace: the listing
 # steps each node by the row of the added label, while the poset the model
 # walks keeps the true rows (see ``test_model_build_checks_fire``)
-_GR24 = SimpleNamespace(**root_system("A", 3)._asdict())
+_GR24 = SimpleNamespace(family="A", rank=3, cartan=root_system("A", 3).cartan,
+                        neighbours=root_system("A", 3).neighbours)
 
 
 def _short_at_bottom(canonical_word):
@@ -782,10 +801,10 @@ def test_verify_reads_the_lookups_quiver_build_runs(monkeypatch):
         report = classify(marked, masks)
         real = report.real[:-1]
         kept = [i for i, h in enumerate(report.essential) if h in real]
-        return report._replace(
-            real=real,
-            essential=tuple(report.essential[i] for i in kept),
-            components=tuple(report.components[i] for i in kept),
+        return qv.HoleReport(
+            real, report.virtual,
+            tuple(report.essential[i] for i in kept),
+            tuple(report.components[i] for i in kept),
         )
 
     # models cached by earlier calls keep the reports they classified
@@ -796,7 +815,8 @@ def test_verify_reads_the_lookups_quiver_build_runs(monkeypatch):
 
     def first_component_only(marked, masks):
         report = classify(marked, masks)
-        return report._replace(components=report.components[:1])
+        return qv.HoleReport(report.real, report.virtual, report.essential,
+                             report.components[:1])
 
     fresh_verify_memos(monkeypatch)
     monkeypatch.setattr(qv, "classify_holes", first_component_only)

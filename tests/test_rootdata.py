@@ -1,6 +1,7 @@
 from hypothesis import given, strategies as st
 import pytest
 
+from oracles import root_data_by_pairs
 from torusq.quiver import minimal_v_word
 from torusq.rootdata import (
     fundamental_weight,
@@ -37,6 +38,15 @@ def test_e6_e7_shapes():
     m7 = root_system("E7", 7).cartan
     assert [j + 1 for j in range(7) if m7[1][j] == -1] == [4]
     assert [j + 1 for j in range(7) if m7[5][j] == -1] == [5, 7]
+
+
+def test_root_data_matches_the_pair_probe():
+    # every family at every rank up to 100, built past the cache
+    cases = [("A", rank) for rank in range(1, 101)]
+    cases += [("D", rank) for rank in range(4, 101)] + [("E6", 6), ("E7", 7)]
+    for family, rank in cases:
+        system = root_system.__wrapped__(family, rank)
+        assert (system.cartan, system.neighbours) == root_data_by_pairs(family, rank)
 
 
 def test_root_system_is_an_immutable_value():

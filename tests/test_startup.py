@@ -2,10 +2,14 @@
 
 ``dataclasses`` pulls in ``inspect`` and with it ``ast``, ``dis`` and
 ``tokenize``, about half of the package's import time.  The records are
-named tuples so that none of these loads.  ``argparse`` and ``gettext``
-load only when a request needs help or an error text: an exactly spelled
-request is read from its leaf's option table.  ``--json`` is written by
-the CLI's own emitter, so the json package never loads either.  The tests
+plain tuple subclasses, so none of these loads, and no
+``collections.namedtuple`` call compiles a ``__new__`` for each record.
+``argparse`` and ``gettext`` load only when a request needs help or an
+error text: an exactly spelled request is read from its leaf's option
+table.  ``--json`` is written by the CLI's own emitter, so the json
+package never loads either, and json's C helper ``_json`` only for a
+string that needs escapes.  ``heapq`` does not load: the quiver keeps its
+ready labels in a sorted list.  The tests
 read ``sys.modules`` in a fresh interpreter that imports nothing else
 first (the import test diffs it around the import, so whatever ``site``
 loads first does not count) and print it as a Python literal, and they
@@ -25,6 +29,7 @@ SRC = Path(torusq.__file__).resolve().parent.parent
 HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 PARSING = {"argparse", "gettext"}
 JSON = {"json", "json.encoder", "json.decoder", "json.scanner"}
+UNUSED = {"heapq", "_heapq", "_json"}
 
 
 def _fresh(script):
@@ -43,15 +48,14 @@ def test_importing_the_cli_loads_no_introspection_modules():
     )
     loaded = set(ast.literal_eval(out))
     assert "torusq.cli" in loaded
-    unwanted = HEAVY | PARSING | JSON
+    unwanted = HEAVY | PARSING | JSON | UNUSED
     assert not loaded & unwanted, sorted(loaded & unwanted)
 
 
 def test_a_bare_interpreter_imports_neither_typing_nor_re():
     """Without ``site`` (``python -S``), which on some installs imports
-    ``typing`` first, the package loads neither: its records are
-    ``collections.namedtuple`` classes and nothing is annotated from
-    ``typing``."""
+    ``typing`` first, the package loads neither: its records are plain
+    ``tuple`` subclasses and nothing is annotated from ``typing``."""
     out = subprocess.run(
         [sys.executable, "-S", "-E", "-c",
          f"import sys\nsys.path.insert(0, {str(SRC)!r})\nimport torusq.cli\n"
@@ -64,7 +68,8 @@ def test_a_bare_interpreter_imports_neither_typing_nor_re():
 
 
 def test_a_valid_request_never_loads_argparse():
-    """Nor json: a valid ``--json`` request of every leaf loads neither."""
+    """Nor json: a valid ``--json`` request of every leaf loads neither
+    the json package nor its C helper ``_json``."""
     requests = [list(words) + valid + ["--json"] for words, (valid, _) in LEAVES.items()]
     out = _fresh(
         "from torusq import cli\n"
@@ -74,7 +79,8 @@ def test_a_valid_request_never_loads_argparse():
     )
     loaded = set(ast.literal_eval(out.splitlines()[-1]))
     assert "torusq.verify" in loaded
-    assert not loaded & (PARSING | JSON), sorted(loaded & (PARSING | JSON))
+    unwanted = PARSING | JSON | {"_json"}
+    assert not loaded & unwanted, sorted(loaded & unwanted)
 
 
 def test_verify_all_loads_no_process_pool():

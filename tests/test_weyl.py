@@ -10,6 +10,7 @@ import random
 import pytest
 
 from oracles import (
+    bottom_by_reflections,
     bruhat_downset,
     bruhat_leq_bruteforce,
     indexset,
@@ -116,6 +117,17 @@ def test_orbit_sizes():
             size("D", 5, 2)
         with pytest.raises(ValueError):
             size("A", 0, 1)
+
+
+def test_the_bottom_node_is_the_reflection_walk():
+    # the walk in place on one list against one reflection per step, on
+    # every minuscule weight of A1..A30, A100, D4..D71, E6 and E7
+    ranks = [("A", rank) for rank in [*range(1, 31), 100]]
+    ranks += [("D", rank) for rank in range(4, 72)]
+    for family, rank in ranks + [("E6", 6), ("E7", 7)]:
+        system = root_system(family, rank)
+        for w in minuscule_weights(family, rank):
+            assert MinusculePoset(system, w).bottom == bottom_by_reflections(system, w)
 
 
 def test_top_and_bottom():
