@@ -17,7 +17,6 @@ from .grassmannian import (
     singular_components,
 )
 from .quiver import Quiver, classify_holes, minimal_v_word, quiver_from_word, quiver_to_dot
-from .rootdata import reflect
 from .smt import (
     Tableau,
     invariant_dimension,
@@ -47,7 +46,6 @@ __all__ = [
     "projective_normality_check",
     "quiver_from_word",
     "quiver_to_dot",
-    "reflect",
     "semistable_in_smooth",
     "singular_components",
     "word_to_perm",

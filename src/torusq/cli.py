@@ -17,9 +17,11 @@ default=list)`` on every payload the CLI writes; the json package itself
 is never imported, and its C helper ``_json`` loads only for a string
 that needs escapes.
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on usage
-errors.
+errors, 141 when the reader closes stdout before the output is written
+(128 + SIGPIPE, as a shell reports a process that SIGPIPE ends).
 """
 
+import os
 import sys
 from math import gcd
 from types import SimpleNamespace
@@ -184,7 +186,7 @@ def _resolve_ideal(minuscule, args) -> int:
     """The order ideal of the full quiver that ``--w`` names, as a mask."""
     system = minuscule.system
     if args.w == "full":
-        return minuscule.full.members
+        return (1 << minuscule.full.n_vertices) - 1
     if args.w == "minimal":
         word = qv.minimal_v_word(system.family, system.rank, minuscule.poset.weight_index)
     elif args.element_format == "indexset":
@@ -217,7 +219,6 @@ def cmd_quiver_build(args) -> int:
     except ValueError as exc:
         _usage_error(exc)
     word = minuscule.word_of(ideal)
-    marked = minuscule.full.marked(ideal)
     holes = qv.classify_holes(ideal, minuscule.masks)
     payload = {
         "input": {
@@ -229,8 +230,8 @@ def cmd_quiver_build(args) -> int:
         "result": {
             "word": word,
             "length": len(word),
-            "vertices": marked.n_vertices,
-            "members": marked.member_list,
+            "vertices": minuscule.full.n_vertices,
+            "members": list(qv.positions(ideal)),
             "holes": {
                 "real": holes.real,
                 "virtual": holes.virtual,
@@ -245,7 +246,7 @@ def cmd_quiver_build(args) -> int:
     if args.dot:
         try:
             with open(args.dot, "w", newline="") as handle:
-                handle.write(qv.quiver_to_dot(marked, holes))
+                handle.write(qv.quiver_to_dot(minuscule.full, ideal, holes))
         except OSError as exc:
             _usage_error(f"cannot write {args.dot}: {exc.strerror}")
         if not args.json:
@@ -509,11 +510,21 @@ def main(argv=None) -> int:
     if words not in LEAVES:
         words = words[:1]
     args = _read_leaf(words, argv[len(words):]) if words in LEAVES else None
-    if args is None:
-        # Help, errors and abbreviations: argparse answers from the whole
-        # tree, so every usage and error text has one source.
-        args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        try:
+            if args is None:
+                # Help, errors and abbreviations: argparse answers from the
+                # whole tree, so every usage and error text has one source.
+                args = build_parser().parse_args(argv)
+            return args.func(args)
+        finally:
+            sys.stdout.flush()  # a late EPIPE raises here, not at exit
+    except BrokenPipeError:
+        # The reader is gone.  As in the Python docs' "Note on SIGPIPE",
+        # point stdout at devnull so that the flush at exit writes the rest
+        # nowhere instead of printing a second error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":  # pragma: no cover

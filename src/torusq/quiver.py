@@ -39,34 +39,22 @@ from .weyl import MinusculePoset
 
 
 class Quiver(tuple):
-    """A quiver on the 0-based positions of a reduced word, with a marked
-    ideal ``members`` as a bitmask (all N bits for the full quiver).  The
-    order is kept only as the arrows, each vertex's targets in increasing
-    position order; ``prev`` and ``next`` hold p(i) and s(i), or ``None``.
+    """A quiver on the 0-based positions of a reduced word.  The order is
+    kept only as the arrows, each vertex's targets in increasing position
+    order; ``prev`` and ``next`` hold p(i) and s(i), or ``None``.  An
+    order ideal of it is an int bitmask (:meth:`ideals`), not a field.
     """
 
     __slots__ = ()
 
-    def __new__(cls, system, word, members, targets, prev, next):
-        return tuple.__new__(cls, (system, word, members, targets, prev, next))
+    def __new__(cls, system, word, targets, prev, next):
+        return tuple.__new__(cls, (system, word, targets, prev, next))
 
-    system, word, members, targets, prev, next = map(property, map(itemgetter, range(6)))
-
-    def _replace(self, **fields):
-        names = ("system", "word", "members", "targets", "prev", "next")
-        return Quiver(**dict(zip(names, self), **fields))
+    system, word, targets, prev, next = map(property, map(itemgetter, range(5)))
 
     @property
     def n_vertices(self) -> int:
         return len(self.word)
-
-    @property
-    def member_list(self) -> list[int]:
-        """The marked positions, in increasing order."""
-        return list(_positions(self.members))
-
-    def label(self, i: int) -> int:
-        return self.word[i]
 
     def hole_masks(self) -> tuple:
         """``(up, chains, partners)`` for :func:`classify_holes`.  Bit i of
@@ -87,18 +75,6 @@ class Quiver(tuple):
             for c in neighbours:
                 partners[b] |= chains[c]
         return up, chains, partners
-
-    def is_ideal(self, mask: int) -> bool:
-        """Down-closed: closed under arrows, hence under paths."""
-        members = set(_positions(mask))
-        return all(members.issuperset(self.targets[v]) for v in members)
-
-    def marked(self, members: int) -> "Quiver":
-        if not 0 <= members < 1 << self.n_vertices:
-            raise ValueError("members must be existing vertex positions")
-        if not self.is_ideal(members):
-            raise ValueError(f"{list(_positions(members))} is not an order ideal")
-        return self._replace(members=members)
 
     def ideals(self) -> list[tuple[int, int | None, int | None]]:
         """Every order ideal mask once, graded by size, as ``(ideal, v, k)``:
@@ -164,10 +140,8 @@ def quiver_from_word(word, system: RootSystem) -> Quiver:
         if p is not None:
             prv[j], nxt[p] = p, j
         latest[b] = j
-    return Quiver(
-        system, word, (1 << len(word)) - 1,
-        tuple(map(tuple, word_targets(word, system))), tuple(prv), tuple(nxt),
-    )
+    return Quiver(system, word, tuple(map(tuple, word_targets(word, system))),
+                  tuple(prv), tuple(nxt))
 
 
 class HoleReport(tuple):
@@ -185,7 +159,7 @@ class HoleReport(tuple):
 _MINUSCULE = frozenset((-1, 0, 1))
 
 
-def _positions(mask: int):
+def positions(mask: int):
     """The set bits of a bitmask, in increasing order: the zero runs
     between them, read off its binary string and summed in C."""
     runs = bin(mask)[:1:-1].split("1")
@@ -199,12 +173,13 @@ def classify_holes(marked: int, masks) -> HoleReport:
     up-set of each essential hole, in the order of ``essential``, distinct
     since no other real hole is weakly above an essential one.
 
-    ``masks`` is the quiver's :meth:`Quiver.hole_masks`: a marked quiver q
-    is ``classify_holes(q.members, q.hole_masks())``.  The marked vertices
-    of a label are the last of its chain, so its one candidate, whose p(i)
-    is unmarked, is the lowest bit of the chain's marked mask, with its
-    partners one popcount; a label with none marked leaves its last vertex,
-    which has no s(i), a virtual hole.  O(rank * N / 64) past the masks: 0.11-0.12 ms at A100/omega_50
+    ``masks`` is the quiver's :meth:`Quiver.hole_masks`: an ideal mask w of
+    a quiver q is classified by ``classify_holes(w, q.hole_masks())``.  The
+    marked vertices of a label, its chain's bits in ``marked``, are the last
+    of its chain, so its one candidate, whose p(i) is unmarked, is the
+    lowest bit of the chain's marked mask, with its partners one popcount;
+    a label with none marked leaves its last vertex, which has no s(i), a
+    virtual hole.  O(rank * N / 64) past the masks: 0.11-0.12 ms at A100/omega_50
     --w minimal (2-vCPU VM, Python 3.11, best and median of 11, three runs)."""
     up, chains, partners = masks
     real, virtual, real_mask = [], [], 0
@@ -375,8 +350,7 @@ class MinusculeModel(MinusculeQuiver):
         self._holes: dict[int, HoleReport] = {}
 
     def holes(self, ideal: int) -> HoleReport:
-        """The hole report of one of the listing's ideals, classified once
-        on the bare mask, without ``marked``'s checks."""
+        """The hole report of one of the listing's ideals, classified once."""
         report = self._holes.get(ideal)
         if report is None:
             report = self._holes[ideal] = classify_holes(ideal, self.masks)
@@ -447,19 +421,20 @@ def column_set_word(entries) -> tuple[int, ...]:
     return tuple(word)
 
 
-def quiver_to_dot(q: Quiver, report: HoleReport) -> str:
-    """Deterministic Graphviz rendering of a marked quiver.
+def quiver_to_dot(q: Quiver, ideal: int, report: HoleReport) -> str:
+    """Deterministic Graphviz rendering of the quiver ``q`` with the order
+    ideal mask ``ideal`` marked.
 
-    ``report`` is the hole report of ``q`` (:func:`classify_holes`).
+    ``report`` is the hole report of ``ideal`` (:func:`classify_holes`).
     Vertices carry their simple-root index as label; unmarked vertices are
     dotted, real holes get a second periphery.  Byte-identical output for
     identical input is part of the contract, so everything is emitted in
     sorted position order.
     """
-    real, members = set(report.real), set(q.member_list)
+    real, members = set(report.real), set(positions(ideal))
     lines = ["digraph quiver {", "  rankdir=TB;"]
-    for i in range(q.n_vertices):
-        attrs = [f'label="{q.label(i)}"', "shape=circle"]
+    for i, b in enumerate(q.word):
+        attrs = [f'label="{b}"', "shape=circle"]
         if i in real:
             attrs.append("peripheries=2")
         if i not in members:

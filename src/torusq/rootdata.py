@@ -14,7 +14,7 @@ of the path ``1 - 3 - 4 - 5 - 6 (- 7)``.
 
 from functools import lru_cache
 from math import comb
-from operator import add, itemgetter, sub
+from operator import itemgetter
 
 Weight = tuple[int, ...]
 
@@ -32,10 +32,6 @@ class RootSystem(tuple):
         return tuple.__new__(cls, (family, rank, cartan, neighbours))
 
     family, rank, cartan, neighbours = map(property, map(itemgetter, range(4)))
-
-    def simple_root(self, i: int) -> Weight:
-        """Simple root ``alpha_i`` in fundamental-weight coordinates."""
-        return self.cartan[i - 1]
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         if self.family in ("E6", "E7"):
@@ -148,23 +144,3 @@ def fundamental_weight(system: RootSystem, i: int) -> Weight:
     if not 1 <= i <= system.rank:
         raise ValueError(f"weight index {i} out of range 1..{system.rank}")
     return tuple(1 if j == i else 0 for j in range(1, system.rank + 1))
-
-
-def reflect(system: RootSystem, mu: Weight, i: int) -> Weight:
-    """Apply the simple reflection ``s_i`` to a weight.
-
-    ``s_i(mu) = mu - <mu, alpha_i^vee> * alpha_i``; in fundamental-weight
-    coordinates the pairing is just ``mu[i-1]``.  In a minuscule orbit that
-    pairing is always -1, 0 or 1, so those take a short path.
-    """
-    if len(mu) != system.rank:
-        raise ValueError(f"weight has length {len(mu)}, expected {system.rank}")
-    c = mu[i - 1]
-    if c == 0:
-        return tuple(mu)
-    alpha = system.simple_root(i)
-    if c == 1:
-        return tuple(map(sub, mu, alpha))
-    if c == -1:
-        return tuple(map(add, mu, alpha))
-    return tuple(m - c * a for m, a in zip(mu, alpha))

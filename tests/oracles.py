@@ -33,7 +33,9 @@ position instead of slices and a two-entry map, a hole's partners are counted by
 of label membership, the up-set of a candidate hole is scanned afresh as
 a set instead of read off bitmasks built once per quiver, an ideal is a
 set of positions instead of a bitmask (converted with :func:`as_mask` only
-where an answer is handed back to be compared), Grassmannian smoothness
+where an answer is handed back to be compared) and is tested for
+down-closure against every member's targets, which the package never
+tests since it only grows ideals by addable vertices, Grassmannian smoothness
 reads the rotated complement row by row instead of as one set of parts,
 singular components are grown from the listed corners instead of in one
 pass over the rows, and an extension family's
@@ -41,7 +43,8 @@ element is rebuilt from
 the seed row by row instead of one right multiplication after the row
 before it, root data probes a set of Dynkin edge pairs for every Cartan
 entry instead of filling rows from neighbour lists, the bottom node takes
-one reflection and one tuple per step instead of stepping a list in place,
+one simple reflection (:func:`reflect`, which the package no longer has)
+and one tuple per step instead of stepping a list in place,
 and an ideal's canonical word pops its ready labels off a heap instead of
 a sorted list.  Agreement between the two sides is what the tests assert.
 """
@@ -50,10 +53,11 @@ import random
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, combinations_with_replacement, permutations
+from operator import add, sub
 
 from torusq.grassmannian import check_box, check_partition, corners
 from torusq.quiver import HoleReport, Quiver
-from torusq.rootdata import _edges, fundamental_weight, reflect
+from torusq.rootdata import _edges, fundamental_weight
 from torusq.smt import (
     canonical_invariant_tableau,
     family_minimal,
@@ -575,6 +579,32 @@ def root_data_by_pairs(family, rank):
 # minuscule words replayed on weights
 
 
+def simple_root(system, i):
+    """Simple root ``alpha_i`` in fundamental-weight coordinates: row i of
+    the Cartan matrix."""
+    return system.cartan[i - 1]
+
+
+def reflect(system, mu, i):
+    """Apply the simple reflection ``s_i`` to a weight.
+
+    ``s_i(mu) = mu - <mu, alpha_i^vee> * alpha_i``; in fundamental-weight
+    coordinates the pairing is just ``mu[i-1]``.  In a minuscule orbit that
+    pairing is always -1, 0 or 1, so those take a short path.
+    """
+    if len(mu) != system.rank:
+        raise ValueError(f"weight has length {len(mu)}, expected {system.rank}")
+    c = mu[i - 1]
+    if c == 0:
+        return tuple(mu)
+    alpha = simple_root(system, i)
+    if c == 1:
+        return tuple(map(sub, mu, alpha))
+    if c == -1:
+        return tuple(map(add, mu, alpha))
+    return tuple(m - c * a for m, a in zip(mu, alpha))
+
+
 def bottom_by_reflections(system, weight_index):
     """The bottom node of the orbit by greedy descent: reflect at the first
     coordinate equal to +1 until none is left."""
@@ -648,10 +678,7 @@ def quiver_by_pairing_scan(word, system):
         for j in range(i + 1, stop):
             if system.cartan[word[i] - 1][word[j] - 1] != 0:
                 targets[i].append(j)
-    return Quiver(
-        system, word, as_mask(range(N)), tuple(map(tuple, targets)),
-        tuple(prv), tuple(nxt),
-    )
+    return Quiver(system, word, tuple(map(tuple, targets)), tuple(prv), tuple(nxt))
 
 
 def word_of_by_heap(minuscule, ideal):
@@ -740,9 +767,16 @@ def as_mask(vertices):
     return sum(1 << v for v in set(vertices))
 
 
-def marked_set(q):
-    """The marked positions of ``q``, bit by bit off its mask."""
-    return frozenset(v for v in range(q.n_vertices) if q.members >> v & 1)
+def marked_set(mask):
+    """The positions of a bitmask as a set, bit by bit."""
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def is_ideal(q, mask):
+    """Down-closed in the quiver ``q``: the vertex set ``mask`` holds the
+    targets of each of its vertices, so it is closed under paths."""
+    members = marked_set(mask)
+    return all(members.issuperset(q.targets[v]) for v in members)
 
 
 def ideals_by_vertex_scan(q):
@@ -776,16 +810,17 @@ def up_set_by_scan(q, i):
     return frozenset(up)
 
 
-def classify_holes_by_pairing(q):
-    """Real, virtual and essential holes of a marked quiver, with every
-    partner of a candidate tested by a Cartan pairing.
+def classify_holes_by_pairing(q, ideal):
+    """Real, virtual and essential holes of the ideal mask ``ideal`` of
+    the quiver ``q``, with every partner of a candidate tested by a Cartan
+    pairing.
 
     A candidate is a marked vertex i whose p(i) is unmarked or absent; it
     is real when exactly two marked vertices j != i weakly above it pair
     nontrivially with it, and essential when no other real hole is weakly
     above it.  Returns ``(real, virtual, essential)``.
     """
-    members = marked_set(q)
+    members = marked_set(ideal)
     real, above = [], {}
     for i in sorted(members):
         p = q.prev[i]
@@ -794,7 +829,7 @@ def classify_holes_by_pairing(q):
         above[i] = up_set_by_scan(q, i)
         count = 0
         for j in above[i] & members:
-            if j != i and q.system.cartan[q.label(j) - 1][q.label(i) - 1] != 0:
+            if j != i and q.system.cartan[q.word[j] - 1][q.word[i] - 1] != 0:
                 count += 1
         if count == 2:
             real.append(i)
@@ -803,13 +838,13 @@ def classify_holes_by_pairing(q):
     return tuple(real), tuple(virtual), tuple(essential)
 
 
-def classify_holes_by_scans(q):
+def classify_holes_by_scans(q, ideal):
     """``classify_holes`` with each candidate's up-set scanned afresh as a
     set (:func:`up_set_by_scan`), every marked vertex tested for a marked
     p(i), and its partners counted by label membership; the components are
     the marked set minus the up-set of each essential hole.  Returns a
     ``HoleReport``, the components as masks."""
-    members, labels, neighbours = marked_set(q), q.word, q.system.neighbours
+    members, labels, neighbours = marked_set(ideal), q.word, q.system.neighbours
     real, above = [], {}
     for i in sorted(members):
         p = q.prev[i]

@@ -8,14 +8,17 @@ argparse; a property test checks that whatever it does accept, it reads
 as argparse would.
 """
 
+import io
 import json
+import os
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import test_golden as golden
 import torusq
@@ -193,3 +196,105 @@ def test_console_script_usage_error_exits_2():
     assert done.returncode == 2
     assert b"required" in done.stderr
     assert done.stderr.startswith(b"usage: torusq gr analyze ")
+
+
+def _into_a_closed_pipe(*argv):
+    """A console call whose stdout is a pipe with its read end closed."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "torusq.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, cwd=SRC,
+        )
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("argv", [
+    # 807 KB, past any pipe buffer, and a few lines written by print one by one
+    ["quiver", "build", "--family", "A", "--rank", "100", "--weight", "50",
+     "--w", "minimal", "--json"],
+    ["gr", "analyze", "--n", "4", "--r", "2", "--w", "2,4"],
+])
+def test_a_closed_stdout_ends_with_141_and_no_traceback(argv):
+    done = _into_a_closed_pipe(*argv)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
+# Values for the whole-CLI fuzz: small integers, which often make a request
+# that runs, limits and the values just past them; column sets,
+# permutations and words; and junk in place of any value.
+_JOIN = ",".join
+MOSTLY = st.sampled_from([True] * 7 + [False])
+FUZZ_INTS = st.one_of(
+    st.integers(1, 6).map(str),
+    st.integers(-2, 12).map(str),
+    st.sampled_from(["13", "100", "101", "300", "301", "501", str(2**70)]),
+)
+FUZZ_WORDS = st.one_of(
+    st.sets(st.integers(1, 7), min_size=1, max_size=4).map(
+        lambda w: _JOIN(map(str, sorted(w)))),
+    st.integers(2, 6).flatmap(lambda n: st.permutations(range(1, n + 1))).map(
+        lambda w: _JOIN(map(str, w))),
+    st.lists(st.integers(-1, 9), max_size=8).map(lambda w: _JOIN(map(str, w))),
+    st.sampled_from(["minimal", "full"]),
+)
+FUZZ_JUNK = st.sampled_from(["x", "", "1.5", "+3", "-0", "-1", "a,b", "1,,2",
+                             "4 2 3 1", "bogus", "--json"])
+FUZZ_EXTRAS = st.sampled_from([
+    ["--json"], ["--json"], ["-h"], ["--"], ["extra"], ["--max-n", "3"],
+    ["--version"], ["--as"], ["--fam", "A"],
+])
+
+
+@st.composite
+def whole_cli_argvs(draw, dot_dir):
+    """An argv for one leaf of ``cli.LEAVES``: most of its options, each with
+    its value in the leaf's valid call above or a drawn one, a few stray
+    tokens, in any order.  ``--dot`` only names paths under ``dot_dir``, one
+    of them in a directory that does not exist."""
+    words = draw(st.sampled_from(sorted(cli.LEAVES)))
+    valid, _ = LEAVES[words]
+    known = dict(zip(valid[::2], valid[1::2]))
+    pieces = []
+    for flag, _, convert, choices, _, _ in cli.LEAVES[words][1]:
+        if not draw(MOSTLY):
+            continue
+        if flag == "--dot":
+            value = draw(st.sampled_from(
+                [str(dot_dir / "q.dot"), str(dot_dir / "none" / "q.dot")]))
+        elif not draw(MOSTLY):
+            value = draw(FUZZ_JUNK)
+        elif flag in known and draw(st.booleans()):
+            value = known[flag]
+        elif choices is not None:
+            value = draw(st.sampled_from(choices))
+        else:
+            value = draw(FUZZ_INTS if convert is int else FUZZ_WORDS)
+        pieces.append([flag, value] if flag.startswith("-") else [value])
+    if not draw(MOSTLY):
+        pieces += draw(st.lists(FUZZ_EXTRAS, min_size=1, max_size=2))
+    pieces = draw(st.permutations(pieces))
+    return [*words, *(token for piece in pieces for token in piece)]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_call_ends_with_0_1_or_2_and_one_error(tmp_path, data):
+    argv = data.draw(whole_cli_argvs(tmp_path))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        one_line = len(lines) == 1 and lines[0].startswith("error: ")
+        usage = lines[0].startswith("usage: torusq") and ": error: " in lines[-1]
+        assert one_line or usage, (argv, lines)
+    else:
+        assert lines == [], (argv, lines)

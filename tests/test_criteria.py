@@ -163,7 +163,7 @@ def test_minuscule_report_quadric():
     # the hole sits inside the ideal of v
     assert model.semistable_in_smooth(v, v) is True
 
-    bottom = model.full.members
+    bottom = (1 << model.full.n_vertices) - 1
     assert not model.holes(bottom).real
     assert model.semistable_in_smooth(bottom, v) is True
 

@@ -1,4 +1,4 @@
-"""Marked quivers: structure, holes, components, words, DOT output.
+"""Quivers and their ideal masks: structure, holes, components, words, DOT output.
 
 Positions are 0-based throughout; a quiver's order has early positions
 high, so ideals collect suffixes of the building word.
@@ -17,6 +17,7 @@ from oracles import (
     classify_holes_by_scans,
     ideal_node_dictionary_by_words,
     ideals_by_vertex_scan,
+    is_ideal,
     marked_set,
     node_from_word,
     quiver_by_pairing_scan,
@@ -158,7 +159,7 @@ def test_ideals_grow_by_one_maximal_vertex():
     assert sizes == sorted(sizes)
     up = q.hole_masks()[0]
     for k, (ideal, v, parent) in enumerate(listed[1:], start=1):
-        assert q.is_ideal(ideal)
+        assert is_ideal(q, ideal)
         assert ideal >> v & 1 and position[ideal ^ 1 << v] == parent < k
         assert up[v] & ideal == 1 << v  # v is maximal
 
@@ -168,14 +169,13 @@ def test_quiver_is_an_immutable_value():
     q = qv.quiver_from_word((2, 1, 3, 2), system)
     again = qv.quiver_from_word((2, 1, 3, 2), system)
     assert q is not again and q == again and hash(q) == hash(again)
+    assert q == (system, (2, 1, 3, 2), q.targets, q.prev, q.next)
     with pytest.raises(AttributeError):
-        q.members = 0
-    marked = q.marked(as_mask({1, 3}))
-    assert marked is not q and marked.members == 0b1010
-    assert marked.member_list == [1, 3]
-    assert q.members == 0b1111 and q == again
-    assert marked != q and marked.targets == q.targets
-    report = qv.classify_holes(marked.members, marked.hole_masks())
+        q.targets = ()
+    ideal = as_mask({1, 3})
+    assert ideal == 0b1010 and list(qv.positions(ideal)) == [1, 3]
+    report = qv.classify_holes(ideal, q.hole_masks())
+    assert q == again
     with pytest.raises(AttributeError):
         report.real = ()
 
@@ -238,7 +238,7 @@ def test_word_of_pops_the_labels_in_the_order_of_a_heap(verify_scope):
     minimal = minuscule.grow(qv.minimal_v_word("A", 100, 50))
     components = qv.classify_holes(minimal, minuscule.masks).components
     assert components
-    for ideal in (minuscule.full.members, minimal, *components):
+    for ideal in ((1 << minuscule.full.n_vertices) - 1, minimal, *components):
         assert minuscule.word_of(ideal) == word_of_by_heap(minuscule, ideal)
 
 
@@ -249,11 +249,10 @@ def test_mask_containment_is_set_containment(family, rank, weight):
     model = minuscule_model(family, rank, weight)
     contained = refused = 0
     for w in model.ideals.values():
-        q = model.full.marked(w)
-        essential = classify_holes_by_scans(q).essential
-        w_set = marked_set(q)
+        essential = classify_holes_by_scans(model.full, w).essential
+        w_set = marked_set(w)
         for v in model.ideals.values():
-            v_set = marked_set(model.full.marked(v))
+            v_set = marked_set(v)
             if v_set <= w_set:
                 contained += 1
                 assert model.semistable_in_smooth(w, v) == all(h in v_set for h in essential)
@@ -460,7 +459,7 @@ def test_is_ideal_is_down_closure(family, rank, weight):
     for size in range(q.n_vertices + 1):
         for subset in combinations(range(q.n_vertices), size):
             closed = all(below[v] <= set(subset) for v in subset)
-            assert q.is_ideal(as_mask(subset)) == closed
+            assert is_ideal(q, as_mask(subset)) == closed
 
 
 def test_full_quiver_at_the_vertex_limit_holds_little_memory():
@@ -480,16 +479,11 @@ def test_full_quiver_at_the_vertex_limit_holds_little_memory():
 
 def test_ideal_checks():
     q = qv.quiver_from_word((2, 1, 3, 2), root_system("A", 3))
-    assert q.is_ideal(as_mask({3}))
-    assert q.is_ideal(as_mask({1, 3}))
-    assert not q.is_ideal(as_mask({0}))
-    with pytest.raises(ValueError, match=r"^\[0, 3\] is not an order ideal$"):
-        q.marked(as_mask({0, 3}))
-    # a bit past the last vertex, or a negative mask (bits without end)
-    for outside in (as_mask({4}), as_mask({3, 4}), -1, -as_mask({3})):
-        with pytest.raises(ValueError, match="^members must be existing vertex positions$"):
-            q.marked(outside)
-    assert q.marked(0).members == 0
+    assert is_ideal(q, as_mask({3}))
+    assert is_ideal(q, as_mask({1, 3}))
+    assert not is_ideal(q, as_mask({0}))
+    assert not is_ideal(q, as_mask({0, 3}))
+    assert is_ideal(q, 0)
 
 
 def test_divisor_hole_in_gr24():
@@ -508,13 +502,12 @@ def test_divisor_hole_in_gr24():
 def test_each_essential_hole_carves_its_own_component(family, rank, weight):
     model = minuscule_model(family, rank, weight)
     for ideal in model.ideals.values():
-        q = model.full.marked(ideal)
-        report = qv.classify_holes(q.members, model.masks)
+        report = qv.classify_holes(ideal, model.masks)
         comps = report.components
         assert len(set(comps)) == len(comps) == len(report.essential)
         for h, comp in zip(report.essential, comps):
             assert not comp >> h & 1 and comp & ~ideal == 0 and comp != ideal
-            assert q.is_ideal(comp)
+            assert is_ideal(model.full, comp)
 
 
 @pytest.mark.parametrize("family,rank,weight", [
@@ -524,7 +517,7 @@ def test_components_drop_the_up_set_of_each_essential_hole(family, rank, weight)
     model = minuscule_model(family, rank, weight)
     below = quiver_order_by_closure(model.system, model.full.word)
     for ideal in model.ideals.values():
-        report = qv.classify_holes(model.full.marked(ideal).members, model.masks)
+        report = qv.classify_holes(ideal, model.masks)
         assert report.components == tuple(
             ideal & ~as_mask(j for j in range(model.full.n_vertices) if h in below[j])
             for h in report.essential
@@ -537,10 +530,9 @@ def test_components_drop_the_up_set_of_each_essential_hole(family, rank, weight)
 def test_holes_match_the_pairing_oracle(family, rank, weight):
     model = minuscule_model(family, rank, weight)
     for ideal in model.ideals.values():
-        q = model.full.marked(ideal)
-        report = qv.classify_holes(q.members, model.masks)
+        report = qv.classify_holes(ideal, model.masks)
         assert (report.real, report.virtual, report.essential) == (
-            classify_holes_by_pairing(q)
+            classify_holes_by_pairing(model.full, ideal)
         )
         assert model.holes(ideal) == report
 
@@ -550,15 +542,14 @@ def test_mask_classification_matches_the_up_set_scans(family, rank, weight):
     # every ideal, on the model's shared masks and on masks built per call
     model = minuscule_model(family, rank, weight)
     for ideal in model.ideals.values():
-        q = model.full.marked(ideal)
-        report = classify_holes_by_scans(q)
+        report = classify_holes_by_scans(model.full, ideal)
         assert qv.classify_holes(ideal, model.masks) == report
-        assert qv.classify_holes(q.members, q.hole_masks()) == report
+        assert qv.classify_holes(ideal, model.full.hole_masks()) == report
 
 
 def test_full_grassmannian_is_smooth():
     model = minuscule_model("A", 3, 2)
-    report = model.holes(model.full.members)
+    report = model.holes((1 << model.full.n_vertices) - 1)
     assert report.real == () and report.components == ()
 
 
@@ -578,7 +569,7 @@ def test_d4_natural_weight_minimal_v():
     report = model.holes(v)
     assert len(report.real) == 1
     hole = report.real[0]
-    assert model.full.label(hole) == 2  # the fork joint n-2
+    assert model.full.word[hole] == 2  # the fork joint n-2
     assert [model.word_of(c) for c in report.components] == [(1,)]
 
 
@@ -590,7 +581,7 @@ def test_d4_spin_minimal_v():
     assert model.grow(word) == v
     report = model.holes(v)
     assert len(report.real) == 1
-    assert model.full.label(report.real[0]) == 2
+    assert model.full.word[report.real[0]] == 2
 
 
 def test_d_spin_words_descend_both_weights():
@@ -606,7 +597,7 @@ def test_d_spin_words_descend_both_weights():
 def test_e6_full_quiver_smooth():
     model = minuscule_model("E6", 6, 1)
     bottom = model.ideals[model.poset.bottom]
-    assert bottom == model.full.members and bottom.bit_count() == 16
+    assert bottom == (1 << model.full.n_vertices) - 1 and bottom.bit_count() == 16
     assert not model.holes(bottom).real
 
 
@@ -662,6 +653,11 @@ def _swap_check(qa, qb, p):
     return answer
 
 
+def _with_targets(q, targets):
+    """The quiver ``q`` with its arrows replaced by ``targets``."""
+    return qv.Quiver(q.system, q.word, targets, q.prev, q.next)
+
+
 def test_commutation_isomorphism():
     system = root_system("D", 4)
     word = (3, 4, 2, 1)
@@ -680,11 +676,11 @@ def test_swap_isomorphism_compares_the_order():
     qa = qv.quiver_from_word((2, 1, 3, 2), system)
     qb = qv.quiver_from_word((2, 3, 1, 2), system)
     assert _swap_check(qa, qb, 1)
-    assert _swap_check(qa, qb._replace(targets=qb.targets), 1)
+    assert _swap_check(qa, _with_targets(qb, qb.targets), 1)
     # same labels, but the arrow 0 -> 2 is lost, or an arrow 0 -> 3 is gained
     assert qb.targets[0] == (1, 2)
     for targets in ((1,), (1, 2, 3)):
-        changed = qb._replace(targets=(targets,) + qb.targets[1:])
+        changed = _with_targets(qb, (targets,) + qb.targets[1:])
         assert not _swap_check(qa, changed, 1)
 
 
@@ -694,7 +690,7 @@ def test_swap_check_refuses_an_unsorted_target_tuple():
     qa = qv.quiver_from_word((2, 1, 3, 2), system)
     qb = qv.quiver_from_word((2, 3, 1, 2), system)
     assert qb.targets[0] == (1, 2)
-    unsorted = qb._replace(targets=((2, 1),) + qb.targets[1:])
+    unsorted = _with_targets(qb, ((2, 1),) + qb.targets[1:])
     assert quivers_isomorphic_by_arrow_sets(qa, unsorted, 1)
     assert not quivers_isomorphic_by_sorted_targets(qa, unsorted, 1)
     assert not _swap_check(qa, unsorted, 1)
@@ -841,9 +837,9 @@ def test_verify_all_classifies_each_marked_quiver_once(monkeypatch):
 
 def test_dot_output_is_stable_and_annotated():
     model = minuscule_model("E6", 6, 1)
-    q = model.full.marked(model.grow(qv.minimal_v_word("E6", 6, 1)))
-    dot = qv.quiver_to_dot(q, qv.classify_holes(q.members, q.hole_masks()))
-    assert dot == qv.quiver_to_dot(q, qv.classify_holes(q.members, model.masks))
+    q, v = model.full, model.grow(qv.minimal_v_word("E6", 6, 1))
+    dot = qv.quiver_to_dot(q, v, qv.classify_holes(v, q.hole_masks()))
+    assert dot == qv.quiver_to_dot(q, v, qv.classify_holes(v, model.masks))
     assert dot.startswith("digraph quiver {")
     assert dot.rstrip().endswith("}")
     assert dot.count("peripheries=2") == 1  # exactly one circled hole
@@ -857,7 +853,7 @@ def test_dot_output_is_stable_and_annotated():
 
 def test_dot_smooth_case_has_no_double_circle():
     model = minuscule_model("A", 3, 2)
-    q = model.full.marked(model.ideals[model.poset.bottom])
-    dot = qv.quiver_to_dot(q, qv.classify_holes(q.members, model.masks))
+    bottom = model.ideals[model.poset.bottom]
+    dot = qv.quiver_to_dot(model.full, bottom, qv.classify_holes(bottom, model.masks))
     assert "peripheries" not in dot
     assert "style=dotted" not in dot

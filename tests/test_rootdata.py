@@ -1,14 +1,13 @@
 from hypothesis import given, strategies as st
 import pytest
 
-from oracles import root_data_by_pairs
+from oracles import reflect, root_data_by_pairs, simple_root
 from torusq.quiver import minimal_v_word
 from torusq.rootdata import (
     fundamental_weight,
     minuscule_dimension,
     minuscule_orbit_size,
     minuscule_weights,
-    reflect,
     root_system,
 )
 from torusq.weyl import MinusculePoset
@@ -86,7 +85,7 @@ def test_reflect_short_path_matches_the_formula(system_key, c, data):
                  min_size=system.rank, max_size=system.rank)
     )
     mu[i - 1] = c
-    alpha = system.simple_root(i)
+    alpha = simple_root(system, i)
     assert reflect(system, tuple(mu), i) == tuple(m - c * a for m, a in zip(mu, alpha))
 
 
