@@ -18,7 +18,6 @@ from .grassmannian import (
 )
 from .quiver import Quiver, classify_holes, minimal_v_word, quiver_from_word, quiver_to_dot
 from .smt import (
-    Tableau,
     invariant_dimension,
     invariant_witnesses,
     is_standard_on,
@@ -30,7 +29,6 @@ from .weyl import MinusculePoset, bruhat_leq, word_to_perm
 __all__ = [
     "MinusculePoset",
     "Quiver",
-    "Tableau",
     "__version__",
     "bruhat_leq",
     "classify_holes",

@@ -51,8 +51,9 @@ from .weyl import word_to_perm
 # is refused without computing the count.  ``smt dim --json`` lists every
 # witness, 2*m entries each, and stops at SMT_MAX_WITNESS_ENTRIES entries in
 # all: a whole call with 8 855 witnesses (n = 21, m = 4, 70 840 entries)
-# takes 0.13-0.19 s and writes 1.4 MB, one with 24 976 (n = 224, m = 2)
-# 0.32-0.45 s and 2.9 MB; 50 000 at m = 1 take 0.67 s in process.
+# takes 0.12-0.20 s and writes 1.4 MB, one with 24 976 (n = 224, m = 2)
+# 0.24-0.39 s and 2.9 MB (fastest to slowest of 11); 50 000 at m = 1 take
+# 0.30-0.41 s in process.
 # ``smt pn-check`` walks the pairs of the standardness test down
 # C(n+max_m, max_m) - 1 sorted multisets, ~1 us each: 91 389 take
 # 0.12-0.19 s.  ``smt minimal`` answers n-1 permutations of n, O(n^2)
@@ -297,7 +298,7 @@ def cmd_smt_dim(args) -> int:
         "input": {"n": args.n, "w": w, "m": m},
         "result": {"dim": dim, "m": m},
         "witnesses": [
-            {"shorts": tab.shorts, "missings": tab.missings} for tab in witnesses
+            {"shorts": values[::-1], "missings": values} for values in witnesses
         ],
         "warnings": [],
     }

@@ -1,11 +1,12 @@
 """Standard monomials of shape m*(omega_1 + omega_{n-1}) on Schubert
 varieties in the full flag variety of SL(n), and their torus invariants.
 
-A tableau of this shape has m single-box rows (their values, listed top
-row of the chain first) and m rows of length n-1 (each determined by its
-missing value).  The monomial it names is standard on X(w) when a Bruhat
-chain w >= phi_1 >= ... >= phi_2m exists whose i-th member projects onto
-the i-th listed row.  Each row pins one end of its chain member (a
+A tableau of this shape has m single-box rows and m rows of length n-1,
+given as two bare tuples: ``shorts``, the single-box values, and
+``missings``, the value each long row misses, top row of the chain first.
+The monomial it names is standard on X(w) when a Bruhat chain
+w >= phi_1 >= ... >= phi_2m exists whose i-th member projects onto the
+i-th listed row.  Each row pins one end of its chain member (a
 single box its first value, a long row its last), so a chain only sees
 the pair of end values, and the Bruhat order on those pairs is two
 integer comparisons; standardness is decided by walking the largest
@@ -15,12 +16,14 @@ walk through S_n is kept as an oracle in the test suite.
 Torus invariance pins the tableau completely: the single-box values and
 the missing values must agree as multisets, and standardness forces the
 single boxes to be listed weakly decreasing and the missing values weakly
-increasing.  The canonical tableau of a multiset is standard on X(w)
-exactly when every value lies in (w(n), w(1)], so the invariant sections
-form a polynomial ring on t = max(0, w(1) - w(n)) generators and
-dim H^0(X(w), L_m)^T = C(t+m-1, m) (see :func:`invariant_witnesses`).
-The pair walk over every multiset of 1..n, read off the sorted multiset
-without building its tableau, stays as the independent count
+increasing.  So an invariant tableau is its content, a sorted tuple of
+values: the single boxes are the content reversed and the long rows miss
+the content itself, and the content is the only form this module gives
+it.  That tableau is standard on X(w) exactly when every value lies in
+(w(n), w(1)], so the invariant sections form a polynomial ring on
+t = max(0, w(1) - w(n)) generators and dim H^0(X(w), L_m)^T =
+C(t+m-1, m) (see :func:`invariant_witnesses`).  The pair walk over every
+sorted multiset of 1..n, read in place, stays as the independent count
 (:func:`invariant_dimension`) that the suites compare the closed form
 against.
 
@@ -36,55 +39,17 @@ found without listing the column sets of the box.
 
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
-from operator import itemgetter
 
 from .weyl import right_multiply, word_to_perm
-
-
-# ---------------------------------------------------------------------------
-# tableaux of shape m * (omega_1 + omega_{n-1})
-
-
-class Tableau(tuple):
-    __slots__ = ()
-
-    def __new__(cls, n: int, shorts: tuple[int, ...], missings: tuple[int, ...]):
-        if len(shorts) != len(missings):
-            raise ValueError("need as many single boxes as long rows")
-        for v in shorts + missings:
-            if not 1 <= v <= n:
-                raise ValueError(f"entry {v} out of range 1..{n}")
-        return tuple.__new__(cls, (n, shorts, missings))
-
-    n, shorts, missings = map(property, map(itemgetter, range(3)))
-
-    # both build through the constructor, so they check as well
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
-    def _replace(self, **fields):
-        return Tableau(**dict(zip(("n", "shorts", "missings"), self), **fields))
-
-    @property
-    def m(self) -> int:
-        return len(self.shorts)
-
-
-def canonical_invariant_tableau(n: int, values) -> Tableau:
-    """The only possibly-standard invariant tableau with given content."""
-    values = tuple(values)
-    return Tableau(
-        n, tuple(sorted(values, reverse=True)), tuple(sorted(values))
-    )
 
 
 # ---------------------------------------------------------------------------
 # the standard test
 
 
-def is_standard_on(t: Tableau, w) -> bool:
-    """Is the tableau standard on X(w)?  Decided on (w(1), w(n)) in O(m).
+def is_standard_on(shorts, missings, w) -> bool:
+    """Is the tableau with these rows standard on X(w)?  Decided on
+    (w(1), w(n)) in O(m), n = len(w).
 
     A single box v pins phi(1) = v and a long row missing d pins phi(n) = d,
     so a chain only sees cosets of W_P, P generated by s_2, ..., s_{n-2}:
@@ -100,17 +65,22 @@ def is_standard_on(t: Tableau, w) -> bool:
     exact.  A single box v needs v <= a and gives (v, z), or (v, z + 1) if
     z = v; a long row d needs d >= z and gives (a, d), or (a - 1, d) if
     a = d.  The walk fails once z passes n or a reaches 0.  Needs n >= 2:
-    SL(1) has no omega_{n-1}.
+    SL(1) has no omega_{n-1}.  Refuses rows of unequal length and entries
+    outside 1..n.
     """
-    if t.n != len(w):
-        raise ValueError("size mismatch")
-    if t.n < 2:
+    n = len(w)
+    if n < 2:
         raise ValueError("standardness needs n >= 2")
-    return _pair_walk(t.shorts, t.missings, w, t.n)
+    if len(shorts) != len(missings):
+        raise ValueError("need as many single boxes as long rows")
+    for v in (*shorts, *missings):
+        if not 1 <= v <= n:
+            raise ValueError(f"entry {v} out of range 1..{n}")
+    return _pair_walk(shorts, missings, w, n)
 
 
 def _pair_walk(shorts, missings, w, n: int) -> bool:
-    """The walk of :func:`is_standard_on` on bare rows, entries in 1..n."""
+    """The walk of :func:`is_standard_on`, unchecked: entries in 1..n."""
     a, z = w[0], w[-1]
     for v in shorts:
         if v > a:
@@ -139,10 +109,11 @@ def monomial_count(t: int, m: int) -> int:
     return comb(t + m - 1, m) if m else 1
 
 
-def invariant_witnesses(w, m: int) -> list[Tableau]:
-    """All standard invariant tableaux of shape m*(omega_1+omega_{n-1}) on
-    X(w): the canonical tableaux of the multisets of (w(n), w(1)], in
-    lexicographic order of their content.
+def invariant_witnesses(w, m: int) -> list[tuple[int, ...]]:
+    """The standard invariant tableaux of shape m*(omega_1+omega_{n-1}) on
+    X(w), each given by its content: the multisets of (w(n), w(1)] as
+    sorted tuples, in lexicographic order.  A content's single boxes are
+    its values read backwards and its long rows miss the values in order.
 
     Why exactly these: the single boxes come weakly decreasing, so the
     first one is the largest value and must be <= w(1); after them a is
@@ -154,24 +125,20 @@ def invariant_witnesses(w, m: int) -> list[Tableau]:
     C(t+m-1, m) of them, t = :func:`invariant_generators`, listed in time
     linear in the output.
     """
-    n = len(w)
-    if n < 2:
+    if len(w) < 2:
         raise ValueError("standardness needs n >= 2")
-    return [
-        canonical_invariant_tableau(n, values)
-        for values in combinations_with_replacement(range(w[-1] + 1, w[0] + 1), m)
-    ]
+    return list(combinations_with_replacement(range(w[-1] + 1, w[0] + 1), m))
 
 
 def invariant_dimension(w, m: int) -> int:
     """Dimension of the degree-m invariant sections on X(w), by walking
-    the pairs of :func:`is_standard_on` down the canonical tableau of
-    every multiset of 1..n.
+    the pairs of :func:`is_standard_on` down the tableau of every multiset
+    of 1..n.
 
-    Each multiset comes sorted, so the single boxes are its values read
-    backwards and the missing values the values themselves; the walk
-    reads them in place and builds no tableau.  The closed form
-    C(t+m-1, m) gives the same number; this count stays as the
+    Each multiset comes sorted, so its single boxes are its values read
+    backwards and its missing values the values themselves; the walk
+    reads them in place, unchecked, since they lie in 1..n.  The closed
+    form C(t+m-1, m) gives the same number; this count stays as the
     independent side that ``pn-check`` and the verify suites compare
     against, so the closed form never checks itself.
     """

@@ -32,10 +32,6 @@ from .rootdata import check_minuscule, fundamental_weight
 # permutations
 
 
-def identity_perm(n):
-    return tuple(range(1, n + 1))
-
-
 def right_multiply(w, i):
     """w * s_i: swap the values in positions i and i+1 (1-based)."""
     if not 1 <= i <= len(w) - 1:
@@ -47,7 +43,7 @@ def right_multiply(w, i):
 
 def word_to_perm(word, n):
     """Product of simple reflections, rightmost letter first, in O(n + L)."""
-    line = list(identity_perm(n))
+    line = list(range(1, n + 1))
     for i in word:
         if not 1 <= i <= n - 1:
             raise ValueError(f"reflection index {i} out of range for n={n}")

@@ -5,10 +5,9 @@ through covers instead of prefix dominance, standardness is decided by
 exhaustive chain search, or by the greedy maximum through S_n (on the
 package's prefix-dominance Bruhat test, itself checked against the cover
 walk), instead of the walk on end-value pairs, the invariant witnesses
-are every multiset's canonical tableau filtered through that walk
-instead of the multisets of (w(n), w(1)] listed directly, the walked
-section count builds and validates each multiset's tableau instead of
-reading the sorted multiset in place, Grassmannian invariant chains by
+and their count are every multiset's rows filtered through the checked
+walk instead of the multisets of (w(n), w(1)] listed directly or each
+sorted multiset walked in place unchecked, Grassmannian invariant chains by
 depth-first search instead of the flagged-tableau filling, that filling
 starts every strip at row 1 instead of at the first row that is not
 full, section counts
@@ -59,7 +58,6 @@ from torusq.grassmannian import check_box, check_partition, corners
 from torusq.quiver import HoleReport, Quiver
 from torusq.rootdata import _edges, fundamental_weight
 from torusq.smt import (
-    canonical_invariant_tableau,
     family_minimal,
     family_rows,
     invariant_dimension,
@@ -163,14 +161,12 @@ def _next_bounds(bound, kind, val):
     return keep
 
 
-def tableau_rows(tableau):
+def tableau_rows(shorts, missings):
     """Rows in chain order: all single boxes, then all long rows."""
-    return [("short", v) for v in tableau.shorts] + [
-        ("long", d) for d in tableau.missings
-    ]
+    return [("short", v) for v in shorts] + [("long", d) for d in missings]
 
 
-def is_standard_exhaustive(tableau, w):
+def is_standard_exhaustive(shorts, missings, w):
     """Chain search over every admissible coset member, row by row.
 
     Keeps only dominated-free intermediate bounds (anything reachable
@@ -178,7 +174,7 @@ def is_standard_exhaustive(tableau, w):
     branches loses nothing).
     """
     bounds = [tuple(w)]
-    for kind, val in tableau_rows(tableau):
+    for kind, val in tableau_rows(shorts, missings):
         nxt = []
         for bound in bounds:
             for cand in _next_bounds(bound, kind, val):
@@ -190,11 +186,11 @@ def is_standard_exhaustive(tableau, w):
     return True
 
 
-def is_young_on(tableau, w):
+def is_young_on(shorts, missings, w):
     """The Young condition, necessary for standardness: each row lies
     entrywise below the sorted prefix of w of the same length."""
-    n = tableau.n
-    for kind, val in tableau_rows(tableau):
+    n = len(w)
+    for kind, val in tableau_rows(shorts, missings):
         if kind == "short":
             row, prefix = (val,), sorted(w[:1])
         else:
@@ -250,11 +246,11 @@ def max_coset_member_below(bound, first=None, last=None):
     return tuple(line)
 
 
-def is_standard_greedy(tableau, w):
+def is_standard_greedy(shorts, missings, w):
     """Standardness by the greedy chain through S_n: each row replaces
     the bound by the largest permutation below it with the row's pin."""
     bound = tuple(w)
-    for kind, val in tableau_rows(tableau):
+    for kind, val in tableau_rows(shorts, missings):
         if kind == "short":
             bound = max_coset_member_below(bound, first=val)
         else:
@@ -265,26 +261,15 @@ def is_standard_greedy(tableau, w):
 
 
 def invariant_witnesses_by_filter(w, m):
-    """The standard invariant tableaux of degree m on X(w), by filtering
-    the canonical tableau of every multiset of 1..n through the package's
-    pair walk, in lexicographic order of content."""
+    """The contents of the standard invariant tableaux of degree m on
+    X(w), by filtering every multiset of 1..n through the package's
+    checked pair walk, in lexicographic order."""
     n = len(w)
-    tableaux = (
-        canonical_invariant_tableau(n, values)
+    return [
+        values
         for values in combinations_with_replacement(range(1, n + 1), m)
-    )
-    return [t for t in tableaux if is_standard_on(t, w)]
-
-
-def invariant_dimension_by_tableaux(w, m):
-    """The degree-m invariant section count on X(w), by building the
-    canonical tableau of every multiset of 1..n and testing it with
-    :func:`torusq.smt.is_standard_on`."""
-    n = len(w)
-    return sum(
-        is_standard_on(canonical_invariant_tableau(n, values), w)
-        for values in combinations_with_replacement(range(1, n + 1), m)
-    )
+        if is_standard_on(values[::-1], values, w)
+    ]
 
 
 # ---------------------------------------------------------------------------

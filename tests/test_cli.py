@@ -477,7 +477,8 @@ def test_smt_dim_runs_no_walk(capsys, monkeypatch):
         code, payload, _ = run_json(capsys, argv)
         assert payload["result"]["dim"] == len(witnesses)
         assert payload["witnesses"] == [
-            {"shorts": list(t.shorts), "missings": list(t.missings)} for t in witnesses
+            {"shorts": sorted(values, reverse=True), "missings": sorted(values)}
+            for values in witnesses
         ]
 
 
@@ -499,6 +500,7 @@ def test_smt_pn_check(capsys):
 
 
 W20 = ",".join(map(str, (20, *range(2, 20), 1)))  # t = 19
+W225 = ",".join(map(str, (225, *range(2, 225), 1)))  # t = 224
 
 
 @pytest.mark.parametrize("argv", [
@@ -513,6 +515,7 @@ W20 = ",".join(map(str, (20, *range(2, 20), 1)))  # t = 19
     ["dim", "--n", "20", "--w", W20, "--m", str(10**300)],  # ~5 400 digits
     ["dim", "--n", "3", "--w", "3,2,1", "--m", "2000"],  # 2 001 witnesses of 4 000 entries
     ["dim", "--n", "2", "--w", "2,1", "--m", str(10**9)],  # one of 2 * 10^9 entries
+    ["dim", "--n", "225", "--w", W225, "--m", "2"],  # 25 200 witnesses, 100 800 entries
     ["pn-check", "--n", "20", "--w", W20, "--max-m", "9"],  # C(29, 9) - 1
     ["pn-check", "--n", "20", "--w", W20, "--max-m", str(10**9)],
     ["minimal", "--n", str(SMT_MINIMAL_MAX_N + 1)],

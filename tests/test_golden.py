@@ -23,7 +23,8 @@ every minuscule weight (92 calls).  ``golden/verify.txt``
 holds ``torusq verify all --json``.  At the admission limit of ``quiver
 build``, where a record would run to 0.8 MB, only the sha256 of the output
 is pinned: A100/omega_50 and D71/omega_71 with ``minimal`` and ``full``
-(``LIMIT_DIGESTS``).  Each record is a ``$ torusq ...``
+(``LIMIT_DIGESTS``), and so it is for ``smt dim --json`` at its witness
+limit (``SMT_LIMIT_DIGESTS``).  Each record is a ``$ torusq ...``
 line (arguments quoted as a shell would need them) followed by the
 output.  Any change to an answer, a witness, a warning or the formatting
 shows up here.
@@ -216,6 +217,24 @@ def test_quiver_build_json_at_the_admission_limit_is_pinned(family, rank, weight
                      "--weight", weight, "--w", w, "--json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == LIMIT_DIGESTS[family, rank, weight, w]
+
+
+# sha256 of the ``torusq smt dim --json`` bytes at the witness limit, keyed by
+# (n, m) for w = (n, 2, ..., n-1, 1): 8 855 witnesses at n = 21, m = 4, and
+# 24 976 of 4 entries at n = 224, m = 2 (99 904, just under
+# SMT_MAX_WITNESS_ENTRIES; n = 225 is refused)
+SMT_LIMIT_DIGESTS = {
+    (21, 4): "05980b0ba48b3a2a52ee2b607d2d93a0e1fc2f33584992f93e7399812dbfd601",
+    (224, 2): "18faa24821edc4cd6835d7329d903d85b52ef81d6effda0dea7d34f8c7dd1b79",
+}
+
+
+@pytest.mark.parametrize("n,m", list(SMT_LIMIT_DIGESTS))
+def test_smt_dim_json_at_the_witness_limit_is_pinned(n, m):
+    w = ",".join(map(str, (n, *range(2, n), 1)))
+    code, out = run(["smt", "dim", "--n", str(n), "--w", w, "--m", str(m), "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SMT_LIMIT_DIGESTS[n, m]
 
 
 @pytest.mark.parametrize("suite", list(verify.SUITES))

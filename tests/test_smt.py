@@ -21,7 +21,6 @@ from oracles import (
     family_element,
     invariant_chain_exhaustive,
     invariant_dim_geometric,
-    invariant_dimension_by_tableaux,
     invariant_witnesses_by_filter,
     is_invariant_chain,
     is_standard_exhaustive,
@@ -40,94 +39,80 @@ W7 = (5, 2, 3, 6, 7, 4, 1)
 
 
 def test_tableau_shape_and_validation():
-    t = smt.Tableau(7, (5,), (5,))
-    assert t.m == 1
-    assert tableau_rows(t) == [("short", 5), ("long", 5)]
+    assert tableau_rows((5,), (5,)) == [("short", 5), ("long", 5)]
     with pytest.raises(ValueError):
-        smt.Tableau(7, (5, 4), (5,))
+        smt.is_standard_on((5, 4), (5,), V7)
     with pytest.raises(ValueError):
-        smt.Tableau(7, (8,), (1,))
+        smt.is_standard_on((8,), (1,), V7)
 
 
-def test_tableau_is_an_immutable_value():
-    t = smt.Tableau(7, (5, 2), (2, 5))
-    assert t == smt.canonical_invariant_tableau(7, (2, 5))
-    assert hash(t) == hash(smt.Tableau(7, (5, 2), (2, 5)))
-    with pytest.raises(AttributeError):
-        t.n = 8
-    # the named tuple's own builders check like the constructor
-    assert smt.Tableau._make((7, (5, 2), (2, 5))) == t and t._replace(n=5) == (5, (5, 2), (2, 5))
+def test_is_standard_on_names_a_malformed_row():
+    # entries are checked against n = len(w), the two rows against each other
     with pytest.raises(ValueError, match=r"entry 8 out of range 1\.\.7"):
-        smt.Tableau._make((7, (8,), (1,)))
+        smt.is_standard_on((8,), (1,), V7)
+    with pytest.raises(ValueError, match=r"entry 0 out of range 1\.\.7"):
+        smt.is_standard_on((5,), (0,), V7)
     with pytest.raises(ValueError, match=r"entry 5 out of range 1\.\.4"):
-        t._replace(n=4)
+        smt.is_standard_on((5, 2), (2, 5), (4, 3, 2, 1))
     with pytest.raises(ValueError, match="need as many single boxes"):
-        t._replace(shorts=(5,))
+        smt.is_standard_on((5,), (2, 5), V7)
 
 
-def content_counts(t):
+def content_counts(shorts, missings, n):
     """How often each value 1..n appears in the tableau."""
-    counts = [0] * t.n
-    for v in t.shorts:
+    counts = [0] * n
+    for v in shorts:
         counts[v - 1] += 1
-    for d in t.missings:
-        for v in range(1, t.n + 1):
+    for d in missings:
+        for v in range(1, n + 1):
             if v != d:
                 counts[v - 1] += 1
     return counts
 
 
-def is_invariant(t):
+def is_invariant(shorts, missings):
     """Weight zero: the single-box values match the missing values as
     multisets, which is how the invariant witnesses are enumerated."""
-    return sorted(t.shorts) == sorted(t.missings)
+    return sorted(shorts) == sorted(missings)
 
 
 def test_invariance_is_multiset_equality():
-    assert is_invariant(smt.Tableau(7, (5,), (5,)))
-    assert not is_invariant(smt.Tableau(7, (1,), (7,)))
-    assert is_invariant(smt.Tableau(7, (2, 3), (3, 2)))
+    assert is_invariant((5,), (5,))
+    assert not is_invariant((1,), (7,))
+    assert is_invariant((2, 3), (3, 2))
     # the multiset test must agree with equal-content-counts
     for shorts in product(range(1, 5), repeat=2):
         for missings in product(range(1, 5), repeat=2):
-            t = smt.Tableau(4, shorts, missings)
-            assert is_invariant(t) == (len(set(content_counts(t))) == 1)
+            equal = len(set(content_counts(shorts, missings, 4))) == 1
+            assert is_invariant(shorts, missings) == equal
     # every counted witness has weight zero
-    for t in smt.invariant_witnesses((7, 6, 5, 4, 3, 2, 1), 2):
-        assert len(set(content_counts(t))) == 1
-
-
-def test_canonical_invariant_tableau():
-    t = smt.canonical_invariant_tableau(7, (3, 5, 3))
-    assert t.shorts == (5, 3, 3)
-    assert t.missings == (3, 3, 5)
-    assert is_invariant(t)
+    for values in smt.invariant_witnesses((7, 6, 5, 4, 3, 2, 1), 2):
+        assert len(set(content_counts(values[::-1], values, 7))) == 1
 
 
 def test_young_on_the_seed():
-    assert is_young_on(smt.Tableau(7, (5,), (5,)), V7)
+    assert is_young_on((5,), (5,), V7)
     # a single box holding 6 exceeds pi_1(v) = (5)
-    assert not is_young_on(smt.Tableau(7, (6,), (6,)), V7)
+    assert not is_young_on((6,), (6,), V7)
     w0 = (7, 6, 5, 4, 3, 2, 1)
     for val in range(1, 8):
-        assert is_young_on(smt.Tableau(7, (val,), (val,)), w0)
+        assert is_young_on((val,), (val,), w0)
     # the Young condition is necessary for standardness
     for w in permutations(range(1, 5)):
         for m in (1, 2):
-            for t in smt.invariant_witnesses(w, m):
-                assert is_young_on(t, w)
+            for values in smt.invariant_witnesses(w, m):
+                assert is_young_on(values[::-1], values, w)
 
 
 def test_standard_examples():
-    t4 = smt.Tableau(7, (4,), (4,))
-    assert smt.is_standard_on(t4, W7)
-    assert not smt.is_standard_on(t4, (5, 2, 1, 3, 6, 7, 4))
-    assert smt.is_standard_on(smt.Tableau(7, (), ()), V7)  # empty shape
+    assert smt.is_standard_on((4,), (4,), W7)
+    assert not smt.is_standard_on((4,), (4,), (5, 2, 1, 3, 6, 7, 4))
+    assert smt.is_standard_on((), (), V7)  # empty shape
 
 
 def test_standardness_needs_n_at_least_2():
     with pytest.raises(ValueError):
-        smt.is_standard_on(smt.Tableau(1, (1,), (1,)), (1,))
+        smt.is_standard_on((1,), (1,), (1,))
     with pytest.raises(ValueError):
         smt.invariant_dimension((1,), 1)
     with pytest.raises(ValueError):
@@ -186,13 +171,13 @@ def test_pair_standardness_matches_sn_greedy():
     cases = 0
     for n in range(2, 6):
         tableaux = [
-            smt.canonical_invariant_tableau(n, values)
+            (values[::-1], values)
             for m in (1, 2, 3)
             for values in combinations_with_replacement(range(1, n + 1), m)
         ]
         for w in permutations(range(1, n + 1)):
             for t in tableaux:
-                assert smt.is_standard_on(t, w) == is_standard_greedy(t, w), (w, t)
+                assert smt.is_standard_on(*t, w) == is_standard_greedy(*t, w), (w, t)
                 cases += 1
     assert cases == 7548
 
@@ -209,8 +194,8 @@ def test_pair_standardness_matches_sn_greedy():
 )
 def test_pair_standardness_spot_n7_n8(case):
     w, shorts, missings = case
-    t = smt.Tableau(len(w), tuple(shorts), tuple(missings[: len(shorts)]))
-    assert smt.is_standard_on(t, tuple(w)) == is_standard_greedy(t, tuple(w))
+    t = tuple(shorts), tuple(missings[: len(shorts)])
+    assert smt.is_standard_on(*t, tuple(w)) == is_standard_greedy(*t, tuple(w))
 
 
 def test_greedy_standardness_matches_exhaustive_search():
@@ -218,9 +203,8 @@ def test_greedy_standardness_matches_exhaustive_search():
         for w in permutations(range(1, n + 1)):
             for shorts in product(range(1, n + 1), repeat=m):
                 for missings in product(range(1, n + 1), repeat=m):
-                    t = smt.Tableau(n, shorts, missings)
-                    assert smt.is_standard_on(t, w) == is_standard_exhaustive(
-                        t, w
+                    assert smt.is_standard_on(shorts, missings, w) == (
+                        is_standard_exhaustive(shorts, missings, w)
                     ), (w, shorts, missings)
 
 
@@ -233,8 +217,8 @@ def test_greedy_standardness_matches_exhaustive_search():
 def test_greedy_standardness_spot_n6(w, shorts, missings):
     if len(shorts) != len(missings):
         return
-    t = smt.Tableau(6, tuple(shorts), tuple(missings))
-    assert smt.is_standard_on(t, tuple(w)) == is_standard_exhaustive(t, tuple(w))
+    t = tuple(shorts), tuple(missings)
+    assert smt.is_standard_on(*t, tuple(w)) == is_standard_exhaustive(*t, tuple(w))
 
 
 @settings(max_examples=80, deadline=None)
@@ -246,9 +230,8 @@ def test_standardness_lifts_along_bruhat(u, w):
     if not bruhat_leq(u, w):
         return
     for values in product(range(1, 6), repeat=1):
-        t = smt.canonical_invariant_tableau(5, values)
-        if smt.is_standard_on(t, u):
-            assert smt.is_standard_on(t, w)
+        if smt.is_standard_on(values, values, u):
+            assert smt.is_standard_on(values, values, w)
 
 
 def test_invariant_dimension_landmarks():
@@ -302,12 +285,12 @@ def test_dimension_depends_only_on_the_two_ends():
 
 def test_section_count_walk_equals_the_tableau_walk():
     # the pair walk on each sorted multiset, read in place, against the
-    # walk of its validated canonical tableau through is_standard_on
+    # checked walk of its rows through is_standard_on
     elements = [w for n in range(2, 7) for w in permutations(range(1, n + 1))]
     elements += [w for n in range(2, 10) for w in smt.parabolic_lifts(n)]
     for w in elements:
         for m in range(4):
-            expected = invariant_dimension_by_tableaux(w, m)
+            expected = len(invariant_witnesses_by_filter(w, m))
             assert smt.invariant_dimension(w, m) == expected, (w, m)
 
 
