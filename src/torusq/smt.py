@@ -381,8 +381,11 @@ def invariant_chain_gr(w, r: int, n: int, m: int):
     the chain weakly decreases; row i is full before any value above w_i
     is placed, so the last column, the first set of the chain, is <= w.
     One fill, O(n*r) plus the m*r cells of the chain.  None in degree
-    n / gcd(r, n) rules out every degree (see
-    :func:`is_certified_minimum_gr`).
+    n / gcd(r, n) rules out every degree: the sets with a chain in that
+    degree form an up-set (the fill places copies without reading the
+    bound; a larger flag only delays the row-fullness test) that holds
+    v = :func:`torusq.grassmannian.minimal_semistable`, and no set outside
+    the up-set of v has a chain in any degree (shown there).
     """
     need = _uniform_need(r, n, m)
     rows = None if need is None else _chain_fits(w, need, r)
@@ -390,24 +393,6 @@ def invariant_chain_gr(w, r: int, n: int, m: int):
         return None
     cells = [[v for v, count in runs for _ in range(count)] for runs in rows]
     return tuple(zip(*cells))[::-1]
-
-
-def is_certified_minimum_gr(v, r: int, n: int) -> bool:
-    """Does v have an invariant chain in degree n / gcd(r, n) while none
-    of its lower covers has one?
-
-    For v = :func:`torusq.grassmannian.minimal_semistable` these r + 1 fits
-    give what :func:`minimal_semistable_oracle_gr` sweeps for: the sets
-    with a chain in degree m form an up-set (:func:`_chain_fits` places
-    copies without reading the bound; a larger flag only delays the
-    row-fullness test), lie above v, and hold v in degree n / gcd(r, n)
-    (both shown at ``minimal_semistable``), so their minima are [v].
-    """
-    need = _uniform_need(r, n, n // gcd(r, n))
-    covers = (v[:i] + (v[i] - 1,) + v[i + 1:] for i in range(r)
-              if v[i] - 1 > (v[i - 1] if i else 0))
-    return _chain_fits(v, need, r) is not None and all(
-        _chain_fits(u, need, r) is None for u in covers)
 
 
 def _certificate_degrees(r: int, n: int) -> tuple[int, int]:

@@ -46,18 +46,24 @@ one simple reflection (:func:`reflect`, which the package no longer has)
 and one tuple per step instead of stepping a list in place,
 and an ideal's canonical word pops its ready labels off a heap instead of
 a sorted list.  Agreement between the two sides is what the tests assert.
+The one exception is :func:`is_certified_minimum_gr`, r + 1 runs of the
+package's own filling that check the proven minimal semistable element on
+boxes too large for the sweep of every column set.
 """
 
 import random
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, combinations_with_replacement, permutations
+from math import gcd
 from operator import add, sub
 
 from torusq.grassmannian import check_box, check_partition, corners
 from torusq.quiver import HoleReport, Quiver
 from torusq.rootdata import _edges, fundamental_weight
 from torusq.smt import (
+    _chain_fits,
+    _uniform_need,
     family_minimal,
     family_rows,
     invariant_dimension,
@@ -349,6 +355,25 @@ def chain_fits_from_row_one(bound, need, r):
                 return None
             k += 1
     return rows
+
+
+def is_certified_minimum_gr(v, r, n):
+    """Does v have an invariant chain in degree n / gcd(r, n) while none
+    of its lower covers has one?
+
+    These r + 1 fits of ``torusq.smt._chain_fits`` check the proof at
+    ``torusq.grassmannian.minimal_semistable`` rather than share nothing
+    with it: the sets with a chain in degree m form an up-set (the fill
+    places copies without reading the bound; a larger flag only delays the
+    row-fullness test), so for that v they give what
+    ``torusq.smt.minimal_semistable_oracle_gr`` sweeps every column set
+    for, on boxes too large for the sweep.
+    """
+    need = _uniform_need(r, n, n // gcd(r, n))
+    covers = (v[:i] + (v[i] - 1,) + v[i + 1:] for i in range(r)
+              if v[i] - 1 > (v[i - 1] if i else 0))
+    return _chain_fits(v, need, r) is not None and all(
+        _chain_fits(u, need, r) is None for u in covers)
 
 
 def is_invariant_chain(chain, w, r, n, m):

@@ -174,27 +174,35 @@ def test_analyze_cliff_boxes(capsys, r, n, w):
     (3, 9, (3, 6, 9)),
     (2, 5, (3, 5)),
     (3, 9, (2, 6, 9)),
-    # the size limit, top set; r = 150 is the costly r there
+    # the size limit, top set, both with gcd(r, n) > 1
     (2, GR_MAX_N, (GR_MAX_N - 1, GR_MAX_N)),
     (150, GR_MAX_N, tuple(range(GR_MAX_N - 149, GR_MAX_N + 1))),
 ])
 def test_analyze_sweeps_nothing_and_builds_one_chain(capsys, monkeypatch, r, n, w):
-    """One valid chain, in the least degree m0, only when v <= w; never
-    the sweep of every column set, no list of column sets at all, and
-    never degree 2*m0."""
+    """One valid chain, in the least degree m0, only when v <= w, from
+    one flagged-tableau fill; never the sweep of every column set, no list
+    of column sets at all, never degree 2*m0, and no fit that re-certifies
+    the proven minimum."""
     def refuse(*args):
         raise AssertionError("gr analyze sweeps no column sets")
 
     degrees = []
+    fills = []
     chain_of = smt.invariant_chain_gr
+    fits = smt._chain_fits
 
     def counting(w, r, n, m):
         degrees.append(m)
         return chain_of(w, r, n, m)
 
+    def counting_fits(bound, need, r):
+        fills.append(tuple(bound))
+        return fits(bound, need, r)
+
     monkeypatch.setattr(smt, "minimal_semistable_oracle_gr", refuse)
     monkeypatch.setattr(smt, "combinations", refuse)
     monkeypatch.setattr(smt, "invariant_chain_gr", counting)
+    monkeypatch.setattr(smt, "_chain_fits", counting_fits)
     code, payload, _ = run_json(
         capsys,
         ["gr", "analyze", "--n", str(n), "--r", str(r), "--w", ",".join(map(str, w))],
@@ -203,6 +211,7 @@ def test_analyze_sweeps_nothing_and_builds_one_chain(capsys, monkeypatch, r, n, 
     above = gr.indexset_leq(gr.minimal_semistable(r, n), w)
     assert payload["result"]["semistable_nonempty"] is above
     assert degrees == ([n // gcd(r, n)] if above else [])
+    assert fills == ([w] if above else [])
     assert [x["degree"] for x in payload["witnesses"]] == degrees
     for x in payload["witnesses"]:
         assert is_invariant_chain(x["chain"], w, r, n, x["degree"])

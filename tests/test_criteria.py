@@ -11,7 +11,7 @@ from math import gcd
 
 import pytest
 
-from oracles import node_from_word
+from oracles import is_certified_minimum_gr, node_from_word
 from torusq import criteria, grassmannian as gr, smt, verify
 from torusq.cli import main
 from torusq.quiver import minimal_v_word
@@ -28,7 +28,7 @@ def test_singular_tops_gr25():
 
 
 def test_semistable_bottoms_report():
-    # gcd(2, 5) = 1: no certificate is run
+    # gcd(2, 5) = 1: every semistable point is stable, no oracle minima
     assert criteria.e_ss_gr(2, 5) == (
         {"value": (3, 5), "formula": (3, 5), "oracle": None, "agrees": True}, []
     )
@@ -42,7 +42,7 @@ def test_semistable_bottoms_report():
     assert block == {"value": (2, 4, 5), "formula": (3, 4, 5), "oracle": None,
                      "agrees": False}
 
-    block, _ = criteria.e_ss_gr(3, 6)  # gcd 3: the certificate runs
+    block, _ = criteria.e_ss_gr(3, 6)  # gcd 3: the proven minimum is the oracle
     assert block == {"value": (2, 4, 6), "formula": (3, 5, 6), "oracle": [(2, 4, 6)],
                      "agrees": False}
 
@@ -53,27 +53,29 @@ def test_semistable_bottoms_report():
 
 
 def test_certified_oracle_equals_the_sweep():
-    """``oracle`` from r + 1 fits at v is what the sweep of every column
-    set finds, on every box with n <= 13."""
+    """``oracle``, the proven minimum, is what the sweep of every column
+    set finds, and so is the certificate of r + 1 fits at v, on every box
+    with n <= 13."""
     for n in range(2, 14):
         for r in range(1, n):
             sweep = smt.minimal_semistable_oracle_gr(r, n)
             v = gr.minimal_semistable(r, n)
-            assert smt.is_certified_minimum_gr(v, r, n) is (sweep == [v]), (r, n)
+            assert is_certified_minimum_gr(v, r, n) is (sweep == [v]), (r, n)
             oracle = criteria.e_ss_gr(r, n)[0]["oracle"]
             assert oracle == (None if gcd(r, n) == 1 else sweep), (r, n)
 
 
-def test_unconfirmed_minimum_is_reported(monkeypatch):
-    monkeypatch.setattr(smt, "is_certified_minimum_gr", lambda v, r, n: False)
-    block, warnings = criteria.e_ss_gr(3, 6)
-    assert block["oracle"] == [] and block["agrees"] is False
-    assert any("confirms" in w for w in warnings)
-    result, warnings = criteria.semistable_meets_singular_gr((3, 5, 6), 3, 6)
-    assert result["semistable_nonempty"] is True
-    assert any("confirms" in w for w in warnings)
-    block, warnings = criteria.e_ss_gr(2, 5)  # gcd 1: nothing to confirm
-    assert block["oracle"] is None and warnings == []
+def test_proven_minimum_is_certified_beyond_the_sweep():
+    """The certificate confirms ``oracle`` on every box with gcd(r, n) > 1
+    and 14 <= n <= 60, past the sweep's reach, and on a few at the
+    ``gr analyze`` limit n = 300, among them r = 150 and 152, where the
+    certificate costs most."""
+    boxes = [(r, n) for n in range(14, 61) for r in range(2, n) if gcd(r, n) > 1]
+    assert len(boxes) == 648
+    boxes += [(r, 300) for r in (2, 100, 150, 152, 200, 270, 298)]
+    for r, n in boxes:
+        [v] = criteria.e_ss_gr(r, n)[0]["oracle"]
+        assert is_certified_minimum_gr(v, r, n), (r, n)
 
 
 def test_formula_agrees_exactly_when_n_is_1_mod_r():

@@ -24,9 +24,10 @@ holds ``torusq verify all --json``.  At the admission limit of ``quiver
 build``, where a record would run to 0.8 MB, only the sha256 of the output
 is pinned: A100/omega_50 and D71/omega_71 with ``minimal`` and ``full``
 (``LIMIT_DIGESTS``), and so it is for ``smt dim --json`` at its witness
-limit (``SMT_LIMIT_DIGESTS``).  Each record is a ``$ torusq ...``
-line (arguments quoted as a shell would need them) followed by the
-output.  Any change to an answer, a witness, a warning or the formatting
+limit (``SMT_LIMIT_DIGESTS``) and for ``gr analyze --json`` at n = 300,
+where gcd(r, n) > 1, and at its largest answer (``GR_LIMIT_DIGESTS``).
+Each record is a ``$ torusq ...`` line (arguments quoted as a shell would
+need them) followed by the output.  Any change to an answer, a witness, a warning or the formatting
 shows up here.
 
 Rewrite the corpora (only when a change of output is intended) with::
@@ -235,6 +236,31 @@ def test_smt_dim_json_at_the_witness_limit_is_pinned(n, m):
     code, out = run(["smt", "dim", "--n", str(n), "--w", w, "--m", str(m), "--json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SMT_LIMIT_DIGESTS[n, m]
+
+
+# sha256 of the ``torusq gr analyze --json`` bytes at the size limit, keyed
+# by (r, n, w): the top set at r = 150 and 152 (the costliest r at n = 300),
+# the staircase 2, 4, ..., 300 (149 singular components), and the top set of
+# Gr(279, 293), the largest answer (a chain of 293 column sets, 1.2 MB)
+GR_LIMIT_DIGESTS = {
+    (152, 300, "top"):
+        "c54b241c6ea7066ba29ca71e8adf102ba600995a20bb4ba8f405858ee2af5f1e",
+    (150, 300, "top"):
+        "4c9ac1a45fa70a4ba71251ccb43b3b62330bc69297badb0b9c08c7671cb94e2e",
+    (150, 300, "staircase"):
+        "fcb254e9a25c9c34e8e8461b172d9009fd8f5ed74737042f22cc018055fff700",
+    (279, 293, "top"):
+        "ca2c3ff2dd50bce69e1ff8b6d91c78df439bae32150eeb3bc3c8595bdd91cae7",
+}
+
+
+@pytest.mark.parametrize("r,n,w", list(GR_LIMIT_DIGESTS))
+def test_gr_analyze_json_at_the_size_limit_is_pinned(r, n, w):
+    cols = range(n - r + 1, n + 1) if w == "top" else range(2, n + 1, 2)
+    code, out = run(["gr", "analyze", "--n", str(n), "--r", str(r),
+                     "--w", ",".join(map(str, cols)), "--json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GR_LIMIT_DIGESTS[r, n, w]
 
 
 @pytest.mark.parametrize("suite", list(verify.SUITES))

@@ -22,6 +22,7 @@ from oracles import (
     invariant_chain_exhaustive,
     invariant_dim_geometric,
     invariant_witnesses_by_filter,
+    is_certified_minimum_gr,
     is_invariant_chain,
     is_standard_exhaustive,
     is_standard_greedy,
@@ -595,11 +596,11 @@ def test_balanced_chain_attains_the_minimal_element():
 
 
 def test_certified_minimum_needs_the_minimal_element():
-    assert smt.is_certified_minimum_gr((2, 4), 2, 4)
-    assert not smt.is_certified_minimum_gr((3, 4), 2, 4)  # (2, 4) below it fits
-    assert not smt.is_certified_minimum_gr((1, 4), 2, 4)  # no chain at all
-    assert smt.is_certified_minimum_gr((2, 4, 6), 3, 6)
-    assert not smt.is_certified_minimum_gr((2, 5, 6), 3, 6)
+    assert is_certified_minimum_gr((2, 4), 2, 4)
+    assert not is_certified_minimum_gr((3, 4), 2, 4)  # (2, 4) below it fits
+    assert not is_certified_minimum_gr((1, 4), 2, 4)  # no chain at all
+    assert is_certified_minimum_gr((2, 4, 6), 3, 6)
+    assert not is_certified_minimum_gr((2, 5, 6), 3, 6)
 
 
 def test_chain_fits_hand_cases():
