@@ -34,9 +34,10 @@ from .weyl import word_to_perm
 # Largest inputs, refused before anything is computed.  ``quiver build``
 # never lists the orbit: its cost grows with the vertex count N = dim G/P
 # (at most two arrows per vertex) and the rank (the length of each weight
-# tuple, walked once to the bottom node).  Whole calls at A100/omega_50 (N =
-# 2550) take 0.06-0.09 s with --w full, 0.10-0.15 s with minimal, at D71 spin
-# 0.06-0.09 and 0.08-0.13 s (2-vCPU VM, best to median of 11), <= 17.8 MB RSS.
+# tuple, walked down to the bottom node and up from each node printed).
+# Whole calls at A100/omega_50 (N = 2550) take 0.04-0.05 s with --w full,
+# 0.08-0.09 s with minimal, at D71 spin 0.04-0.05 and 0.06-0.07 s (2-vCPU VM,
+# best to median of 11, two runs), <= 17.8 MB RSS.
 # ``gr analyze`` lists no column set: the minimum is its proven closed form,
 # so the cost is one fill for the chain it prints, each strip started at the
 # first row that is not full, and the JSON of that chain.  At n = 300, top

@@ -11,10 +11,11 @@ that product, which is how everything here is computed.
 
 The second half of the module works in the weight orbit of a minuscule
 fundamental weight for any of the simply laced families: the bottom node
-and canonical words by walks of reflections, the type-A column sets in
-closed form.  It never lists the orbit.  A request reads one walk, the
-bottom node's canonical word, which builds the full quiver;
-:class:`torusq.quiver.MinusculeQuiver` answers the rest on the order
+and canonical words by one walk of reflections, the type-A column sets in
+closed form.  It never lists the orbit.  A request walks the bottom node's
+canonical word, which builds the full quiver, and then the canonical word
+of each node it prints, the answer's and its singular components';
+:class:`torusq.quiver.MinusculeQuiver` reads those nodes off the order
 ideals of that quiver.  Only the verification suites enumerate the orbit,
 with :class:`torusq.quiver.MinusculeModel`, which also walks one word,
 the bottom's, and takes every other node's canonical word from the one a
@@ -83,6 +84,29 @@ def bruhat_leq(u, w):
 # minuscule weight orbits
 
 
+def _walk(cur, neighbours, s):
+    """Reflect the weight ``cur`` in place at its smallest coordinate equal
+    to ``s`` (+1 lowers, -1 raises) until none is left; the 1-based letters,
+    in the order taken.  Reflecting at i sets ``cur[i]`` to -s and adds s
+    at each Dynkin neighbour, so only i's neighbours can newly reach s: a
+    sorted list holds the candidates, and a popped one whose coordinate has
+    moved off s since is skipped.  O(N * (degree + log rank)) for N letters,
+    where a scan of the whole weight per letter costs O(N * rank)."""
+    ready = [i for i, c in enumerate(cur) if c == s]
+    word = []
+    while ready:
+        i = ready.pop(0)
+        if cur[i] != s:
+            continue
+        word.append(i + 1)
+        cur[i] = -s
+        for c in neighbours[i]:
+            cur[c - 1] += s
+            if cur[c - 1] == s:
+                insort(ready, c - 1)
+    return tuple(word)
+
+
 class MinusculePoset:
     """The W-orbit of a minuscule fundamental weight, walked by reflections.
 
@@ -94,8 +118,8 @@ class MinusculePoset:
     orbit; only :class:`torusq.quiver.MinusculeModel` enumerates it, as
     the list of nodes the verification suites walk.  The bottom node, the
     longest element of W^P, comes from greedy descent: lower at the first
-    coordinate equal to +1 until none is left, which ends at the orbit's
-    unique antidominant weight, subtracting alpha_i from one list in place.
+    coordinate equal to +1 until none is left (:func:`_walk`), which ends
+    at the orbit's unique antidominant weight.
     """
 
     def __init__(self, system, weight_index):
@@ -104,11 +128,7 @@ class MinusculePoset:
         self.weight_index = weight_index
         self.top = fundamental_weight(system, weight_index)
         cur = list(self.top)
-        while 1 in cur:
-            i = cur.index(1)
-            cur[i] = -1
-            for c in system.neighbours[i]:
-                cur[c - 1] += 1
+        _walk(cur, system.neighbours, 1)
         self.bottom = tuple(cur)
 
     def canonical_word(self, mu):
@@ -119,22 +139,14 @@ class MinusculePoset:
         the word left to right.  The walk stays in the W-orbit of ``mu``
         and ends at a weight with no coordinate -1, so it reaches the top
         exactly when ``mu`` lies in this orbit; otherwise ``ValueError``.
-        Raising along i adds alpha_i to one list in place: 2 at i, -1 at
-        each Dynkin neighbour of i.
+        It is the descent of the bottom node run upwards (:func:`_walk`).
         """
         mu = tuple(mu)
-        word = []
         cur = list(mu)
-        if len(cur) == self.system.rank:
-            while -1 in cur:
-                i = cur.index(-1)
-                word.append(i + 1)
-                cur[i] = 1
-                for c in self.system.neighbours[i]:
-                    cur[c - 1] -= 1
+        word = _walk(cur, self.system.neighbours, -1) if len(cur) == self.system.rank else ()
         if tuple(cur) != self.top:
             raise ValueError(f"{mu} is not in the orbit")
-        return tuple(word)
+        return word
 
     # convenience for type A, where cosets are index sets
 

@@ -41,11 +41,13 @@ pass over the rows, and an extension family's
 element is rebuilt from
 the seed row by row instead of one right multiplication after the row
 before it, root data probes a set of Dynkin edge pairs for every Cartan
-entry instead of filling rows from neighbour lists, the bottom node takes
-one simple reflection (:func:`reflect`, which the package no longer has)
-and one tuple per step instead of stepping a list in place,
-and an ideal's canonical word pops its ready labels off a heap instead of
-a sorted list.  Agreement between the two sides is what the tests assert.
+entry instead of filling rows from neighbour lists, the bottom node and
+canonical words scan the whole weight for each letter and take one simple
+reflection (:func:`reflect`, which the package no longer has) and one
+tuple per step instead of stepping a list in place from a sorted list of
+candidates, and an ideal's canonical word is read off the tops of the
+quiver's labels, popped off a heap, instead of walked on the ideal's
+node.  Agreement between the two sides is what the tests assert.
 The one exception is :func:`is_certified_minimum_gr`, r + 1 runs of the
 package's own filling that check the proven minimal semistable element on
 boxes too large for the sweep of every column set.
@@ -624,6 +626,21 @@ def bottom_by_reflections(system, weight_index):
     return cur
 
 
+def canonical_word_by_scans(poset, mu):
+    """The canonical word of the node ``mu`` of ``poset`` by greedy ascent:
+    reflect at the first coordinate equal to -1 until none is left, the
+    letters in the order taken; ``ValueError`` unless that ends at the top."""
+    mu = tuple(mu)
+    word, cur = [], mu
+    if len(mu) == poset.system.rank:
+        while -1 in cur:
+            word.append(cur.index(-1) + 1)
+            cur = reflect(poset.system, cur, word[-1])
+    if cur != poset.top:
+        raise ValueError(f"{mu} is not in the orbit")
+    return tuple(word)
+
+
 def word_descends(poset, word):
     """True if the word is reduced as a coset representative of ``poset``.
 
@@ -693,8 +710,13 @@ def quiver_by_pairing_scan(word, system):
 
 def word_of_by_heap(minuscule, ideal):
     """The canonical word of an ideal of a ``MinusculeQuiver``'s full
-    quiver: the label tops of ``MinusculeQuiver.word_of``, with the labels
-    that no neighbour top blocks kept on a heap."""
+    quiver, read off the quiver: it removes the maximal vertex of the
+    smallest label with one.  Only a label's first member, its top, can be
+    maximal, and is when it comes before the tops of the neighbour labels,
+    whose latest earlier vertices send the arrows into it.  Each label
+    counts the neighbour tops before its own, a heap holds the labels with
+    none, and a removed top moves down to s(top), changing only the counts
+    of its label and neighbours."""
     chains, nxt = minuscule.masks[1], minuscule.full.next
     neighbours = ((),) + minuscule.system.neighbours
     end = len(nxt)

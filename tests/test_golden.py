@@ -22,8 +22,8 @@ costly: A8..A12 with every weight 2..n-2 and D7, D8 with
 every minuscule weight (92 calls).  ``golden/verify.txt``
 holds ``torusq verify all --json``.  At the admission limit of ``quiver
 build``, where a record would run to 0.8 MB, only the sha256 of the output
-is pinned: A100/omega_50 and D71/omega_71 with ``minimal`` and ``full``
-(``LIMIT_DIGESTS``), and so it is for ``smt dim --json`` at its witness
+is pinned: A100/omega_50 and D71/omega_71, omega_70 with ``minimal`` and
+``full``, and the D71 quadric omega_1 with ``minimal`` (``LIMIT_DIGESTS``), and so it is for ``smt dim --json`` at its witness
 limit (``SMT_LIMIT_DIGESTS``) and for ``gr analyze --json`` at n = 300,
 where gcd(r, n) > 1, and at its largest answer (``GR_LIMIT_DIGESTS``).
 Each record is a ``$ torusq ...`` line (arguments quoted as a shell would
@@ -199,7 +199,8 @@ def test_verify_json_is_byte_identical():
 
 
 # sha256 of the ``torusq quiver build --json`` bytes at the admission limit
-# (N = 2550 and 2485 vertices), keyed by (family, rank, weight, --w)
+# (N = 2550 and 2485 vertices; 140 for the quadric), keyed by
+# (family, rank, weight, --w)
 LIMIT_DIGESTS = {
     ("A", "100", "50", "minimal"):
         "0b708cc306dd0d2957540e9ccce1cff94a7a24134f340cd72a9de0284026d001",
@@ -209,6 +210,12 @@ LIMIT_DIGESTS = {
         "a4d902f304fd0e0229eece2813d7a17f14896a1e436b43e5e2fc7c3c7cebd860",
     ("D", "71", "71", "full"):
         "0e8580463bb5df34190a9ef68711818016d26d92fe7aa68d15b6841dbdff7e25",
+    ("D", "71", "70", "minimal"):
+        "a42e453fb768c43252388f148f8b2788fe3d159e765ef26a36e6aa469c6b2a30",
+    ("D", "71", "70", "full"):
+        "989aacc56af9437c2a643218917abbf73b7b52e377d272e3510cb82440088f2e",
+    ("D", "71", "1", "minimal"):
+        "87d995fa0345bc3647c9db04ed2bfc3e54dc6f761ef467f440d117e2adf809c0",
 }
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from oracles import (
     as_mask,
+    canonical_word_by_scans,
     classify_holes_by_pairing,
     classify_holes_by_scans,
     ideal_node_dictionary_by_words,
@@ -45,12 +46,13 @@ MINUSCULE_CASES = (
 @pytest.fixture(scope="module")
 def verify_scope():
     """The models one ``verify all`` builds on an empty cache, each time
-    one is built, with every canonical word it walks on weights."""
+    one is built, with every canonical word it walks on weights, as
+    ``(poset, node)``."""
     models, walks = [], []
     canonical_word = MinusculePoset.canonical_word
 
     def counting(self, mu):
-        walks.append(mu)
+        walks.append((self, tuple(mu)))
         return canonical_word(self, mu)
 
     class Recording(qv.MinusculeModel):
@@ -67,14 +69,23 @@ def verify_scope():
     return models, walks
 
 
-def test_verify_walks_the_weights_once_per_model(verify_scope):
-    # each model walks only its bottom word, for the full quiver; the
-    # words of its 728 nodes come from the words one level up
+def test_verify_walks_each_bottom_and_each_component_it_reads(verify_scope):
+    # each model walks its bottom word, for the full quiver, and the words
+    # of its 728 nodes come from the words one level up; the other walks are
+    # the nodes of the 102 components cross-singular reads, in its order
     models, walks = verify_scope
     assert len(models) == 35
     assert sum(len(model.nodes) for model in models) == 728
-    assert walks == [model.poset.bottom for model in models]
+    read = {model.poset: [model.poset.bottom] for model in models}
+    built = {(m.system.family, m.system.rank, m.poset.weight_index): m for m in models}
+    for r, n in verify._SWEEP_BOXES:
+        model = built["A", n - 1, r]
+        node_of = {ideal: node for node, ideal in model.ideals.items()}
+        read[model.poset] += [node_of[c] for ideal in model.ideals.values()
+                              for c in model.holes(ideal).components]
+    assert len(walks) == 35 + 102
     for model in models:
+        assert [mu for poset, mu in walks if poset is model.poset] == read[model.poset]
         assert list(model.words) == model.nodes
 
 
@@ -194,18 +205,19 @@ def test_dictionary_matches_word_replay(family, rank, weight):
 
 
 def test_word_of_is_the_canonical_word():
-    # the label tops on the quiver against the walk up the weights, on every node
-    # of A1..A9 (every weight), D4..D8 (every minuscule weight), E6 and E7,
-    # which covers every model verify builds; the model takes its words from
-    # the walk alone, so this is what checks that the quiver reads each one
-    # back and grows it into the same ideal
+    # the node read off the quiver and walked up against a scan of the whole
+    # weight per letter, on every node of A1..A9 (every weight), D4..D8
+    # (every minuscule weight), E6 and E7, which covers every model verify
+    # builds; the model takes its words from the words one level up, so
+    # this is what checks that the quiver reads each one back and grows it
+    # into the same ideal
     cases = [case for case in MINUSCULE_CASES if case[:2] != ("A", 10)]
     nodes = 0
     for family, rank, weight in cases:
         minuscule = qv.MinusculeQuiver(root_system(family, rank), weight)
         oracle = ideal_node_dictionary_by_words(minuscule.poset, minuscule.full)
         for ideal, node in oracle.items():
-            word = minuscule.poset.canonical_word(node)
+            word = canonical_word_by_scans(minuscule.poset, node)
             assert minuscule.word_of(ideal) == word
             assert minuscule.grow(word) == ideal
         nodes += len(oracle)
@@ -227,19 +239,21 @@ def test_word_of_reads_back_every_grown_word_of_the_verify_models(verify_scope):
 
 
 def test_word_of_pops_the_labels_in_the_order_of_a_heap(verify_scope):
-    # the sorted list of ready labels against a heap of them, on every ideal
-    # of the 35 models ``verify all`` builds and at A100/omega_50 on the full
-    # and minimal ideals and the minimal one's singular components
+    # the walk on the ideal's node against the label tops of the quiver
+    # popped off a heap, on every ideal of the 35 models ``verify all``
+    # builds and at A100/omega_50 and D71/omega_71 on the full and minimal
+    # ideals and the minimal one's singular components
     models, _ = verify_scope
     for model in models:
         for ideal in model.ideals.values():
             assert model.word_of(ideal) == word_of_by_heap(model, ideal)
-    minuscule = qv.MinusculeQuiver(root_system("A", 100), 50)
-    minimal = minuscule.grow(qv.minimal_v_word("A", 100, 50))
-    components = qv.classify_holes(minimal, minuscule.masks).components
-    assert components
-    for ideal in ((1 << minuscule.full.n_vertices) - 1, minimal, *components):
-        assert minuscule.word_of(ideal) == word_of_by_heap(minuscule, ideal)
+    for family, rank, weight in [("A", 100, 50), ("D", 71, 71)]:
+        minuscule = qv.MinusculeQuiver(root_system(family, rank), weight)
+        minimal = minuscule.grow(qv.minimal_v_word(family, rank, weight))
+        components = qv.classify_holes(minimal, minuscule.masks).components
+        assert components
+        for ideal in ((1 << minuscule.full.n_vertices) - 1, minimal, *components):
+            assert minuscule.word_of(ideal) == word_of_by_heap(minuscule, ideal)
 
 
 @pytest.mark.parametrize("family,rank,weight", [("A", 5, 3), ("D", 5, 5)])
@@ -388,22 +402,33 @@ def test_column_set_word_grows_the_ideal_of_its_column_set():
                 assert model.grow(qv.column_set_word(entries)) == model.ideals[node]
 
 
-def test_a_request_walks_the_weights_once(capsys, monkeypatch):
-    # only the bottom word that builds the full quiver is read off weights;
-    # the answer's words and its 49 components come from the quiver
+def test_a_request_walks_the_bottom_and_each_node_it_prints(capsys, monkeypatch):
+    # 51 walks: the bottom word that builds the full quiver, then the nodes
+    # of the answer and of its 49 components, each read off its ideal
+    # (against a heap of label tops replayed on weights); no orbit is listed
     calls = []
     canonical_word = MinusculePoset.canonical_word
 
     def counting(self, mu):
-        calls.append(mu)
+        calls.append(tuple(mu))
         return canonical_word(self, mu)
 
+    def listing(self, system, weight_index):
+        raise AssertionError("a request listed the orbit")
+
     monkeypatch.setattr(MinusculePoset, "canonical_word", counting)
+    monkeypatch.setattr(qv.MinusculeModel, "__init__", listing)
     assert main(["quiver", "build", "--family", "A", "--rank", "100",
                  "--weight", "50", "--w", "minimal", "--json"]) == 0
     assert '"singular_components"' in capsys.readouterr().out
-    assert len(calls) == 1
-    assert calls[0] == MinusculePoset(root_system("A", 100), 50).bottom
+    monkeypatch.undo()
+    minuscule = qv.MinusculeQuiver(root_system("A", 100), 50)
+    minimal = minuscule.grow(qv.minimal_v_word("A", 100, 50))
+    components = qv.classify_holes(minimal, minuscule.masks).components
+    assert len(components) == 49
+    printed = [node_from_word(minuscule.poset, word_of_by_heap(minuscule, ideal))
+               for ideal in (minimal, *components)]
+    assert calls == [minuscule.poset.bottom, *printed]
 
 
 def test_a_request_scans_up_sets_only_to_classify_holes(capsys, monkeypatch):

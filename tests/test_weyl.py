@@ -13,6 +13,7 @@ from oracles import (
     bottom_by_reflections,
     bruhat_downset,
     bruhat_leq_bruteforce,
+    canonical_word_by_scans,
     indexset,
     minuscule_orbit_by_bfs,
     node_from_word,
@@ -120,14 +121,18 @@ def test_orbit_sizes():
 
 
 def test_the_bottom_node_is_the_reflection_walk():
-    # the walk in place on one list against one reflection per step, on
-    # every minuscule weight of A1..A30, A100, D4..D71, E6 and E7
+    # the walk in place on one list against one reflection per step, and
+    # the word walked back up from a sorted list of candidates against a
+    # scan of the whole weight for each letter, on every minuscule weight
+    # of A1..A30, A100, D4..D71, E6 and E7
     ranks = [("A", rank) for rank in [*range(1, 31), 100]]
     ranks += [("D", rank) for rank in range(4, 72)]
     for family, rank in ranks + [("E6", 6), ("E7", 7)]:
         system = root_system(family, rank)
         for w in minuscule_weights(family, rank):
-            assert MinusculePoset(system, w).bottom == bottom_by_reflections(system, w)
+            poset = MinusculePoset(system, w)
+            assert poset.bottom == bottom_by_reflections(system, w)
+            assert poset.canonical_word(poset.bottom) == canonical_word_by_scans(poset, poset.bottom)
 
 
 def test_top_and_bottom():
@@ -152,6 +157,10 @@ def test_canonical_word_lengths():
     (0, 0, 0),  # the zero weight
     (1, 0, 0),  # omega_1, the top of another minuscule orbit of A3
     (1, 1, 0),
+    # raising at 1 takes coordinate 2 from -1 to -2 while it waits its turn;
+    # raised there all the same, (-1, -1, 1) would end at the top
+    (-1, -1, 0),
+    (-1, -1, 1),
     (0, 1),  # wrong length
     (0, 1, 0, 0),
 ])
