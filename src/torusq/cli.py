@@ -23,7 +23,6 @@ errors, 141 when the reader closes stdout before the output is written
 
 import os
 import sys
-from math import gcd
 from types import SimpleNamespace
 
 from . import __version__, criteria, grassmannian as gr, quiver as qv, smt, verify
@@ -38,14 +37,13 @@ from .weyl import word_to_perm
 # Whole calls at A100/omega_50 (N = 2550) take 0.04-0.05 s with --w full,
 # 0.08-0.09 s with minimal, at D71 spin 0.04-0.05 and 0.06-0.07 s (2-vCPU VM,
 # best to median of 11, two runs), <= 17.8 MB RSS.
-# ``gr analyze`` lists no column set: the minimum is its proven closed form,
-# so the cost is one fill for the chain it prints, each strip started at the
-# first row that is not full, and the JSON of that chain.  At n = 300, top
-# set, r = 150-152 take 0.06-0.10 s as a whole call in a subprocess, import
-# included (best to median of 15 on a 2-vCPU VM); the report without the
-# chain takes under 0.2 ms in process.  The largest answer is a prime n with
-# r near n: Gr(279, 293), top set, prints a chain of 293 column sets, 1.2 MB,
-# in 0.07 s in process.
+# ``gr analyze`` lists no column set and fills no tableau: the minimum and
+# the chain it prints are proven closed forms, so the cost is the report and
+# the JSON of that chain.  At n = 300, top set, r = 150-152 take 0.04-0.07 s
+# as a whole call in a subprocess, import included (best to median of 15 on
+# a 2-vCPU VM); the report without the chain takes under 0.2 ms in process.
+# The largest answer is a prime n with r near n: Gr(279, 293), top set,
+# prints a chain of 293 column sets, 1.2 MB, in 0.02 s in process.
 #
 # ``smt dim`` answers from the closed form C(t+m-1, m), t = w(1) - w(n);
 # a degree whose bound C(t+m-1, m) <= (t+m)^min(m, t-1) passes
@@ -172,9 +170,8 @@ def cmd_gr_analyze(args) -> int:
     result, warnings = criteria.semistable_meets_singular_gr(w, args.r, args.n)
     witnesses = []
     if result["semistable_nonempty"]:
-        m0 = args.n // gcd(args.r, args.n)
-        chain = smt.invariant_chain_gr(w, args.r, args.n, m0)
-        witnesses.append({"degree": m0, "chain": chain})
+        chain = gr.minimal_invariant_chain(args.r, args.n)
+        witnesses.append({"degree": len(chain), "chain": chain})
     payload = {
         "input": {"n": args.n, "r": args.r, "w": w},
         "result": result,

@@ -20,17 +20,22 @@ from math import gcd
 from . import grassmannian as gr
 
 
-def e_ss_gr(r, n):
-    """The minimal semistable column set v of Gr(r, n), with its warnings.
+def semistable_meets_singular_gr(w, r, n):
+    """The Grassmannian report for one column set w, with its warnings.
 
-    Returns the ``minimal_v`` block and a list of warnings.  ``value`` is
-    the ceiling form v, proven the unique minimum at
-    :func:`torusq.grassmannian.minimal_semistable`; ``formula`` is the
-    two-branch variant kept for comparison, and a warning records any
-    disagreement.  ``oracle`` is [v], the minima a sweep of every column
-    set finds (re-derived by ``verify minima-sweep``), when gcd(r, n) > 1,
-    and None otherwise.  ``agrees`` is True when the formula names v.
+    ``singular_components`` are the partitions of the singular-locus
+    components of X_w.  ``minimal_v`` holds the minimal semistable column
+    set v, proven at :func:`torusq.grassmannian.minimal_semistable`, and
+    the two-branch ``formula`` kept for comparison (``agrees``, with a
+    warning when it does not); ``oracle`` is [v], what ``verify
+    minima-sweep`` finds by sweeping every column set, when gcd(r, n) > 1.
+    ``ss_in_smooth`` is True when v lies below no component's column set,
+    i.e. semistable points avoid the singular locus, and None (with a
+    warning) when v is not below w and X_w has no semistable points.
     """
+    w = gr.check_indexset(w, r, n)
+    lam = gr.indexset_to_partition(w, r, n)
+    components = gr.singular_components(lam, r, n)
     v = gr.minimal_semistable(r, n)
     formula_v = gr.minimal_semistable_formula(r, n)
     warnings = []
@@ -39,28 +44,6 @@ def e_ss_gr(r, n):
             f"two-branch closed form {formula_v} overshoots the minimal "
             f"semistable element {v}"
         )
-    return {
-        "value": v,
-        "formula": formula_v,
-        "oracle": [v] if gcd(r, n) > 1 else None,
-        "agrees": formula_v == v,
-    }, warnings
-
-
-def semistable_meets_singular_gr(w, r, n):
-    """The Grassmannian report for one column set w, with its warnings.
-
-    ``singular_components`` are the partitions of the singular-locus
-    components of X_w and ``minimal_v`` is :func:`e_ss_gr`'s block.
-    ``ss_in_smooth`` is True when v lies below no component's column set,
-    i.e. semistable points avoid the singular locus, and None (with a
-    warning) when v is not below w and X_w has no semistable points.
-    """
-    w = gr.check_indexset(w, r, n)
-    lam = gr.indexset_to_partition(w, r, n)
-    components = gr.singular_components(lam, r, n)
-    minimal_v, warnings = e_ss_gr(r, n)
-    v = minimal_v["value"]
     if gr.indexset_leq(v, w):
         separated = not any(
             gr.indexset_leq(v, gr.partition_to_indexset(mu, r, n))
@@ -74,7 +57,12 @@ def semistable_meets_singular_gr(w, r, n):
         "corners": gr.corners(lam, r, n),
         "singular_components": components,
         "smooth": not components,
-        "minimal_v": minimal_v,
+        "minimal_v": {
+            "value": v,
+            "formula": formula_v,
+            "oracle": [v] if gcd(r, n) > 1 else None,
+            "agrees": formula_v == v,
+        },
         "semistable_nonempty": separated is not None,
         "ss_in_smooth": separated,
         # the criterion proves a smooth quotient only when gcd(r, n) = 1,

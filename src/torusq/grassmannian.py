@@ -13,6 +13,8 @@ weakly upward.  No corners that fit, no singular locus — equivalently the
 complement of mu in the box, rotated a half turn, is again a rectangle.
 """
 
+from math import gcd
+
 
 def check_box(r: int, n: int) -> None:
     if not (1 <= r <= n - 1):
@@ -126,10 +128,24 @@ def minimal_semistable(r: int, n: int) -> tuple[int, ...]:
     for k = 0..m0-1 is a weakly decreasing chain from S_0 = v, and as
     u = i*n' - k runs over 1..r*n' once, each value ceil(u/r') is used
     r' = m0*r/n times.  So this is the unique minimum (``verify
-    minima-sweep`` re-derives it from every column set's certificate).
+    minima-sweep`` re-derives it from every column set's certificate);
+    :func:`minimal_invariant_chain` writes the chain down.
     """
     check_box(r, n)
     return tuple(-((-i * n) // r) for i in range(1, r + 1))
+
+
+def minimal_invariant_chain(r: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The chain S_0 = v >= ... >= S_{m0-1} of :func:`minimal_semistable`'s
+    proof.  Cell u = 1..r*m0 of an r x m0 grid, read row by row, holds
+    ceil(u/r'); column j holds u = i*m0 - (m0-1-j), so it is S_{m0-1-j},
+    and the columns read last first are the chain: the one the top-first
+    fill of the flagged tableau reads back at every w >= v."""
+    check_box(r, n)
+    g = gcd(r, n)
+    m0 = n // g
+    cells = [v for v in range(1, n + 1) for _ in range(r // g)]
+    return tuple(tuple(cells[j::m0]) for j in reversed(range(m0)))
 
 
 def minimal_semistable_formula(r: int, n: int) -> tuple[int, ...]:

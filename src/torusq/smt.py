@@ -32,9 +32,11 @@ are weakly decreasing chains of m column sets below w that use every
 value m*r/n times.  Read backwards and transposed, such a chain is an
 r x m semistandard tableau whose row i stays below w_i, so existence is
 decided in O(n*r) by filling it value by value, top rows first, with no
-search (see :func:`_chain_fits`), and the filling read column by column
-is the chain that ``gr analyze`` prints (:func:`invariant_chain_gr`),
-found without listing the column sets of the box.
+search (see :func:`_chain_fits`).  That fill is the certificate that
+``verify minima-sweep`` tests every column set with; the chain that ``gr
+analyze`` prints is the closed form
+:func:`torusq.grassmannian.minimal_invariant_chain`, which the fill reads
+back at every w above the minimal semistable element.
 """
 
 from itertools import combinations, combinations_with_replacement
@@ -365,34 +367,6 @@ def _uniform_need(r: int, n: int, m: int):
     """Each of 1..n used m*r/n times, or None when that is no integer."""
     target, rem = divmod(m * r, n)
     return None if rem else (target,) * n
-
-
-def invariant_chain_gr(w, r: int, n: int, m: int):
-    """A weakly decreasing chain of m column sets below w covering each of
-    1..n exactly m*r/n times, or None.
-
-    This is the Grassmannian semistability certificate: such a chain is
-    exactly a torus-invariant standard monomial of degree m on X_w.  The
-    chain returned is the top-first filling of :func:`_chain_fits` at
-    bound w, read column by column, last column first.  It is a valid
-    chain: a horizontal strip puts at most one cell in a column, so each
-    column strictly increases and is a column set; rows weakly increase,
-    so each column is entrywise >= the one before it, and read backwards
-    the chain weakly decreases; row i is full before any value above w_i
-    is placed, so the last column, the first set of the chain, is <= w.
-    One fill, O(n*r) plus the m*r cells of the chain.  None in degree
-    n / gcd(r, n) rules out every degree: the sets with a chain in that
-    degree form an up-set (the fill places copies without reading the
-    bound; a larger flag only delays the row-fullness test) that holds
-    v = :func:`torusq.grassmannian.minimal_semistable`, and no set outside
-    the up-set of v has a chain in any degree (shown there).
-    """
-    need = _uniform_need(r, n, m)
-    rows = None if need is None else _chain_fits(w, need, r)
-    if rows is None:
-        return None
-    cells = [[v for v, count in runs for _ in range(count)] for runs in rows]
-    return tuple(zip(*cells))[::-1]
 
 
 def _certificate_degrees(r: int, n: int) -> tuple[int, int]:

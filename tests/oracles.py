@@ -23,11 +23,12 @@ orbit is searched breadth first over its cover edges instead of being read
 off the order ideals of the quiver, a quiver's arrows are found by one
 Cartan pairing per pair of positions instead of the latest vertex of each
 Dynkin neighbour, and its order ideals by testing every vertex against
-every ideal instead of carrying each ideal's addable vertices, a
-commutation move's quiver isomorphism compares every vertex's target
-tuple mapped and sorted, or the two arrow sets, instead of the target
-tuples vertex by vertex with only those holding a swapped position
-sorted again, or reads the swap through a permutation list of every
+every ideal instead of carrying each ideal's addable vertices, smoothness
+is read off the Poincare polynomial of the ideals below instead of the
+real holes, a commutation move's quiver isomorphism compares every
+vertex's target tuple mapped and sorted, or the two arrow sets, instead
+of the target tuples vertex by vertex with only those holding a swapped
+position sorted again, or reads the swap through a permutation list of every
 position instead of slices and a two-entry map, a hole's partners are counted by Cartan pairings instead
 of label membership, the up-set of a candidate hole is scanned afresh as
 a set instead of read off bitmasks built once per quiver, an ideal is a
@@ -48,9 +49,11 @@ tuple per step instead of stepping a list in place from a sorted list of
 candidates, and an ideal's canonical word is read off the tops of the
 quiver's labels, popped off a heap, instead of walked on the ideal's
 node.  Agreement between the two sides is what the tests assert.
-The one exception is :func:`is_certified_minimum_gr`, r + 1 runs of the
-package's own filling that check the proven minimal semistable element on
-boxes too large for the sweep of every column set.
+The two exceptions run the package's own filling:
+:func:`is_certified_minimum_gr`, r + 1 runs that check the proven minimal
+semistable element on boxes too large for the sweep of every column set,
+and :func:`invariant_chain_gr`, one run read back as a chain, the
+reference for the closed-form chain.
 """
 
 import random
@@ -357,6 +360,26 @@ def chain_fits_from_row_one(bound, need, r):
                 return None
             k += 1
     return rows
+
+
+def invariant_chain_gr(w, r, n, m):
+    """The chain that ``torusq.smt._chain_fits`` fills at bound w in
+    degree m, read column by column, last column first; None when the
+    fill fails or m*r/n is no integer.
+
+    A horizontal strip puts at most one cell in a column, so each column
+    strictly increases and is a column set; rows weakly increase, so read
+    backwards the columns weakly decrease; row i is full before any value
+    above w_i is placed, so the last column, the first set of the chain,
+    is <= w.  This fill read back is the reference that the closed form
+    ``torusq.grassmannian.minimal_invariant_chain`` is compared with.
+    """
+    need = _uniform_need(r, n, m)
+    rows = None if need is None else _chain_fits(w, need, r)
+    if rows is None:
+        return None
+    cells = [[v for v, count in runs for _ in range(count)] for runs in rows]
+    return tuple(zip(*cells))[::-1]
 
 
 def is_certified_minimum_gr(v, r, n):
@@ -830,6 +853,23 @@ def ideals_by_vertex_scan(q):
                     seen.add(grown)
                     found.append((grown, v, k))
     return [(as_mask(ideal), v, k) for ideal, v, k in found]
+
+
+def is_smooth_by_poincare(ideals, w):
+    """Smoothness of the Schubert variety of the ideal mask ``w``, read off
+    its Poincare polynomial sum_{u <= w} q^l(u), not its holes.
+
+    In minuscule G/P the Bruhat order is containment of order ideals and
+    the length is the ideal's size, so the polynomial is the histogram of
+    popcounts of the ``ideals`` (masks) inside w.  It is palindromic iff
+    X(w) is rationally smooth (Carrell-Peterson 1994), which in a simply
+    laced group is smooth (Peterson's ADE theorem).
+    """
+    counts = [0] * (w.bit_count() + 1)
+    for u in ideals:
+        if u & ~w == 0:
+            counts[u.bit_count()] += 1
+    return counts == counts[::-1]
 
 
 def up_set_by_scan(q, i):

@@ -179,42 +179,29 @@ def test_analyze_cliff_boxes(capsys, r, n, w):
     (150, GR_MAX_N, tuple(range(GR_MAX_N - 149, GR_MAX_N + 1))),
 ])
 def test_analyze_sweeps_nothing_and_builds_one_chain(capsys, monkeypatch, r, n, w):
-    """One valid chain, in the least degree m0, only when v <= w, from
-    one flagged-tableau fill; never the sweep of every column set, no list
-    of column sets at all, never degree 2*m0, and no fit that re-certifies
-    the proven minimum."""
+    """One valid chain, in the least degree m0, only when v <= w, read off
+    the closed form S_k: never the sweep of every column set, no list of
+    column sets at all, never degree 2*m0, and no flagged-tableau fill."""
     def refuse(*args):
         raise AssertionError("gr analyze sweeps no column sets")
 
-    degrees = []
     fills = []
-    chain_of = smt.invariant_chain_gr
-    fits = smt._chain_fits
-
-    def counting(w, r, n, m):
-        degrees.append(m)
-        return chain_of(w, r, n, m)
-
-    def counting_fits(bound, need, r):
-        fills.append(tuple(bound))
-        return fits(bound, need, r)
-
     monkeypatch.setattr(smt, "minimal_semistable_oracle_gr", refuse)
     monkeypatch.setattr(smt, "combinations", refuse)
-    monkeypatch.setattr(smt, "invariant_chain_gr", counting)
-    monkeypatch.setattr(smt, "_chain_fits", counting_fits)
+    monkeypatch.setattr(smt, "_chain_fits", lambda *args: fills.append(args))
     code, payload, _ = run_json(
         capsys,
         ["gr", "analyze", "--n", str(n), "--r", str(r), "--w", ",".join(map(str, w))],
     )
     assert code == 0
+    assert fills == []
     above = gr.indexset_leq(gr.minimal_semistable(r, n), w)
     assert payload["result"]["semistable_nonempty"] is above
-    assert degrees == ([n // gcd(r, n)] if above else [])
-    assert fills == ([w] if above else [])
-    assert [x["degree"] for x in payload["witnesses"]] == degrees
+    m0 = n // gcd(r, n)
+    assert [x["degree"] for x in payload["witnesses"]] == ([m0] if above else [])
     for x in payload["witnesses"]:
         assert is_invariant_chain(x["chain"], w, r, n, x["degree"])
+        assert x["chain"] == [list(cols) for cols in gr.minimal_invariant_chain(r, n)]
 
 
 @pytest.mark.parametrize("argv", [

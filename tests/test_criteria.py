@@ -27,22 +27,31 @@ def test_singular_tops_gr25():
     assert tops((2, 4)) == [(1, 2)]
 
 
+def minimal_v_report(r, n):
+    """The report's ``minimal_v`` block and warnings at the top column set
+    of Gr(r, n), which lies above v, so only the formula can warn."""
+    result, warnings = criteria.semistable_meets_singular_gr(range(n - r + 1, n + 1), r, n)
+    return result["minimal_v"], warnings
+
+
 def test_semistable_bottoms_report():
     # gcd(2, 5) = 1: every semistable point is stable, no oracle minima
-    assert criteria.e_ss_gr(2, 5) == (
+    assert minimal_v_report(2, 5) == (
         {"value": (3, 5), "formula": (3, 5), "oracle": None, "agrees": True}, []
     )
 
-    block, warnings = criteria.e_ss_gr(2, 4)
+    block, warnings = minimal_v_report(2, 4)
     assert block == {"value": (2, 4), "formula": (3, 4), "oracle": [(2, 4)],
                      "agrees": False}
-    assert len(warnings) == 1 and "overshoots" in warnings[0]
+    assert warnings == [
+        "two-branch closed form (3, 4) overshoots the minimal semistable element (2, 4)"
+    ]
 
-    block, _ = criteria.e_ss_gr(3, 5)
+    block, _ = minimal_v_report(3, 5)
     assert block == {"value": (2, 4, 5), "formula": (3, 4, 5), "oracle": None,
                      "agrees": False}
 
-    block, _ = criteria.e_ss_gr(3, 6)  # gcd 3: the proven minimum is the oracle
+    block, _ = minimal_v_report(3, 6)  # gcd 3: the proven minimum is the oracle
     assert block == {"value": (2, 4, 6), "formula": (3, 5, 6), "oracle": [(2, 4, 6)],
                      "agrees": False}
 
@@ -61,7 +70,7 @@ def test_certified_oracle_equals_the_sweep():
             sweep = smt.minimal_semistable_oracle_gr(r, n)
             v = gr.minimal_semistable(r, n)
             assert is_certified_minimum_gr(v, r, n) is (sweep == [v]), (r, n)
-            oracle = criteria.e_ss_gr(r, n)[0]["oracle"]
+            oracle = minimal_v_report(r, n)[0]["oracle"]
             assert oracle == (None if gcd(r, n) == 1 else sweep), (r, n)
 
 
@@ -74,7 +83,7 @@ def test_proven_minimum_is_certified_beyond_the_sweep():
     assert len(boxes) == 648
     boxes += [(r, 300) for r in (2, 100, 150, 152, 200, 270, 298)]
     for r, n in boxes:
-        [v] = criteria.e_ss_gr(r, n)[0]["oracle"]
+        [v] = minimal_v_report(r, n)[0]["oracle"]
         assert is_certified_minimum_gr(v, r, n), (r, n)
 
 

@@ -19,6 +19,7 @@ from oracles import (
     ideal_node_dictionary_by_words,
     ideals_by_vertex_scan,
     is_ideal,
+    is_smooth_by_poincare,
     marked_set,
     node_from_word,
     quiver_by_pairing_scan,
@@ -882,3 +883,30 @@ def test_dot_smooth_case_has_no_double_circle():
     dot = qv.quiver_to_dot(model.full, bottom, qv.classify_holes(bottom, model.masks))
     assert "peripheries" not in dot
     assert "style=dotted" not in dot
+
+
+# the orbits of the Poincare-polynomial check: A2..A8 at every weight,
+# D4..D8 at weights 1, n-1 and n, E6 omega_1/omega_6 and E7 omega_7
+POINCARE_ORBITS = (
+    [("A", n, k) for n in range(2, 9) for k in range(1, n + 1)]
+    + [("D", n, k) for n in range(4, 9) for k in (1, n - 1, n)]
+    + [("E6", 6, 1), ("E6", 6, 6), ("E7", 7, 7)]
+)
+
+
+def test_smooth_iff_the_poincare_polynomial_is_palindromic():
+    """``classify_holes`` finds no real hole exactly when the Poincare
+    polynomial of the ideals below is palindromic (Carrell-Peterson), on
+    every ideal of 53 orbits, D and E among them: a check of the hole rule
+    outside type A that shares nothing with it but the full quiver."""
+    nodes = smooth = 0
+    for family, rank, weight in POINCARE_ORBITS:
+        minuscule = qv.MinusculeQuiver(root_system(family, rank), weight)
+        ideals = [ideal for ideal, _, _ in ideals_by_vertex_scan(minuscule.full)]
+        for w in ideals:
+            expected = is_smooth_by_poincare(ideals, w)
+            assert (not qv.classify_holes(w, minuscule.masks).real) is expected, (
+                family, rank, weight, w)
+            smooth += expected
+        nodes += len(ideals)
+    assert (len(POINCARE_ORBITS), nodes, smooth) == (53, 1668, 532)

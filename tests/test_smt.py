@@ -20,6 +20,7 @@ from oracles import (
     dimension_table,
     family_element,
     invariant_chain_exhaustive,
+    invariant_chain_gr,
     invariant_dim_geometric,
     invariant_witnesses_by_filter,
     is_certified_minimum_gr,
@@ -457,7 +458,7 @@ def test_projective_normality_reports():
 
 
 def test_chain_on_gr25():
-    chain = smt.invariant_chain_gr((3, 5), 2, 5, 5)
+    chain = invariant_chain_gr((3, 5), 2, 5, 5)
     assert chain is not None
     assert len(chain) == 5
     counts = [0] * 5
@@ -468,24 +469,24 @@ def test_chain_on_gr25():
     assert counts == [2] * 5
     for hi, lo in zip(chain, chain[1:]):
         assert all(b <= a for a, b in zip(hi, lo))
-    assert smt.invariant_chain_gr((2, 5), 2, 5, 5) is None
-    assert smt.invariant_chain_gr((3, 5), 2, 5, 4) is None  # degree not divisible
+    assert invariant_chain_gr((2, 5), 2, 5, 5) is None
+    assert invariant_chain_gr((3, 5), 2, 5, 4) is None  # degree not divisible
 
 
 def test_chain_on_gr24():
-    assert smt.invariant_chain_gr((2, 4), 2, 4, 2) == ((2, 4), (1, 3))
-    assert smt.invariant_chain_gr((1, 4), 2, 4, 2) is None
+    assert invariant_chain_gr((2, 4), 2, 4, 2) == ((2, 4), (1, 3))
+    assert invariant_chain_gr((1, 4), 2, 4, 2) is None
 
 
 def test_semistable_chain_in_the_least_degree():
     # Gr(2,5): m0 = 5, and the chain below (3, 5) is found there: the
     # top-first filling has rows 11223 / 34455, read last column first
-    assert smt.invariant_chain_gr((3, 5), 2, 5, 5) == (
+    assert invariant_chain_gr((3, 5), 2, 5, 5) == (
         (3, 5), (2, 5), (2, 4), (1, 4), (1, 3)
     )
     # below v = (3, 5) there is none, in degree 2*m0 either
-    assert smt.invariant_chain_gr((2, 5), 2, 5, 5) is None
-    assert smt.invariant_chain_gr((2, 5), 2, 5, 10) is None
+    assert invariant_chain_gr((2, 5), 2, 5, 5) is None
+    assert invariant_chain_gr((2, 5), 2, 5, 10) is None
 
 
 def test_minimal_sweep_gr24():
@@ -509,7 +510,7 @@ def test_chain_exists_iff_exhaustive_search_finds_one():
         for r in range(1, n):
             for w in column_sets(r, n):
                 for m in certificate_degrees(r, n):
-                    chain = smt.invariant_chain_gr(w, r, n, m)
+                    chain = invariant_chain_gr(w, r, n, m)
                     expected = invariant_chain_exhaustive(w, r, n, m)
                     assert (chain is None) == (expected is None), (w, r, n, m)
                     assert chain is None or is_invariant_chain(chain, w, r, n, m), (
@@ -566,15 +567,16 @@ def test_least_degree_chain_exists_iff_above_v_up_to_the_limit():
         m0 = n // gcd(r, n)
         w = tuple(sorted(rng.sample(range(1, n + 1), r)))
         for u in (w, tuple(map(max, w, v)), tuple(map(min, w, v)), v, *lower_covers(v)[:1]):
-            chain = smt.invariant_chain_gr(u, r, n, m0)
+            chain = invariant_chain_gr(u, r, n, m0)
             assert (chain is not None) == gr.indexset_leq(v, u), (u, r, n)
             assert chain is None or is_invariant_chain(chain, u, r, n, m0), (u, r, n)
 
 
 def test_balanced_chain_attains_the_minimal_element():
     """The chain of ``minimal_semistable``'s docstring, built directly:
-    S_k = {ceil((i*n' - k)/r')}, k < m0, is weakly decreasing from v and
-    uses every value r' = m0*r/n times."""
+    S_k = {ceil((i*n' - k)/r')}, k < m0, is weakly decreasing from v,
+    uses every value r' = m0*r/n times, and is what
+    ``grassmannian.minimal_invariant_chain`` returns."""
     for n in range(2, 61):
         for r in range(1, n):
             g = gcd(r, n)
@@ -593,6 +595,37 @@ def test_balanced_chain_attains_the_minimal_element():
                 for v in cols:
                     uses[v - 1] += 1
             assert uses == [r1] * n, (r, n)
+            assert gr.minimal_invariant_chain(r, n) == tuple(chain), (r, n)
+
+
+def test_closed_form_chain_is_the_fill_at_every_w_above_v():
+    """The strided closed form that ``gr analyze`` prints is the chain the
+    top-first fill reads back at every w >= v, on every box with n <= 12,
+    and a valid invariant chain below w."""
+    cases = 0
+    for n in range(2, 13):
+        for r in range(1, n):
+            v = gr.minimal_semistable(r, n)
+            m0 = n // gcd(r, n)
+            chain = gr.minimal_invariant_chain(r, n)
+            for w in column_sets(r, n):
+                if gr.indexset_leq(v, w):
+                    assert invariant_chain_gr(w, r, n, m0) == chain, (w, r, n)
+                    assert is_invariant_chain(chain, w, r, n, m0), (w, r, n)
+                    cases += 1
+    assert cases == 886
+
+
+@pytest.mark.parametrize("r, n", [
+    (279, 293), (150, 300), (151, 300), (152, 300), (2, 300), (299, 300),
+])
+def test_closed_form_chain_is_the_fill_at_the_gr_analyze_limit(r, n):
+    """The same at the ``gr analyze`` limit, at the top set and at v."""
+    m0 = n // gcd(r, n)
+    chain = gr.minimal_invariant_chain(r, n)
+    for w in (tuple(range(n - r + 1, n + 1)), gr.minimal_semistable(r, n)):
+        assert invariant_chain_gr(w, r, n, m0) == chain, (r, n)
+        assert is_invariant_chain(chain, w, r, n, m0), (r, n)
 
 
 def test_certified_minimum_needs_the_minimal_element():
