@@ -8,9 +8,12 @@ are one table in ``LEAVES``.  A request that spells its options exactly is
 read straight from that table; argparse is imported and builds the whole
 tree from the same table only for help, errors and abbreviated options.
 
-Reports are plain text by default and a stable JSON envelope
-``{"input", "result", "witnesses", "warnings"}`` under ``--json`` (keys
-sorted, two-space indent, so identical queries produce identical bytes).
+Every leaf but ``verify`` ends by handing its input, result, witnesses
+and warnings to ``_report``, the one answer printer: sorted ``key: value``
+lines of the result, then ``warning:`` lines, by default, and a stable
+JSON envelope ``{"input", "result", "witnesses", "warnings"}`` under
+``--json`` (keys sorted, two-space indent, so identical queries produce
+identical bytes).
 The JSON is written by ``_json``, a small emitter whose output is
 byte-identical to ``json.dumps(value, indent=2, sort_keys=True,
 default=list)`` on every payload the CLI writes; the json package itself
@@ -54,11 +57,12 @@ from .weyl import word_to_perm
 # takes 0.12-0.20 s and writes 1.4 MB, one with 24 976 (n = 224, m = 2)
 # 0.24-0.39 s and 2.9 MB (fastest to slowest of 11); 50 000 at m = 1 take
 # 0.30-0.41 s in process.
-# ``smt pn-check`` walks the pairs of the standardness test down
-# C(n+max_m, max_m) - 1 sorted multisets, ~1 us each: 91 389 take
-# 0.12-0.19 s.  ``smt minimal`` answers n-1 permutations of n, O(n^2)
-# output: 0.26 s and 41 MB at n = 500.  ``--as word`` costs n + letters:
-# 9 999 letters at n = 10 000 take 0.09 s.
+# ``smt pn-check`` admits C(n+max_m, max_m) - 1 sorted multisets, those of
+# degree 1..max_m, and walks the pairs of the standardness test down those
+# of degree 2..max_m, ~1 us each: n = 36, max_m = 4 takes 0.09-0.16 s.
+# ``smt minimal`` answers n-1 permutations of n, O(n^2) output: 0.26 s and
+# 41 MB at n = 500.  ``--as word`` costs n + letters: 9 999 letters at
+# n = 10 000 take 0.09 s.
 QUIVER_MAX_RANK = 100
 QUIVER_MAX_VERTICES = 2550
 GR_MAX_N = 300
@@ -131,20 +135,20 @@ def _json(value, indent: str = "\n") -> str:
     return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
-def _emit(args, payload: dict) -> None:
+def _report(args, input: dict, result: dict, witnesses=(), warnings=()) -> int:
+    """Print one answer and return exit code 0: the envelope ``{"input",
+    "result", "witnesses", "warnings"}`` under ``--json``, otherwise the
+    result's ``key: value`` lines, keys sorted, then one ``warning:`` line
+    per warning."""
     if args.json:
-        print(_json(payload))
+        print(_json({"input": input, "result": result, "witnesses": witnesses,
+                     "warnings": warnings}))
     else:
-        for line in _render_text(payload):
-            print(line)
-
-
-def _render_text(payload: dict):
-    result = payload.get("result", {})
-    for key in sorted(result):
-        yield f"{key}: {_plain(result[key])}"
-    for w in payload.get("warnings", []):
-        yield f"warning: {w}"
+        for key in sorted(result):
+            print(f"{key}: {_plain(result[key])}")
+        for warning in warnings:
+            print(f"warning: {warning}")
+    return 0
 
 
 def _plain(value):
@@ -172,14 +176,7 @@ def cmd_gr_analyze(args) -> int:
     if result["semistable_nonempty"]:
         chain = gr.minimal_invariant_chain(args.r, args.n)
         witnesses.append({"degree": len(chain), "chain": chain})
-    payload = {
-        "input": {"n": args.n, "r": args.r, "w": w},
-        "result": result,
-        "witnesses": witnesses,
-        "warnings": warnings,
-    }
-    _emit(args, payload)
-    return 0
+    return _report(args, {"n": args.n, "r": args.r, "w": w}, result, witnesses, warnings)
 
 
 def _resolve_ideal(minuscule, args) -> int:
@@ -220,29 +217,6 @@ def cmd_quiver_build(args) -> int:
         _usage_error(exc)
     word = minuscule.word_of(ideal)
     holes = qv.classify_holes(ideal, minuscule.masks)
-    payload = {
-        "input": {
-            "family": args.family,
-            "rank": rank,
-            "weight": args.weight,
-            "w": args.w,
-        },
-        "result": {
-            "word": word,
-            "length": len(word),
-            "vertices": minuscule.full.n_vertices,
-            "members": list(qv.positions(ideal)),
-            "holes": {
-                "real": holes.real,
-                "virtual": holes.virtual,
-                "essential": holes.essential,
-            },
-            "smooth": not holes.real,
-            "singular_components": [minuscule.word_of(c) for c in holes.components],
-        },
-        "witnesses": [],
-        "warnings": [],
-    }
     if args.dot:
         try:
             with open(args.dot, "w", newline="") as handle:
@@ -251,8 +225,16 @@ def cmd_quiver_build(args) -> int:
             _usage_error(f"cannot write {args.dot}: {exc.strerror}")
         if not args.json:
             print(f"wrote {args.dot}")
-    _emit(args, payload)
-    return 0
+    return _report(
+        args,
+        {"family": args.family, "rank": rank, "weight": args.weight, "w": args.w},
+        {"word": word, "length": len(word), "vertices": minuscule.full.n_vertices,
+         "members": list(qv.positions(ideal)),
+         "holes": {"real": holes.real, "virtual": holes.virtual,
+                   "essential": holes.essential},
+         "smooth": not holes.real,
+         "singular_components": [minuscule.word_of(c) for c in holes.components]},
+    )
 
 
 def _smt_size(n: int) -> None:
@@ -292,17 +274,9 @@ def cmd_smt_dim(args) -> int:
             f"--m {m}: --json would list {dim} x 2*m witness entries; smt dim "
             f"--json stops at {SMT_MAX_WITNESS_ENTRIES}"
         )
-    witnesses = smt.invariant_witnesses(w, m) if args.json else []
-    payload = {
-        "input": {"n": args.n, "w": w, "m": m},
-        "result": {"dim": dim, "m": m},
-        "witnesses": [
-            {"shorts": values[::-1], "missings": values} for values in witnesses
-        ],
-        "warnings": [],
-    }
-    _emit(args, payload)
-    return 0
+    witnesses = smt.invariant_witnesses(w, m) if args.json else ()
+    return _report(args, {"n": args.n, "w": w, "m": m}, {"dim": dim, "m": m},
+                   [{"shorts": values[::-1], "missings": values} for values in witnesses])
 
 
 def cmd_smt_minimal(args) -> int:
@@ -310,14 +284,7 @@ def cmd_smt_minimal(args) -> int:
     if args.n > SMT_MINIMAL_MAX_N:
         _usage_error(f"--n {args.n}: smt minimal stops at n = {SMT_MINIMAL_MAX_N}")
     elements = smt.minimal_borel_semistable(args.n)
-    payload = {
-        "input": {"n": args.n},
-        "result": {"count": len(elements), "elements": elements},
-        "witnesses": [],
-        "warnings": [],
-    }
-    _emit(args, payload)
-    return 0
+    return _report(args, {"n": args.n}, {"count": len(elements), "elements": elements})
 
 
 def cmd_smt_pn_check(args) -> int:
@@ -333,16 +300,8 @@ def cmd_smt_pn_check(args) -> int:
                 f"--max-m {args.max_m}: pn-check at n = {args.n} walks more than "
                 f"{SMT_MAX_WALK} multisets; it stops there"
             )
-    degrees = tuple(range(2, args.max_m + 1))
-    report = smt.projective_normality_check(w, degrees)
-    payload = {
-        "input": {"n": args.n, "w": w, "max_m": args.max_m},
-        "result": report,
-        "witnesses": [],
-        "warnings": [],
-    }
-    _emit(args, payload)
-    return 0
+    return _report(args, {"n": args.n, "w": w, "max_m": args.max_m},
+                   smt.projective_normality_check(w, range(2, args.max_m + 1)))
 
 
 def cmd_verify(args) -> int:

@@ -41,16 +41,16 @@ from .weyl import MinusculePoset
 class Quiver(tuple):
     """A quiver on the 0-based positions of a reduced word.  The order is
     kept only as the arrows, each vertex's targets in increasing position
-    order; ``prev`` and ``next`` hold p(i) and s(i), or ``None``.  An
-    order ideal of it is an int bitmask (:meth:`ideals`), not a field.
+    order.  An order ideal of it is an int bitmask (:meth:`ideals`), not a
+    field.
     """
 
     __slots__ = ()
 
-    def __new__(cls, system, word, targets, prev, next):
-        return tuple.__new__(cls, (system, word, targets, prev, next))
+    def __new__(cls, system, word, targets):
+        return tuple.__new__(cls, (system, word, targets))
 
-    system, word, targets, prev, next = map(property, map(itemgetter, range(5)))
+    system, word, targets = map(property, map(itemgetter, range(3)))
 
     @property
     def n_vertices(self) -> int:
@@ -132,16 +132,9 @@ def word_targets(word, system: RootSystem) -> list[list[int]]:
 
 
 def quiver_from_word(word, system: RootSystem) -> Quiver:
-    """The quiver of a reduced word: :func:`word_targets`, p(i) and s(i)."""
-    word, latest = tuple(word), {}
-    prv, nxt = [None] * len(word), [None] * len(word)
-    for j, b in enumerate(word):
-        p = latest.get(b)
-        if p is not None:
-            prv[j], nxt[p] = p, j
-        latest[b] = j
-    return Quiver(system, word, tuple(map(tuple, word_targets(word, system))),
-                  tuple(prv), tuple(nxt))
+    """The quiver of a reduced word: the word and its :func:`word_targets`."""
+    word = tuple(word)
+    return Quiver(system, word, tuple(map(tuple, word_targets(word, system))))
 
 
 class HoleReport(tuple):
@@ -232,21 +225,22 @@ class MinusculeQuiver:
         """The order ideal of a reduced word of this orbit.
 
         Nearest letter first, each letter adds the one addable vertex with
-        its label: the lowest of its chain outside the ideal, found by one
-        pointer per label moved up the chain.  A letter that finds none
-        does not lower the weight, and the word is refused (``ValueError``).
+        its label: the lowest of its chain outside the ideal, the highest
+        bit of the label's chain mask less the vertices already added.  A
+        letter that finds none does not lower the weight, and the word is
+        refused (``ValueError``).
         """
-        word = tuple(word)
-        targets, prev = self.full.targets, self.full.prev
-        free = {b: chain.bit_length() - 1 for b, chain in enumerate(self.masks[1]) if chain}
-        inside = bytearray(len(prev))  # a flag per vertex, read as the mask's bits
+        word, targets = tuple(word), self.full.targets
+        free = dict(enumerate(self.masks[1]))  # each label's chain, less what is added
+        inside = bytearray(len(targets))  # a flag per vertex, read as the mask's bits
         for b in reversed(word):
-            v = free.get(b)
-            if v is None or not all(map(inside.__getitem__, targets[v])):
+            chain = free.get(b, 0)
+            v = chain.bit_length() - 1
+            if not chain or not all(map(inside.__getitem__, targets[v])):
                 raise ValueError(f"{word} is not a reduced word of letters "
                                  f"1..{self.system.rank} in this orbit")
             inside[v] = 1
-            free[b] = prev[v]
+            free[b] = chain ^ 1 << v
         return int(inside[::-1].translate(bytes.maketrans(b"\0\1", b"01")), 2)
 
     def word_of(self, ideal: int) -> tuple[int, ...]:

@@ -153,15 +153,14 @@ def invariant_dimension(w, m: int) -> int:
     )
 
 
-def projective_normality_check(w, degrees, t: int | None = None) -> dict:
+def projective_normality_check(w, degrees) -> dict:
     """Compare section counts against the free polynomial ring prediction.
 
-    With t independent degree-1 invariants the degree-m count of a
-    polynomial ring on t generators is C(t+m-1, m).  A caller that has
-    walked the degree-one count already passes it as ``t``.
+    With t = :func:`invariant_generators` independent degree-1 invariants,
+    the degree-m count of a polynomial ring on t generators is C(t+m-1, m);
+    each degree in ``degrees`` is walked and compared with it.
     """
-    if t is None:
-        t = invariant_dimension(w, 1)
+    t = invariant_generators(w)
     rows = []
     for m in degrees:
         computed = invariant_dimension(w, m)

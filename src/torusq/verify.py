@@ -282,10 +282,9 @@ def hilbert() -> dict:
         }
         degrees = (2, 3) if n <= 5 else (2,)
         for w in smt.parabolic_lifts(n):
-            t = _invariant_dimension(w, 1)
-            if t < 1:
+            if _invariant_dimension(w, 1) < 1:
                 continue
-            report = smt.projective_normality_check(w, degrees, t)
+            report = smt.projective_normality_check(w, degrees)
             checks += len(report["degrees"])
             if not report["all_match"]:
                 message = f"n={n} lift {w}: {report['degrees']}"

@@ -26,6 +26,7 @@ what makes the canonical-word and length bookkeeping trivial.
 
 from bisect import insort
 
+from . import grassmannian as gr
 from .rootdata import check_minuscule, fundamental_weight
 
 
@@ -152,19 +153,11 @@ class MinusculePoset:
 
     def check_indexset(self, entries):
         """``entries`` sorted, when they are a column set of this orbit
-        (type A only): r distinct columns among 1..n."""
+        (type A only): r distinct columns among 1..n, checked by
+        :func:`torusq.grassmannian.check_indexset`."""
         if self.system.family != "A":
             raise ValueError("index sets only make sense in type A")
-        n = self.system.rank + 1
-        entries = tuple(sorted(entries))
-        columns = set(entries)
-        if (
-            len(columns) != len(entries)
-            or len(entries) != self.weight_index
-            or not columns <= set(range(1, n + 1))
-        ):
-            raise ValueError(f"{entries} is not a node of this orbit")
-        return entries
+        return gr.check_indexset(sorted(entries), self.weight_index, self.system.rank + 1)
 
     def node_of_indexset(self, entries):
         """The node of a column set (type A only), in closed form.

@@ -704,6 +704,20 @@ def indexset(poset, mu):
 # quivers by pairing scans
 
 
+def repetitions(word):
+    """``(prev, next)``: for each position i of ``word``, p(i) and s(i),
+    the previous and the next position carrying the same letter, or
+    ``None``, read by one scan of the word."""
+    prv, nxt = [None] * len(word), [None] * len(word)
+    last_seen = {}
+    for i, b in enumerate(word):
+        p = last_seen.get(b)
+        if p is not None:
+            prv[i], nxt[p] = p, i
+        last_seen[b] = i
+    return tuple(prv), tuple(nxt)
+
+
 def quiver_by_pairing_scan(word, system):
     """The quiver of a reduced word with every arrow tested from the
     definition: for each vertex i, one Cartan pairing with every later
@@ -714,21 +728,14 @@ def quiver_by_pairing_scan(word, system):
         if not 1 <= b <= system.rank:
             raise ValueError(f"letter {b} out of range for {system}")
     N = len(word)
-    prv = [None] * N
-    nxt = [None] * N
-    last_seen = {}
-    for i, b in enumerate(word):
-        p = last_seen.get(b)
-        if p is not None:
-            prv[i], nxt[p] = p, i
-        last_seen[b] = i
+    nxt = repetitions(word)[1]
     targets = [[] for _ in range(N)]
     for i in range(N):
         stop = nxt[i] if nxt[i] is not None else N
         for j in range(i + 1, stop):
             if system.cartan[word[i] - 1][word[j] - 1] != 0:
                 targets[i].append(j)
-    return Quiver(system, word, tuple(map(tuple, targets)), tuple(prv), tuple(nxt))
+    return Quiver(system, word, tuple(map(tuple, targets)))
 
 
 def word_of_by_heap(minuscule, ideal):
@@ -740,7 +747,7 @@ def word_of_by_heap(minuscule, ideal):
     counts the neighbour tops before its own, a heap holds the labels with
     none, and a removed top moves down to s(top), changing only the counts
     of its label and neighbours."""
-    chains, nxt = minuscule.masks[1], minuscule.full.next
+    chains, nxt = minuscule.masks[1], repetitions(minuscule.full.word)[1]
     neighbours = ((),) + minuscule.system.neighbours
     end = len(nxt)
     top = [end] * len(chains)
@@ -893,9 +900,10 @@ def classify_holes_by_pairing(q, ideal):
     above it.  Returns ``(real, virtual, essential)``.
     """
     members = marked_set(ideal)
+    prv, nxt = repetitions(q.word)
     real, above = [], {}
     for i in sorted(members):
-        p = q.prev[i]
+        p = prv[i]
         if p is not None and p in members:
             continue
         above[i] = up_set_by_scan(q, i)
@@ -905,7 +913,7 @@ def classify_holes_by_pairing(q, ideal):
                 count += 1
         if count == 2:
             real.append(i)
-    virtual = [i for i in range(q.n_vertices) if i not in members and q.next[i] is None]
+    virtual = [i for i in range(q.n_vertices) if i not in members and nxt[i] is None]
     essential = [i for i in real if not any(j != i and j in above[i] for j in real)]
     return tuple(real), tuple(virtual), tuple(essential)
 
@@ -917,9 +925,10 @@ def classify_holes_by_scans(q, ideal):
     the marked set minus the up-set of each essential hole.  Returns a
     ``HoleReport``, the components as masks."""
     members, labels, neighbours = marked_set(ideal), q.word, q.system.neighbours
+    prv, nxt = repetitions(q.word)
     real, above = [], {}
     for i in sorted(members):
-        p = q.prev[i]
+        p = prv[i]
         if p is not None and p in members:
             continue
         above[i] = up_set_by_scan(q, i)
@@ -927,7 +936,7 @@ def classify_holes_by_scans(q, ideal):
         partners = {b, *neighbours[b - 1]}
         if len([j for j in above[i] & members if j != i and labels[j] in partners]) == 2:
             real.append(i)
-    virtual = [i for i in range(q.n_vertices) if i not in members and q.next[i] is None]
+    virtual = [i for i in range(q.n_vertices) if i not in members and nxt[i] is None]
     essential = [i for i in real if not any(j != i and j in above[i] for j in real)]
     return HoleReport(
         tuple(real), tuple(virtual), tuple(essential),

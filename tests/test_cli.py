@@ -495,6 +495,58 @@ def test_smt_pn_check(capsys):
     assert result["all_match"] is True
 
 
+QUADRIC_TEXT = """\
+holes: {essential=[4], real=[4], virtual=[]}
+length: 4
+members: [2, 3, 4, 5]
+singular_components: [[1]]
+smooth: False
+vertices: 6
+word: [3, 4, 2, 1]
+"""
+
+
+@pytest.mark.parametrize("argv, stdout", [
+    (["quiver", "build", "--family", "D", "--rank", "4", "--weight", "1"], QUADRIC_TEXT),
+    (["quiver", "build", "--family", "A", "--rank", "4", "--weight", "2", "--w", "3,5",
+      "--as", "indexset"], """\
+holes: {essential=[4], real=[4], virtual=[]}
+length: 5
+members: [1, 2, 3, 4, 5]
+singular_components: [[1, 2]]
+smooth: False
+vertices: 6
+word: [2, 1, 4, 3, 2]
+"""),
+    (["smt", "minimal", "--n", "4"], """\
+count: 3
+elements: [[2, 3, 4, 1], [3, 1, 4, 2], [4, 1, 2, 3]]
+"""),
+    (["smt", "pn-check", "--n", "7", "--w", "7,6,5,4,3,2,1", "--max-m", "2"], """\
+all_match: True
+degrees: [{computed=21, expected=21, m=2, match=True}]
+t: 6
+"""),
+    (["smt", "pn-check", "--n", "4", "--w", "4,3,2,1", "--max-m", "3"], """\
+all_match: True
+degrees: [{computed=6, expected=6, m=2, match=True}, {computed=10, expected=10, m=3, match=True}]
+t: 3
+"""),
+])
+def test_text_mode_full_stdout(capsys, argv, stdout):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == stdout
+
+
+def test_quiver_build_dot_text_mode_full_stdout(tmp_path, capsys):
+    dot = tmp_path / "quadric.dot"
+    argv = ["quiver", "build", "--family", "D", "--rank", "4", "--weight", "1",
+            "--w", "minimal", "--dot", str(dot)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"wrote {dot}\n" + QUADRIC_TEXT
+    assert dot.read_bytes() == QUADRIC_DOT.encode()
+
+
 W20 = ",".join(map(str, (20, *range(2, 20), 1)))  # t = 19
 W225 = ",".join(map(str, (225, *range(2, 225), 1)))  # t = 224
 

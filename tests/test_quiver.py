@@ -156,8 +156,8 @@ def test_gr24_full_quiver():
     q = qv.quiver_from_word((2, 1, 3, 2), root_system("A", 3))
     assert q.n_vertices == 4
     assert q.targets == ((1, 2), (3,), (3,), ())  # arrows 0->1, 0->2, 1->3, 2->3
-    assert q.next[0] == 3 and q.prev[3] == 0
-    assert q.next[1] is None
+    chains = q.hole_masks()[1]  # s(0) = 3 and p(3) = 0; 1 and 2 repeat no letter
+    assert chains == [0, 0b0010, 0b1001, 0b0100]
     assert len(list(q.ideals())) == 6  # one per Schubert variety of Gr(2,4)
 
 
@@ -181,7 +181,7 @@ def test_quiver_is_an_immutable_value():
     q = qv.quiver_from_word((2, 1, 3, 2), system)
     again = qv.quiver_from_word((2, 1, 3, 2), system)
     assert q is not again and q == again and hash(q) == hash(again)
-    assert q == (system, (2, 1, 3, 2), q.targets, q.prev, q.next)
+    assert q == (system, (2, 1, 3, 2), q.targets)
     with pytest.raises(AttributeError):
         q.targets = ()
     ideal = as_mask({1, 3})
@@ -681,7 +681,7 @@ def _swap_check(qa, qb, p):
 
 def _with_targets(q, targets):
     """The quiver ``q`` with its arrows replaced by ``targets``."""
-    return qv.Quiver(q.system, q.word, targets, q.prev, q.next)
+    return qv.Quiver(q.system, q.word, targets)
 
 
 def test_commutation_isomorphism():
