@@ -14,9 +14,12 @@ position i): the down-closed vertex subsets are in bijection with W^P
 (read the ideal's letters in increasing position order to get a reduced
 word for its element), and containment of ideals is the Bruhat order.
 
-Hole bookkeeping, with the conventions pinned by cross-checking against
-the Young-diagram singular locus on Grassmannians (the alternative
-readings fail on the first singular example, the divisor in Gr(2,4)):
+Hole bookkeeping, with the conventions pinned against the Young-diagram
+singular locus on Grassmannians (the alternative readings fail on the
+first singular example, the divisor in Gr(2,4)) and checked in every
+family by the tests against criteria that use no holes: T-stable curves
+for smoothness and the singular components, palindromic Poincare
+polynomials and homogeneity for smoothness:
 
 * a *real hole* of a marked quiver Q_w is a marked vertex i whose p(i) is
   unmarked or absent, such that exactly two marked vertices j != i with
@@ -32,7 +35,7 @@ everything weakly above h from the ideal and keep what remains.  One pass,
 
 from bisect import insort
 from itertools import accumulate, count
-from operator import add, itemgetter, sub
+from operator import add, itemgetter
 
 from .rootdata import RootSystem, check_minuscule, minuscule_orbit_size
 from .weyl import MinusculePoset
@@ -111,7 +114,7 @@ def word_targets(word, system: RootSystem) -> list[list[int]]:
     """The arrows of the quiver of a reduced word in one pass, O(N * degree):
     each vertex's list of targets, in increasing position order.
 
-    Arrows: i -> j for i < j with nonzero Cartan pairing of the letters,
+    Arrows: i -> j for i < j whose letters are Dynkin neighbours,
     bounded above by the next repetition s(i) of the letter of i.  So the
     arrows into j come from the latest earlier vertex labelled by each
     Dynkin neighbour of ``word[j]``: only that one has s(i) > j.
@@ -269,34 +272,44 @@ class MinusculeModel(MinusculeQuiver):
     quiver form of the separation criterion.
 
     ``Quiver.ideals`` lists I before I + {v}, with the index of I; once
-    node(I) is checked to be 1 at b = b_v, node(I + {v}) = s_b(node(I)) =
-    node(I) - alpha_b, one tuple subtraction of a Cartan row per ideal.
-    The build checks (``AssertionError``) that each letter lowers the
-    weight, that every coordinate is -1, 0 or 1, that no node gets two
-    ideals, that there are as many nodes as the closed-form orbit size,
-    and that the full ideal's node is the poset's bottom.  Then each
-    canonical word in ``words`` takes O(rank), from the word of node +
-    alpha_i = s_i(node), i its first coordinate -1, where the walk of
-    :meth:`~torusq.weyl.MinusculePoset.canonical_word` goes next; the
-    build checks that this parent was listed before the node.
+    node(I) is checked to be 1 at b = b_v, node(I + {v}) = s_b(node(I)):
+    coordinate b goes to -1 and each Dynkin neighbour of b gains 1, the
+    step of :func:`~torusq.weyl._walk`.  In the same pass each node's
+    canonical word takes O(rank), from the word of its canonical parent
+    s_i(node), i its first coordinate -1, where the walk of
+    :meth:`~torusq.weyl.MinusculePoset.canonical_word` goes next: the
+    inverse step, coordinate i back to 1 and each neighbour less 1.  The
+    build checks (``AssertionError``) that each letter lowers the weight,
+    that every coordinate is -1, 0 or 1, that each canonical parent was
+    listed before its node, that no node gets two ideals, that there are
+    as many nodes as the closed-form orbit size, and that the full ideal's
+    node is the poset's bottom.
     """
 
     def __init__(self, system: RootSystem, weight_index: int):
         super().__init__(system, weight_index)
         listed = self.full.ideals()
-        labels, alpha = self.full.word, system.cartan
-        nodes: list[tuple[int, ...]] = []
-        for _, v, k in listed:
-            if v is None:
-                node = self.poset.top
-            else:
-                node, b = nodes[k], labels[v]
-                if node[b - 1] != 1:
-                    raise AssertionError(f"letter {b} does not lower {node}")
-                node = tuple(map(sub, node, alpha[b - 1]))
+        labels, neighbours = self.full.word, system.neighbours
+        nodes = [self.poset.top]
+        self.words: dict[tuple[int, ...], tuple[int, ...]] = {self.poset.top: ()}
+        for _, v, k in listed[1:]:
+            node, b = list(nodes[k]), labels[v]
+            if node[b - 1] != 1:
+                raise AssertionError(f"letter {b} does not lower {nodes[k]}")
+            node[b - 1] = -1
+            for c in neighbours[b - 1]:
+                node[c - 1] += 1
+            nodes.append(tuple(node))
             if not _MINUSCULE.issuperset(node):
-                raise AssertionError(f"non-minuscule coordinate in orbit: {node}")
-            nodes.append(node)
+                raise AssertionError(f"non-minuscule coordinate in orbit: {nodes[-1]}")
+            try:
+                i = node.index(-1) + 1
+                node[i - 1] = 1
+                for c in neighbours[i - 1]:
+                    node[c - 1] -= 1
+                self.words[nodes[-1]] = (i,) + self.words[tuple(node)]
+            except (ValueError, KeyError):
+                raise AssertionError(f"the canonical parent of {nodes[-1]} is not listed") from None
         self.ideals = {node: ideal for node, (ideal, _, _) in zip(nodes, listed)}
         self.nodes = list(self.ideals)
         if len(self.nodes) != len(listed):
@@ -306,14 +319,6 @@ class MinusculeModel(MinusculeQuiver):
             raise AssertionError(f"{len(self.nodes)} ideals for {size} coset elements")
         if nodes[-1] != self.poset.bottom:  # graded: the full ideal comes last
             raise AssertionError("the full ideal is not the bottom node")
-        self.words: dict[tuple[int, ...], tuple[int, ...]] = {self.poset.top: ()}
-        for node in self.nodes[1:]:
-            try:
-                i = node.index(-1) + 1
-                parent = self.words[tuple(map(add, node, alpha[i - 1]))]
-            except (ValueError, KeyError):
-                raise AssertionError(f"the canonical parent of {node} is not listed") from None
-            self.words[node] = (i,) + parent
         self._holes: dict[int, HoleReport] = {}
 
     def holes(self, ideal: int) -> HoleReport:
@@ -422,10 +427,10 @@ def commutation_moves(word, system: RootSystem) -> list[tuple[int, tuple[int, ..
     pair; the position-swap bijection is then a quiver isomorphism, which
     is what makes the quiver a well-defined invariant of the element.
     """
-    word, cartan, moves = tuple(word), system.cartan, []
+    word, neighbours, moves = tuple(word), system.neighbours, []
     for p, b in enumerate(word[1:]):
         a = word[p]
-        if cartan[a - 1][b - 1] == 0:
+        if a != b and b not in neighbours[a - 1]:
             moves.append((p, word[:p] + (b, a) + word[p + 2 :]))
     return moves
 

@@ -1,10 +1,11 @@
-"""Cartan data for the simply laced families A, D, E6 and E7.
+"""Dynkin data for the simply laced families A, D, E6 and E7.
 
 All weights downstream are written in fundamental-weight coordinates: entry
 ``i`` of a weight vector is its pairing with the ``i``-th simple coroot.  In
-that basis the ``i``-th simple root is row ``i`` of the Cartan matrix, so a
-simple reflection is one integer row operation and no inner products are
-ever needed.
+that basis the ``i``-th simple root is 2 at ``i`` and -1 at each Dynkin
+neighbour of ``i``, so the simple reflection ``s_i`` sends coordinate ``c``
+at ``i`` to ``-c`` and adds ``c`` at each neighbour: the neighbour lists are
+the one encoding of the diagram, and no matrix or inner product is built.
 
 Numbering of simple roots follows the standard tables: type A is the path
 ``1 - 2 - ... - n``; type D is the path ``1 - ... - (n-2)`` with both ``n-1``
@@ -12,7 +13,6 @@ and ``n`` attached to ``n-2``; in E6 and E7 node ``2`` hangs off node ``4``
 of the path ``1 - 3 - 4 - 5 - 6 (- 7)``.
 """
 
-from functools import lru_cache
 from math import comb
 from operator import itemgetter
 
@@ -23,17 +23,18 @@ FAMILIES = ("A", "D", "E6", "E7")
 
 class RootSystem(tuple):
     """A simply laced root system, identified by family and rank;
-    ``cartan`` is the Cartan matrix as a tuple of rows, and
-    ``neighbours[i - 1]`` lists the Dynkin neighbours of node ``i``."""
+    ``neighbours[i - 1]`` lists the Dynkin neighbours of node ``i``, in
+    increasing order.  A simple reflection at ``i`` steps coordinate ``i``
+    and these neighbours, and reads nothing else of the system."""
 
     __slots__ = ()
 
-    def __new__(cls, family, rank, cartan, neighbours):
-        return tuple.__new__(cls, (family, rank, cartan, neighbours))
+    def __new__(cls, family, rank, neighbours):
+        return tuple.__new__(cls, (family, rank, neighbours))
 
-    family, rank, cartan, neighbours = map(property, map(itemgetter, range(4)))
+    family, rank, neighbours = map(property, map(itemgetter, range(3)))
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         if self.family in ("E6", "E7"):
             return self.family
         return f"{self.family}{self.rank}"
@@ -65,21 +66,14 @@ def _validate(family: str, rank: int) -> None:
         raise ValueError(f"E7 has rank 7, got {rank}")
 
 
-@lru_cache(maxsize=None)
 def root_system(family: str, rank: int) -> RootSystem:
-    """Build the (cached) root system of the given family and rank."""
+    """Build the root system of the given family and rank, O(rank)."""
     _validate(family, rank)
-    neighbours = [[] for _ in range(rank + 1)]
+    neighbours = [[] for _ in range(rank)]
     for a, b in _edges(family, rank):
-        neighbours[a].append(b)
-        neighbours[b].append(a)
-    cartan = [[0] * rank for _ in range(rank)]
-    for i, row in enumerate(cartan, start=1):
-        row[i - 1] = 2
-        for j in neighbours[i]:
-            row[j - 1] = -1
-    neighbours = tuple(tuple(sorted(row)) for row in neighbours[1:])
-    return RootSystem(family, rank, tuple(map(tuple, cartan)), neighbours)
+        neighbours[a - 1].append(b)
+        neighbours[b - 1].append(a)
+    return RootSystem(family, rank, tuple(tuple(sorted(row)) for row in neighbours))
 
 
 def minuscule_weights(family: str, rank: int) -> frozenset[int]:

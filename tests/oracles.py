@@ -24,8 +24,10 @@ off the order ideals of the quiver, a quiver's arrows are found by one
 Cartan pairing per pair of positions instead of the latest vertex of each
 Dynkin neighbour, and its order ideals by testing every vertex against
 every ideal instead of carrying each ideal's addable vertices, smoothness
-is read off the Poincare polynomial of the ideals below instead of the
-real holes, a commutation move's quiver isomorphism compares every
+is read off the Poincare polynomial of the ideals below, off homogeneity
+on positive roots grown from the Cartan rows, or, with the singular
+components, off the T-stable curves through each fixed point, instead of
+the real holes, a commutation move's quiver isomorphism compares every
 vertex's target tuple mapped and sorted, or the two arrow sets, instead
 of the target tuples vertex by vertex with only those holding a swapped
 position sorted again, or reads the swap through a permutation list of every
@@ -41,8 +43,11 @@ singular components are grown from the listed corners instead of in one
 pass over the rows, and an extension family's
 element is rebuilt from
 the seed row by row instead of one right multiplication after the row
-before it, root data probes a set of Dynkin edge pairs for every Cartan
-entry instead of filling rows from neighbour lists, the bottom node and
+before it, root data probes a set of Dynkin edge pairs for every entry
+of a Cartan matrix, which only the oracles build (:func:`cartan_matrix`,
+read by every pairing here), instead of listing each node's neighbours
+from the edges, so a pairing checked against a neighbour list reads no
+data the package built, the bottom node and
 canonical words scan the whole weight for each letter and take one simple
 reflection (:func:`reflect`, which the package no longer has) and one
 tuple per step instead of stepping a list in place from a sorted list of
@@ -58,6 +63,7 @@ reference for the closed-form chain.
 
 import random
 from fractions import Fraction
+from functools import cache
 from heapq import heappop, heappush
 from itertools import combinations, combinations_with_replacement, permutations
 from math import gcd
@@ -610,6 +616,14 @@ def root_data_by_pairs(family, rank):
     return cartan, neighbours
 
 
+@cache
+def cartan_matrix(family, rank):
+    """The Cartan matrix of :func:`root_data_by_pairs`, probed once per
+    system: every pairing the oracles take reads it, and the package has
+    none of its own."""
+    return root_data_by_pairs(family, rank)[0]
+
+
 # ---------------------------------------------------------------------------
 # minuscule words replayed on weights
 
@@ -617,7 +631,7 @@ def root_data_by_pairs(family, rank):
 def simple_root(system, i):
     """Simple root ``alpha_i`` in fundamental-weight coordinates: row i of
     the Cartan matrix."""
-    return system.cartan[i - 1]
+    return cartan_matrix(system.family, system.rank)[i - 1]
 
 
 def reflect(system, mu, i):
@@ -727,13 +741,13 @@ def quiver_by_pairing_scan(word, system):
     for b in word:
         if not 1 <= b <= system.rank:
             raise ValueError(f"letter {b} out of range for {system}")
-    N = len(word)
+    N, cartan = len(word), cartan_matrix(system.family, system.rank)
     nxt = repetitions(word)[1]
     targets = [[] for _ in range(N)]
     for i in range(N):
         stop = nxt[i] if nxt[i] is not None else N
         for j in range(i + 1, stop):
-            if system.cartan[word[i] - 1][word[j] - 1] != 0:
+            if cartan[word[i] - 1][word[j] - 1] != 0:
                 targets[i].append(j)
     return Quiver(system, word, tuple(map(tuple, targets)))
 
@@ -899,7 +913,7 @@ def classify_holes_by_pairing(q, ideal):
     nontrivially with it, and essential when no other real hole is weakly
     above it.  Returns ``(real, virtual, essential)``.
     """
-    members = marked_set(ideal)
+    members, cartan = marked_set(ideal), cartan_matrix(q.system.family, q.system.rank)
     prv, nxt = repetitions(q.word)
     real, above = [], {}
     for i in sorted(members):
@@ -909,7 +923,7 @@ def classify_holes_by_pairing(q, ideal):
         above[i] = up_set_by_scan(q, i)
         count = 0
         for j in above[i] & members:
-            if j != i and q.system.cartan[q.word[j] - 1][q.word[i] - 1] != 0:
+            if j != i and cartan[q.word[j] - 1][q.word[i] - 1] != 0:
                 count += 1
         if count == 2:
             real.append(i)
@@ -945,6 +959,101 @@ def classify_holes_by_scans(q, ideal):
 
 
 # ---------------------------------------------------------------------------
+# smoothness by T-stable curves and by homogeneity
+
+
+@cache
+def positive_roots(family, rank):
+    """The positive roots, as coefficient tuples over the simple roots, in
+    increasing order, grown from the simple roots: beta + alpha_j is a root
+    exactly when <beta, alpha_j^vee> = -1, a root string being at most two
+    roots long in a simply laced system."""
+    cartan = cartan_matrix(family, rank)
+    frontier = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    roots = set(frontier)
+    while frontier:
+        grown = []
+        for beta in frontier:
+            for j in range(rank):
+                if sum(c * row[j] for c, row in zip(beta, cartan)) == -1:
+                    up = beta[:j] + (beta[j] + 1,) + beta[j + 1:]
+                    if up not in roots:
+                        roots.add(up)
+                        grown.append(up)
+        frontier = grown
+    return sorted(roots)
+
+
+def tangent_curves(system, nodes):
+    """The T-stable curves of G/P among the orbit weights ``nodes``, as one
+    bitmask per node: bit j of entry i is set when ``nodes[i] - nodes[j]``
+    is a root, positive or negative, in fundamental-weight coordinates."""
+    cartan = cartan_matrix(system.family, system.rank)
+    roots = set()
+    for beta in positive_roots(system.family, system.rank):
+        weight = tuple(sum(c * row[j] for c, row in zip(beta, cartan))
+                       for j in range(system.rank))
+        roots |= {weight, tuple(-a for a in weight)}
+    return [
+        sum(1 << j for j, nu in enumerate(nodes) if tuple(map(sub, mu, nu)) in roots)
+        for mu in nodes
+    ]
+
+
+def singular_components_by_curves(curves, ideals, w):
+    """The component ideal masks of Sing X(w), largest first, empty exactly
+    when X(w) is smooth, counted on T-stable curves instead of holes.
+
+    ``ideals[i]`` is the ideal mask of the node of ``curves[i]``
+    (:func:`tangent_curves`); the nodes below w are those whose ideal lies
+    in w.  X(w) is smooth at the fixed point mu iff exactly l(w) = |w| of
+    its T-stable curves pass through mu (Carrell-Peterson 1994, with
+    Brion-Polo 1999 and Lakshmibai-Weyman 1990 for minuscule G/P of a
+    simply laced group), and never fewer; the components of Sing X(w) are
+    the Schubert varieties of the maximal nodes with more."""
+    inside = sum(1 << i for i, u in enumerate(ideals) if u & ~w == 0)
+    singular = []
+    for i, u in enumerate(ideals):
+        if inside >> i & 1:
+            through = (curves[i] & inside).bit_count()
+            if through < w.bit_count():
+                raise AssertionError(f"{through} T-stable curves at a point of a "
+                                     f"{w.bit_count()}-dimensional Schubert variety")
+            if through > w.bit_count():
+                singular.append(u)
+    components = []
+    for u in sorted(singular, key=int.bit_count, reverse=True):
+        if not any(u & ~c == 0 for c in components):
+            components.append(u)
+    return components
+
+
+def is_homogeneous(system, weight_index, letters, length):
+    """Smoothness of X(w) in minuscule G/P as homogeneity (Brion-Polo 1999,
+    Hong-Mok 2013): the set J of the ``letters`` of w is connected and
+    holds the marked node k, and ``length`` = l(w) is the number of
+    positive roots supported on J whose coefficient at alpha_k is 1, the
+    dimension of the homogeneous space of the Levi of J.  The point
+    X(e), with no letters, is smooth."""
+    if not letters:
+        return length == 0
+    cartan, k = cartan_matrix(system.family, system.rank), weight_index
+    reached, frontier = {k}, [k]
+    while frontier:
+        a = frontier.pop()
+        for b in letters:
+            if b not in reached and cartan[a - 1][b - 1] == -1:
+                reached.add(b)
+                frontier.append(b)
+    if k not in letters or reached != set(letters):
+        return False
+    return length == sum(
+        1 for beta in positive_roots(system.family, system.rank)
+        if beta[k - 1] == 1 and all(c == 0 or j in letters for j, c in enumerate(beta, 1))
+    )
+
+
+# ---------------------------------------------------------------------------
 # minuscule ideal/node dictionary by word replay
 
 
@@ -957,12 +1066,12 @@ def quiver_order_by_closure(system, word):
     itself plus the sets of its targets, built from the last position
     back, so the order is the full transitive closure, O(N^2) integers.
     """
-    n = len(word)
+    n, cartan = len(word), cartan_matrix(system.family, system.rank)
     below = [frozenset()] * n
     for i in range(n - 1, -1, -1):
         acc = {i}
         for j in range(i + 1, n):
-            if system.cartan[word[i] - 1][word[j] - 1] != 0 and word[i] not in word[i + 1:j + 1]:
+            if cartan[word[i] - 1][word[j] - 1] != 0 and word[i] not in word[i + 1:j + 1]:
                 acc |= below[j]
         below[i] = frozenset(acc)
     return below

@@ -18,6 +18,7 @@ from oracles import (
     classify_holes_by_scans,
     ideal_node_dictionary_by_words,
     ideals_by_vertex_scan,
+    is_homogeneous,
     is_ideal,
     is_smooth_by_poincare,
     marked_set,
@@ -27,6 +28,9 @@ from oracles import (
     quivers_isomorphic_by_arrow_sets,
     quivers_isomorphic_by_sorted_targets,
     quivers_isomorphic_under_swap_by_sigma,
+    reflect,
+    singular_components_by_curves,
+    tangent_curves,
     word_descends,
     word_of_by_heap,
 )
@@ -132,24 +136,24 @@ def test_ideals_match_the_vertex_scan(verify_scope):
 
 
 def test_the_full_quiver_is_built_without_pairings():
-    # one pass over the word with the neighbour lists of the root system,
-    # not one Cartan pairing per pair of positions: no Cartan entry is read
-    # by index (the walk to the bottom node subtracts whole rows)
+    # the root system is its neighbour lists alone, 2 * 99 entries at A100
+    # and no rank x rank table; the full quiver is built from them, and a
+    # commutation move tests one neighbour list per adjacent pair
+    system = root_system("A", 100)
+    assert system == ("A", 100, system.neighbours)
+    assert sum(map(len, system.neighbours)) == 2 * 99
+    assert qv.MinusculeQuiver(system, 50).full.n_vertices == 2550
     reads = []
 
-    class CountingRow(tuple):
-        def __getitem__(self, j):
-            reads.append(j)
-            return tuple.__getitem__(self, j)
+    class CountingList(tuple):
+        def __contains__(self, b):
+            reads.append(b)
+            return tuple.__contains__(self, b)
 
-    system = root_system("A", 100)
-    system = RootSystem(system.family, system.rank,
-                        tuple(map(CountingRow, system.cartan)), system.neighbours)
-    minuscule = qv.MinusculeQuiver(system, 50)
-    assert minuscule.full.n_vertices == 2550
-    assert reads == []
-    qv.commutation_moves((1, 3, 2), system)  # one pairing per adjacent pair
-    assert reads == [2, 1]
+    system = root_system("A", 3)
+    system = RootSystem(system.family, system.rank, tuple(map(CountingList, system.neighbours)))
+    assert qv.commutation_moves((1, 3, 2), system) == [(0, (3, 1, 2))]
+    assert reads == [3, 2]
 
 
 def test_gr24_full_quiver():
@@ -301,11 +305,10 @@ def test_verify_derives_each_node_once(monkeypatch):
     assert calls == {"grow": 21, "word_of": 102}
 
 
-# Gr(2,4)'s root system with Cartan rows a fault may replace: the listing
-# steps each node by the row of the added label, while the poset the model
-# walks keeps the true rows (see ``test_model_build_checks_fire``)
-_GR24 = SimpleNamespace(family="A", rank=3, cartan=root_system("A", 3).cartan,
-                        neighbours=root_system("A", 3).neighbours)
+# Gr(2,4)'s root system with neighbour lists a fault may replace: the full
+# quiver and the listing read them, while the poset the model walks keeps
+# the true lists (see ``test_model_build_checks_fire``)
+_GR24 = SimpleNamespace(family="A", rank=3, neighbours=root_system("A", 3).neighbours)
 
 
 def _short_at_bottom(canonical_word):
@@ -319,14 +322,15 @@ def _short_at_bottom(canonical_word):
 
 
 @pytest.mark.parametrize("faults,message", [
-    # no row moves a node
-    ([(_GR24, "cartan", ((0, 0, 0),) * 3)], "letter 1 does not lower (0, 1, 0)"),
-    # every root counted twice
-    ([(_GR24, "cartan", ((4, -2, 0), (-2, 4, -2), (0, -2, 4)))],
-     "non-minuscule coordinate in orbit: (2, -3, 2)"),
-    # 1 on the diagonal at both ends: the third level steps back to the top,
-    # (1,-1,1) -> (0,0,1) -> (0,1,0)
-    ([(_GR24, "cartan", ((1, -1, 0), (-1, 2, -1), (0, -1, 1)))],
+    # no neighbours: the quiver has no arrows, so the vertex of label 1 is
+    # addable at the top
+    ([(_GR24, "neighbours", ((), (), ()))], "letter 1 does not lower (0, 1, 0)"),
+    # 3 lists 1 and 2, but 1 lists neither: (1,-1,1) steps at 3 to (2,0,-1)
+    ([(_GR24, "neighbours", ((), (1, 3), (1, 2)))],
+     "non-minuscule coordinate in orbit: (2, 0, -1)"),
+    # 3 listed twice as its own neighbour: the step at 3 leaves (1,-1,1)
+    # where it was, and that node gets two ideals
+    ([(_GR24, "neighbours", ((2, 2), (1, 3), (3, 3)))],
      "ideal/coset correspondence is not a bijection"),
     ([(qv, "minuscule_orbit_size", lambda family, rank, weight: 7)],
      "6 ideals for 7 coset elements"),
@@ -334,17 +338,22 @@ def _short_at_bottom(canonical_word):
     ([(MinusculePoset, "canonical_word", _short_at_bottom(MinusculePoset.canonical_word)),
       (qv, "minuscule_orbit_size", lambda family, rank, weight: 5)],
      "the full ideal is not the bottom node"),
-    # 1 on the diagonal at the first end only: six distinct nodes, the last
-    # of them not the bottom
-    ([(_GR24, "cartan", ((1, -1, 0), (-1, 2, -1), (0, -1, 2)))],
+    # 3 lists 2 twice and 1 once, and neither lists 3: six distinct nodes,
+    # each with its parent, the last of them (-1,-1,0)
+    ([(_GR24, "neighbours", ((), (3,), (1, 2, 2)))],
      "the full ideal is not the bottom node"),
-    # six distinct nodes ending at the bottom, but one of them, (0,0,1), has
-    # no coordinate -1, so no canonical parent above it
-    ([(_GR24, "cartan", ((1, -1, 0), (-1, 2, -1), (1, -1, 2)))],
+    # 2 listed as its own neighbour: the first step leaves (0,0,1), with no
+    # coordinate -1 to step back up at
+    ([(_GR24, "neighbours", ((), (2, 3), (1,)))],
      "the canonical parent of (0, 0, 1) is not listed"),
-    # (1,-1,-1) + alpha_2 = (0,1,-2) is no node of the listing
-    ([(_GR24, "cartan", ((2, -2, 0), (-1, 2, -1), (0, 0, 2)))],
+    # 3 lists no neighbour: (1,-1,1) steps at 3 to (1,-1,-1), whose parent
+    # at 2 would be (0,1,-2), no node of the listing
+    ([(_GR24, "neighbours", ((2,), (1, 3), ()))],
      "the canonical parent of (1, -1, -1) is not listed"),
+    # 1 listed as its own neighbour: (1,-1,1) steps at 1 to (0,-1,1), whose
+    # parent at 2 would be (-1,1,0)
+    ([(_GR24, "neighbours", ((1,), (1, 3), (2,)))],
+     "the canonical parent of (0, -1, 1) is not listed"),
 ])
 def test_model_build_checks_fire(monkeypatch, faults, message):
     # each build check of Gr(2,4) under the faults that reach it; its orbit runs
@@ -358,8 +367,8 @@ def test_model_build_checks_fire(monkeypatch, faults, message):
     assert str(exc.value) == message
 
 
-def test_model_build_steps_by_the_cartan_rows(monkeypatch):
-    # the true rows on the stand-in build the model of the true system
+def test_model_build_steps_by_the_neighbour_lists(monkeypatch):
+    # the true lists on the stand-in build the model of the true system
     system = root_system("A", 3)
     monkeypatch.setattr(qv, "MinusculePoset", lambda _, weight: MinusculePoset(system, weight))
     model, true = qv.MinusculeModel(_GR24, 2), minuscule_model("A", 3, 2)
@@ -885,9 +894,9 @@ def test_dot_smooth_case_has_no_double_circle():
     assert "style=dotted" not in dot
 
 
-# the orbits of the Poincare-polynomial check: A2..A8 at every weight,
-# D4..D8 at weights 1, n-1 and n, E6 omega_1/omega_6 and E7 omega_7
-POINCARE_ORBITS = (
+# the orbits of the checks against criteria that use no holes: A2..A8 at
+# every weight, D4..D8 at weights 1, n-1 and n, E6 omega_1/omega_6 and E7 omega_7
+CRITERIA_ORBITS = (
     [("A", n, k) for n in range(2, 9) for k in range(1, n + 1)]
     + [("D", n, k) for n in range(4, 9) for k in (1, n - 1, n)]
     + [("E6", 6, 1), ("E6", 6, 6), ("E7", 7, 7)]
@@ -900,7 +909,7 @@ def test_smooth_iff_the_poincare_polynomial_is_palindromic():
     every ideal of 53 orbits, D and E among them: a check of the hole rule
     outside type A that shares nothing with it but the full quiver."""
     nodes = smooth = 0
-    for family, rank, weight in POINCARE_ORBITS:
+    for family, rank, weight in CRITERIA_ORBITS:
         minuscule = qv.MinusculeQuiver(root_system(family, rank), weight)
         ideals = [ideal for ideal, _, _ in ideals_by_vertex_scan(minuscule.full)]
         for w in ideals:
@@ -909,4 +918,35 @@ def test_smooth_iff_the_poincare_polynomial_is_palindromic():
                 family, rank, weight, w)
             smooth += expected
         nodes += len(ideals)
-    assert (len(POINCARE_ORBITS), nodes, smooth) == (53, 1668, 532)
+    assert (len(CRITERIA_ORBITS), nodes, smooth) == (53, 1668, 532)
+
+
+def test_singular_locus_matches_the_t_stable_curves_and_homogeneity():
+    """``classify_holes`` against two criteria that use no holes, on every
+    ideal of the 53 orbits: the T-stable curves through each fixed point
+    give smoothness and the exact component ideals of the singular locus,
+    and homogeneity (Brion-Polo, Hong-Mok) gives smoothness.  The nodes
+    are replayed by the oracles' reflections along the vertex scan's
+    listing, and the roots come from the oracles' Cartan matrix."""
+    nodes = smooth = components = 0
+    for family, rank, weight in CRITERIA_ORBITS:
+        system = root_system(family, rank)
+        minuscule = qv.MinusculeQuiver(system, weight)
+        listed, word = ideals_by_vertex_scan(minuscule.full), minuscule.full.word
+        weights = [minuscule.poset.top]
+        for _, v, k in listed[1:]:
+            weights.append(reflect(system, weights[k], word[v]))
+        ideals = [ideal for ideal, _, _ in listed]
+        curves = tangent_curves(system, weights)
+        for w in ideals:
+            report = qv.classify_holes(w, minuscule.masks)
+            expected = singular_components_by_curves(curves, ideals, w)
+            assert sorted(report.components) == sorted(expected), (family, rank, weight, w)
+            assert (not report.real) is (not expected), (family, rank, weight, w)
+            letters = {word[i] for i in marked_set(w)}
+            assert is_homogeneous(system, weight, letters, w.bit_count()) is (not expected), (
+                family, rank, weight, w)
+            smooth += not expected
+            components += len(expected)
+        nodes += len(ideals)
+    assert (len(CRITERIA_ORBITS), nodes, smooth, components) == (53, 1668, 532, 1446)

