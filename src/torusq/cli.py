@@ -57,9 +57,12 @@ from .weyl import word_to_perm
 # takes 0.12-0.20 s and writes 1.4 MB, one with 24 976 (n = 224, m = 2)
 # 0.24-0.39 s and 2.9 MB (fastest to slowest of 11); 50 000 at m = 1 take
 # 0.30-0.41 s in process.
-# ``smt pn-check`` admits C(n+max_m, max_m) - 1 sorted multisets, those of
-# degree 1..max_m, and walks the pairs of the standardness test down those
-# of degree 2..max_m, ~1 us each: n = 36, max_m = 4 takes 0.09-0.16 s.
+# ``smt pn-check`` walks the pairs of the standardness test down the
+# C(w(1)+m-1, m) sorted multisets of 1..w(1) in each degree m = 2..max_m,
+# reading 2*m entries of each, and admits SMT_MAX_WALK_ENTRIES entries in
+# all: w(1) = 36, max_m = 4 (711 288 entries) takes 0.12 s at best and
+# 0.13-0.18 s in the median, n = 2, max_m = 113 (987 616) 0.08 s in both
+# (whole calls on a 2-vCPU VM, best and median of 11).
 # ``smt minimal`` answers n-1 permutations of n, O(n^2) output: 0.26 s and
 # 41 MB at n = 500.  ``--as word`` costs n + letters: 9 999 letters at
 # n = 10 000 take 0.09 s.
@@ -68,7 +71,7 @@ QUIVER_MAX_VERTICES = 2550
 GR_MAX_N = 300
 SMT_MAX_DIM_BITS = 13_000
 SMT_MAX_WITNESS_ENTRIES = 100_000
-SMT_MAX_WALK = 100_000
+SMT_MAX_WALK_ENTRIES = 1_000_000
 SMT_MINIMAL_MAX_N = 500
 SMT_WORD_MAX_N = 10_000
 
@@ -291,14 +294,14 @@ def cmd_smt_pn_check(args) -> int:
     w = _smt_element(args)
     if args.max_m < 2:
         _usage_error(f"--max-m {args.max_m}: the check compares degrees 2..max-m")
-    walked, multisets = 0, 1
-    for m in range(1, args.max_m + 1):
-        multisets = multisets * (args.n + m - 1) // m  # C(n+m-1, m)
-        walked += multisets
-        if walked > SMT_MAX_WALK:
+    read, multisets = 0, w[0]  # C(w(1), 1)
+    for m in range(2, args.max_m + 1):
+        multisets = multisets * (w[0] + m - 1) // m  # C(w(1)+m-1, m)
+        read += 2 * m * multisets
+        if read > SMT_MAX_WALK_ENTRIES:
             _usage_error(
-                f"--max-m {args.max_m}: pn-check at n = {args.n} walks more than "
-                f"{SMT_MAX_WALK} multisets; it stops there"
+                f"--max-m {args.max_m}: pn-check at w(1) = {w[0]} reads more than "
+                f"{SMT_MAX_WALK_ENTRIES} walk entries; it stops there"
             )
     return _report(args, {"n": args.n, "w": w, "max_m": args.max_m},
                    smt.projective_normality_check(w, range(2, args.max_m + 1)))

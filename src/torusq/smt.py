@@ -23,7 +23,7 @@ it.  That tableau is standard on X(w) exactly when every value lies in
 (w(n), w(1)], so the invariant sections form a polynomial ring on
 t = max(0, w(1) - w(n)) generators and dim H^0(X(w), L_m)^T =
 C(t+m-1, m) (see :func:`invariant_witnesses`).  The pair walk over every
-sorted multiset of 1..n, read in place, stays as the independent count
+sorted multiset of 1..w(1), read in place, stays as the independent count
 (:func:`invariant_dimension`) that the suites compare the closed form
 against.
 
@@ -135,8 +135,10 @@ def invariant_witnesses(w, m: int) -> list[tuple[int, ...]]:
 def invariant_dimension(w, m: int) -> int:
     """Dimension of the degree-m invariant sections on X(w), by walking
     the pairs of :func:`is_standard_on` down the tableau of every multiset
-    of 1..n.
+    of 1..w(1).
 
+    A multiset holding a value above w(1) is never standard: its first
+    single box is its largest value, which the walk's first step refuses.
     Each multiset comes sorted, so its single boxes are its values read
     backwards and its missing values the values themselves; the walk
     reads them in place, unchecked, since they lie in 1..n.  The closed
@@ -149,7 +151,7 @@ def invariant_dimension(w, m: int) -> int:
         raise ValueError("standardness needs n >= 2")
     return sum(
         _pair_walk(values[::-1], values, w, n)
-        for values in combinations_with_replacement(range(1, n + 1), m)
+        for values in combinations_with_replacement(range(1, w[0] + 1), m)
     )
 
 

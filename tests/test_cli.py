@@ -495,6 +495,19 @@ def test_smt_pn_check(capsys):
     assert result["all_match"] is True
 
 
+W40 = ",".join(map(str, (36, *range(2, 36), 37, 38, 39, 40, 1)))  # w(1) = 36 < n
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "2", "--w", "2,1", "--max-m", "113"],  # 987 616 walk entries
+    ["--n", "40", "--w", W40, "--max-m", "4"],  # 711 288, as at n = 36
+])
+def test_smt_pn_check_answers_up_to_its_walk_budget(capsys, argv):
+    code, payload, _ = run_json(capsys, ["smt", "pn-check", *argv])
+    assert code == 0
+    assert payload["result"]["all_match"] is True
+
+
 QUADRIC_TEXT = """\
 holes: {essential=[4], real=[4], virtual=[]}
 length: 4
@@ -564,7 +577,8 @@ W225 = ",".join(map(str, (225, *range(2, 225), 1)))  # t = 224
     ["dim", "--n", "3", "--w", "3,2,1", "--m", "2000"],  # 2 001 witnesses of 4 000 entries
     ["dim", "--n", "2", "--w", "2,1", "--m", str(10**9)],  # one of 2 * 10^9 entries
     ["dim", "--n", "225", "--w", W225, "--m", "2"],  # 25 200 witnesses, 100 800 entries
-    ["pn-check", "--n", "20", "--w", W20, "--max-m", "9"],  # C(29, 9) - 1
+    ["pn-check", "--n", "20", "--w", W20, "--max-m", "9"],  # 171 685 760 walk entries
+    ["pn-check", "--n", "2", "--w", "2,1", "--max-m", "114"],  # 1 013 836 walk entries
     ["pn-check", "--n", "20", "--w", W20, "--max-m", str(10**9)],
     ["minimal", "--n", str(SMT_MINIMAL_MAX_N + 1)],
     ["dim", "--n", "3000000", "--w", "1,2", "--m", "1"],

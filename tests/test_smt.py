@@ -9,7 +9,7 @@ chain machinery being tested.
 
 import random
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import gcd
+from math import comb, gcd
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -294,6 +294,26 @@ def test_section_count_walk_equals_the_tableau_walk():
         for m in range(4):
             expected = len(invariant_witnesses_by_filter(w, m))
             assert smt.invariant_dimension(w, m) == expected, (w, m)
+
+
+def test_section_count_walks_the_multisets_of_one_to_w1(monkeypatch):
+    # a multiset with a value above w(1) cannot start the walk, so only the
+    # C(w(1)+m-1, m) multisets of 1..w(1) are walked, and each of them is
+    walks = []
+    walk = smt._pair_walk
+
+    def counting(shorts, missings, w, n):
+        walks.append(missings)
+        return walk(shorts, missings, w, n)
+
+    monkeypatch.setattr(smt, "_pair_walk", counting)
+    elements = [(2, 1), (1, 2), (3, 1, 2), (5, 1, 2, 3, 6, 7, 4), (4, 9, 1, 2, 3, 5, 6, 8, 7)]
+    elements += [w for w in smt.parabolic_lifts(6) if w[0] == 6]
+    for w in elements:
+        for m in range(4):
+            walks.clear()
+            smt.invariant_dimension(w, m)
+            assert len(walks) == comb(w[0] + m - 1, m), (w, m)
 
 
 def test_verify_reads_the_section_counts_through_the_walk(monkeypatch):
