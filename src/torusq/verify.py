@@ -76,25 +76,25 @@ def _partition_of_word(word, r, n):
 def gr_cross_verdicts(w, r, n):
     """All available formulations of the criterion for one column set.
 
-    Returns a dict of named booleans that must coincide: the report's
-    ``ss_in_smooth`` (v against each singular component's column set),
-    the diagram criterion (each singular component's partition against
-    v's), the gap inequality and the quiver hole criterion, on the ideals
-    of w and of the minimal semistable element v read from the orbit
-    listing.  Raises when X_w has no semistable points at all.
+    Returns a dict of named booleans that must coincide, each from its own
+    code: the report's ``ss_in_smooth``, one inequality per gap of w and
+    the verdict ``gr analyze`` prints (``gap-inequality``), v against each
+    singular component's column set (``pair-comparison``), each component's
+    partition against v's (``diagram``), and the quiver hole criterion on
+    the ideals of w and v read from the orbit listing (``quiver``).
+    Raises when X_w has no semistable points at all.
     """
     result, _ = criteria.semistable_meets_singular_gr(w, r, n)
     if not result["semistable_nonempty"]:
         raise ValueError(f"X_{w} has no semistable points")
     v = result["minimal_v"]["value"]
+    lam_v = gr.indexset_to_partition(v, r, n)
+    components = result["singular_components"]
+    columns = [gr.partition_to_indexset(mu, r, n) for mu in components]
     out = {
-        "pair-comparison": result["ss_in_smooth"],
-        "diagram": gr.semistable_in_smooth(w, r, n),
-        "gap-inequality": all(
-            w[i - 1] < v[i]
-            for i in range(1, r)
-            if w[i] > w[i - 1] + 1
-        ),
+        "pair-comparison": not any(gr.indexset_leq(v, u) for u in columns),
+        "diagram": not any(gr.diagram_leq(mu, lam_v) for mu in components),
+        "gap-inequality": result["ss_in_smooth"],
     }
     model = minuscule_model("A", n - 1, r)
     out["quiver"] = model.semistable_in_smooth(

@@ -40,7 +40,8 @@ down-closure against every member's targets, which the package never
 tests since it only grows ideals by addable vertices, Grassmannian smoothness
 reads the rotated complement row by row instead of as one set of parts,
 singular components are grown from the listed corners instead of in one
-pass over the rows, and an extension family's
+pass over the rows, their column sets compared with the minimal
+semistable one instead of one inequality read per gap, and an extension family's
 element is rebuilt from
 the seed row by row instead of one right multiplication after the row
 before it, root data probes a set of Dynkin edge pairs for every entry
@@ -594,6 +595,20 @@ def singular_components_by_corners(mu, r, n):
         if grown not in seen:
             seen.append(grown)
     return seen
+
+
+def separated_by_components(w, r, n):
+    """Does the semistable locus of X_w, w above the minimal semistable
+    column set v = (ceil(i*n/r)), avoid its singular locus?  Each
+    component of :func:`singular_components_by_corners` is turned back into
+    its column set and compared with v entrywise, instead of one
+    inequality read at each gap of w."""
+    lam = tuple(n - r + j - i for j, i in enumerate(w, start=1))
+    v = [-(-i * n // r) for i in range(1, r + 1)]
+    return not any(
+        all(x <= n - r + j - m for j, (x, m) in enumerate(zip(v, mu), start=1))
+        for mu in singular_components_by_corners(lam, r, n)
+    )
 
 
 # ---------------------------------------------------------------------------

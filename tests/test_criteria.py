@@ -11,7 +11,7 @@ from math import gcd
 
 import pytest
 
-from oracles import is_certified_minimum_gr, node_from_word
+from oracles import is_certified_minimum_gr, node_from_word, separated_by_components
 from torusq import criteria, grassmannian as gr, smt, verify
 from torusq.cli import main
 from torusq.quiver import minimal_v_word
@@ -149,6 +149,26 @@ def test_first_failing_case():
     assert all(verify.gr_cross_verdicts((6, 7, 8, 9), 4, 9).values())
 
 
+def test_report_separation_equals_the_component_comparison():
+    """The report's one inequality per gap gives the verdict of comparing
+    v with every singular component's column set, on every column set
+    above v with n <= 12 and on the Gr(150, 300) staircase."""
+    cases = [
+        (w, r, n)
+        for n in range(2, 13)
+        for r in range(1, n)
+        for w in combinations(range(1, n + 1), r)
+        if gr.indexset_leq(gr.minimal_semistable(r, n), w)
+    ]
+    cases.append((tuple(range(2, 301, 2)), 150, 300))
+    verdicts = []
+    for w, r, n in cases:
+        result, _ = criteria.semistable_meets_singular_gr(w, r, n)
+        assert result["ss_in_smooth"] is separated_by_components(w, r, n), (w, r, n)
+        verdicts.append(result["ss_in_smooth"])
+    assert (len(verdicts), verdicts.count(False)) == (887, 160)
+
+
 def test_model_cache_returns_same_object():
     a = verify.minuscule_model("A", 4, 2)
     b = verify.minuscule_model("A", 4, 2)
@@ -192,9 +212,8 @@ def test_quiver_verdict_matches_grassmannian_route():
         if not gr.indexset_leq((3, 5), w):
             continue
         ideal = model.ideals[model.poset.node_of_indexset(w)]
-        assert model.semistable_in_smooth(ideal, v) == gr.semistable_in_smooth(
-            w, 2, 5
-        )
+        result, _ = criteria.semistable_meets_singular_gr(w, 2, 5)
+        assert model.semistable_in_smooth(ideal, v) == result["ss_in_smooth"]
         lam = gr.indexset_to_partition(w, 2, 5)
         assert (not model.holes(ideal).real) == gr.is_smooth(lam, 2, 5)
 
@@ -209,7 +228,7 @@ def test_quotient_report_consistency(capsys):
             result = json.loads(capsys.readouterr().out)["result"]
             nonempty = gr.indexset_leq(v, w)
             expected = (
-                gcd(r, n) == 1 and nonempty and gr.semistable_in_smooth(w, r, n)
+                gcd(r, n) == 1 and nonempty and separated_by_components(w, r, n)
             )
             assert result["quotient_smooth"] is expected
             lam = gr.indexset_to_partition(w, r, n)

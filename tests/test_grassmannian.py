@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement, product
 from hypothesis import given, strategies as st
 import pytest
 
-from torusq import grassmannian as gr
+from torusq import criteria, grassmannian as gr
 from torusq import smt
 from torusq.cli import main
 from oracles import is_smooth_by_complement_rows, singular_components_by_corners
@@ -170,13 +170,17 @@ def test_minimal_semistable_against_sweep():
 
 
 def test_semistable_in_smooth():
-    assert gr.semistable_in_smooth((3, 5), 2, 5)
-    assert gr.semistable_in_smooth((4, 5), 2, 5)
+    def ss_in_smooth(w, r, n):
+        return criteria.semistable_meets_singular_gr(w, r, n)[0]["ss_in_smooth"]
+
+    assert ss_in_smooth((3, 5), 2, 5) is True
+    assert ss_in_smooth((4, 5), 2, 5) is True
     # smallest failing case: component (2,2,0,0) of w=(5,7,8,9) holds
     # all of X(v) for v=(3,5,7,9)
-    assert not gr.semistable_in_smooth((5, 7, 8, 9), 4, 9)
-    with pytest.raises(ValueError):
-        gr.semistable_in_smooth((2, 5), 2, 5)
+    assert ss_in_smooth((5, 7, 8, 9), 4, 9) is False
+    result, warnings = criteria.semistable_meets_singular_gr((2, 5), 2, 5)
+    assert result["ss_in_smooth"] is None
+    assert warnings == ["no semistable points below this element"]
 
 
 def analyze(w, r, n):
