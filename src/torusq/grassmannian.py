@@ -128,7 +128,8 @@ def minimal_semistable(r: int, n: int) -> tuple[int, ...]:
     for k = 0..m0-1 is a weakly decreasing chain from S_0 = v, and as
     u = i*n' - k runs over 1..r*n' once, each value ceil(u/r') is used
     r' = m0*r/n times.  So this is the unique minimum (``verify
-    minima-sweep`` re-derives it from every column set's certificate);
+    minima-sweep`` re-derives it from every column set's certificate,
+    :func:`torusq.verify.minimal_semistable_oracle_gr`);
     :func:`minimal_invariant_chain` writes the chain down.
     """
     check_box(r, n)
@@ -140,7 +141,8 @@ def minimal_invariant_chain(r: int, n: int) -> tuple[tuple[int, ...], ...]:
     proof.  Cell u = 1..r*m0 of an r x m0 grid, read row by row, holds
     ceil(u/r'); column j holds u = i*m0 - (m0-1-j), so it is S_{m0-1-j},
     and the columns read last first are the chain: the one the top-first
-    fill of the flagged tableau reads back at every w >= v."""
+    fill of the flagged tableau (:func:`torusq.verify._chain_fits`) reads
+    back at every w >= v."""
     check_box(r, n)
     g = gcd(r, n)
     m0 = n // g

@@ -25,22 +25,12 @@ t = max(0, w(1) - w(n)) generators and dim H^0(X(w), L_m)^T =
 C(t+m-1, m) (see :func:`invariant_witnesses`).  The pair walk over every
 sorted multiset of 1..w(1), read in place, stays as the independent count
 (:func:`invariant_dimension`) that the suites compare the closed form
-against.
-
-On a Grassmannian Gr(r, n) the invariant standard monomials of degree m
-are weakly decreasing chains of m column sets below w that use every
-value m*r/n times.  Read backwards and transposed, such a chain is an
-r x m semistandard tableau whose row i stays below w_i, so existence is
-decided in O(n*r) by filling it value by value, top rows first, with no
-search (see :func:`_chain_fits`).  That fill is the certificate that
-``verify minima-sweep`` tests every column set with; the chain that ``gr
-analyze`` prints is the closed form
-:func:`torusq.grassmannian.minimal_invariant_chain`, which the fill reads
-back at every w above the minimal semistable element.
+against.  Grassmannian invariant chains live in :mod:`torusq.grassmannian`
+(the closed form) and :mod:`torusq.verify` (the certificate sweep).
 """
 
-from itertools import combinations, combinations_with_replacement
-from math import comb, gcd
+from itertools import combinations_with_replacement
+from math import comb
 
 from .weyl import right_multiply, word_to_perm
 
@@ -288,108 +278,3 @@ def parabolic_lifts(n: int) -> list[tuple[int, ...]]:
             middle = sorted(set(range(1, n + 1)) - {a, z}, reverse=True)
             out.append((a, *middle, z))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Grassmannian side: invariant chains of column sets
-
-
-def _chain_fits(bound, need, r: int):
-    """A weakly decreasing chain of r-element column sets, the first one
-    below ``bound``, that uses each value v exactly ``need[v-1]`` times,
-    as the rows of its flagged tableau (below); None if there is none.
-
-    Reverse such a chain and write its column sets as the columns of an
-    r x M array (M = sum(need) / r): the result is a semistandard tableau
-    of rectangular shape with content ``need`` whose row i has entries
-    <= bound[i] (a flagged tableau), and every such tableau reads back as
-    a chain.  Build it value by value: the copies of v form a horizontal
-    strip on the shape lambda of the smaller values, so row 1 takes at
-    most M - lambda_1 of them and row i at most lambda_{i-1} - lambda_i.
-    Put them in the top rows first.  The filling fails when some copy
-    fits nowhere, or when row i is not full once value bound[i] is in.
-    Each row comes back as its runs (value, count), left to right, so a
-    caller that only asks whether a chain exists builds no cells; test
-    the result against None, since the filling of an empty content is a
-    chain too.
-
-    Why top rows first loses nothing (exchange argument): write P_i for
-    the number of cells in rows 1..i.  Adding k cells top-first turns P_i
-    into min(P_i + k, P_{i-1} + M).  Any horizontal strip of k cells gives
-    at most that, since it adds k cells in all and its row j is no longer
-    than the old row j-1.  Both bounds grow with P_i and P_{i-1}, so if
-    lambda dominates mu (P_i(lambda) >= P_i(mu) for every i), the
-    top-first successor of lambda dominates every successor of mu.  By
-    induction from the empty shape, the top-first shape dominates the
-    shape of every valid partial filling; it never puts a value into a
-    row whose flag it has passed, because such rows are already full.
-    Dominance is all both failure tests look at: the room for the next
-    strip is M - lambda_r, largest for the dominant shape (its last row is
-    the shortest), and rows 1..i are full exactly when P_i = i*M, which
-    holds for the dominant shape whenever it holds for any.  So the
-    top-first filling fails only if every filling does.
-    This is the counting behind the lower bound w_i >= i*n/r in
-    :func:`torusq.grassmannian.minimal_semistable`: values <= w_i must
-    fill rows 1..i.  Each strip starts at the first row that is not full
-    (full rows form a prefix and stay full), so a fit costs O(n) plus the
-    rows its strips walk, O(n*r) at worst.
-    """
-    total = sum(need)
-    if total % r:
-        return None
-    width = total // r
-    shape = [0] * r
-    rows = [[] for _ in range(r)]
-    f = 0  # rows before f are full, and stay full: strips start at row f
-    k = 0  # rows before k have flags <= v and are full, and stay full
-    for v, copies in enumerate(need, start=1):
-        above = width
-        for i in range(f, r):
-            take = min(copies, above - shape[i])
-            if take:
-                rows[i].append((v, take))
-            above = shape[i]
-            shape[i] += take
-            copies -= take
-            if not copies:
-                break
-        if copies:
-            return None
-        while f < r and shape[f] == width:
-            f += 1
-        while k < r and bound[k] <= v:
-            if shape[k] < width:
-                return None
-            k += 1
-    return rows
-
-
-def _uniform_need(r: int, n: int, m: int):
-    """Each of 1..n used m*r/n times, or None when that is no integer."""
-    target, rem = divmod(m * r, n)
-    return None if rem else (target,) * n
-
-
-def _certificate_degrees(r: int, n: int) -> tuple[int, int]:
-    """m0 = n / gcd(r, n), the least degree where m*r/n is whole, and 2*m0."""
-    m0 = n // gcd(r, n)
-    return m0, 2 * m0
-
-
-def minimal_semistable_oracle_gr(r: int, n: int) -> list[tuple[int, ...]]:
-    """Minimal column sets with a semistable certificate in degree m0 or
-    2*m0, by a sweep over every column set (existence only, no chain is
-    built)."""
-    needs = [_uniform_need(r, n, m) for m in _certificate_degrees(r, n)]
-    hits = [
-        w
-        for w in combinations(range(1, n + 1), r)
-        if any(_chain_fits(w, need, r) is not None for need in needs)
-    ]
-    return [
-        w
-        for w in hits
-        if not any(
-            u != w and all(a <= b for a, b in zip(u, w)) for u in hits
-        )
-    ]

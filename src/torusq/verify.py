@@ -4,8 +4,11 @@ Each suite re-derives a published or independently computable fact with
 the library and reports pass/fail plus a check count.  The suites dualize
 the test suite so that an installed package can be smoke-tested without
 pytest.  The formulations of the semistable-vs-singular verdict that the
-suites compare (:func:`gr_cross_verdicts`) and the cached orbit listings
-they walk (:func:`minuscule_model`) live here, off the request path.
+suites compare (:func:`gr_cross_verdicts`), the Grassmannian chain
+certificate and its sweep of every column set for the minimal semistable
+element (:func:`_chain_fits`, :func:`minimal_semistable_oracle_gr`) and
+the cached orbit listings they walk (:func:`minuscule_model`) live here,
+off the request path.
 
 Work the suites share is done once per process, by ``functools.cache``:
 each orbit listing is built once (:func:`minuscule_model`), each walked
@@ -24,11 +27,12 @@ section counts of ``_invariant_dimension``, ``quiver-words``, which reads
 no hole report, and ``minimal-singular``, whose D and E listings
 ``quiver-words`` has built there.  This process runs ``cross-smooth``,
 ``cross-singular`` and ``minima-sweep``, which share the type-A models
-and their hole reports.  Alone in a fresh process the shares take 12.0
-and 12.4 ms (best of fifteen on a 2-vCPU VM, Python 3.11); the other
-splits timed were slower.  23 listings are built in both processes; on
-one CPU that costs more than the split saves, so there, and without
-``os.sched_getaffinity``, the suites run one after another here.
+and their hole reports.  Alone in a fresh process the child's share
+takes 11.0-12.4 ms and this one's 9.7-11.6 ms (best of fifteen, in three
+runs on a 2-vCPU VM, Python 3.11); the other splits timed were slower.
+23 listings are built in both processes; on one CPU that costs more than
+the split saves, so there, and without ``os.sched_getaffinity``, the
+suites run one after another here.
 """
 
 import marshal
@@ -102,6 +106,88 @@ def gr_cross_verdicts(w, r, n):
         model.ideals[model.poset.node_of_indexset(v)],
     )
     return out
+
+
+def _chain_fits(bound, need, r: int) -> bool:
+    """Is there a weakly decreasing chain of r-element column sets, the
+    first one below ``bound``, that uses each value v exactly ``need[v-1]``
+    times?
+
+    Reverse such a chain and write its column sets as the columns of an
+    r x M array (M = sum(need) / r): the result is a semistandard tableau
+    of rectangular shape with content ``need`` whose row i has entries
+    <= bound[i] (a flagged tableau), and every such tableau reads back as
+    a chain.  Build it value by value: the copies of v form a horizontal
+    strip on the shape lambda of the smaller values, so row 1 takes at
+    most M - lambda_1 of them and row i at most lambda_{i-1} - lambda_i.
+    Put them in the top rows first.  The filling fails when some copy
+    fits nowhere, or when row i is not full once value bound[i] is in.
+    An empty content fits: its filling has no cells.
+
+    Why top rows first loses nothing (exchange argument): write P_i for
+    the number of cells in rows 1..i.  Adding k cells top-first turns P_i
+    into min(P_i + k, P_{i-1} + M).  Any horizontal strip of k cells gives
+    at most that, since it adds k cells in all and its row j is no longer
+    than the old row j-1.  Both bounds grow with P_i and P_{i-1}, so if
+    lambda dominates mu (P_i(lambda) >= P_i(mu) for every i), the
+    top-first successor of lambda dominates every successor of mu.  By
+    induction from the empty shape, the top-first shape dominates the
+    shape of every valid partial filling; it never puts a value into a
+    row whose flag it has passed, because such rows are already full.
+    Dominance is all both failure tests look at: the room for the next
+    strip is M - lambda_r, largest for the dominant shape (its last row is
+    the shortest), and rows 1..i are full exactly when P_i = i*M, which
+    holds for the dominant shape whenever it holds for any.  So the
+    top-first filling fails only if every filling does.
+    This is the counting behind the lower bound w_i >= i*n/r in
+    :func:`torusq.grassmannian.minimal_semistable`: values <= w_i must
+    fill rows 1..i.  Each strip starts at the first row that is not full
+    (full rows form a prefix and stay full), so a fit costs O(n) plus the
+    rows its strips walk, O(n*r) at worst.
+    """
+    total = sum(need)
+    if total % r:
+        return False
+    width = total // r
+    shape = [0] * r
+    f = 0  # rows before f are full, and stay full: strips start at row f
+    k = 0  # rows before k have flags <= v and are full, and stay full
+    for v, copies in enumerate(need, start=1):
+        above = width
+        for i in range(f, r):
+            take = min(copies, above - shape[i])
+            above = shape[i]
+            shape[i] += take
+            copies -= take
+            if not copies:
+                break
+        if copies:
+            return False
+        while f < r and shape[f] == width:
+            f += 1
+        while k < r and bound[k] <= v:
+            if shape[k] < width:
+                return False
+            k += 1
+    return True
+
+
+def minimal_semistable_oracle_gr(r: int, n: int) -> list[tuple[int, ...]]:
+    """Minimal column sets with an invariant chain (:func:`_chain_fits`)
+    in degree m0 = n / g or 2*m0, g = gcd(r, n), by a sweep over every
+    column set.  In degree m each value is used m*r/n times: r/g times in
+    m0 and 2r/g times in 2*m0."""
+    g = gcd(r, n)
+    needs = [(r // g,) * n, (2 * r // g,) * n]
+    hits = [w for w in combinations(range(1, n + 1), r)
+            if any(_chain_fits(w, need, r) for need in needs)]
+    return [
+        w
+        for w in hits
+        if not any(
+            u != w and all(a <= b for a, b in zip(u, w)) for u in hits
+        )
+    ]
 
 
 def golden_sl7() -> dict:
@@ -331,7 +417,7 @@ def minima_sweep() -> dict:
     checks = 0
     for r, n in _SWEEP_BOXES:
         v = gr.minimal_semistable(r, n)
-        oracle = smt.minimal_semistable_oracle_gr(r, n)
+        oracle = minimal_semistable_oracle_gr(r, n)
         checks += 1
         if oracle != [v]:
             failures.append(

@@ -55,11 +55,12 @@ tuple per step instead of stepping a list in place from a sorted list of
 candidates, and an ideal's canonical word is read off the tops of the
 quiver's labels, popped off a heap, instead of walked on the ideal's
 node.  Agreement between the two sides is what the tests assert.
-The two exceptions run the package's own filling:
-:func:`is_certified_minimum_gr`, r + 1 runs that check the proven minimal
-semistable element on boxes too large for the sweep of every column set,
-and :func:`invariant_chain_gr`, one run read back as a chain, the
-reference for the closed-form chain.
+The one exception runs the package's own filling,
+``torusq.verify._chain_fits``: :func:`is_certified_minimum_gr`, r + 1
+runs that check the proven minimal semistable element on boxes too large
+for the sweep of every column set.  :func:`invariant_chain_gr`, the
+reference for the closed-form chain, reads its chain off the filling from
+row 1 here (:func:`chain_fits_from_row_one`).
 """
 
 import random
@@ -74,13 +75,12 @@ from torusq.grassmannian import check_box, check_partition, corners
 from torusq.quiver import HoleReport, Quiver
 from torusq.rootdata import _edges, fundamental_weight
 from torusq.smt import (
-    _chain_fits,
-    _uniform_need,
     family_minimal,
     family_rows,
     invariant_dimension,
     is_standard_on,
 )
+from torusq.verify import _chain_fits
 from torusq.weyl import bruhat_leq, pi_projection, right_multiply, word_to_perm
 
 
@@ -338,10 +338,17 @@ def invariant_chain_exhaustive(w, r, n, m):
     return search(tuple(w), (target,) * n)
 
 
+def uniform_need(r, n, m):
+    """Each of 1..n used m*r/n times, or None when that is no integer."""
+    target, rem = divmod(m * r, n)
+    return None if rem else (target,) * n
+
+
 def chain_fits_from_row_one(bound, need, r):
-    """The top-first flagged-tableau filling of ``torusq.smt._chain_fits``,
-    with each value's strip walked down from row 1, full rows included:
-    the same runs (value, count) per row, or None."""
+    """The top-first flagged-tableau filling that ``torusq.verify._chain_fits``
+    decides, with each value's strip walked down from row 1, full rows
+    included: each row as its runs (value, count), left to right, or None
+    when the filling fails."""
     total = sum(need)
     if total % r:
         return None
@@ -370,7 +377,7 @@ def chain_fits_from_row_one(bound, need, r):
 
 
 def invariant_chain_gr(w, r, n, m):
-    """The chain that ``torusq.smt._chain_fits`` fills at bound w in
+    """The chain that :func:`chain_fits_from_row_one` fills at bound w in
     degree m, read column by column, last column first; None when the
     fill fails or m*r/n is no integer.
 
@@ -381,8 +388,8 @@ def invariant_chain_gr(w, r, n, m):
     is <= w.  This fill read back is the reference that the closed form
     ``torusq.grassmannian.minimal_invariant_chain`` is compared with.
     """
-    need = _uniform_need(r, n, m)
-    rows = None if need is None else _chain_fits(w, need, r)
+    need = uniform_need(r, n, m)
+    rows = None if need is None else chain_fits_from_row_one(w, need, r)
     if rows is None:
         return None
     cells = [[v for v, count in runs for _ in range(count)] for runs in rows]
@@ -393,19 +400,19 @@ def is_certified_minimum_gr(v, r, n):
     """Does v have an invariant chain in degree n / gcd(r, n) while none
     of its lower covers has one?
 
-    These r + 1 fits of ``torusq.smt._chain_fits`` check the proof at
+    These r + 1 fits of ``torusq.verify._chain_fits`` check the proof at
     ``torusq.grassmannian.minimal_semistable`` rather than share nothing
     with it: the sets with a chain in degree m form an up-set (the fill
     places copies without reading the bound; a larger flag only delays the
     row-fullness test), so for that v they give what
-    ``torusq.smt.minimal_semistable_oracle_gr`` sweeps every column set
+    ``torusq.verify.minimal_semistable_oracle_gr`` sweeps every column set
     for, on boxes too large for the sweep.
     """
-    need = _uniform_need(r, n, n // gcd(r, n))
+    need = uniform_need(r, n, n // gcd(r, n))
     covers = (v[:i] + (v[i] - 1,) + v[i + 1:] for i in range(r)
               if v[i] - 1 > (v[i - 1] if i else 0))
-    return _chain_fits(v, need, r) is not None and all(
-        _chain_fits(u, need, r) is None for u in covers)
+    return _chain_fits(v, need, r) and not any(
+        _chain_fits(u, need, r) for u in covers)
 
 
 def is_invariant_chain(chain, w, r, n, m):

@@ -186,9 +186,9 @@ def test_analyze_sweeps_nothing_and_builds_one_chain(capsys, monkeypatch, r, n, 
         raise AssertionError("gr analyze sweeps no column sets")
 
     fills = []
-    monkeypatch.setattr(smt, "minimal_semistable_oracle_gr", refuse)
-    monkeypatch.setattr(smt, "combinations", refuse)
-    monkeypatch.setattr(smt, "_chain_fits", lambda *args: fills.append(args))
+    monkeypatch.setattr(verify, "minimal_semistable_oracle_gr", refuse)
+    monkeypatch.setattr(verify, "combinations", refuse)
+    monkeypatch.setattr(verify, "_chain_fits", lambda *args: fills.append(args))
     code, payload, _ = run_json(
         capsys,
         ["gr", "analyze", "--n", str(n), "--r", str(r), "--w", ",".join(map(str, w))],

@@ -12,7 +12,7 @@ from math import gcd
 import pytest
 
 from oracles import is_certified_minimum_gr, node_from_word, separated_by_components
-from torusq import criteria, grassmannian as gr, smt, verify
+from torusq import criteria, grassmannian as gr, verify
 from torusq.cli import main
 from torusq.quiver import minimal_v_word
 
@@ -67,7 +67,7 @@ def test_certified_oracle_equals_the_sweep():
     with n <= 13."""
     for n in range(2, 14):
         for r in range(1, n):
-            sweep = smt.minimal_semistable_oracle_gr(r, n)
+            sweep = verify.minimal_semistable_oracle_gr(r, n)
             v = gr.minimal_semistable(r, n)
             assert is_certified_minimum_gr(v, r, n) is (sweep == [v]), (r, n)
             oracle = minimal_v_report(r, n)[0]["oracle"]

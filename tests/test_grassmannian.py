@@ -6,8 +6,7 @@ from itertools import combinations_with_replacement, product
 from hypothesis import given, strategies as st
 import pytest
 
-from torusq import criteria, grassmannian as gr
-from torusq import smt
+from torusq import criteria, grassmannian as gr, verify
 from torusq.cli import main
 from oracles import is_smooth_by_complement_rows, singular_components_by_corners
 
@@ -164,7 +163,7 @@ def test_formula_variant_overshoots():
 
 def test_minimal_semistable_against_sweep():
     for r, n in [(1, 3), (2, 4), (2, 5), (3, 5), (2, 6), (3, 6), (4, 6)]:
-        assert smt.minimal_semistable_oracle_gr(r, n) == [
+        assert verify.minimal_semistable_oracle_gr(r, n) == [
             gr.minimal_semistable(r, n)
         ]
 

@@ -30,6 +30,7 @@ from oracles import (
     is_young_on,
     max_coset_member_below,
     tableau_rows,
+    uniform_need,
 )
 from torusq import grassmannian as gr, smt, verify
 from torusq.cli import GR_MAX_N
@@ -508,7 +509,7 @@ def test_semistable_chain_in_the_least_degree():
 
 
 def test_minimal_sweep_gr24():
-    assert smt.minimal_semistable_oracle_gr(2, 4) == [(2, 4)]
+    assert verify.minimal_semistable_oracle_gr(2, 4) == [(2, 4)]
 
 
 def column_sets(r, n):
@@ -548,7 +549,7 @@ def test_certificate_exists_iff_above_the_minimal_element():
             for w in column_sets(r, n):
                 above = gr.indexset_leq(v, w)
                 for need in needs:
-                    fits = smt._chain_fits(w, need, r) is not None
+                    fits = verify._chain_fits(w, need, r)
                     assert fits == above, (w, r, n, need)
 
 
@@ -568,8 +569,8 @@ def test_minimal_element_is_certified_and_nothing_below_it():
         for r in range(1, n):
             v = gr.minimal_semistable(r, n)
             need = (r // gcd(r, n),) * n
-            assert smt._chain_fits(v, need, r) is not None, (r, n)
-            assert all(smt._chain_fits(u, need, r) is None for u in lower_covers(v)), (r, n)
+            assert verify._chain_fits(v, need, r), (r, n)
+            assert not any(verify._chain_fits(u, need, r) for u in lower_covers(v)), (r, n)
 
 
 def test_least_degree_chain_exists_iff_above_v_up_to_the_limit():
@@ -656,7 +657,7 @@ def test_certified_minimum_needs_the_minimal_element():
 
 def test_chain_fits_hand_cases():
     def fits(bound, need, r):
-        return smt._chain_fits(bound, need, r) is not None
+        return verify._chain_fits(bound, need, r)
 
     # 2 x 2 tableaux, rows bounded by the flags
     assert fits((2, 4), (1, 1, 1, 1), 2)  # rows 12 / 34
@@ -677,11 +678,11 @@ def test_chain_fits_hand_cases():
     assert fits((2, 3, 5), (1, 2, 1, 1, 1), 3)
     assert not fits((2, 3, 4), (1, 2, 1, 1, 1), 3)
     # the filling itself, as runs (value, count) per row
-    assert smt._chain_fits((2, 4), (1, 1, 0, 2), 2) == [[(1, 1), (2, 1)], [(4, 2)]]
-    assert smt._chain_fits((2, 3, 5), (1, 2, 1, 1, 1), 3) == [
+    assert chain_fits_from_row_one((2, 4), (1, 1, 0, 2), 2) == [[(1, 1), (2, 1)], [(4, 2)]]
+    assert chain_fits_from_row_one((2, 3, 5), (1, 2, 1, 1, 1), 3) == [
         [(1, 1), (2, 1)], [(2, 1), (3, 1)], [(4, 1), (5, 1)]
     ]
-    assert smt._chain_fits((1, 2), (0, 0, 0), 2) == [[], []]
+    assert chain_fits_from_row_one((1, 2), (0, 0, 0), 2) == [[], []]
 
 
 def test_chain_fits_against_every_small_chain():
@@ -710,22 +711,22 @@ def test_chain_fits_against_every_small_chain():
                             all(t <= b for t, b in zip(top, bound))
                             for top in tops.get(need, ())
                         )
-                        fits = smt._chain_fits(bound, need, r) is not None
+                        fits = verify._chain_fits(bound, need, r)
                         assert fits == expected, (
                             bound, need, r
                         )
 
 
 def test_chain_fits_starts_each_strip_at_the_first_open_row():
-    """The same fillings as walking every strip down from row 1: every
+    """The same verdicts as walking every strip down from row 1: every
     column set with n <= 10 at m0 and 2*m0, then seeded random contents
     (half of them the content of random column sets, so often a chain)
     under random and top bounds with n <= 40."""
     cases = [
-        (w, smt._uniform_need(r, n, m), r)
+        (w, uniform_need(r, n, m), r)
         for n in range(2, 11)
         for r in range(1, n)
-        for m in smt._certificate_degrees(r, n)
+        for m in certificate_degrees(r, n)
         for w in combinations(range(1, n + 1), r)
     ]
     rng = random.Random(2021)
@@ -747,7 +748,9 @@ def test_chain_fits_starts_each_strip_at_the_first_open_row():
         cases.append((bound, tuple(need), r))
     chains = 0
     for bound, need, r in cases:
-        rows = smt._chain_fits(bound, need, r)
-        assert rows == chain_fits_from_row_one(bound, need, r), (bound, need, r)
-        chains += rows is not None
+        fits = verify._chain_fits(bound, need, r)
+        assert fits == (chain_fits_from_row_one(bound, need, r) is not None), (
+            bound, need, r
+        )
+        chains += fits
     assert len(cases) == 7052 and 0 < chains < len(cases)
