@@ -6,9 +6,10 @@ the test suite so that an installed package can be smoke-tested without
 pytest.  The formulations of the semistable-vs-singular verdict that the
 suites compare (:func:`gr_cross_verdicts`), the Grassmannian chain
 certificate and its sweep of every column set for the minimal semistable
-element (:func:`_chain_fits`, :func:`minimal_semistable_oracle_gr`) and
-the cached orbit listings they walk (:func:`minuscule_model`) live here,
-off the request path.
+element (:func:`_chain_fits`, :func:`minimal_semistable_oracle_gr`), the
+cached orbit listings they walk (:func:`minuscule_model`) and the walk of
+bare canonical words (:func:`canonical_words`) live here, off the request
+path.
 
 Work the suites share is done once per process, by ``functools.cache``:
 each orbit listing is built once (:func:`minuscule_model`), each walked
@@ -24,15 +25,17 @@ functions on a miss, so a suite run alone gives what it gives inside
 (:func:`run_suite`).  A forked child runs ``golden-sl7``,
 ``family-tables``, ``minimal-borel`` and ``hilbert``, which share the
 section counts of ``_invariant_dimension``, ``quiver-words``, which reads
-no hole report, and ``minimal-singular``, whose D and E listings
-``quiver-words`` has built there.  This process runs ``cross-smooth``,
-``cross-singular`` and ``minima-sweep``, which share the type-A models
-and their hole reports.  Alone in a fresh process the child's share
-takes 11.0-12.4 ms and this one's 9.7-11.6 ms (best of fifteen, in three
-runs on a 2-vCPU VM, Python 3.11); the other splits timed were slower.
-23 listings are built in both processes; on one CPU that costs more than
-the split saves, so there, and without ``os.sched_getaffinity``, the
-suites run one after another here.
+each orbit's canonical words off :func:`canonical_words`, and
+``minimal-singular``, which grows one word on the quiver ``quiver build``
+builds: the child lists no orbit.  This process runs ``cross-smooth``,
+``cross-singular`` and ``minima-sweep``, which share the type-A listings
+and their hole reports; it builds all 26 listings.  In children forked from a
+process that imported :mod:`torusq.cli`, the child's share takes 17.0 ms
+(quartiles 11.7-18.9) and this one's 17.3 ms (12.5-20.1): medians of 100
+forks each, in four rounds of 25 that alternate the shares, on a 2-vCPU
+VM, Python 3.11.7.  On one CPU the child would only take turns with this
+process, so there, and without ``os.sched_getaffinity``, the suites run
+one after another here.
 """
 
 import marshal
@@ -40,10 +43,10 @@ import os
 from functools import cache
 from itertools import combinations, combinations_with_replacement, permutations, starmap
 from math import gcd
-from operator import gt
+from operator import gt, le
 
 from . import criteria, grassmannian as gr, quiver as qv, smt
-from .rootdata import root_system
+from .rootdata import check_minuscule, fundamental_weight, root_system
 from .weyl import bruhat_leq, pi_projection, word_to_perm
 
 
@@ -296,18 +299,53 @@ def cross_singular() -> dict:
     return _result("cross-singular", checks, failures)
 
 
+def _reflect(node, b, s, neighbours):
+    """s_b of an orbit weight whose coordinate b (0-based) is s: -s there,
+    and s more at each Dynkin neighbour (+1 lowers, -1 raises)."""
+    node = list(node)
+    node[b] = -s
+    for c in neighbours[b]:
+        node[c - 1] += s
+    return tuple(node)
+
+
+def canonical_words(system, weight) -> dict:
+    """Every node of the orbit of omega_weight mapped to its canonical
+    word, by a walk down from the top that lists nothing else.
+
+    Breadth first, each node is lowered at each coordinate +1, so a level
+    is complete before the next is read.  A new node's word is its first
+    letter i, the first coordinate -1, followed by the word of its
+    canonical parent s_i(node), one level up and so already walked: the
+    recurrence of :class:`torusq.quiver.MinusculeModel`, with no quiver,
+    hole masks or ideals.  O(orbit * rank)."""
+    check_minuscule(system.family, system.rank, weight)
+    neighbours = system.neighbours
+    queue = [fundamental_weight(system, weight)]
+    words = {queue[0]: ()}
+    for node in queue:
+        for b, c in enumerate(node):
+            if c == 1:
+                child = _reflect(node, b, 1, neighbours)
+                if child not in words:
+                    i = child.index(-1)
+                    words[child] = (i + 1,) + words[_reflect(child, i, -1, neighbours)]
+                    queue.append(child)
+    return words
+
+
 def quiver_words() -> dict:
     """Word independence: a commutation move induces a quiver isomorphism,
-    for every element of every minuscule poset in scope."""
+    for every element of every minuscule poset in scope, each read by its
+    canonical word (:func:`canonical_words`)."""
     failures = []
     checks = 0
     plans = [("A", n - 1, r) for n in range(4, 8) for r in range(1, n)]
     plans += [("D", n, w) for n in (4, 5, 6) for w in (1, n - 1, n)]
     plans += [("E6", 6, 1), ("E6", 6, 6), ("E7", 7, 7)]
     for family, rank, weight in plans:
-        model = minuscule_model(family, rank, weight)
-        system = model.system
-        for word in model.words.values():
+        system = root_system(family, rank)
+        for word in canonical_words(system, weight).values():
             moves = qv.commutation_moves(word, system)
             if not moves:
                 continue
@@ -395,10 +433,10 @@ def minimal_singular() -> dict:
     plans += [("D", n, n - 1) for n in (4, 5, 6)]
     plans += [("E6", 6, 1), ("E7", 7, 7)]
     for family, rank, weight in plans:
-        model = minuscule_model(family, rank, weight)
-        holes = model.holes(model.grow(qv.minimal_v_word(family, rank, weight)))
+        minuscule = qv.MinusculeQuiver(root_system(family, rank), weight)
+        v = minuscule.grow(qv.minimal_v_word(family, rank, weight))
         checks += 1
-        if not holes.real:
+        if not qv.classify_holes(v, minuscule.masks).real:
             failures.append(f"{family}{rank} omega_{weight}: no real hole on v")
     return _result("minimal-singular", checks, failures)
 
@@ -426,7 +464,7 @@ def minima_sweep() -> dict:
     for r, n in _SWEEP_BOXES + [(4, 9)]:
         v = gr.minimal_semistable(r, n)
         for w in combinations(range(1, n + 1), r):
-            if not gr.indexset_leq(v, w):
+            if not all(map(le, v, w)):  # v <= w, both sorted
                 continue
             verdicts = gr_cross_verdicts(w, r, n)
             checks += 1

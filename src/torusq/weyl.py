@@ -17,11 +17,13 @@ canonical word, which builds the full quiver, and then the canonical word
 of each node it prints, the answer's and its singular components';
 :class:`torusq.quiver.MinusculeQuiver` reads those nodes off the order
 ideals of that quiver.  Only the verification suites enumerate the orbit,
-with :class:`torusq.quiver.MinusculeModel`, which also walks one word,
-the bottom's, and takes every other node's canonical word from the one a
-level up.  Nodes are weights in fundamental
-coordinates; every coordinate of an orbit weight is -1, 0 or 1, which is
-what makes the canonical-word and length bookkeeping trivial.
+each node's canonical word taken from the one a level up: with
+:class:`torusq.quiver.MinusculeModel`, which also walks one word, the
+bottom's, and lists every node's ideal, or by
+:func:`torusq.verify.canonical_words`, which walks down from the top and
+lists the words alone.  Nodes are weights in fundamental coordinates;
+every coordinate of an orbit weight is -1, 0 or 1, which is what makes
+the canonical-word and length bookkeeping trivial.
 """
 
 from bisect import insort
@@ -116,8 +118,9 @@ class MinusculePoset:
     subtracts a simple root, and the depth of a node is the Coxeter length
     of the minimal coset representative it stands for, the size of the
     node's order ideal in the quiver.  The class holds no list of the
-    orbit; only :class:`torusq.quiver.MinusculeModel` enumerates it, as
-    the list of nodes the verification suites walk.  The bottom node, the
+    orbit; only the verification suites enumerate it
+    (:class:`torusq.quiver.MinusculeModel`,
+    :func:`torusq.verify.canonical_words`).  The bottom node, the
     longest element of W^P, comes from greedy descent: lower at the first
     coordinate equal to +1 until none is left (:func:`_walk`), which ends
     at the orbit's unique antidominant weight.

@@ -48,6 +48,15 @@ MINUSCULE_CASES = (
 )
 
 
+# the orbits ``verify all`` reads without listing them: quiver-words walks
+# their canonical words (``verify.canonical_words``), minimal-singular grows
+# one word on their quiver
+UNLISTED_IN_VERIFY = [
+    ("A", 7, 3), ("A", 7, 5), ("D", 4, 4), ("D", 5, 5), ("D", 6, 1), ("D", 6, 5),
+    ("D", 6, 6), ("E6", 6, 6), ("E7", 7, 7),
+]
+
+
 @pytest.fixture(scope="module")
 def verify_scope():
     """The models one ``verify all`` builds on an empty cache, each time
@@ -74,13 +83,24 @@ def verify_scope():
     return models, walks
 
 
+@pytest.fixture(scope="module")
+def verify_orbits(verify_scope):
+    """A model of every orbit ``verify all`` reads: the 26 it builds, then
+    one of each orbit it reads without a listing."""
+    models, _ = verify_scope
+    return models + [qv.MinusculeModel(root_system(*case[:2]), case[2])
+                     for case in UNLISTED_IN_VERIFY]
+
+
 def test_verify_walks_each_bottom_and_each_component_it_reads(verify_scope):
     # each model walks its bottom word, for the full quiver, and the words
-    # of its 728 nodes come from the words one level up; the other walks are
-    # the nodes of the 102 components cross-singular reads, in its order
+    # of its 433 nodes come from the words one level up; each of the 16
+    # quivers minimal-singular grows its word on walks its bottom word; the
+    # other walks are the nodes of the 102 components cross-singular reads,
+    # in its order
     models, walks = verify_scope
-    assert len(models) == 35
-    assert sum(len(model.nodes) for model in models) == 728
+    assert len(models) == 26
+    assert sum(len(model.nodes) for model in models) == 433
     read = {model.poset: [model.poset.bottom] for model in models}
     built = {(m.system.family, m.system.rank, m.poset.weight_index): m for m in models}
     for r, n in verify._SWEEP_BOXES:
@@ -88,16 +108,55 @@ def test_verify_walks_each_bottom_and_each_component_it_reads(verify_scope):
         node_of = {ideal: node for node, ideal in model.ideals.items()}
         read[model.poset] += [node_of[c] for ideal in model.ideals.values()
                               for c in model.holes(ideal).components]
-    assert len(walks) == 35 + 102
+    assert len(walks) == 26 + 16 + 102
     for model in models:
         assert [mu for poset, mu in walks if poset is model.poset] == read[model.poset]
         assert list(model.words) == model.nodes
+    unlisted = [(poset, mu) for poset, mu in walks if poset not in read]
+    assert len(unlisted) == 16 and all(mu == poset.bottom for poset, mu in unlisted)
 
 
-def test_model_words_are_the_canonical_words(verify_scope):
-    models, _ = verify_scope
-    models = models + [qv.MinusculeModel(root_system(*case[:2]), case[2])
-                       for case in [("D", 8, 7), ("D", 8, 8), ("E7", 7, 7)]]
+@pytest.mark.parametrize("family,rank,weight", MINUSCULE_CASES)
+def test_the_verify_walk_gives_the_model_words(family, rank, weight):
+    # the words quiver-words reads, walked down from the top with no quiver,
+    # against the listing's, key for key and in its order
+    model = minuscule_model(family, rank, weight)
+    words = verify.canonical_words(model.system, weight)
+    assert list(words.items()) == list(model.words.items())
+    assert len(words) == minuscule_orbit_size(family, rank, weight)
+    for node, word in words.items():
+        assert word == model.poset.canonical_word(node)
+
+
+def test_only_the_parent_share_of_verify_all_lists_an_orbit(monkeypatch):
+    # the forked child's suites read bare canonical words and one quiver
+    # per orbit: no listing; the parent's builds each of its 26 once
+    built, listed = [], []
+    build, ideals = qv.MinusculeModel.__init__, qv.Quiver.ideals
+
+    def counting_build(self, system, weight_index):
+        built.append((system.family, system.rank, weight_index))
+        build(self, system, weight_index)
+
+    def counting_ideals(self):
+        listed.append(self.system)
+        return ideals(self)
+
+    fresh_verify_memos(monkeypatch)
+    monkeypatch.setattr(qv.MinusculeModel, "__init__", counting_build)
+    monkeypatch.setattr(qv.Quiver, "ideals", counting_ideals)
+    assert all(result["passed"] for result in verify._run_in_process(verify._CHILD_SHARE))
+    assert built == listed == []
+    assert all(result["passed"] for result in verify._run_in_process(verify._PARENT_SHARE))
+    expected = [("A", n - 1, r) for n in range(3, 8) for r in range(1, n)]
+    expected += [("A", 8, 4), ("D", 4, 1), ("D", 4, 3), ("D", 5, 1), ("D", 5, 4), ("E6", 6, 1)]
+    assert sorted(built) == sorted(expected)
+    assert len(listed) == len(expected) == 26
+
+
+def test_model_words_are_the_canonical_words(verify_orbits):
+    models = verify_orbits + [qv.MinusculeModel(root_system(*case[:2]), case[2])
+                              for case in [("D", 8, 7), ("D", 8, 8)]]
     for model in models:
         for node in model.nodes:
             assert model.words[node] == model.poset.canonical_word(node)
@@ -111,11 +170,10 @@ def test_full_quiver_at_the_vertex_limit_matches_the_pairing_scan(family, rank, 
     assert qv.quiver_from_word(word, system) == quiver_by_pairing_scan(word, system)
 
 
-def test_quivers_of_the_verify_words_match_the_pairing_scan(verify_scope):
-    # every canonical word of every model verify builds, and each word one
+def test_quivers_of_the_verify_words_match_the_pairing_scan(verify_orbits):
+    # every canonical word of every orbit verify reads, and each word one
     # commutation move away, as the quiver-words suite builds them
-    models, _ = verify_scope
-    for model in models:
+    for model in verify_orbits:
         for word in model.words.values():
             others = [other for _, other in qv.commutation_moves(word, model.system)]
             for w in [word, *others]:
@@ -124,12 +182,11 @@ def test_quivers_of_the_verify_words_match_the_pairing_scan(verify_scope):
                 )
 
 
-def test_ideals_match_the_vertex_scan(verify_scope):
+def test_ideals_match_the_vertex_scan(verify_orbits):
     # the same list, order included: the order of ``MinusculeModel.nodes``
     # reaches the verify failures
-    models, _ = verify_scope
-    extra = [("D", 8, 7), ("D", 8, 8), ("E7", 7, 7)]
-    quivers = [model.full for model in models]
+    extra = [("D", 8, 7), ("D", 8, 8)]
+    quivers = [model.full for model in verify_orbits]
     quivers += [qv.MinusculeQuiver(root_system(*case[:2]), case[2]).full for case in extra]
     for q in quivers:
         assert q.ideals() == ideals_by_vertex_scan(q)
@@ -229,12 +286,11 @@ def test_word_of_is_the_canonical_word():
     assert nodes == 2692
 
 
-def test_word_of_reads_back_every_grown_word_of_the_verify_models(verify_scope):
+def test_word_of_reads_back_every_grown_word_of_the_verify_models(verify_orbits):
     # the label tops of ``word_of`` against the flags of ``grow``, both ways
-    # round on every node of the 35 models ``verify all`` builds
-    models, _ = verify_scope
+    # round on every node of the 35 orbits ``verify all`` reads
     nodes = 0
-    for model in models:
+    for model in verify_orbits:
         for node, word in model.words.items():
             ideal = model.grow(word)
             assert ideal == model.ideals[node]
@@ -243,13 +299,12 @@ def test_word_of_reads_back_every_grown_word_of_the_verify_models(verify_scope):
     assert nodes == 728
 
 
-def test_word_of_pops_the_labels_in_the_order_of_a_heap(verify_scope):
+def test_word_of_pops_the_labels_in_the_order_of_a_heap(verify_orbits):
     # the walk on the ideal's node against the label tops of the quiver
-    # popped off a heap, on every ideal of the 35 models ``verify all``
-    # builds and at A100/omega_50 and D71/omega_71 on the full and minimal
+    # popped off a heap, on every ideal of the 35 orbits ``verify all``
+    # reads and at A100/omega_50 and D71/omega_71 on the full and minimal
     # ideals and the minimal one's singular components
-    models, _ = verify_scope
-    for model in models:
+    for model in verify_orbits:
         for ideal in model.ideals.values():
             assert model.word_of(ideal) == word_of_by_heap(model, ideal)
     for family, rank, weight in [("A", 100, 50), ("D", 71, 71)]:
@@ -856,18 +911,20 @@ def test_verify_reads_the_lookups_quiver_build_runs(monkeypatch):
 
 
 def test_verify_all_classifies_each_marked_quiver_once(monkeypatch):
-    calls = []
+    calls, kept = [], []
     classify = qv.classify_holes
 
     def counting(marked, masks):
-        # each model classifies on its own quiver's masks
+        # each quiver classifies on its own masks, kept alive so that no
+        # later quiver's masks take the id of a freed one
         calls.append((id(masks), marked))
+        kept.append(masks)
         return classify(marked, masks)
 
     fresh_verify_memos(monkeypatch)
     monkeypatch.setattr(qv, "classify_holes", counting)
     assert all(result["passed"] for result in run_all_in_one_process())
-    assert len(calls) == len(set(calls)) == 279
+    assert len(calls) == len(set(calls)) == 290
 
 
 def test_dot_output_is_stable_and_annotated():
